@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -121,7 +122,7 @@ def _parse_delay(obj: dict, path: str) -> DelayModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_faults(obj: dict, path: str) -> FaultPlan:
+def _parse_faults(obj: dict, path: str, p: int) -> FaultPlan:
     _expect_keys(obj, {"events", "recovery"}, path)
     events = []
     for idx, entry in enumerate(_get(obj, "events", list, path, default=[])):
@@ -130,6 +131,9 @@ def _parse_faults(obj: dict, path: str) -> FaultPlan:
             raise ConfigError(f"{epath}: expected an object")
         _expect_keys(entry, {"victims", "at_step", "at_local_iteration"}, epath)
         victims = _get(entry, "victims", list, epath, required=True)
+        for v in victims:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
+                raise ConfigError(f"{epath}.victims: {v!r} is not a subdomain index in [0, {p})")
         try:
             events.append(
                 FaultEvent(
@@ -171,8 +175,8 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     except ValueError as exc:
         raise ConfigError(f"{path}.grid: {exc}") from exc
     splits = _get(raw, "splits", list, path, required=True)
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in splits):
-        raise ConfigError(f"{path}.splits: counts must be integers")
+    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in splits):
+        raise ConfigError(f"{path}.splits: counts must be positive integers")
     solver = _get(raw, "solver", str, path, default="all")
     if solver not in SOLVER_CHOICES:
         raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
@@ -190,8 +194,12 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         decomposition_json=_get(out_obj, "decomposition_json", bool, f"{path}.output", default=False),
     )
     tol = float(_get(raw, "tol", (int, float), path, default=1e-6))
-    if tol <= 0:
-        raise ConfigError(f"{path}.tol: must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{path}.tol: must be finite and positive, got {tol}")
+    faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", math.prod(splits))
+    deterministic = _get(raw, "deterministic", bool, path, default=True)
+    if faults.events and not deterministic and solver in ("async", "all"):
+        raise ConfigError(f"{path}.faults: fault injection needs the deterministic runtime (deterministic: true)")
     return RunSpec(
         grid=grid,
         splits=tuple(splits),
@@ -200,24 +208,27 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         k_max=_get(raw, "k_max", int, path, default=10_000),
         solver=solver,
         delay=_parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay"),
-        faults=_parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults"),
+        faults=faults,
         certify=_get(raw, "certify", bool, path, default=False),
-        deterministic=_get(raw, "deterministic", bool, path, default=True),
+        deterministic=deterministic,
         seed=_get(raw, "seed", int, path, default=0),
         activation=float(_get(raw, "activation", (int, float), path, default=1.0)),
         output=output,
     )
 
 
-def load_run_spec(path) -> RunSpec:
+def _read_config(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_run_spec(raw, path=str(path))
+
+
+def load_run_spec(path) -> RunSpec:
+    return parse_run_spec(_read_config(path), path=str(path))
 
 
 def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system, certs, phash: str) -> dict:
@@ -332,15 +343,19 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
 
 
 def cmd_run(args) -> int:
+    # Command-line overrides go into the raw config so that validation sees
+    # the settings that will actually run.
     try:
-        spec = load_run_spec(args.config)
+        raw = _read_config(args.config)
+        if isinstance(raw, dict):
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.deterministic:
+                raw["deterministic"] = True
+        spec = parse_run_spec(raw, path=str(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    if args.deterministic:
-        spec = dataclasses.replace(spec, deterministic=True)
     out_dir = Path(args.out) if args.out else Path(spec.output.directory)
     return run_from_spec(spec, out_dir)
 

@@ -2,12 +2,14 @@
 channels with configurable delay and reordering, non-blocking convergence
 detection and fault injection.
 
-Two execution modes share one contract.  The deterministic mode steps
-workers under a virtual-time scheduler: messages injected at step t are
-deliverable from step t + 1 + delay, every draw comes from seeded
-generators, and equal seeds reproduce runs bit for bit.  The free-running
-mode runs one thread per worker over bounded queues and is meant for smoke
-testing only.
+Two execution modes run the same worker kernel: the ``_WorkerState``
+methods for the update, the detection machine and the receive rule, which
+publish through a ``send(dst, tag, payload, round)`` callback.  The modes
+differ only in transport and clock.  The deterministic mode steps workers
+under a virtual-time scheduler: messages injected at step t are deliverable
+from step t + 1 + delay, every draw comes from seeded generators, and equal
+seeds reproduce runs bit for bit.  The free-running mode runs one thread per
+worker over bounded queues and is meant for smoke testing only.
 
 Worker loop per activation: merge the latest received neighbor shares into
 the local interface vector, solve the interior block, form the new local
@@ -42,17 +44,18 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .linalg import lu_solve
 from .solvers import (
-    BreakdownError,
     SchurSystem,
     SolveReport,
-    apply_interface_operator,
+    _check_victims,
+    _restarted_cg,
+    _start_vector,
     global_residual,
-    interface_rhs,
 )
 
 __all__ = [
@@ -139,6 +142,8 @@ class FaultEvent:
         object.__setattr__(self, "victims", tuple(int(v) for v in self.victims))
         if not self.victims:
             raise ValueError("a fault event needs at least one victim")
+        if min(self.victims) < 0:
+            raise ValueError(f"fault victim {min(self.victims)} must be nonnegative")
         if (self.at_step is None) == (self.at_local_iteration is None):
             raise ValueError("exactly one of at_step / at_local_iteration must be set")
 
@@ -269,6 +274,96 @@ class _WorkerState:
             self.nbr_sum[my_idx] += self.nbr_y[j][1]
         return self.nbr_sum
 
+    def receive(self, env: Envelope) -> None:
+        """Keep the newest share per neighbor; file detection pieces by round."""
+        if env.tag == TAG_DATA:
+            cur = self.nbr_y.get(env.src)
+            if cur is None or env.inject_step > cur[0]:
+                self.nbr_y[env.src] = (env.inject_step, env.payload)
+        elif env.tag == TAG_RESIDUAL:
+            self.rs_have.setdefault(env.round, {})[env.src] = env.payload
+        else:
+            self.red_have.setdefault(env.round, {})[env.src] = env.payload
+
+    def update(self, send) -> None:
+        """One relaxation: merge, interior solve, new share, publish it.
+
+        ``send(dst, tag, payload, round)`` hands a message to the transport.
+        """
+        nbr_sum = self.merge_neighbors()
+        x_l = self.y_own + nbr_sum
+        if len(self.b_I):
+            self.x_I = lu_solve(self.lu, self.b_I - self.A_IG_op @ x_l)
+        if len(x_l):
+            defect = self.b_G - self.A_GI_op @ self.x_I - self.A_GG @ x_l
+            self.y_own = self.w * x_l + self.minv * defect
+        self.k_local += 1
+        for j, my_idx in self.neighbors:
+            send(j, TAG_DATA, self.y_own[my_idx].copy(), -1)
+
+    def detect(self, send, p: int) -> tuple[int, float] | None:
+        """Advance the three-phase detection machine without blocking.
+
+        Uses the neighbor sum merged by the last ``update``.  Returns the
+        round number and protocol value when a round completes, else None.
+        """
+        if self.phase == 0:
+            x_merged = self.y_own + self.nbr_sum
+            if len(self.b_I):
+                r_I = self.b_I - self.A_II_op @ self.x_I - self.A_IG_op @ x_merged
+                self.r_own_I_sq = float(r_I @ r_I)
+            else:
+                self.r_own_I_sq = 0.0
+            self.r_own_G = (
+                self.b_G - self.A_GI_op @ self.x_I - self.A_GG @ x_merged if len(x_merged) else np.zeros(0)
+            )
+            for j, my_idx in self.neighbors:
+                send(j, TAG_RESIDUAL, self.r_own_G[my_idx].copy(), self.round)
+            self.phase = 1
+        if self.phase == 1:
+            have = self.rs_have.get(self.round, {})
+            if all(j in have for j, _ in self.neighbors):
+                r_sync = self.r_own_G.copy()
+                for j, my_idx in self.neighbors:
+                    r_sync[my_idx] += have[j]
+                contrib = self.r_own_I_sq + float((self.w * r_sync) @ r_sync)
+                for j in range(p):
+                    if j != self.idx:
+                        send(j, TAG_REDUCTION, contrib, self.round)
+                self.red_have.setdefault(self.round, {})[self.idx] = contrib
+                self.phase = 2
+        if self.phase == 2:
+            have = self.red_have.get(self.round, {})
+            if len(have) == p:
+                total = sum(have[j] for j in sorted(have))
+                value = float(np.sqrt(max(total, 0.0)))
+                self.rs_have.pop(self.round, None)
+                self.red_have.pop(self.round, None)
+                completed_round = self.round
+                self.round += 1
+                self.phase = 0
+                self.rounds_done += 1
+                return completed_round, value
+        return None
+
+
+def _build_workers(system: SchurSystem, split, x0: np.ndarray) -> list[_WorkerState]:
+    """One worker per subdomain, wired to its neighbors, started from x0."""
+    n_g = system.n_interface
+    w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if n_g else np.zeros(0)
+    workers = [_WorkerState(local, split, x0) for local in system.subdomains]
+    for w in workers:
+        w.attach_neighbors(system.imap, w_global, x0)
+    return workers
+
+
+def _assemble_shares(workers, n_interface: int) -> np.ndarray:
+    """Interface vector as the sum of the workers' prolonged shares."""
+    x = np.zeros(n_interface)
+    for w in workers:
+        x[w.gpos] += w.y_own
+    return x
+
 
 class AsyncSimulator:
     """Virtual-time scheduler over in-process workers.
@@ -284,16 +379,9 @@ class AsyncSimulator:
         self.split = split
         self.cfg = cfg
         self.p = system.p
-        n_g = system.n_interface
-        self.x0 = np.zeros(n_g) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if self.x0.shape != (n_g,):
-            raise ValueError("initial interface vector has the wrong length")
-        w_global = (
-            1.0 / system.decomp.owner_count.astype(np.float64) if n_g else np.zeros(0)
-        )
-        self.workers = [_WorkerState(local, split, self.x0) for local in system.subdomains]
-        for w in self.workers:
-            w.attach_neighbors(system.imap, w_global, self.x0)
+        _check_victims([v for e in cfg.faults.events for v in e.victims], self.p)
+        self.x0 = _start_vector(system, x0)
+        self.workers = _build_workers(system, split, self.x0)
         self.rng_sched = np.random.default_rng(cfg.seed)
         delay_seed = cfg.delay.seed if cfg.delay.seed else cfg.seed + 1
         self.rng_delay = np.random.default_rng(delay_seed)
@@ -319,9 +407,6 @@ class AsyncSimulator:
             (e for e in cfg.faults.events if e.at_step is not None), key=lambda e: e.at_step
         )
         self._pending_iter_faults = [e for e in cfg.faults.events if e.at_local_iteration is not None]
-        max_victim = max((v for e in cfg.faults.events for v in e.victims), default=-1)
-        if max_victim >= self.p:
-            raise ValueError(f"fault victim {max_victim} out of range for {self.p} workers")
 
     # -- transport -----------------------------------------------------
 
@@ -349,75 +434,24 @@ class AsyncSimulator:
         box = self.inbox[w.idx]
         while box and box[0][0] <= self.t:
             env = heapq.heappop(box)[2]
-            if env.tag == TAG_DATA:
-                cur = w.nbr_y.get(env.src)
-                if cur is None or env.inject_step > cur[0]:
-                    w.nbr_y[env.src] = (env.inject_step, env.payload)
-            elif env.epoch != self.epoch:
-                self.stale_discarded += 1
-            elif env.tag == TAG_RESIDUAL:
-                w.rs_have.setdefault(env.round, {})[env.src] = env.payload
+            if env.tag == TAG_DATA or env.epoch == self.epoch:
+                w.receive(env)
             else:
-                w.red_have.setdefault(env.round, {})[env.src] = env.payload
+                self.stale_discarded += 1
 
     # -- worker step ---------------------------------------------------
 
     def _step_worker(self, w: _WorkerState) -> None:
         self._ingest(w)
-        nbr_sum = w.merge_neighbors()
-        x_l = w.y_own + nbr_sum
-        if len(w.b_I):
-            w.x_I = lu_solve(w.lu, w.b_I - w.A_IG_op @ x_l)
-        if len(x_l):
-            defect = w.b_G - w.A_GI_op @ w.x_I - w.A_GG @ x_l
-            w.y_own = w.w * x_l + w.minv * defect
-        w.k_local += 1
-        for j, my_idx in w.neighbors:
-            self._send(w.idx, j, TAG_DATA, w.y_own[my_idx].copy())
-        self._detection(w, nbr_sum)
+        send = partial(self._send, w.idx)
+        w.update(send)
+        completed = w.detect(send, self.p)
+        if completed is not None:
+            if w.rounds_done >= self.cfg.k_max:
+                w.done = True
+            self._note_round(*completed)
         if self.cfg.trace:
             self.trace.append({"type": "step", "t": self.t, "worker": w.idx, "k": w.k_local, "phase": w.phase})
-
-    def _detection(self, w: _WorkerState, nbr_sum: np.ndarray) -> None:
-        if w.phase == 0:
-            x_merged = w.y_own + nbr_sum
-            if len(w.b_I):
-                r_I = w.b_I - w.A_II_op @ w.x_I - w.A_IG_op @ x_merged
-                w.r_own_I_sq = float(r_I @ r_I)
-            else:
-                w.r_own_I_sq = 0.0
-            w.r_own_G = (
-                w.b_G - w.A_GI_op @ w.x_I - w.A_GG @ x_merged if len(x_merged) else np.zeros(0)
-            )
-            for j, my_idx in w.neighbors:
-                self._send(w.idx, j, TAG_RESIDUAL, w.r_own_G[my_idx].copy(), rnd=w.round)
-            w.phase = 1
-        if w.phase == 1:
-            have = w.rs_have.get(w.round, {})
-            if all(j in have for j, _ in w.neighbors):
-                r_sync = w.r_own_G.copy()
-                for j, my_idx in w.neighbors:
-                    r_sync[my_idx] += have[j]
-                contrib = w.r_own_I_sq + float((w.w * r_sync) @ r_sync)
-                for j in range(self.p):
-                    if j != w.idx:
-                        self._send(w.idx, j, TAG_REDUCTION, contrib, rnd=w.round)
-                w.red_have.setdefault(w.round, {})[w.idx] = contrib
-                w.phase = 2
-        if w.phase == 2:
-            have = w.red_have.get(w.round, {})
-            if len(have) == self.p:
-                total = sum(have[j] for j in sorted(have))
-                value = float(np.sqrt(max(total, 0.0)))
-                w.rs_have.pop(w.round, None)
-                w.red_have.pop(w.round, None)
-                completed_round = w.round
-                w.round += 1
-                w.phase = 0
-                w.rounds_done += 1
-                if w.rounds_done >= self.cfg.k_max:
-                    w.done = True
-                self._note_round(completed_round, value)
 
     def _note_round(self, rnd: int, value: float) -> None:
         key = (self.epoch, rnd)
@@ -452,9 +486,7 @@ class AsyncSimulator:
     def inject_fault(self, victims) -> None:
         """Reset the victims and invalidate every detection round in flight."""
         victims = sorted({int(v) for v in victims})
-        for v in victims:
-            if not 0 <= v < self.p:
-                raise ValueError(f"fault victim {v} out of range")
+        _check_victims(victims, self.p)
         victim_set = set(victims)
         for v in victims:
             self.workers[v].reset_state()
@@ -507,10 +539,7 @@ class AsyncSimulator:
         return chosen
 
     def assembled_interface(self) -> np.ndarray:
-        x = np.zeros(self.system.n_interface)
-        for w in self.workers:
-            x[w.gpos] += w.y_own
-        return x
+        return _assemble_shares(self.workers, self.system.n_interface)
 
     # -- driving ---------------------------------------------------------
 
@@ -616,75 +645,11 @@ def cg_with_restart(system: SchurSystem, cfg: RuntimeConfig, x0=None) -> tuple[n
     the victims' interface entries to their initial values and discards the
     Krylov space; iteration counting continues across restarts.
     """
-    t0 = time.perf_counter()
-    n = system.n_interface
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    x_init = x.copy()
-    d = interface_rhs(system)
-    events = sorted(
-        cfg.faults.events,
-        key=lambda e: e.at_step if e.at_step is not None else e.at_local_iteration,
+    restarts = sorted(
+        ((e.at_step if e.at_step is not None else e.at_local_iteration, e.victims) for e in cfg.faults.events),
+        key=lambda r: r[0],
     )
-    triggers = [e.at_step if e.at_step is not None else e.at_local_iteration for e in events]
-    history = [(0, global_residual(system.problem, system.decomp, system.subdomains, x))]
-    total_k = 0
-    faults = 0
-    status = "k-max"
-    if history[0][1] <= cfg.tol:
-        status = "converged"
-    else:
-        event_i = 0
-        while total_k < cfg.k_max:
-            r = d - apply_interface_operator(system, x)
-            p_dir = r.copy()
-            rs = float(r @ r)
-            segment_done = False
-            while total_k < cfg.k_max:
-                Sp = apply_interface_operator(system, p_dir)
-                curvature = float(p_dir @ Sp)
-                if curvature <= 0:
-                    raise BreakdownError(f"nonpositive curvature {curvature} at iteration {total_k}")
-                alpha = rs / curvature
-                x += alpha * p_dir
-                r -= alpha * Sp
-                total_k += 1
-                resid = global_residual(system.problem, system.decomp, system.subdomains, x)
-                history.append((total_k, resid))
-                if resid <= cfg.tol:
-                    status = "converged"
-                    segment_done = True
-                    break
-                if resid > DIVERGENCE_LIMIT:
-                    status = "diverged"
-                    segment_done = True
-                    break
-                if event_i < len(events) and total_k >= triggers[event_i]:
-                    for v in events[event_i].victims:
-                        pos = system.subdomains[v].gamma_positions
-                        x[pos] = x_init[pos]
-                    faults += 1
-                    event_i += 1
-                    break
-                rs_new = float(r @ r)
-                p_dir = r + (rs_new / rs) * p_dir
-                rs = rs_new
-            if segment_done or status != "k-max" or total_k >= cfg.k_max:
-                break
-    final = global_residual(system.problem, system.decomp, system.subdomains, x)
-    report = SolveReport(
-        solver="cg-restart",
-        converged=status == "converged",
-        iterations_k=total_k,
-        per_worker_k=[total_k] * system.p,
-        k_max=total_k,
-        residual_history=history,
-        final_residual=final,
-        wall_time=time.perf_counter() - t0,
-        status=status,
-        faults_injected=faults,
-        sim_steps=total_k,
-    )
-    return x, report
+    return _restarted_cg(system, cfg.tol, cfg.k_max, x0, restarts, solver="cg-restart")
 
 
 # -- free-running mode -----------------------------------------------------
@@ -703,41 +668,37 @@ def _put_overwrite_oldest(q: queue.Queue, item) -> None:
 
 
 class _FreeWorker(threading.Thread):
+    """One worker thread: runs the shared kernel over bounded queues until
+    its detector fires, ``k_max`` rounds pass or the deadline expires."""
+
     def __init__(self, state: _WorkerState, p: int, tol: float, k_max: int,
-                 data_in, ctrl_in, data_out, ctrl_out, deadline: float):
+                 data_q: dict, ctrl_q: dict, deadline: float):
         super().__init__(daemon=True)
         self.s = state
         self.p = p
         self.tol = tol
         self.k_max = k_max
-        self.data_in = data_in      # j -> Queue feeding me
-        self.ctrl_in = ctrl_in
-        self.data_out = data_out    # j -> Queue feeding neighbor j
-        self.ctrl_out = ctrl_out    # j -> Queue, all other workers
+        self.data_q = data_q        # (src, dst) -> Queue, neighbor links
+        self.ctrl_q = ctrl_q        # (src, dst) -> Queue, all ordered pairs
+        self.inputs = [q for (_, dst), q in (*data_q.items(), *ctrl_q.items()) if dst == state.idx]
         self.deadline = deadline
         self.result_value = None
 
-    def _drain(self) -> None:
+    def _send(self, dst: int, tag: str, payload, rnd: int) -> None:
         s = self.s
-        for j, q_in in self.data_in.items():
+        links = self.data_q if tag == TAG_DATA else self.ctrl_q
+        env = Envelope(src=s.idx, dst=dst, tag=tag, payload=payload,
+                       inject_step=s.k_local, deliver_step=s.k_local, round=rnd)
+        _put_overwrite_oldest(links[(s.idx, dst)], env)
+
+    def _drain(self) -> None:
+        for q_in in self.inputs:
             while True:
                 try:
                     env = q_in.get_nowait()
                 except queue.Empty:
                     break
-                cur = s.nbr_y.get(env.src)
-                if cur is None or env.inject_step > cur[0]:
-                    s.nbr_y[env.src] = (env.inject_step, env.payload)
-        for q_in in self.ctrl_in.values():
-            while True:
-                try:
-                    env = q_in.get_nowait()
-                except queue.Empty:
-                    break
-                if env.tag == TAG_RESIDUAL:
-                    s.rs_have.setdefault(env.round, {})[env.src] = env.payload
-                else:
-                    s.red_have.setdefault(env.round, {})[env.src] = env.payload
+                self.s.receive(env)
 
     def run(self) -> None:
         s = self.s
@@ -746,60 +707,11 @@ class _FreeWorker(threading.Thread):
             if time.monotonic() > self.deadline:
                 break
             self._drain()
-            nbr_sum = s.merge_neighbors()
-            x_l = s.y_own + nbr_sum
-            if len(s.b_I):
-                s.x_I = lu_solve(s.lu, s.b_I - s.A_IG_op @ x_l)
-            if len(x_l):
-                defect = s.b_G - s.A_GI_op @ s.x_I - s.A_GG @ x_l
-                s.y_own = s.w * x_l + s.minv * defect
-            s.k_local += 1
-            for j, my_idx in s.neighbors:
-                env = Envelope(src=s.idx, dst=j, tag=TAG_DATA, payload=s.y_own[my_idx].copy(),
-                               inject_step=s.k_local, deliver_step=s.k_local)
-                _put_overwrite_oldest(self.data_out[j], env)
-            if s.phase == 0:
-                x_merged = s.y_own + nbr_sum
-                if len(s.b_I):
-                    r_I = s.b_I - s.A_II_op @ s.x_I - s.A_IG_op @ x_merged
-                    s.r_own_I_sq = float(r_I @ r_I)
-                else:
-                    s.r_own_I_sq = 0.0
-                s.r_own_G = (
-                    s.b_G - s.A_GI_op @ s.x_I - s.A_GG @ x_merged if len(x_merged) else np.zeros(0)
-                )
-                for j, my_idx in s.neighbors:
-                    env = Envelope(src=s.idx, dst=j, tag=TAG_RESIDUAL, payload=s.r_own_G[my_idx].copy(),
-                                   inject_step=s.k_local, deliver_step=s.k_local, round=s.round)
-                    _put_overwrite_oldest(self.ctrl_out[j], env)
-                s.phase = 1
-            if s.phase == 1:
-                have = s.rs_have.get(s.round, {})
-                if all(j in have for j, _ in s.neighbors):
-                    r_sync = s.r_own_G.copy()
-                    for j, my_idx in s.neighbors:
-                        r_sync[my_idx] += have[j]
-                    contrib = s.r_own_I_sq + float((s.w * r_sync) @ r_sync)
-                    for j in range(self.p):
-                        if j != s.idx:
-                            env = Envelope(src=s.idx, dst=j, tag=TAG_REDUCTION, payload=contrib,
-                                           inject_step=s.k_local, deliver_step=s.k_local, round=s.round)
-                            _put_overwrite_oldest(self.ctrl_out[j], env)
-                    s.red_have.setdefault(s.round, {})[s.idx] = contrib
-                    s.phase = 2
-            if s.phase == 2:
-                have = s.red_have.get(s.round, {})
-                if len(have) == self.p:
-                    total = sum(have[j] for j in sorted(have))
-                    value = float(np.sqrt(max(total, 0.0)))
-                    s.rs_have.pop(s.round, None)
-                    s.red_have.pop(s.round, None)
-                    s.round += 1
-                    s.phase = 0
-                    s.rounds_done += 1
-                    if value <= self.tol:
-                        self.result_value = value
-                        return
+            s.update(self._send)
+            completed = s.detect(self._send, self.p)
+            if completed is not None and completed[1] <= self.tol:
+                self.result_value = completed[1]
+                return
 
 
 def _free_running_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
@@ -807,40 +719,17 @@ def _free_running_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None)
     if cfg.faults.events:
         raise ValueError("fault injection is only supported in deterministic mode")
     t0 = time.perf_counter()
-    n_g = system.n_interface
-    x0v = np.zeros(n_g) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if n_g else np.zeros(0)
-    states = [_WorkerState(local, split, x0v) for local in system.subdomains]
-    for s in states:
-        s.attach_neighbors(system.imap, w_global, x0v)
+    states = _build_workers(system, split, _start_vector(system, x0))
     p = system.p
-    data_q = {}
-    ctrl_q = {}
-    for i in range(p):
-        for j in system.imap.neighbors[i]:
-            data_q[(i, j)] = queue.Queue(maxsize=4)
-        for j in range(p):
-            if j != i:
-                ctrl_q[(i, j)] = queue.Queue(maxsize=256)
+    data_q = {(i, j): queue.Queue(maxsize=4) for i in range(p) for j in system.imap.neighbors[i]}
+    ctrl_q = {(i, j): queue.Queue(maxsize=256) for i in range(p) for j in range(p) if j != i}
     deadline = time.monotonic() + 60.0
-    threads = []
-    for s in states:
-        i = s.idx
-        threads.append(_FreeWorker(
-            s, p, cfg.tol, cfg.k_max,
-            data_in={j: data_q[(j, i)] for j in system.imap.neighbors[i]},
-            ctrl_in={j: ctrl_q[(j, i)] for j in range(p) if j != i},
-            data_out={j: data_q[(i, j)] for j in system.imap.neighbors[i]},
-            ctrl_out={j: ctrl_q[(i, j)] for j in range(p) if j != i},
-            deadline=deadline,
-        ))
+    threads = [_FreeWorker(s, p, cfg.tol, cfg.k_max, data_q, ctrl_q, deadline) for s in states]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
-    x = np.zeros(n_g)
-    for s in states:
-        x[s.gpos] += s.y_own
+    x = _assemble_shares(states, system.n_interface)
     final = global_residual(system.problem, system.decomp, system.subdomains, x)
     detected = any(th.result_value is not None for th in threads)
     per_worker = [s.k_local for s in states]

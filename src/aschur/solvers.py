@@ -277,17 +277,35 @@ def cg_schur(
     The residual used for stopping is the recomputed global one, checked
     every iteration.  A nonpositive curvature value raises BreakdownError.
     """
+    return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
+
+
+def _check_victims(victims, p: int) -> None:
+    bad = [v for v in victims if not 0 <= v < p]
+    if bad:
+        raise ValueError(f"fault victim {max(bad)} out of range for {p} workers")
+
+
+def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, solver: str):
+    """The conjugate-gradient loop behind ``cg_schur`` and ``cg_with_restart``.
+
+    ``restarts`` lists (trigger, victims) pairs in trigger order.  Once the
+    cumulative iteration count reaches the next trigger, the victims'
+    interface entries return to their start values and the iteration
+    restarts from the true residual; the count carries on.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    _check_victims([v for _, victims in restarts for v in victims], system.p)
     t0 = time.perf_counter()
     x = _start_vector(system, x0)
+    x_init = x.copy()
     d = interface_rhs(system)
     history = [(0, global_residual(system.problem, system.decomp, system.subdomains, x))]
     k = 0
-    status = "k-max"
-    if history[0][1] <= tol:
-        status = "converged"
-    else:
+    faults = 0
+    status = "converged" if history[0][1] <= tol else "k-max"
+    while status == "k-max" and k < k_max:
         r = d - apply_interface_operator(system, x)
         p_dir = r.copy()
         rs = float(r @ r)
@@ -308,12 +326,18 @@ def cg_schur(
             if resid > DIVERGENCE_LIMIT:
                 status = "diverged"
                 break
+            if faults < len(restarts) and k >= restarts[faults][0]:
+                for v in restarts[faults][1]:
+                    pos = system.subdomains[v].gamma_positions
+                    x[pos] = x_init[pos]
+                faults += 1
+                break
             rs_new = float(r @ r)
             p_dir = r + (rs_new / rs) * p_dir
             rs = rs_new
     final = global_residual(system.problem, system.decomp, system.subdomains, x)
     report = SolveReport(
-        solver="cg",
+        solver=solver,
         converged=status == "converged",
         iterations_k=k,
         per_worker_k=[k] * system.p,
@@ -322,6 +346,7 @@ def cg_schur(
         final_residual=final,
         wall_time=time.perf_counter() - t0,
         status=status,
+        faults_injected=faults,
         sim_steps=k,
     )
     return x, report

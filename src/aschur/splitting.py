@@ -63,10 +63,7 @@ class CertificateSet:
 
 def interface_diagonal(problem: AssembledProblem, decomp: Decomposition) -> np.ndarray:
     """Diagonal of the assembled interface block, in interface order."""
-    gamma = decomp.interface
-    if gamma.size == 0:
-        return np.zeros(0)
-    return np.diag(submatrix(problem.A, gamma, gamma).to_dense()).copy()
+    return problem.A._csr.diagonal()[decomp.interface]
 
 
 def build_splitting(a_gg_diag, alpha: float = 1.0, allow_small_alpha: bool = False) -> InterfaceSplitting:

@@ -162,6 +162,38 @@ def test_invalid_configs_rejected():
         parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "tol": -1})
     with pytest.raises(ConfigError, match="victims"):
         parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "faults": {"events": [{"at_step": 1}]}})
+    for bad_tol in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=r"config\.tol"):
+            parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "tol": bad_tol})
+    for victim in (-1, 2):
+        with pytest.raises(ConfigError, match=r"config\.faults\.events\[0\]\.victims"):
+            parse_run_spec({"grid": {"dims": [3]}, "splits": [2],
+                            "faults": {"events": [{"victims": [victim], "at_step": 1}]}})
+    with pytest.raises(ConfigError, match=r"config\.faults"):
+        parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "deterministic": False,
+                        "faults": {"events": [{"victims": [0], "at_step": 1}]}})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tol": float("nan")},
+    {"faults": {"events": [{"victims": [5], "at_step": 3}]}},
+    {"deterministic": False, "faults": {"events": [{"victims": [0], "at_step": 3}]}},
+])
+def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "config" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_deterministic_flag_applies_before_validation(tmp_path):
+    cfg = write_config(tmp_path, solver="async", deterministic=False,
+                       faults={"events": [{"victims": [0], "at_step": 3}]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--deterministic"]) == 0
+    payload = json.loads((out / "report_async.json").read_text())
+    assert payload["config"]["deterministic"] and payload["report"]["faults_injected"] == 1
 
 
 def test_json_syntax_error_is_line_anchored(tmp_path, capsys):

@@ -348,6 +348,20 @@ def test_fault_preserves_factorization_and_counts(tiny_1d):
 # -- cg with restart -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("solver", ["async", "cg-restart"])
+@pytest.mark.parametrize("victim", ["minus-one", "p"])
+def test_out_of_range_fault_victim_rejected(suite, solver, victim):
+    case = suite["2d-15x15-p4"]
+    v = -1 if victim == "minus-one" else case.system.p
+    with pytest.raises(ValueError, match="fault victim"):
+        cfg = RuntimeConfig(tol=1e-6, k_max=500,
+                            faults=FaultPlan(events=(FaultEvent(victims=(v,), at_step=1),)))
+        if solver == "async":
+            async_solve(case.system, case.split, cfg)
+        else:
+            cg_with_restart(case.system, cfg)
+
+
 def test_cg_restart_without_faults_matches_cg(suite):
     case = suite["2d-9x9-p3"]
     x_ref, ref = cg_schur(case.system, tol=1e-6, k_max=500)
