@@ -177,6 +177,8 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     splits = _get(raw, "splits", list, path, required=True)
     if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in splits):
         raise ConfigError(f"{path}.splits: counts must be positive integers")
+    if len(splits) != len(dims):
+        raise ConfigError(f"{path}.splits: {len(splits)} counts for a {len(dims)}-D grid")
     solver = _get(raw, "solver", str, path, default="all")
     if solver not in SOLVER_CHOICES:
         raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
@@ -196,6 +198,15 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     tol = float(_get(raw, "tol", (int, float), path, default=1e-6))
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"{path}.tol: must be finite and positive, got {tol}")
+    alpha = float(_get(raw, "alpha", (int, float), path, default=1.0))
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ConfigError(f"{path}.alpha: must be finite and at least 1, got {alpha}")
+    k_max = _get(raw, "k_max", int, path, default=10_000)
+    if k_max < 1:
+        raise ConfigError(f"{path}.k_max: must be at least 1, got {k_max}")
+    activation = float(_get(raw, "activation", (int, float), path, default=1.0))
+    if not 0.0 <= activation <= 1.0:
+        raise ConfigError(f"{path}.activation: must lie in [0, 1], got {activation}")
     faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", math.prod(splits))
     deterministic = _get(raw, "deterministic", bool, path, default=True)
     if faults.events and not deterministic and solver in ("async", "all"):
@@ -203,16 +214,16 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     return RunSpec(
         grid=grid,
         splits=tuple(splits),
-        alpha=float(_get(raw, "alpha", (int, float), path, default=1.0)),
+        alpha=alpha,
         tol=tol,
-        k_max=_get(raw, "k_max", int, path, default=10_000),
+        k_max=k_max,
         solver=solver,
         delay=_parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay"),
         faults=faults,
         certify=_get(raw, "certify", bool, path, default=False),
         deterministic=deterministic,
         seed=_get(raw, "seed", int, path, default=0),
-        activation=float(_get(raw, "activation", (int, float), path, default=1.0)),
+        activation=activation,
         output=output,
     )
 
@@ -225,10 +236,6 @@ def _read_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
-def load_run_spec(path) -> RunSpec:
-    return parse_run_spec(_read_config(path), path=str(path))
 
 
 def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system, certs, phash: str) -> dict:

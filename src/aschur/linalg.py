@@ -17,6 +17,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgetrs
 
 __all__ = [
     "SparseMatrix",
@@ -367,13 +368,17 @@ def lu_factorize(a) -> LuFactors:
 
 
 def lu_solve(f: LuFactors, b) -> np.ndarray:
-    """Forward/back substitution against packed LU factors; b may be 2-D."""
+    """Forward/back substitution against packed LU factors; b may be 2-D.
+    LAPACK ``dgetrs`` is what ``scipy.linalg.lu_solve`` calls, so results match it bit for bit."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != f.n:
         raise ValueError("right-hand side length does not match the factorization")
-    if f.n == 0:
+    if b.size == 0:
         return b.copy()
-    return scipy.linalg.lu_solve((f.factored, f.pivots), b, check_finite=False)
+    x, info = dgetrs(f.factored, f.pivots, b)
+    if info != 0:
+        raise ValueError(f"dgetrs: illegal value in argument {-info}")
+    return x
 
 
 def submatrix(a: SparseMatrix, rows, cols) -> SparseMatrix:

@@ -8,8 +8,10 @@ publish through a ``send(dst, tag, payload, round)`` callback.  The modes
 differ only in transport and clock.  The deterministic mode steps workers
 under a virtual-time scheduler: messages injected at step t are deliverable
 from step t + 1 + delay, every draw comes from seeded generators, and equal
-seeds reproduce runs bit for bit.  The free-running mode runs one thread per
-worker over bounded queues and is meant for smoke testing only.
+seeds reproduce runs bit for bit.  Uniform delays come from the same seeded
+stream as one draw per message, drawn in blocks.  The free-running mode
+runs one thread per worker over bounded queues and is meant for smoke
+testing only.
 
 Worker loop per activation: merge the latest received neighbor shares into
 the local interface vector, solve the interior block, form the new local
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import logging
 import queue
@@ -74,6 +77,7 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 DETECTION_SLACK = 2.0
+DELAY_BLOCK = 1024
 
 log = logging.getLogger("aschur.runtime")
 
@@ -120,14 +124,18 @@ class DelayModel:
             return max(self.table.values())
         return 0
 
-    def draw(self, rng: np.random.Generator, src: int, dst: int) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "fixed":
-            return self.fixed
+    def sampler(self, rng: np.random.Generator):
+        """Per-message delay function ``(src, dst) -> steps``.  Uniform delays
+        are drawn ``DELAY_BLOCK`` at a time: the same stream as one scalar
+        ``rng.integers(low, high, endpoint=True)`` per call."""
         if self.kind == "uniform":
-            return int(rng.integers(self.low, self.high, endpoint=True))
-        return int(self.table.get((src, dst), 0))
+            blocks = iter(lambda: rng.integers(self.low, self.high, endpoint=True, size=DELAY_BLOCK).tolist(), None)
+            draws = itertools.chain.from_iterable(blocks)
+            return lambda src, dst: next(draws)
+        if self.kind == "table":
+            return lambda src, dst: int(self.table.get((src, dst), 0))
+        delay = self.fixed if self.kind == "fixed" else 0
+        return lambda src, dst: delay
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,7 @@ class _WorkerState:
         "idx", "lu", "A_II_op", "A_IG_op", "A_GI_op", "A_GG", "b_I", "b_G",
         "w", "minv", "gpos", "x0_l", "neighbors", "init_nbr", "y_own",
         "nbr_y", "x_I", "k_local", "phase", "round", "rs_have", "red_have",
-        "r_own_G", "r_own_I_sq", "rounds_done", "done", "nbr_sum",
+        "r_own_G", "r_own_I_sq", "rounds_done", "done", "nbr_sum", "nbr_pos",
     )
 
     def __init__(self, local, split, x0):
@@ -256,6 +264,7 @@ class _WorkerState:
             my_idx = np.searchsorted(self.gpos, shared)
             self.neighbors.append((j, my_idx))
             self.init_nbr[j] = w_global[shared] * x0[shared]
+        self.nbr_pos = np.array([k for _, my_idx in self.neighbors for k in my_idx], dtype=np.intp)
         self.reset_state()
 
     def reset_state(self):
@@ -267,12 +276,6 @@ class _WorkerState:
         self.red_have = {}
         self.r_own_G = None
         self.r_own_I_sq = 0.0
-
-    def merge_neighbors(self) -> np.ndarray:
-        self.nbr_sum.fill(0.0)
-        for j, my_idx in self.neighbors:
-            self.nbr_sum[my_idx] += self.nbr_y[j][1]
-        return self.nbr_sum
 
     def receive(self, env: Envelope) -> None:
         """Keep the newest share per neighbor; file detection pieces by round."""
@@ -289,17 +292,21 @@ class _WorkerState:
         """One relaxation: merge, interior solve, new share, publish it.
 
         ``send(dst, tag, payload, round)`` hands a message to the transport.
+        ``ndarray.dot`` makes the same BLAS gemv call as ``@`` with less dispatch.
         """
-        nbr_sum = self.merge_neighbors()
-        x_l = self.y_own + nbr_sum
+        if self.neighbors:
+            # bincount adds in input order: each entry sums the neighbors in list order from 0.0.
+            shares = np.concatenate([self.nbr_y[j][1] for j, _ in self.neighbors])
+            self.nbr_sum = np.bincount(self.nbr_pos, shares, len(self.nbr_sum))
+        x_l = self.y_own + self.nbr_sum
         if len(self.b_I):
-            self.x_I = lu_solve(self.lu, self.b_I - self.A_IG_op @ x_l)
+            self.x_I = lu_solve(self.lu, self.b_I - self.A_IG_op.dot(x_l))
         if len(x_l):
-            defect = self.b_G - self.A_GI_op @ self.x_I - self.A_GG @ x_l
+            defect = self.b_G - self.A_GI_op.dot(self.x_I) - self.A_GG.dot(x_l)
             self.y_own = self.w * x_l + self.minv * defect
         self.k_local += 1
         for j, my_idx in self.neighbors:
-            send(j, TAG_DATA, self.y_own[my_idx].copy(), -1)
+            send(j, TAG_DATA, self.y_own[my_idx], -1)  # fancy indexing already copies
 
     def detect(self, send, p: int) -> tuple[int, float] | None:
         """Advance the three-phase detection machine without blocking.
@@ -310,19 +317,19 @@ class _WorkerState:
         if self.phase == 0:
             x_merged = self.y_own + self.nbr_sum
             if len(self.b_I):
-                r_I = self.b_I - self.A_II_op @ self.x_I - self.A_IG_op @ x_merged
+                r_I = self.b_I - self.A_II_op.dot(self.x_I) - self.A_IG_op.dot(x_merged)
                 self.r_own_I_sq = float(r_I @ r_I)
             else:
                 self.r_own_I_sq = 0.0
-            self.r_own_G = (
-                self.b_G - self.A_GI_op @ self.x_I - self.A_GG @ x_merged if len(x_merged) else np.zeros(0)
-            )
+            r_G = self.b_G - self.A_GI_op.dot(self.x_I) - self.A_GG.dot(x_merged) if len(x_merged) else np.zeros(0)
+            self.r_own_G = r_G
             for j, my_idx in self.neighbors:
-                send(j, TAG_RESIDUAL, self.r_own_G[my_idx].copy(), self.round)
+                send(j, TAG_RESIDUAL, r_G[my_idx], self.round)
             self.phase = 1
         if self.phase == 1:
+            # Only neighbors send residual pieces, one each per round.
             have = self.rs_have.get(self.round, {})
-            if all(j in have for j, _ in self.neighbors):
+            if len(have) == len(self.neighbors):
                 r_sync = self.r_own_G.copy()
                 for j, my_idx in self.neighbors:
                     r_sync[my_idx] += have[j]
@@ -385,6 +392,10 @@ class AsyncSimulator:
         self.rng_sched = np.random.default_rng(cfg.seed)
         delay_seed = cfg.delay.seed if cfg.delay.seed else cfg.seed + 1
         self.rng_delay = np.random.default_rng(delay_seed)
+        # Read once per run; the sampler holds no reference back to the simulator.
+        self._delay = cfg.delay.sampler(self.rng_delay)
+        self._reorder = cfg.delay.reorder
+        self._trace = cfg.trace
         self.inbox = [[] for _ in range(self.p)]
         self.last_deliver = {}
         self.seq = 0
@@ -411,19 +422,15 @@ class AsyncSimulator:
     # -- transport -----------------------------------------------------
 
     def _send(self, src: int, dst: int, tag: str, payload, rnd: int = -1) -> None:
-        delay = self.cfg.delay.draw(self.rng_delay, src, dst)
-        deliver = self.t + 1 + delay
-        if not self.cfg.delay.reorder:
-            deliver = max(deliver, self.last_deliver.get((src, dst), 0))
-            self.last_deliver[(src, dst)] = deliver
-        self.seq += 1
-        env = Envelope(
-            src=src, dst=dst, tag=tag, payload=payload,
-            inject_step=self.t, deliver_step=deliver,
-            round=rnd, epoch=self.epoch, seq=self.seq,
-        )
-        heapq.heappush(self.inbox[dst], (deliver, env.seq, env))
-        if self.cfg.trace:
+        deliver = self.t + 1 + self._delay(src, dst)
+        if not self._reorder:
+            link = (src, dst)
+            deliver = max(deliver, self.last_deliver.get(link, 0))
+            self.last_deliver[link] = deliver
+        self.seq = seq = self.seq + 1
+        env = Envelope(src, dst, tag, payload, self.t, deliver, rnd, self.epoch, seq)
+        heapq.heappush(self.inbox[dst], (deliver, seq, env))
+        if self._trace:
             self.trace.append({
                 "type": "envelope", "from": src, "to": dst, "tag": tag,
                 "inject": self.t, "deliver": deliver, "round": rnd,
@@ -450,7 +457,7 @@ class AsyncSimulator:
             if w.rounds_done >= self.cfg.k_max:
                 w.done = True
             self._note_round(*completed)
-        if self.cfg.trace:
+        if self._trace:
             self.trace.append({"type": "step", "t": self.t, "worker": w.idx, "k": w.k_local, "phase": w.phase})
 
     def _note_round(self, rnd: int, value: float) -> None:

@@ -203,6 +203,16 @@ def _start_vector(system: SchurSystem, x0) -> np.ndarray:
     return x0.copy()
 
 
+def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, faults: int = 0):
+    """Report of a bulk-synchronous solver; the final residual is recomputed from x."""
+    final = global_residual(system.problem, system.decomp, system.subdomains, x)
+    return SolveReport(
+        solver=solver, converged=status == "converged", iterations_k=k, per_worker_k=[k] * system.p, k_max=k,
+        residual_history=history, final_residual=final, wall_time=time.perf_counter() - t0, status=status,
+        faults_injected=faults, sim_steps=k,
+    )
+
+
 def sync_relaxation(
     system: SchurSystem,
     split,
@@ -250,20 +260,7 @@ def sync_relaxation(
             if r > DIVERGENCE_LIMIT:
                 status = "diverged"
                 break
-    final = global_residual(system.problem, system.decomp, system.subdomains, x)
-    report = SolveReport(
-        solver="sync",
-        converged=status == "converged",
-        iterations_k=k,
-        per_worker_k=[k] * system.p,
-        k_max=k,
-        residual_history=history,
-        final_residual=final,
-        wall_time=time.perf_counter() - t0,
-        status=status,
-        sim_steps=k,
-    )
-    return x, report
+    return x, _sync_report(system, x, "sync", status, k, history, t0)
 
 
 def cg_schur(
@@ -335,21 +332,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
             rs_new = float(r @ r)
             p_dir = r + (rs_new / rs) * p_dir
             rs = rs_new
-    final = global_residual(system.problem, system.decomp, system.subdomains, x)
-    report = SolveReport(
-        solver=solver,
-        converged=status == "converged",
-        iterations_k=k,
-        per_worker_k=[k] * system.p,
-        k_max=k,
-        residual_history=history,
-        final_residual=final,
-        wall_time=time.perf_counter() - t0,
-        status=status,
-        faults_injected=faults,
-        sim_steps=k,
-    )
-    return x, report
+    return x, _sync_report(system, x, solver, status, k, history, t0, faults)
 
 
 def write_residual_history(report: SolveReport, path) -> None:

@@ -172,12 +172,20 @@ def test_invalid_configs_rejected():
     with pytest.raises(ConfigError, match=r"config\.faults"):
         parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "deterministic": False,
                         "faults": {"events": [{"victims": [0], "at_step": 1}]}})
+    for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
+                       ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1])):
+        with pytest.raises(ConfigError, match=rf"config\.{key}"):
+            parse_run_spec({"grid": {"dims": [7]}, "splits": [2], key: value})
 
 
 @pytest.mark.parametrize("overrides", [
     {"tol": float("nan")},
     {"faults": {"events": [{"victims": [5], "at_step": 3}]}},
     {"deterministic": False, "faults": {"events": [{"victims": [0], "at_step": 3}]}},
+    {"k_max": 0},
+    {"activation": 2},
+    {"alpha": 0.5},
+    {"splits": [2, 1]},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

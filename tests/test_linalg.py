@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -370,6 +371,23 @@ def test_lu_factors_reproduce_matrix():
     assert isinstance(f, LuFactors)
     x = lu_solve(f, np.array([10.0, 12.0]))
     np.testing.assert_allclose(a @ x, [10.0, 12.0], atol=1e-12)
+
+
+def test_lu_solve_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 24, 60):
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        f = lu_factorize(a)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3)), np.asfortranarray(rng.normal(size=(n, 2)))):
+            expected = scipy.linalg.lu_solve((f.factored, f.pivots), b)
+            got = lu_solve(f, b)
+            assert got.shape == b.shape
+            assert np.array_equal(got, expected)
+    with pytest.raises(ValueError):
+        lu_solve(lu_factorize(np.eye(3)), np.ones(2))
+    empty = np.zeros(0)
+    out = lu_solve(lu_factorize(np.zeros((0, 0))), empty)
+    assert out.shape == (0,) and out is not empty
 
 
 # -- submatrix / matrix market ----------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aschur.runtime import (
+    DELAY_BLOCK,
     AsyncSimulator,
     DelayModel,
     Envelope,
@@ -173,6 +174,23 @@ def test_reordering_actually_occurs_with_reorder_on(suite):
     )
 
 
+@pytest.mark.parametrize("seed, delay", [
+    (3, DelayModel(kind="uniform", low=0, high=6, reorder=True)),
+    (0, DelayModel(kind="uniform", low=2, high=5, reorder=True, seed=9)),
+])
+def test_uniform_delays_are_one_scalar_draw_per_message(suite, seed, delay):
+    # Delays are drawn in blocks; the stream must equal one scalar draw per
+    # message, in send order, from the delay generator (seed + 1 by default).
+    case = suite["2d-7x7-p4"]
+    cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=seed, delay=delay)
+    replay = deterministic_replay(case.system, case.split, cfg)
+    sends = [rec for rec in map(json.loads, replay.trace_lines) if rec["type"] == "envelope"]
+    rng = np.random.default_rng(delay.seed if delay.seed else seed + 1)
+    expected = [int(rng.integers(delay.low, delay.high, endpoint=True)) for _ in sends]
+    assert len(sends) > 2 * DELAY_BLOCK
+    assert [rec["deliver"] - rec["inject"] - 1 for rec in sends] == expected
+
+
 def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
     cfg = RuntimeConfig(tol=1e-300, k_max=10_000, step_limit=5)
     sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
@@ -189,6 +207,25 @@ def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
     inject, payload = w.nbr_y[1]
     assert inject == 9
     np.testing.assert_array_equal(payload, [2.0])
+
+
+@pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8"])
+def test_neighbor_merge_matches_loop_reference(suite, name):
+    # The update sums the neighbors' shares in one bincount; at cross points
+    # several neighbors overlap, and the sum must equal, bit for bit, adding
+    # the shares one neighbor at a time in the interface map's order.
+    case = suite[name]
+    imap = case.system.imap
+    sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
+    rng = np.random.default_rng(0)
+    for w in sim.workers:
+        expected = np.zeros(len(w.gpos))
+        for j in imap.neighbors[w.idx]:
+            my_idx = np.searchsorted(w.gpos, imap.shared_positions(w.idx, j))
+            w.nbr_y[j] = (0, rng.normal(size=len(my_idx)))
+            expected[my_idx] += w.nbr_y[j][1]
+        w.update(lambda *message: None)
+        assert np.array_equal(w.nbr_sum, expected)
 
 
 # -- fairness -------------------------------------------------------------------
