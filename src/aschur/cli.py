@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .decomp import decomposition_to_json, partition
+from .decomp import check_splits, decomposition_to_json, partition
 from .linalg import write_matrix_market
 from .poisson import GridSpec, assemble
 from .runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart
@@ -62,16 +62,10 @@ class RunSpec:
     grid: GridSpec
     splits: tuple[int, ...]
     alpha: float = 1.0
-    tol: float = 1e-6
-    k_max: int = 10_000
     solver: str = "all"
-    delay: DelayModel = field(default_factory=DelayModel)
-    faults: FaultPlan = field(default_factory=FaultPlan)
     certify: bool = False
-    deterministic: bool = True
-    seed: int = 0
-    activation: float = 1.0
     output: OutputOptions = field(default_factory=OutputOptions)
+    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
 
 def _expect_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -91,6 +85,14 @@ def _get(obj: dict, key: str, types, path: str, default=None, required=False):
     ):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
     return val
+
+
+def _float(obj: dict, key: str, path: str, default: float) -> float:
+    """A JSON number as a float; an integer too large for a float is a config error."""
+    try:
+        return float(_get(obj, key, (int, float), path, default=default))
+    except OverflowError as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from exc
 
 
 def _parse_delay(obj: dict, path: str) -> DelayModel:
@@ -123,7 +125,7 @@ def _parse_delay(obj: dict, path: str) -> DelayModel:
 
 
 def _parse_faults(obj: dict, path: str, p: int) -> FaultPlan:
-    _expect_keys(obj, {"events", "recovery"}, path)
+    _expect_keys(obj, {"events"}, path)
     events = []
     for idx, entry in enumerate(_get(obj, "events", list, path, default=[])):
         epath = f"{path}.events[{idx}]"
@@ -145,7 +147,7 @@ def _parse_faults(obj: dict, path: str, p: int) -> FaultPlan:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{epath}: {exc}") from exc
     try:
-        return FaultPlan(events=tuple(events), recovery=_get(obj, "recovery", str, path, default="reset-to-initial"))
+        return FaultPlan(events=tuple(events))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -166,19 +168,19 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     dims = _get(grid_obj, "dims", list, f"{path}.grid", required=True)
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ConfigError(f"{path}.grid.dims: extents must be integers")
+    spacing = _float(grid_obj, "spacing", f"{path}.grid", default=1.0)
+    source = _float(grid_obj, "source", f"{path}.grid", default=1.0)
     try:
-        grid = GridSpec(
-            dims=tuple(dims),
-            spacing=float(_get(grid_obj, "spacing", (int, float), f"{path}.grid", default=1.0)),
-            source=float(_get(grid_obj, "source", (int, float), f"{path}.grid", default=1.0)),
-        )
+        grid = GridSpec(dims=tuple(dims), spacing=spacing, source=source)
     except ValueError as exc:
         raise ConfigError(f"{path}.grid: {exc}") from exc
     splits = _get(raw, "splits", list, path, required=True)
-    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in splits):
-        raise ConfigError(f"{path}.splits: counts must be positive integers")
-    if len(splits) != len(dims):
-        raise ConfigError(f"{path}.splits: {len(splits)} counts for a {len(dims)}-D grid")
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in splits):
+        raise ConfigError(f"{path}.splits: counts must be integers")
+    try:
+        check_splits(grid.dims, splits)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.splits: {exc}") from exc
     solver = _get(raw, "solver", str, path, default="all")
     if solver not in SOLVER_CHOICES:
         raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
@@ -195,36 +197,33 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         export_matrix_market=_get(out_obj, "export_matrix_market", bool, f"{path}.output", default=False),
         decomposition_json=_get(out_obj, "decomposition_json", bool, f"{path}.output", default=False),
     )
-    tol = float(_get(raw, "tol", (int, float), path, default=1e-6))
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"{path}.tol: must be finite and positive, got {tol}")
-    alpha = float(_get(raw, "alpha", (int, float), path, default=1.0))
+    alpha = _float(raw, "alpha", path, default=1.0)
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"{path}.alpha: must be finite and at least 1, got {alpha}")
-    k_max = _get(raw, "k_max", int, path, default=10_000)
-    if k_max < 1:
-        raise ConfigError(f"{path}.k_max: must be at least 1, got {k_max}")
-    activation = float(_get(raw, "activation", (int, float), path, default=1.0))
-    if not 0.0 <= activation <= 1.0:
-        raise ConfigError(f"{path}.activation: must lie in [0, 1], got {activation}")
+    delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay")
     faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", math.prod(splits))
     deterministic = _get(raw, "deterministic", bool, path, default=True)
     if faults.events and not deterministic and solver in ("async", "all"):
         raise ConfigError(f"{path}.faults: fault injection needs the deterministic runtime (deterministic: true)")
+    settings = dict(
+        tol=_float(raw, "tol", path, default=1e-6),
+        k_max=_get(raw, "k_max", int, path, default=10_000),
+        seed=_get(raw, "seed", int, path, default=0),
+        activation=_float(raw, "activation", path, default=1.0),
+    )
+    try:
+        runtime = RuntimeConfig(delay=delay, faults=faults, deterministic=deterministic, trace=output.trace, **settings)
+    except ValueError as exc:
+        key, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"{path}.{key}: {reason}") from exc
     return RunSpec(
         grid=grid,
         splits=tuple(splits),
         alpha=alpha,
-        tol=tol,
-        k_max=k_max,
         solver=solver,
-        delay=_parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay"),
-        faults=faults,
         certify=_get(raw, "certify", bool, path, default=False),
-        deterministic=deterministic,
-        seed=_get(raw, "seed", int, path, default=0),
-        activation=activation,
         output=output,
+        runtime=runtime,
     )
 
 
@@ -253,10 +252,10 @@ def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system,
             "hash": phash,
         },
         "config": {
-            "tol": spec.tol,
-            "k_max": spec.k_max,
-            "seed": spec.seed,
-            "deterministic": spec.deterministic,
+            "tol": spec.runtime.tol,
+            "k_max": spec.runtime.k_max,
+            "seed": spec.runtime.seed,
+            "deterministic": spec.runtime.deterministic,
             "solver": spec.solver,
         },
         "report": dataclasses.asdict(report),
@@ -300,28 +299,19 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
             log.warning("problem too large for certificates (%d unknowns); running uncertified", problem.A.nrows)
 
     solvers = [spec.solver] if spec.solver != "all" else ["sync", "cg", "async", "cg-restart"]
-    rcfg = RuntimeConfig(
-        tol=spec.tol,
-        k_max=spec.k_max,
-        delay=spec.delay,
-        faults=spec.faults,
-        deterministic=spec.deterministic,
-        seed=spec.seed,
-        activation=spec.activation,
-        trace=spec.output.trace,
-    )
+    rcfg = spec.runtime
     rows = []
     all_ok = True
     for name in solvers:
         log.info("running solver %s", name)
         if name == "sync":
-            x_g, report = sync_relaxation(system, split, tol=spec.tol, k_max=spec.k_max)
+            x_g, report = sync_relaxation(system, split, tol=rcfg.tol, k_max=rcfg.k_max)
         elif name == "cg":
-            x_g, report = cg_schur(system, tol=spec.tol, k_max=spec.k_max)
+            x_g, report = cg_schur(system, tol=rcfg.tol, k_max=rcfg.k_max)
         elif name == "cg-restart":
             x_g, report = cg_with_restart(system, rcfg)
         else:
-            if spec.output.trace and spec.deterministic:
+            if rcfg.trace and rcfg.deterministic:
                 from .runtime import deterministic_replay
 
                 replay = deterministic_replay(system, split, rcfg)

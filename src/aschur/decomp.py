@@ -26,6 +26,7 @@ __all__ = [
     "Decomposition",
     "InterfaceMap",
     "LocalSubdomain",
+    "check_splits",
     "partition",
     "build_interface_map",
     "extract_local",
@@ -132,17 +133,22 @@ def _axis_layout(extent: int, split: int) -> tuple[np.ndarray, np.ndarray]:
     return klo, khi
 
 
-def partition(problem: AssembledProblem, splits) -> Decomposition:
-    """Cut the grid into prod(splits) box subdomains with plane interfaces."""
-    dims = problem.grid.dims
-    splits = tuple(int(s) for s in splits)
+def check_splits(dims, splits) -> None:
+    """Reject split counts that cannot cut a grid of extents ``dims`` into boxes."""
     if len(splits) != len(dims):
-        raise ValueError(f"splits {splits} do not match grid dimensionality {len(dims)}")
+        raise ValueError(f"{len(splits)} counts for a {len(dims)}-D grid")
     if any(s < 1 for s in splits):
         raise ValueError("every split count must be at least 1")
     for ext, s in zip(dims, splits):
         if ext < 2 * s - 1:
             raise ValueError(f"axis of extent {ext} cannot host {s} subdomains plus separators")
+
+
+def partition(problem: AssembledProblem, splits) -> Decomposition:
+    """Cut the grid into prod(splits) box subdomains with plane interfaces."""
+    dims = problem.grid.dims
+    splits = tuple(int(s) for s in splits)
+    check_splits(dims, splits)
 
     d = len(dims)
     p = int(np.prod(splits))
@@ -233,17 +239,10 @@ def _pair_multiplicity(decomp: Decomposition, gpos: np.ndarray) -> np.ndarray:
     return count
 
 
-def extract_local(
-    problem: AssembledProblem,
-    decomp: Decomposition,
-    i: int,
-    weighting: str = "multiplicity",
-) -> LocalSubdomain:
+def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> LocalSubdomain:
     """Gather subdomain i's blocks and factor its interior matrix once."""
     if not 0 <= i < decomp.p:
         raise ValueError(f"subdomain id {i} out of range")
-    if weighting != "multiplicity":
-        raise ValueError(f"unknown weighting rule {weighting!r}")
     rows_I = decomp.parts[i]
     rows_G = decomp.local_interfaces[i]
     gpos = np.searchsorted(decomp.interface, rows_G).astype(np.int64)

@@ -41,10 +41,12 @@ class GridSpec:
             raise ValueError("spacing must be positive and finite")
         if not math.isfinite(self.source):
             raise ValueError("source must be finite")
+        if self.n > MAX_UNKNOWNS:
+            raise ValueError(f"grid too large: {self.n} unknowns exceed the {MAX_UNKNOWNS} cap")
 
     @property
     def n(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,6 @@ def assemble(grid: GridSpec) -> AssembledProblem:
     dims = grid.dims
     d = len(dims)
     n = grid.n
-    if n > MAX_UNKNOWNS:
-        raise ValueError(f"grid too large: {n} unknowns exceed the {MAX_UNKNOWNS} cap")
 
     idx = np.arange(n, dtype=np.int64)
     coords = np.empty((n, d), dtype=np.int64)

@@ -43,6 +43,7 @@ import heapq
 import itertools
 import json
 import logging
+import math
 import queue
 import threading
 import time
@@ -108,6 +109,8 @@ class DelayModel:
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.fixed < 0 or self.low < 0 or self.high < self.low:
             raise ValueError("delay bounds must be nonnegative with low <= high")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "table":
             if self.table is None:
                 raise ValueError("table delays need a table")
@@ -159,12 +162,9 @@ class FaultEvent:
 @dataclass(frozen=True)
 class FaultPlan:
     events: tuple[FaultEvent, ...] = ()
-    recovery: str = "reset-to-initial"
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if self.recovery != "reset-to-initial":
-            raise ValueError(f"unknown recovery mode {self.recovery!r}")
         steps = [e.at_step for e in self.events if e.at_step is not None]
         iters = [e.at_local_iteration for e in self.events if e.at_local_iteration is not None]
         if steps != sorted(steps) or iters != sorted(iters):
@@ -195,20 +195,20 @@ class RuntimeConfig:
     deterministic: bool = True
     seed: int = 0
     activation: float = 1.0
-    fairness_window: int | None = None
     step_limit: int | None = None
     record_trajectory: bool = False
     trace: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        # Each message starts with the field name; the CLI maps it to a key path.
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
         if not 0.0 <= self.activation <= 1.0:
-            raise ValueError("activation must lie in [0, 1]")
-        if self.fairness_window is not None and self.fairness_window < 1:
-            raise ValueError("fairness window must be at least 1 step")
+            raise ValueError(f"activation must lie in [0, 1], got {self.activation}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _payload_digest(payload) -> str:
@@ -402,7 +402,7 @@ class AsyncSimulator:
         self.t = 0
         self.epoch = 0
         self.idle = np.zeros(self.p, dtype=np.int64)
-        self.window = cfg.fairness_window if cfg.fairness_window else 16 * self.p
+        self.window = 16 * self.p
         self.detected = False
         self.diverged = False
         self.detection_value = None
@@ -531,15 +531,12 @@ class AsyncSimulator:
 
     def _choose_active(self) -> list[int]:
         live = [i for i in range(self.p) if not self.workers[i].done]
-        if not live:
-            return []
-        if self.cfg.activation >= 1.0:
-            chosen = live
-        else:
-            draws = self.rng_sched.random(self.p)
-            chosen = [i for i in live if draws[i] < self.cfg.activation or self.idle[i] >= self.window - 1]
-            if not chosen:
-                chosen = [max(live, key=lambda i: (self.idle[i], -i))]
+        if not live or self.cfg.activation >= 1.0:
+            return live  # every live worker runs; idle counts are never read
+        draws = self.rng_sched.random(self.p)
+        chosen = [i for i in live if draws[i] < self.cfg.activation or self.idle[i] >= self.window - 1]
+        if not chosen:
+            chosen = [max(live, key=lambda i: (self.idle[i], -i))]
         chosen_set = set(chosen)
         for i in live:
             self.idle[i] = 0 if i in chosen_set else self.idle[i] + 1

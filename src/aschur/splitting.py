@@ -75,10 +75,10 @@ def build_splitting(a_gg_diag, alpha: float = 1.0, allow_small_alpha: bool = Fal
     a_gg_diag = np.asarray(a_gg_diag, dtype=np.float64)
     if np.any(a_gg_diag <= 0):
         raise ValueError("interface diagonal must be strictly positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if alpha < 1.0 and not allow_small_alpha:
         raise ValueError("alpha < 1 requires allow_small_alpha=True; certificates may fail")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     return InterfaceSplitting(alpha=float(alpha), m_diag=alpha * a_gg_diag)
 
 

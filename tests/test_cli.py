@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aschur.cli import ConfigError, main, parse_run_spec
+from aschur import AsyncSimulator, SchurSystem, assemble, build_splitting, interface_diagonal, partition
+from aschur.cli import SOLVER_CHOICES, ConfigError, main, parse_run_spec
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -173,7 +178,9 @@ def test_invalid_configs_rejected():
         parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "deterministic": False,
                         "faults": {"events": [{"victims": [0], "at_step": 1}]}})
     for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
-                       ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1])):
+                       ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1]),
+                       ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1),
+                       ("delay", {"kind": "uniform", "high": 3, "seed": -5}), ("tol", 10**400)):
         with pytest.raises(ConfigError, match=rf"config\.{key}"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], key: value})
 
@@ -186,6 +193,10 @@ def test_invalid_configs_rejected():
     {"activation": 2},
     {"alpha": 0.5},
     {"splits": [2, 1]},
+    {"grid": {"dims": [3]}, "splits": [3]},
+    {"grid": {"dims": [5000, 2001]}, "splits": [1, 1]},
+    {"seed": -1},
+    {"delay": {"kind": "uniform", "high": 3, "seed": -5}},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -272,3 +283,83 @@ def test_log_level_env(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, solver="sync", certify=False)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+
+# -- property: the parser rejects a config or returns one the pipeline builds --
+
+NASTY = st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, 0, 10**400])
+
+
+def _mostly(draw, good, bad):
+    """A good value, or about one time in sixteen a bad one (the trigger sits
+    away from the range ends, which Hypothesis draws more often)."""
+    return draw(bad) if draw(st.integers(0, 15)) == 5 else draw(good)
+
+
+def _delay(draw):
+    delay = {"kind": _mostly(draw, st.sampled_from(["zero", "fixed", "uniform", "table"]), st.just("gauss"))}
+    for key, hi in (("fixed", 5), ("low", 3), ("seed", 10)):
+        if draw(st.booleans()):
+            delay[key] = _mostly(draw, st.integers(0, hi), st.integers(-5, -1))
+    if draw(st.booleans()):
+        delay["high"] = delay.get("low", 0) + _mostly(draw, st.integers(0, 10), st.integers(-5, -1))
+    if draw(st.booleans()):
+        delay["reorder"] = draw(st.booleans())
+    if delay["kind"] == "table" or draw(st.booleans()):
+        links = _mostly(draw, st.sampled_from(["0->1", "1->0", "2->9"]), st.just("0-1"))
+        delay["table"] = {links: _mostly(draw, st.integers(0, 5), st.integers(-2, -1) | st.floats())}
+    return delay
+
+
+def _fault_event(draw):
+    victims = _mostly(draw, st.integers(1, 3), st.just(0))
+    event = {"victims": [_mostly(draw, st.integers(0, 3), st.integers(-1, 9)) for _ in range(victims)]}
+    triggers = _mostly(draw, st.sampled_from([("at_step",), ("at_local_iteration",)]),
+                       st.sampled_from([(), ("at_step", "at_local_iteration")]))
+    for key in triggers:
+        event[key] = draw(st.integers(0, 50))
+    return event
+
+
+@st.composite
+def configs(draw, max_unknowns=400):
+    """Run configs with 1 to 3 axes and at most 400 unknowns; each field is
+    sometimes NaN, infinite, negative or otherwise out of range."""
+    dims, budget = [], max_unknowns
+    for _ in range(_mostly(draw, st.integers(1, 3), st.sampled_from([0, 4]))):
+        dims.append(_mostly(draw, st.integers(1, budget), st.integers(-1, 0)))
+        budget = max(1, budget // max(dims[-1], 1))
+    fits = [st.integers(1, min(4, max(1, (extent + 1) // 2))) for extent in dims]
+    raw = {"grid": {"dims": dims}, "splits": [_mostly(draw, good, st.integers(-1, 9)) for good in fits]}
+    fields = {
+        "alpha": st.floats(1.0, 3.0),
+        "tol": st.floats(1e-12, 1e3),
+        "activation": st.floats(0.0, 1.0),
+        "seed": st.integers(0, 2**40),
+        "k_max": st.integers(1, 100),
+        "solver": st.sampled_from(SOLVER_CHOICES),
+        "deterministic": st.booleans(),
+    }
+    bad = {"seed": st.integers(-5, -1), "k_max": st.integers(-1, 0), "solver": st.just("jacobi")}
+    for key, good in fields.items():
+        if draw(st.booleans()):
+            raw[key] = _mostly(draw, good, bad.get(key, NASTY))
+    if draw(st.booleans()):
+        raw["delay"] = _delay(draw)
+    if draw(st.booleans()):
+        raw["faults"] = {"events": [_fault_event(draw) for _ in range(draw(st.integers(0, 3)))]}
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_parsed_configs_build_or_are_rejected(raw):
+    try:
+        spec = parse_run_spec(raw)
+    except ConfigError:
+        return
+    problem = assemble(spec.grid)
+    decomp = partition(problem, spec.splits)
+    system = SchurSystem.build(problem, decomp)
+    split = build_splitting(interface_diagonal(problem, decomp), alpha=spec.alpha)
+    AsyncSimulator(system, split, dataclasses.replace(spec.runtime, deterministic=True))  # seeds and victims

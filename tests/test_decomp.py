@@ -102,8 +102,6 @@ def test_extract_local_single_subdomain_degenerate():
 def test_extract_local_validates_subdomain_id(tiny_1d):
     with pytest.raises(ValueError):
         extract_local(tiny_1d.problem, tiny_1d.decomp, 5)
-    with pytest.raises(ValueError):
-        extract_local(tiny_1d.problem, tiny_1d.decomp, 0, weighting="volume")
 
 
 def test_reassembly_is_exact(suite):

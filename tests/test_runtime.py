@@ -52,8 +52,6 @@ def test_fault_plan_validation():
         FaultEvent(victims=(0,), at_step=3, at_local_iteration=4)
     with pytest.raises(ValueError):
         FaultPlan(events=(FaultEvent(victims=(0,), at_step=9), FaultEvent(victims=(1,), at_step=2)))
-    with pytest.raises(ValueError):
-        FaultPlan(recovery="checkpoint")
 
 
 def test_runtime_config_validation():
@@ -63,6 +61,11 @@ def test_runtime_config_validation():
         RuntimeConfig(k_max=0)
     with pytest.raises(ValueError):
         RuntimeConfig(activation=1.5)
+    for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
+            RuntimeConfig(**bad)
+    with pytest.raises(ValueError, match="seed"):
+        DelayModel(kind="uniform", high=3, seed=-5)
 
 
 def test_fault_victim_range_checked(tiny_1d):

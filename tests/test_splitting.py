@@ -41,6 +41,10 @@ def test_build_splitting_small_alpha_needs_override():
     np.testing.assert_array_equal(split.m_diag, [1.0])
     with pytest.raises(ValueError):
         build_splitting(np.array([0.0]), alpha=1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for override in (False, True):
+            with pytest.raises(ValueError, match="alpha"):
+                build_splitting(np.array([2.0]), alpha=bad, allow_small_alpha=override)
 
 
 def test_certify_async_1d_hand_value(tiny_1d):
