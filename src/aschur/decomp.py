@@ -6,10 +6,11 @@ subdomain interiors, which gives the block-arrow structure directly: an
 interior node only couples to its own interior and to the interface.
 
 Each interface entry is shared by the subdomains whose closed boxes touch
-it (2 on a plane, 4 on a 2-D cross point, 8 on a 3-D one) and local
-interface blocks are scaled by one over that pair multiplicity, so the
-per-subdomain pieces sum back to the assembled blocks exactly and keep the
-signs of the assembled entries.
+it (2 on a plane, 4 on a 2-D cross point, 8 on a 3-D one), recorded once in
+``Decomposition.owners``.  Local interface blocks are scaled by one over
+the pair multiplicity (the number of subdomains owning both entries), so
+the per-subdomain pieces sum back to the assembled blocks exactly and keep
+the signs of the assembled entries.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ class Decomposition:
     """Index bookkeeping for a separator-plane partition.
 
     ``parts`` and ``local_interfaces`` hold global row ids; ``interface`` is
-    the sorted global interface row list and ``owner_count`` its per-entry
-    multiplicity.  ``cover_lo``/``cover_hi`` store, per interface entry and
-    axis, the contiguous range of subdomain slab indices whose closure
-    contains the node (used to derive pair multiplicities).
+    the sorted global interface row list.  ``owners`` is the one record of
+    which subdomains own each interface entry: row t lists, per corner of
+    the entry's cover box (the slab range per axis whose closures contain
+    the node, at most two slabs wide), that corner's subdomain id, or -1
+    where the corner lies outside the range.  Corner c takes slab
+    ``lo + bit a of c`` on axis a, so the valid ids of a row ascend.
+    ``owner_count`` (its per-row count), ``local_interfaces``, the
+    neighbour lists and the pair multiplicities are all read from it.
     """
 
     p: int
@@ -57,8 +62,7 @@ class Decomposition:
     interface: np.ndarray
     local_interfaces: tuple[np.ndarray, ...]
     owner_count: np.ndarray
-    cover_lo: np.ndarray  # (n_interface, d)
-    cover_hi: np.ndarray  # (n_interface, d)
+    owners: np.ndarray  # (n_interface, 2**d)
 
     @property
     def n_interface(self) -> int:
@@ -144,6 +148,12 @@ def check_splits(dims, splits) -> None:
             raise ValueError(f"axis of extent {ext} cannot host {s} subdomains plus separators")
 
 
+def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """``values`` grouped by integer key 0..n-1, in their order within a group."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
+
+
 def partition(problem: AssembledProblem, splits) -> Decomposition:
     """Cut the grid into prod(splits) box subdomains with plane interfaces."""
     dims = problem.grid.dims
@@ -153,45 +163,26 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
     d = len(dims)
     p = int(np.prod(splits))
     coords = problem.node_coords
-
-    axis_klo = []
-    axis_khi = []
-    for a in range(d):
-        klo, khi = _axis_layout(dims[a], splits[a])
-        axis_klo.append(klo)
-        axis_khi.append(khi)
-
-    node_klo = np.stack([axis_klo[a][coords[:, a]] for a in range(d)], axis=1)
-    node_khi = np.stack([axis_khi[a][coords[:, a]] for a in range(d)], axis=1)
-    on_sep = node_khi > node_klo
-    is_interface = on_sep.any(axis=1)
-
+    layouts = [_axis_layout(dims[a], splits[a]) for a in range(d)]
+    node_klo = np.stack([layouts[a][0][coords[:, a]] for a in range(d)], axis=1)
+    node_khi = np.stack([layouts[a][1][coords[:, a]] for a in range(d)], axis=1)
+    is_interface = (node_khi > node_klo).any(axis=1)
     interface = np.flatnonzero(is_interface).astype(np.int64)
-    cover_lo = node_klo[is_interface]
-    cover_hi = node_khi[is_interface]
-    owner_count = np.prod(cover_hi - cover_lo + 1, axis=1).astype(np.int64)
+    strides = np.cumprod((1,) + splits[:-1])
 
     # Interior assignment: flatten the slab multi-index, first axis fastest.
-    interior_mask = ~is_interface
-    sub = np.zeros(len(coords), dtype=np.int64)
-    mult = 1
-    for a in range(d):
-        sub += node_klo[:, a] * mult
-        mult *= splits[a]
-    parts = tuple(np.flatnonzero(interior_mask & (sub == i)).astype(np.int64) for i in range(p))
+    interior = np.flatnonzero(~is_interface).astype(np.int64)
+    parts = tuple(_split_by(node_klo[interior] @ strides, interior, p))
 
-    # Local interface lists: every subdomain whose closure range covers the
-    # node in all axes.  Cover ranges are tiny (at most 2 per axis).
-    strides = np.cumprod((1,) + splits[:-1])
-    local = [[] for _ in range(p)]
-    for t in range(len(interface)):
-        owners = [0]
-        for a in range(d):
-            lo, hi = cover_lo[t, a], cover_hi[t, a]
-            owners = [o + k * strides[a] for o in owners for k in range(lo, hi + 1)]
-        for o in owners:
-            local[o].append(interface[t])
-    local_interfaces = tuple(np.asarray(ids, dtype=np.int64) for ids in local)
+    # Owners: one subdomain per corner of each entry's cover box.
+    corners = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # (2**d, d)
+    slabs = node_klo[is_interface][:, None, :] + corners
+    inside = (slabs <= node_khi[is_interface][:, None, :]).all(axis=2)
+    owners = np.where(inside, slabs @ strides, -1)
+    owner_count = np.count_nonzero(inside, axis=1).astype(np.int64)
+
+    t, c = np.nonzero(inside)
+    local_interfaces = tuple(_split_by(owners[t, c], interface[t], p))
 
     return Decomposition(
         p=p,
@@ -200,8 +191,7 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
         interface=interface,
         local_interfaces=local_interfaces,
         owner_count=owner_count,
-        cover_lo=cover_lo,
-        cover_hi=cover_hi,
+        owners=owners,
     )
 
 
@@ -209,34 +199,24 @@ def build_interface_map(decomp: Decomposition) -> InterfaceMap:
     gamma_positions = tuple(
         np.searchsorted(decomp.interface, ids).astype(np.int64) for ids in decomp.local_interfaces
     )
-    shared = {}
-    neighbors = [[] for _ in range(decomp.p)]
-    for i in range(decomp.p):
-        for j in range(i + 1, decomp.p):
-            common = np.intersect1d(gamma_positions[i], gamma_positions[j])
-            if common.size:
-                shared[(i, j)] = common
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+    # Two owners of one entry share it.  Valid ids ascend along a row, so a
+    # corner pair a < b yields a subdomain pair i < j.
+    p, owners = decomp.p, decomp.owners
+    a, b = np.triu_indices(owners.shape[1], k=1)
+    t, q = np.nonzero((owners[:, a] >= 0) & (owners[:, b] >= 0))
+    key = owners[t, a[q]] * p + owners[t, b[q]]
+    order = np.lexsort((t, key))
+    pairs, starts = np.unique(key[order], return_index=True)
+    i, j = np.divmod(pairs, p)
+    shared = dict(zip(zip(i.tolist(), j.tolist()), np.split(t[order], starts[1:])))
+    # Lower neighbours first, then higher ones, so each list ascends.
+    neighbors = _split_by(np.concatenate([j, i]), np.concatenate([i, j]), p)
     return InterfaceMap(
         n_interface=decomp.n_interface,
         gamma_positions=gamma_positions,
         shared=shared,
-        neighbors=tuple(tuple(ns) for ns in neighbors),
+        neighbors=tuple(tuple(ns.tolist()) for ns in neighbors),
     )
-
-
-def _pair_multiplicity(decomp: Decomposition, gpos: np.ndarray) -> np.ndarray:
-    """Number of subdomains covering each pair of interface entries in gpos."""
-    if gpos.size == 0:
-        return np.zeros((0, 0))
-    count = np.ones((len(gpos), len(gpos)))
-    for a in range(decomp.cover_lo.shape[1]):
-        lo = decomp.cover_lo[gpos, a]
-        hi = decomp.cover_hi[gpos, a]
-        overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo) + 1
-        count *= np.maximum(overlap, 0)
-    return count
 
 
 def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> LocalSubdomain:
@@ -253,12 +233,17 @@ def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> L
     A_II = submatrix(A, rows_I, rows_I)
     A_IG = submatrix(A, rows_I, rows_G)
     A_GI = submatrix(A, rows_G, rows_I)
-    A_GG_raw = submatrix(A, rows_G, rows_G).to_dense()
+    G = submatrix(A, rows_G, rows_G)
 
-    pair_count = _pair_multiplicity(decomp, gpos)
+    # Pair multiplicity at the nonzeros: subdomains owning both entries.
+    r = np.repeat(np.arange(G.nrows), np.diff(G.row_offsets))
+    o_r = decomp.owners[gpos[r]][:, :, None]
+    o_c = decomp.owners[gpos[G.col_indices]][:, None, :]
+    pair_count = ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
     if pair_count.size and pair_count.min() < 1:
         raise AssertionError("interface pair without a covering subdomain")
-    A_GG = A_GG_raw / pair_count if pair_count.size else A_GG_raw
+    A_GG = np.zeros((G.nrows, G.ncols))
+    A_GG[r, G.col_indices] = G.values / pair_count
 
     weights = 1.0 / decomp.owner_count[gpos] if gpos.size else np.zeros(0)
     b_I = problem.b[rows_I]

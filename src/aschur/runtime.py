@@ -54,6 +54,7 @@ import numpy as np
 
 from .linalg import lu_solve
 from .solvers import (
+    DIVERGENCE_LIMIT,
     SchurSystem,
     SolveReport,
     _check_victims,
@@ -76,9 +77,9 @@ __all__ = [
     "inject_fault",
 ]
 
-DIVERGENCE_LIMIT = 1e12
 DETECTION_SLACK = 2.0
 DELAY_BLOCK = 1024
+DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
 
 log = logging.getLogger("aschur.runtime")
 
@@ -107,8 +108,8 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "uniform", "table"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if self.fixed < 0 or self.low < 0 or self.high < self.low:
-            raise ValueError("delay bounds must be nonnegative with low <= high")
+        if self.fixed < 0 or self.low < 0 or not self.low <= self.high <= DELAY_MAX:
+            raise ValueError(f"delay bounds must satisfy 0 <= low <= high <= {DELAY_MAX}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "table":
@@ -735,19 +736,20 @@ def _free_running_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None)
         th.join()
     x = _assemble_shares(states, system.n_interface)
     final = global_residual(system.problem, system.decomp, system.subdomains, x)
-    detected = any(th.result_value is not None for th in threads)
+    # As in the deterministic mode, a firing counts only when the exact residual confirms it.
+    converged = any(th.result_value is not None for th in threads) and final <= cfg.tol
     per_worker = [s.k_local for s in states]
     rounds = max(s.rounds_done for s in states) if states else 0
     report = SolveReport(
         solver="async-free",
-        converged=detected,
+        converged=converged,
         iterations_k=rounds,
         per_worker_k=per_worker,
         k_max=max(per_worker) if per_worker else 0,
         residual_history=[(rounds, final)],
         final_residual=final,
         wall_time=time.perf_counter() - t0,
-        status="converged" if detected else "k-max",
+        status="converged" if converged else "k-max",
         sim_steps=max(per_worker) if per_worker else 0,
         detection_residual=next((th.result_value for th in threads if th.result_value is not None), None),
     )

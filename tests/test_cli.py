@@ -180,7 +180,8 @@ def test_invalid_configs_rejected():
     for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
                        ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1]),
                        ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1),
-                       ("delay", {"kind": "uniform", "high": 3, "seed": -5}), ("tol", 10**400)):
+                       ("delay", {"kind": "uniform", "high": 3, "seed": -5}), ("tol", 10**400),
+                       ("delay", {"kind": "uniform", "high": 2**64})):
         with pytest.raises(ConfigError, match=rf"config\.{key}"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], key: value})
 
@@ -197,6 +198,8 @@ def test_invalid_configs_rejected():
     {"grid": {"dims": [5000, 2001]}, "splits": [1, 1]},
     {"seed": -1},
     {"delay": {"kind": "uniform", "high": 3, "seed": -5}},
+    {"grid": {"dims": [7]}, "splits": [2], "solver": "async",
+     "delay": {"kind": "uniform", "high": 18446744073709551616}},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

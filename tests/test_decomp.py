@@ -5,6 +5,7 @@ import pytest
 
 from aschur.decomp import (
     assemble_schur_explicit,
+    build_interface_map,
     decomposition_to_json,
     extract_local,
     partition,
@@ -165,6 +166,55 @@ def test_neighbor_lists_symmetric(suite):
             assert len(np.unique(sharedpos)) == len(sharedpos)
         for i, pos in enumerate(imap.gamma_positions):
             assert len(np.unique(pos)) == len(pos)
+
+
+def _all_pairs_reference(gamma_positions):
+    """Neighbour lists and shared positions from an intersect1d over every pair."""
+    p = len(gamma_positions)
+    shared, neighbors = {}, [[] for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            common = np.intersect1d(gamma_positions[i], gamma_positions[j])
+            if common.size:
+                shared[(i, j)] = common
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return shared, tuple(tuple(ns) for ns in neighbors)
+
+
+def _in_closed_boxes(problem, dec):
+    """(p, n_interface) mask: entry in the subdomain's interior extent widened by one node each side."""
+    coords = problem.node_coords
+    lo = np.array([coords[part].min(axis=0) - 1 for part in dec.parts])
+    hi = np.array([coords[part].max(axis=0) + 1 for part in dec.parts])
+    c = coords[dec.interface]
+    return ((lo[:, None, :] <= c) & (c <= hi[:, None, :])).all(axis=2)
+
+
+@pytest.mark.parametrize("extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))], ids=["suite", "3d-p27", "2d-p16"])
+def test_interface_map_matches_all_pairs_reference(suite, extra):
+    if extra is None:
+        cases = [(case.problem, case.decomp) for case in suite.values()]
+    else:
+        problem = assemble(GridSpec(dims=extra[0]))
+        cases = [(problem, partition(problem, extra[1]))]
+    for problem, dec in cases:
+        imap = build_interface_map(dec)
+        shared, neighbors = _all_pairs_reference(imap.gamma_positions)
+        assert imap.neighbors == neighbors
+        assert list(imap.shared) == list(shared)
+        for key, pos in shared.items():
+            np.testing.assert_array_equal(imap.shared[key], pos)
+        owned = _in_closed_boxes(problem, dec)
+        dense = problem.A.to_dense()
+        for i in range(dec.p):
+            rows = dec.local_interfaces[i]
+            np.testing.assert_array_equal(rows, dec.interface[owned[i]])
+            inside = owned[:, owned[i]].astype(float)
+            count = inside.T @ inside  # pair count from the cover ranges
+            assert count.min(initial=1) >= 1
+            expected = dense[np.ix_(rows, rows)] / count
+            np.testing.assert_array_equal(extract_local(problem, dec, i).A_GG, expected)
 
 
 def test_schur_explicit_1d_hand_values(tiny_1d):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aschur import runtime
 from aschur.runtime import (
     DELAY_BLOCK,
     AsyncSimulator,
@@ -40,6 +41,9 @@ def test_delay_model_validation():
         DelayModel(kind="table")
     with pytest.raises(ValueError):
         DelayModel(kind="table", table={(0, 1): -2})
+    with pytest.raises(ValueError):
+        DelayModel(kind="uniform", high=2**63)
+    assert DelayModel(kind="uniform", high=2**63 - 1).bound == 2**63 - 1
     assert DelayModel(kind="uniform", low=0, high=10).bound == 10
 
 
@@ -468,6 +472,19 @@ def test_free_running_mode_smoke(suite):
     x, report = async_solve(case.system, case.split, cfg)
     assert report.converged
     assert report.final_residual <= 2e-6
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_converged_needs_the_exact_residual_below_tol(suite, monkeypatch, deterministic):
+    # Both modes count a detector firing as convergence only when the
+    # recomputed residual confirms it; here it never does.
+    case = suite["2d-7x7-p4"]
+    monkeypatch.setattr(runtime, "global_residual", lambda *args: 1.0)
+    cfg = RuntimeConfig(tol=1e-6, k_max=50, deterministic=deterministic)
+    x, report = async_solve(case.system, case.split, cfg)
+    assert not report.converged
+    assert report.status == "k-max"
+    assert report.final_residual == 1.0
 
 
 def test_free_running_rejects_faults(suite):
