@@ -36,7 +36,6 @@ from .runtime import (
     async_solve,
     cg_with_restart,
     deterministic_replay,
-    inject_fault,
 )
 from .solvers import (
     SchurSystem,

@@ -1,6 +1,6 @@
 """Experiment runner.
 
-``aschur run config.json [--out DIR] [--seed N] [--deterministic]`` builds
+``aschur run config.json [--out DIR] [--seed N]`` builds
 the grid problem described by a JSON config, partitions it, optionally
 evaluates the convergence certificates, executes the requested solvers and
 writes per-solver report JSON, residual-history CSV files and a summary CSV
@@ -33,7 +33,9 @@ import scipy.io
 from .decomp import check_splits, decomposition_to_json, partition
 from .linalg import write_matrix_market
 from .poisson import GridSpec, assemble
-from .runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart
+from .runtime import (
+    DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart, deterministic_replay,
+)
 from .solvers import SchurSystem, SolveReport, cg_schur, sync_relaxation, write_residual_history
 from .splitting import CERTIFICATE_SIZE_LIMIT, build_splitting, certify, interface_diagonal, problem_hash
 
@@ -159,7 +161,7 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         raw,
         {
             "grid", "splits", "alpha", "tol", "k_max", "solver", "delay",
-            "faults", "certify", "deterministic", "seed", "activation", "output",
+            "faults", "certify", "seed", "activation", "output",
         },
         path,
     )
@@ -202,9 +204,6 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         raise ConfigError(f"{path}.alpha: must be finite and at least 1, got {alpha}")
     delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay")
     faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", math.prod(splits))
-    deterministic = _get(raw, "deterministic", bool, path, default=True)
-    if faults.events and not deterministic and solver in ("async", "all"):
-        raise ConfigError(f"{path}.faults: fault injection needs the deterministic runtime (deterministic: true)")
     settings = dict(
         tol=_float(raw, "tol", path, default=1e-6),
         k_max=_get(raw, "k_max", int, path, default=10_000),
@@ -212,7 +211,7 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         activation=_float(raw, "activation", path, default=1.0),
     )
     try:
-        runtime = RuntimeConfig(delay=delay, faults=faults, deterministic=deterministic, trace=output.trace, **settings)
+        runtime = RuntimeConfig(delay=delay, faults=faults, trace=output.trace, **settings)
     except ValueError as exc:
         key, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{path}.{key}: {reason}") from exc
@@ -255,7 +254,6 @@ def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system,
             "tol": spec.runtime.tol,
             "k_max": spec.runtime.k_max,
             "seed": spec.runtime.seed,
-            "deterministic": spec.runtime.deterministic,
             "solver": spec.solver,
         },
         "report": dataclasses.asdict(report),
@@ -310,15 +308,12 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
             x_g, report = cg_schur(system, tol=rcfg.tol, k_max=rcfg.k_max)
         elif name == "cg-restart":
             x_g, report = cg_with_restart(system, rcfg)
+        elif rcfg.trace:
+            replay = deterministic_replay(system, split, rcfg)
+            x_g, report = replay.x_interface, replay.report
+            (out_dir / "trace_async.jsonl").write_text("\n".join(replay.trace_lines) + "\n")
         else:
-            if rcfg.trace and rcfg.deterministic:
-                from .runtime import deterministic_replay
-
-                replay = deterministic_replay(system, split, rcfg)
-                x_g, report = replay.x_interface, replay.report
-                (out_dir / "trace_async.jsonl").write_text("\n".join(replay.trace_lines) + "\n")
-            else:
-                x_g, report = async_solve(system, split, rcfg)
+            x_g, report = async_solve(system, split, rcfg)
         payload = _report_payload(report, x_g, spec, system, certs, phash)
         (out_dir / f"report_{name}.json").write_text(json.dumps(payload, indent=2))
         if spec.output.residual_csv:
@@ -344,11 +339,8 @@ def cmd_run(args) -> int:
     # the settings that will actually run.
     try:
         raw = _read_config(args.config)
-        if isinstance(raw, dict):
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.deterministic:
-                raw["deterministic"] = True
+        if isinstance(raw, dict) and args.seed is not None:
+            raw["seed"] = args.seed
         spec = parse_run_spec(raw, path=str(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -402,7 +394,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the run configuration (JSON)")
     p_run.add_argument("--out", help="output directory (defaults to output.dir from the config)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--deterministic", action="store_true", help="force the deterministic runtime")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="side-by-side CSV for two or more report files")

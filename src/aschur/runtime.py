@@ -2,16 +2,14 @@
 channels with configurable delay and reordering, non-blocking convergence
 detection and fault injection.
 
-Two execution modes run the same worker kernel: the ``_WorkerState``
-methods for the update, the detection machine and the receive rule, which
-publish through a ``send(dst, tag, payload, round)`` callback.  The modes
-differ only in transport and clock.  The deterministic mode steps workers
-under a virtual-time scheduler: messages injected at step t are deliverable
-from step t + 1 + delay, every draw comes from seeded generators, and equal
-seeds reproduce runs bit for bit.  Uniform delays come from the same seeded
-stream as one draw per message, drawn in blocks.  The free-running mode
-runs one thread per worker over bounded queues and is meant for smoke
-testing only.
+The workers run one kernel: the ``_WorkerState`` methods for the update,
+the detection machine and the receive rule, which publish through a
+``send(dst, tag, payload, round)`` callback.  A virtual-time scheduler
+steps them: messages injected at step t are deliverable from step
+t + 1 + delay, which is the bounded-delay model of asynchronous iterations
+with arbitrary reordering.  Every draw comes from seeded generators, so
+equal seeds reproduce runs bit for bit.  Uniform delays come from the same
+seeded stream as one draw per message, drawn in blocks.
 
 Worker loop per activation: merge the latest received neighbor shares into
 the local interface vector, solve the interior block, form the new local
@@ -43,11 +41,8 @@ import heapq
 import itertools
 import json
 import logging
-import math
-import queue
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -57,6 +52,7 @@ from .solvers import (
     DIVERGENCE_LIMIT,
     SchurSystem,
     SolveReport,
+    _check_tol,
     _check_victims,
     _restarted_cg,
     _start_vector,
@@ -74,7 +70,6 @@ __all__ = [
     "async_solve",
     "cg_with_restart",
     "deterministic_replay",
-    "inject_fault",
 ]
 
 DETECTION_SLACK = 2.0
@@ -193,7 +188,6 @@ class RuntimeConfig:
     k_max: int = 10_000
     delay: DelayModel = field(default_factory=DelayModel)
     faults: FaultPlan = field(default_factory=FaultPlan)
-    deterministic: bool = True
     seed: int = 0
     activation: float = 1.0
     step_limit: int | None = None
@@ -202,8 +196,7 @@ class RuntimeConfig:
 
     def __post_init__(self):
         # Each message starts with the field name; the CLI maps it to a key path.
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_tol(self.tol)
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
         if not 0.0 <= self.activation <= 1.0:
@@ -355,24 +348,6 @@ class _WorkerState:
         return None
 
 
-def _build_workers(system: SchurSystem, split, x0: np.ndarray) -> list[_WorkerState]:
-    """One worker per subdomain, wired to its neighbors, started from x0."""
-    n_g = system.n_interface
-    w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if n_g else np.zeros(0)
-    workers = [_WorkerState(local, split, x0) for local in system.subdomains]
-    for w in workers:
-        w.attach_neighbors(system.imap, w_global, x0)
-    return workers
-
-
-def _assemble_shares(workers, n_interface: int) -> np.ndarray:
-    """Interface vector as the sum of the workers' prolonged shares."""
-    x = np.zeros(n_interface)
-    for w in workers:
-        x[w.gpos] += w.y_own
-    return x
-
-
 class AsyncSimulator:
     """Virtual-time scheduler over in-process workers.
 
@@ -381,15 +356,16 @@ class AsyncSimulator:
     """
 
     def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
-        if not cfg.deterministic:
-            raise ValueError("AsyncSimulator implements the deterministic mode only")
         self.system = system
         self.split = split
         self.cfg = cfg
         self.p = system.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], self.p)
         self.x0 = _start_vector(system, x0)
-        self.workers = _build_workers(system, split, self.x0)
+        w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if system.n_interface else np.zeros(0)
+        self.workers = [_WorkerState(local, split, self.x0) for local in system.subdomains]
+        for w in self.workers:
+            w.attach_neighbors(system.imap, w_global, self.x0)
         self.rng_sched = np.random.default_rng(cfg.seed)
         delay_seed = cfg.delay.seed if cfg.delay.seed else cfg.seed + 1
         self.rng_delay = np.random.default_rng(delay_seed)
@@ -544,7 +520,11 @@ class AsyncSimulator:
         return chosen
 
     def assembled_interface(self) -> np.ndarray:
-        return _assemble_shares(self.workers, self.system.n_interface)
+        """Interface vector as the sum of the workers' prolonged shares."""
+        x = np.zeros(self.system.n_interface)
+        for w in self.workers:
+            x[w.gpos] += w.y_own
+        return x
 
     # -- driving ---------------------------------------------------------
 
@@ -606,12 +586,6 @@ class AsyncSimulator:
         return [json.dumps(rec, sort_keys=True) for rec in self.trace]
 
 
-def inject_fault(sim: AsyncSimulator, victims) -> AsyncSimulator:
-    """Apply a reset fault to ``victims`` of a running simulation."""
-    sim.inject_fault(victims)
-    return sim
-
-
 @dataclass(frozen=True)
 class ReplayResult:
     trace_lines: tuple[str, ...]
@@ -621,11 +595,7 @@ class ReplayResult:
 
 
 def deterministic_replay(system: SchurSystem, split, cfg: RuntimeConfig, x0=None) -> ReplayResult:
-    """One fully traced deterministic run; equal seeds give equal traces."""
-    if not cfg.deterministic:
-        raise ValueError("deterministic_replay needs deterministic=True")
-    from dataclasses import replace
-
+    """One fully traced run; equal seeds give equal traces."""
     sim = AsyncSimulator(system, split, replace(cfg, trace=True), x0=x0)
     x, report = sim.run()
     lines = sim.trace_lines()
@@ -634,10 +604,8 @@ def deterministic_replay(system: SchurSystem, split, cfg: RuntimeConfig, x0=None
 
 
 def async_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None) -> tuple[np.ndarray, SolveReport]:
-    """Run the asynchronous interface solver in the configured mode."""
-    if cfg.deterministic:
-        return AsyncSimulator(system, split, cfg, x0=x0).run()
-    return _free_running_solve(system, split, cfg, x0=x0)
+    """Run the asynchronous interface solver on the simulated cluster."""
+    return AsyncSimulator(system, split, cfg, x0=x0).run()
 
 
 # -- conjugate gradients with synchronous restart on faults ---------------
@@ -656,101 +624,3 @@ def cg_with_restart(system: SchurSystem, cfg: RuntimeConfig, x0=None) -> tuple[n
     )
     return _restarted_cg(system, cfg.tol, cfg.k_max, x0, restarts, solver="cg-restart")
 
-
-# -- free-running mode -----------------------------------------------------
-
-
-def _put_overwrite_oldest(q: queue.Queue, item) -> None:
-    while True:
-        try:
-            q.put_nowait(item)
-            return
-        except queue.Full:
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                pass
-
-
-class _FreeWorker(threading.Thread):
-    """One worker thread: runs the shared kernel over bounded queues until
-    its detector fires, ``k_max`` rounds pass or the deadline expires."""
-
-    def __init__(self, state: _WorkerState, p: int, tol: float, k_max: int,
-                 data_q: dict, ctrl_q: dict, deadline: float):
-        super().__init__(daemon=True)
-        self.s = state
-        self.p = p
-        self.tol = tol
-        self.k_max = k_max
-        self.data_q = data_q        # (src, dst) -> Queue, neighbor links
-        self.ctrl_q = ctrl_q        # (src, dst) -> Queue, all ordered pairs
-        self.inputs = [q for (_, dst), q in (*data_q.items(), *ctrl_q.items()) if dst == state.idx]
-        self.deadline = deadline
-        self.result_value = None
-
-    def _send(self, dst: int, tag: str, payload, rnd: int) -> None:
-        s = self.s
-        links = self.data_q if tag == TAG_DATA else self.ctrl_q
-        env = Envelope(src=s.idx, dst=dst, tag=tag, payload=payload,
-                       inject_step=s.k_local, deliver_step=s.k_local, round=rnd)
-        _put_overwrite_oldest(links[(s.idx, dst)], env)
-
-    def _drain(self) -> None:
-        for q_in in self.inputs:
-            while True:
-                try:
-                    env = q_in.get_nowait()
-                except queue.Empty:
-                    break
-                self.s.receive(env)
-
-    def run(self) -> None:
-        s = self.s
-        local_cap = 500_000
-        while s.rounds_done < self.k_max and s.k_local < local_cap:
-            if time.monotonic() > self.deadline:
-                break
-            self._drain()
-            s.update(self._send)
-            completed = s.detect(self._send, self.p)
-            if completed is not None and completed[1] <= self.tol:
-                self.result_value = completed[1]
-                return
-
-
-def _free_running_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
-    """One thread per worker over bounded queues; convergence smoke mode."""
-    if cfg.faults.events:
-        raise ValueError("fault injection is only supported in deterministic mode")
-    t0 = time.perf_counter()
-    states = _build_workers(system, split, _start_vector(system, x0))
-    p = system.p
-    data_q = {(i, j): queue.Queue(maxsize=4) for i in range(p) for j in system.imap.neighbors[i]}
-    ctrl_q = {(i, j): queue.Queue(maxsize=256) for i in range(p) for j in range(p) if j != i}
-    deadline = time.monotonic() + 60.0
-    threads = [_FreeWorker(s, p, cfg.tol, cfg.k_max, data_q, ctrl_q, deadline) for s in states]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    x = _assemble_shares(states, system.n_interface)
-    final = global_residual(system.problem, system.decomp, system.subdomains, x)
-    # As in the deterministic mode, a firing counts only when the exact residual confirms it.
-    converged = any(th.result_value is not None for th in threads) and final <= cfg.tol
-    per_worker = [s.k_local for s in states]
-    rounds = max(s.rounds_done for s in states) if states else 0
-    report = SolveReport(
-        solver="async-free",
-        converged=converged,
-        iterations_k=rounds,
-        per_worker_k=per_worker,
-        k_max=max(per_worker) if per_worker else 0,
-        residual_history=[(rounds, final)],
-        final_residual=final,
-        wall_time=time.perf_counter() - t0,
-        status="converged" if converged else "k-max",
-        sim_steps=max(per_worker) if per_worker else 0,
-        detection_residual=next((th.result_value for th in threads if th.result_value is not None), None),
-    )
-    return x, report

@@ -11,6 +11,7 @@ recovered from the current interface vector.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -228,8 +229,7 @@ def sync_relaxation(
     interface defect) and sums the prolonged shares.  Stops on the global
     residual or at ``k_max`` sweeps; residuals above 1e12 abort as diverged.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     t0 = time.perf_counter()
     x = _start_vector(system, x0)
     minv = [
@@ -277,6 +277,11 @@ def cg_schur(
     return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _check_victims(victims, p: int) -> None:
     bad = [v for v in victims if not 0 <= v < p]
     if bad:
@@ -291,8 +296,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     interface entries return to their start values and the iteration
     restarts from the true residual; the count carries on.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     _check_victims([v for _, victims in restarts for v in victims], system.p)
     t0 = time.perf_counter()
     x = _start_vector(system, x0)

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from aschur import AsyncSimulator, SchurSystem, assemble, build_splitting, interface_diagonal, partition
 from aschur.cli import SOLVER_CHOICES, ConfigError, main, parse_run_spec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -174,9 +176,6 @@ def test_invalid_configs_rejected():
         with pytest.raises(ConfigError, match=r"config\.faults\.events\[0\]\.victims"):
             parse_run_spec({"grid": {"dims": [3]}, "splits": [2],
                             "faults": {"events": [{"victims": [victim], "at_step": 1}]}})
-    with pytest.raises(ConfigError, match=r"config\.faults"):
-        parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "deterministic": False,
-                        "faults": {"events": [{"victims": [0], "at_step": 1}]}})
     for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
                        ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1]),
                        ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1),
@@ -189,7 +188,7 @@ def test_invalid_configs_rejected():
 @pytest.mark.parametrize("overrides", [
     {"tol": float("nan")},
     {"faults": {"events": [{"victims": [5], "at_step": 3}]}},
-    {"deterministic": False, "faults": {"events": [{"victims": [0], "at_step": 3}]}},
+    {"deterministic": False},
     {"k_max": 0},
     {"activation": 2},
     {"alpha": 0.5},
@@ -200,22 +199,29 @@ def test_invalid_configs_rejected():
     {"delay": {"kind": "uniform", "high": 3, "seed": -5}},
     {"grid": {"dims": [7]}, "splits": [2], "solver": "async",
      "delay": {"kind": "uniform", "high": 18446744073709551616}},
+    {"deterministic": True},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config" in err and any(key in err for key in overrides)
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_deterministic_flag_applies_before_validation(tmp_path):
-    cfg = write_config(tmp_path, solver="async", deterministic=False,
-                       faults={"events": [{"victims": [0], "at_step": 3}]})
+def test_deterministic_flag_is_gone(tmp_path):
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--deterministic"]) == 0
-    payload = json.loads((out / "report_async.json").read_text())
-    assert payload["config"]["deterministic"] and payload["report"]["faults_injected"] == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--out", str(out), "--deterministic"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    parse_run_spec(json.loads(path.read_text()), path=str(path))
 
 
 def test_json_syntax_error_is_line_anchored(tmp_path, capsys):
@@ -341,7 +347,6 @@ def configs(draw, max_unknowns=400):
         "seed": st.integers(0, 2**40),
         "k_max": st.integers(1, 100),
         "solver": st.sampled_from(SOLVER_CHOICES),
-        "deterministic": st.booleans(),
     }
     bad = {"seed": st.integers(-5, -1), "k_max": st.integers(-1, 0), "solver": st.just("jacobi")}
     for key, good in fields.items():
@@ -365,4 +370,4 @@ def test_parsed_configs_build_or_are_rejected(raw):
     decomp = partition(problem, spec.splits)
     system = SchurSystem.build(problem, decomp)
     split = build_splitting(interface_diagonal(problem, decomp), alpha=spec.alpha)
-    AsyncSimulator(system, split, dataclasses.replace(spec.runtime, deterministic=True))  # seeds and victims
+    AsyncSimulator(system, split, spec.runtime)  # seeds and victims

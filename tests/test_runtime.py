@@ -16,7 +16,6 @@ from aschur.runtime import (
     async_solve,
     cg_with_restart,
     deterministic_replay,
-    inject_fault,
 )
 from aschur.solvers import cg_schur, sync_relaxation
 from aschur.splitting import build_splitting, interface_diagonal
@@ -365,7 +364,7 @@ def test_fault_after_detection_initiated_invalidates_round(suite):
     while not any(w.phase >= 1 for w in sim.workers):
         sim.step()
     epoch_before = sim.epoch
-    inject_fault(sim, [0])
+    sim.inject_fault([0])
     assert sim.epoch == epoch_before + 1
     assert all(w.phase == 0 and w.round == 0 for w in sim.workers)
     x, report = sim.run()
@@ -463,35 +462,13 @@ def test_fixed_and_table_delays_run(suite):
         assert report.converged
 
 
-# -- free-running smoke ----------------------------------------------------------------
-
-
-def test_free_running_mode_smoke(suite):
-    case = suite["2d-7x7-p4"]
-    cfg = RuntimeConfig(tol=1e-6, k_max=100_000, deterministic=False)
-    x, report = async_solve(case.system, case.split, cfg)
-    assert report.converged
-    assert report.final_residual <= 2e-6
-
-
-@pytest.mark.parametrize("deterministic", [True, False])
-def test_converged_needs_the_exact_residual_below_tol(suite, monkeypatch, deterministic):
-    # Both modes count a detector firing as convergence only when the
-    # recomputed residual confirms it; here it never does.
+def test_converged_needs_the_exact_residual_below_tol(suite, monkeypatch):
+    # A detector firing counts as convergence only when the recomputed
+    # residual confirms it; here it never does.
     case = suite["2d-7x7-p4"]
     monkeypatch.setattr(runtime, "global_residual", lambda *args: 1.0)
-    cfg = RuntimeConfig(tol=1e-6, k_max=50, deterministic=deterministic)
+    cfg = RuntimeConfig(tol=1e-6, k_max=50)
     x, report = async_solve(case.system, case.split, cfg)
     assert not report.converged
     assert report.status == "k-max"
     assert report.final_residual == 1.0
-
-
-def test_free_running_rejects_faults(suite):
-    case = suite["2d-7x7-p4"]
-    cfg = RuntimeConfig(
-        tol=1e-6, k_max=100, deterministic=False,
-        faults=FaultPlan(events=(FaultEvent(victims=(0,), at_step=1),)),
-    )
-    with pytest.raises(ValueError):
-        async_solve(case.system, case.split, cfg)

@@ -136,6 +136,16 @@ def test_cg_zero_iterations_at_exact_start(tiny_1d):
     assert report.converged
 
 
+@pytest.mark.parametrize("solver", ["sync", "cg"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tiny_1d, solver, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        if solver == "sync":
+            sync_relaxation(tiny_1d.system, tiny_1d.split, tol=tol, k_max=5)
+        else:
+            cg_schur(tiny_1d.system, tol=tol, k_max=5)
+
+
 def test_cg_iteration_count_at_most_interface_size(suite):
     for case in suite.values():
         x, report = cg_schur(case.system, tol=1e-8, k_max=2 * max(case.system.n_interface, 1))
