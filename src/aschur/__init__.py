@@ -43,8 +43,6 @@ from .solvers import (
     cg_schur,
     compute_d,
     global_residual,
-    recover_interior,
-    schur_apply,
     sync_relaxation,
 )
 from .splitting import (

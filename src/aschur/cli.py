@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .decomp import check_splits, decomposition_to_json, partition
+from .decomp import INTERIOR_LU_LIMIT, check_splits, decomposition_to_json, partition, slab_sizes
 from .linalg import write_matrix_market
 from .poisson import GridSpec, assemble
 from .runtime import (
@@ -186,6 +186,10 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     solver = _get(raw, "solver", str, path, default="all")
     if solver not in SOLVER_CHOICES:
         raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
+    n_interior = math.prod(max(slab_sizes(ext, s)) for ext, s in zip(grid.dims, splits))
+    if solver in ("async", "all") and n_interior > INTERIOR_LU_LIMIT:
+        raise ConfigError(f"{path}.splits: largest interior of {n_interior} unknowns exceeds the dense LU cap"
+                          f" of {INTERIOR_LU_LIMIT} that solver {solver!r} needs; use more subdomains")
     out_obj = _get(raw, "output", dict, path, default={})
     _expect_keys(
         out_obj,
@@ -263,7 +267,7 @@ def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system,
 
 
 def _summary_row(report: SolveReport, spec: RunSpec, system) -> list[str]:
-    sizes = [s.n_interior + s.n_gamma for s in system.subdomains]
+    sizes = [len(rows_I) + len(rows_G) for rows_I, rows_G in zip(system.decomp.parts, system.decomp.local_interfaces)]
     n_i_avg = sum(sizes) / len(sizes)
     return [
         report.solver,

@@ -450,9 +450,7 @@ class AsyncSimulator:
             # The protocol value mixes snapshots from different moments, so a
             # firing is confirmed against an exact synchronous residual; a
             # premature firing is recorded and iteration simply continues.
-            exact = global_residual(
-                self.system.problem, self.system.decomp, self.system.subdomains, self.assembled_interface()
-            )
+            exact = global_residual(self.system, self.assembled_interface())
             self.detection_events.append((value, exact))
             if exact > DETECTION_SLACK * self.cfg.tol:
                 log.warning(
@@ -555,7 +553,7 @@ class AsyncSimulator:
                 break
             self.step()
         x = self.assembled_interface()
-        final = global_residual(self.system.problem, self.system.decomp, self.system.subdomains, x)
+        final = global_residual(self.system, x)
         if self.detected:
             status = "converged"
         elif self.diverged:

@@ -1,11 +1,12 @@
 """Synchronous interface solvers and shared residual plumbing.
 
 Both the relaxation sweep and conjugate gradients act on the assembled
-interface operator matrix-free: every application fans out over the
-subdomains in a fixed index order and sums the prolonged results, so the
-outcome does not depend on how the fan-out is scheduled.  The stopping test
-is always the Euclidean residual of the full system with interiors
-recovered from the current interface vector.
+interface operator matrix-free, in its stacked form: every application is
+``A_GG v - A_GI inv(A_II) A_IG v`` with three CSR products and one sparse
+solve against the factorization of all subdomain interiors at once (the
+interior block is block diagonal), so no work loops over the subdomains.
+A solver's exact residual is the Euclidean residual of the full system
+with interiors recovered from the current interface vector.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +23,11 @@ from .decomp import (
     Decomposition,
     InterfaceMap,
     LocalSubdomain,
+    StackedBlocks,
     assemble_schur_explicit,
     build_interface_map,
     extract_local,
+    stack_blocks,
 )
 from .linalg import lu_solve, spmv
 from .poisson import AssembledProblem
@@ -33,8 +37,6 @@ __all__ = [
     "SchurSystem",
     "BreakdownError",
     "compute_d",
-    "schur_apply",
-    "recover_interior",
     "assemble_full_solution",
     "global_residual",
     "interface_rhs",
@@ -58,8 +60,9 @@ class SolveReport:
 
     ``iterations_k`` counts outer iterations (detector rounds for the
     asynchronous solver); ``per_worker_k`` the per-subdomain update counts,
-    with ``k_max`` their maximum.  ``final_residual`` is always recomputed
-    from scratch after the run, never taken from loop state.
+    with ``k_max`` their maximum.  Sync and CG stop on, and record, a cheap
+    residual (the interface defect, the recurrence residual) confirmed by
+    the exact one; ``final_residual`` is always recomputed from scratch.
     """
 
     solver: str
@@ -85,22 +88,24 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SchurSystem:
-    """Problem, partition and per-subdomain blocks bundled for the solvers."""
+    """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.  The per-subdomain
+    blocks (``subdomains``) are built on first use, by the async workers or the certificates."""
 
     problem: AssembledProblem
     decomp: Decomposition
-    subdomains: tuple[LocalSubdomain, ...]
     imap: InterfaceMap
-    d_locals: tuple[np.ndarray, ...] = field(default=None)
-
-    def __post_init__(self):
-        if self.d_locals is None:
-            object.__setattr__(self, "d_locals", tuple(compute_d(s) for s in self.subdomains))
+    blocks: StackedBlocks
+    d: np.ndarray
 
     @classmethod
     def build(cls, problem: AssembledProblem, decomp: Decomposition) -> "SchurSystem":
-        subdomains = tuple(extract_local(problem, decomp, i) for i in range(decomp.p))
-        return cls(problem=problem, decomp=decomp, subdomains=subdomains, imap=build_interface_map(decomp))
+        blocks = stack_blocks(problem, decomp)
+        d = blocks.b_G - spmv(blocks.A_GI, blocks.lu.solve(blocks.b_I))
+        return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
+
+    @cached_property
+    def subdomains(self) -> tuple[LocalSubdomain, ...]:
+        return tuple(extract_local(self.problem, self.decomp, i) for i in range(self.p))
 
     @property
     def p(self) -> int:
@@ -120,78 +125,42 @@ def compute_d(local: LocalSubdomain) -> np.ndarray:
     return local.b_G - spmv(local.A_GI, lu_solve(local.lu, local.b_I))
 
 
-def schur_apply(local: LocalSubdomain, x_l: np.ndarray) -> np.ndarray:
-    """Matrix-free product with the local interface complement."""
-    x_l = np.asarray(x_l, dtype=np.float64)
-    if x_l.shape != (local.n_gamma,):
-        raise ValueError("local interface vector has the wrong length")
-    if local.n_gamma == 0:
-        return np.zeros(0)
-    y = local.A_GG @ x_l
-    if local.n_interior:
-        y = y - spmv(local.A_GI, lu_solve(local.lu, spmv(local.A_IG, x_l)))
-    return y
-
-
-def recover_interior(local: LocalSubdomain, x_l: np.ndarray) -> np.ndarray:
-    """Interior values consistent with the given local interface vector."""
-    if local.n_interior == 0:
-        return np.zeros(0)
-    rhs = local.b_I.copy()
-    if local.n_gamma:
-        rhs = rhs - spmv(local.A_IG, np.asarray(x_l, dtype=np.float64))
-    return lu_solve(local.lu, rhs)
-
-
-def assemble_full_solution(
-    problem: AssembledProblem,
-    decomp: Decomposition,
-    subdomains,
-    x_g: np.ndarray,
-) -> np.ndarray:
-    x = np.zeros(problem.A.nrows)
-    x[decomp.interface] = x_g
-    for local in subdomains:
-        x[local.interior_rows] = recover_interior(local, x_g[local.gamma_positions])
+def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
+    """Full solution vector with every interior recovered from x_g in one solve."""
+    blk = system.blocks
+    x = np.empty(system.problem.A.nrows)
+    x[system.decomp.interface] = x_g
+    x[blk.interior] = blk.lu.solve(blk.b_I - spmv(blk.A_IG, x_g))
     return x
 
 
-def global_residual(
-    problem: AssembledProblem,
-    decomp: Decomposition,
-    subdomains,
-    x_g: np.ndarray,
-) -> float:
+def global_residual(system: SchurSystem, x_g: np.ndarray) -> float:
     """Euclidean norm of b - A x with interiors recovered from x_g."""
-    x = assemble_full_solution(problem, decomp, subdomains, x_g)
-    return float(np.linalg.norm(problem.b - problem.A._csr @ x))
+    x = assemble_full_solution(system, x_g)
+    return float(np.linalg.norm(system.problem.b - system.problem.A._csr @ x))
 
 
 def interface_rhs(system: SchurSystem) -> np.ndarray:
-    d = np.zeros(system.n_interface)
-    for local, d_l in zip(system.subdomains, system.d_locals):
-        d[local.gamma_positions] += d_l
-    return d
+    return system.d.copy()
 
 
 def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:
-    """Assembled interface operator applied matrix-free, fixed subdomain order."""
-    out = np.zeros(system.n_interface)
-    for local in system.subdomains:
-        out[local.gamma_positions] += schur_apply(local, v[local.gamma_positions])
-    return out
+    """Assembled interface operator applied matrix-free: one stacked interior solve."""
+    blk = system.blocks
+    return spmv(blk.A_GG, v) - spmv(blk.A_GI, blk.lu.solve(spmv(blk.A_IG, v)))
 
 
 def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense assembled interface operator and right-hand side (desk scale)."""
+    """Dense assembled interface operator and right-hand side (desk scale),
+    summed from the per-subdomain complements, apart from the stacked form."""
     n = system.n_interface
     S = np.zeros((n, n))
     d = np.zeros(n)
-    for local, d_l in zip(system.subdomains, system.d_locals):
+    for local in system.subdomains:
         S_l, _ = assemble_schur_explicit(local)
         pos = local.gamma_positions
         S[np.ix_(pos, pos)] += S_l
-        d[pos] += d_l
+        d[pos] += compute_d(local)
     return S, d
 
 
@@ -206,11 +175,10 @@ def _start_vector(system: SchurSystem, x0) -> np.ndarray:
 
 def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, faults: int = 0):
     """Report of a bulk-synchronous solver; the final residual is recomputed from x."""
-    final = global_residual(system.problem, system.decomp, system.subdomains, x)
     return SolveReport(
         solver=solver, converged=status == "converged", iterations_k=k, per_worker_k=[k] * system.p, k_max=k,
-        residual_history=history, final_residual=final, wall_time=time.perf_counter() - t0, status=status,
-        faults_injected=faults, sim_steps=k,
+        residual_history=history, final_residual=global_residual(system, x), wall_time=time.perf_counter() - t0,
+        status=status, faults_injected=faults, sim_steps=k,
     )
 
 
@@ -224,42 +192,36 @@ def sync_relaxation(
 ) -> tuple[np.ndarray, SolveReport]:
     """Weighted interface relaxation with a bulk-synchronous exchange.
 
-    Every sweep forms, per subdomain, the local share of the next iterate
-    (identity share of the current local values plus the scaled local
-    interface defect) and sums the prolonged shares.  Stops on the global
-    residual or at ``k_max`` sweeps; residuals above 1e12 abort as diverged.
+    The summed local shares (identity share plus scaled local defect) are
+    ``x + inv(M) (d - S x)``, as the identity shares sum to one and M is
+    diagonal; ``|d - S x|`` is the residual of x, so a sweep costs one
+    interior solve.  Stops when the exact residual confirms a defect <= tol,
+    at ``k_max`` sweeps, or, diverged, at a defect above 1e12.
     """
     _check_tol(tol)
     t0 = time.perf_counter()
     x = _start_vector(system, x0)
-    minv = [
-        1.0 / split.m_diag[local.gamma_positions] if local.n_gamma else np.zeros(0)
-        for local in system.subdomains
-    ]
-    history = [(0, global_residual(system.problem, system.decomp, system.subdomains, x))]
+    minv = 1.0 / split.m_diag
+    g = system.d - apply_interface_operator(system, x)
+    history = [(0, float(np.linalg.norm(g)))]
     k = 0
     status = "k-max"
-    if history[0][1] <= tol:
-        status = "converged"
-    else:
-        while k < k_max:
-            x_next = np.zeros_like(x)
-            for local, m_l, d_l in zip(system.subdomains, minv, system.d_locals):
-                x_l = x[local.gamma_positions]
-                y_l = local.weights * x_l + m_l * (d_l - schur_apply(local, x_l))
-                x_next[local.gamma_positions] += y_l
-            x = x_next
-            k += 1
-            if iterate_sink is not None:
-                iterate_sink.append(x.copy())
-            r = global_residual(system.problem, system.decomp, system.subdomains, x)
-            history.append((k, r))
-            if r <= tol:
-                status = "converged"
-                break
-            if r > DIVERGENCE_LIMIT:
-                status = "diverged"
-                break
+    while True:
+        r = history[-1][1]
+        if r <= tol and global_residual(system, x) <= tol:
+            status = "converged"
+            break
+        if r > DIVERGENCE_LIMIT:
+            status = "diverged"
+            break
+        if k == k_max:
+            break
+        x += minv * g
+        k += 1
+        if iterate_sink is not None:
+            iterate_sink.append(x.copy())
+        g = system.d - apply_interface_operator(system, x)
+        history.append((k, float(np.linalg.norm(g))))
     return x, _sync_report(system, x, "sync", status, k, history, t0)
 
 
@@ -271,8 +233,10 @@ def cg_schur(
 ) -> tuple[np.ndarray, SolveReport]:
     """Unpreconditioned conjugate gradients on the interface operator.
 
-    The residual used for stopping is the recomputed global one, checked
-    every iteration.  A nonpositive curvature value raises BreakdownError.
+    Stops on the recurrence residual: once it drops to ``tol`` or below,
+    the exact residual of the iterate confirms the stop, and iteration
+    continues if it does not.  A nonpositive curvature value raises
+    BreakdownError.
     """
     return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
 
@@ -301,13 +265,12 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     t0 = time.perf_counter()
     x = _start_vector(system, x0)
     x_init = x.copy()
-    d = interface_rhs(system)
-    history = [(0, global_residual(system.problem, system.decomp, system.subdomains, x))]
+    history = [(0, global_residual(system, x))]
     k = 0
     faults = 0
     status = "converged" if history[0][1] <= tol else "k-max"
     while status == "k-max" and k < k_max:
-        r = d - apply_interface_operator(system, x)
+        r = system.d - apply_interface_operator(system, x)
         p_dir = r.copy()
         rs = float(r @ r)
         while k < k_max:
@@ -319,9 +282,10 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
             x += alpha * p_dir
             r -= alpha * Sp
             k += 1
-            resid = global_residual(system.problem, system.decomp, system.subdomains, x)
+            rs_new = float(r @ r)
+            resid = math.sqrt(rs_new)
             history.append((k, resid))
-            if resid <= tol:
+            if resid <= tol and global_residual(system, x) <= tol:
                 status = "converged"
                 break
             if resid > DIVERGENCE_LIMIT:
@@ -329,11 +293,10 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
                 break
             if faults < len(restarts) and k >= restarts[faults][0]:
                 for v in restarts[faults][1]:
-                    pos = system.subdomains[v].gamma_positions
+                    pos = system.imap.gamma_positions[v]
                     x[pos] = x_init[pos]
                 faults += 1
                 break
-            rs_new = float(r @ r)
             p_dir = r + (rs_new / rs) * p_dir
             rs = rs_new
     return x, _sync_report(system, x, solver, status, k, history, t0, faults)

@@ -103,7 +103,7 @@ def test_summary_residuals_match_recomputation(tmp_path):
         solver, reported = fields[0], float(fields[-1])
         payload = json.loads((out / f"report_{solver}.json").read_text())
         x = np.asarray(payload["x_interface"])
-        recomputed = global_residual(problem, decomp, system.subdomains, x)
+        recomputed = global_residual(system, x)
         assert abs(recomputed - reported) <= 1e-12
 
 
@@ -208,6 +208,27 @@ def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert "config" in err and any(key in err for key in overrides)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_large_interiors_run_with_cg(tmp_path):
+    for grid, splits in (({"dims": [95, 95]}, [2, 1]), ({"dims": [3000]}, [1])):
+        cfg = write_config(tmp_path, grid=grid, splits=splits, solver="cg", certify=False)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report_cg.json").read_text())["report"]["converged"]
+
+
+@pytest.mark.parametrize("solver", ["async", "all"])
+def test_large_interiors_rejected_for_async(tmp_path, capsys, solver):
+    cfg = write_config(tmp_path, grid={"dims": [95, 95]}, splits=[2, 1], solver=solver, certify=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json.splits" in err and "4465" in err
+    assert not any(out.iterdir())
+    with pytest.raises(ConfigError, match=r"^config\.splits"):
+        parse_run_spec({"grid": {"dims": [95, 95]}, "splits": [2, 1], "solver": solver})
 
 
 def test_deterministic_flag_is_gone(tmp_path):

@@ -11,8 +11,9 @@ from aschur.decomp import (
     partition,
     prolong,
     restrict,
+    stack_blocks,
 )
-from aschur.linalg import SparseMatrix
+from aschur.linalg import SingularMatrixError, SparseMatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import assemble_interface_operator
 
@@ -261,3 +262,14 @@ def test_decomposition_json_dump(tiny_1d):
     assert payload["interface"] == [1]
     assert payload["local_interfaces"] == [[1], [1]]
     assert payload["multiplicity"] == [2]
+
+
+def test_stack_blocks_rejects_singular_interior(tiny_1d):
+    from dataclasses import replace
+
+    A = tiny_1d.problem.A
+    values = A.values.copy()
+    values[A.row_offsets[0] : A.row_offsets[1]] = 0.0  # row 0 is subdomain 0's interior
+    singular = replace(tiny_1d.problem, A=SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, values))
+    with pytest.raises(SingularMatrixError, match="stacked interior factorization"):
+        stack_blocks(singular, tiny_1d.decomp)

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from aschur.decomp import partition
+from aschur.linalg import lu_solve, spmv
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
     SolveReport,
+    apply_interface_operator,
+    assemble_full_solution,
     assemble_interface_operator,
     cg_schur,
     compute_d,
     global_residual,
     interface_rhs,
-    recover_interior,
-    schur_apply,
     sync_relaxation,
     write_residual_history,
 )
+from aschur.splitting import build_splitting, interface_diagonal
 
 
 def fit_rate(history, tail=10):
@@ -49,22 +52,18 @@ def test_compute_d_decoupled(tiny_1d):
 
 
 def test_schur_apply_1d(tiny_1d):
-    loc = tiny_1d.system.subdomains[0]
-    np.testing.assert_allclose(schur_apply(loc, np.array([1.0])), [0.5], atol=1e-14)
-    np.testing.assert_array_equal(schur_apply(loc, np.zeros(1)), [0.0])
+    # each of the two subdomains contributes 1/2 to the interface complement
+    system = tiny_1d.system
+    np.testing.assert_allclose(apply_interface_operator(system, np.array([1.0])), [1.0], atol=1e-14)
+    np.testing.assert_array_equal(apply_interface_operator(system, np.zeros(1)), [0.0])
 
 
 def test_schur_apply_matches_explicit_operator(suite):
     rng = np.random.default_rng(2)
     for case in suite.values():
-        from aschur.decomp import assemble_schur_explicit
-
-        for loc in case.system.subdomains:
-            if loc.n_gamma == 0:
-                continue
-            S, _ = assemble_schur_explicit(loc)
-            x = rng.normal(size=loc.n_gamma)
-            np.testing.assert_allclose(schur_apply(loc, x), S @ x, atol=1e-10)
+        S, _ = assemble_interface_operator(case.system)
+        x = rng.normal(size=case.system.n_interface)
+        np.testing.assert_allclose(apply_interface_operator(case.system, x), S @ x, atol=1e-10)
 
 
 def test_sync_relaxation_1d_geometric_sequence(tiny_1d):
@@ -163,16 +162,18 @@ def test_cg_and_sync_agree(suite):
 
 
 def test_recover_interior_1d(tiny_1d):
-    loc = tiny_1d.system.subdomains[0]
-    np.testing.assert_allclose(recover_interior(loc, np.array([2.0])), [1.5], atol=1e-12)
-    np.testing.assert_allclose(recover_interior(loc, np.zeros(1)), [0.5], atol=1e-12)
+    # rows 0 and 2 are the two interiors, row 1 the interface
+    system = tiny_1d.system
+    np.testing.assert_allclose(assemble_full_solution(system, np.array([2.0])), [1.5, 2.0, 1.5], atol=1e-12)
+    np.testing.assert_allclose(assemble_full_solution(system, np.zeros(1)), [0.5, 0.0, 0.5], atol=1e-12)
 
 
 def test_recover_interior_zero_data(tiny_1d):
     from dataclasses import replace
 
-    loc = replace(tiny_1d.system.subdomains[0], b_I=np.zeros(1))
-    np.testing.assert_array_equal(recover_interior(loc, np.zeros(1)), [0.0])
+    blocks = replace(tiny_1d.system.blocks, b_I=np.zeros(2))
+    system = replace(tiny_1d.system, blocks=blocks)
+    np.testing.assert_array_equal(assemble_full_solution(system, np.zeros(1)), [0.0, 0.0, 0.0])
 
 
 def test_recover_interior_composed_with_interface_solve(suite):
@@ -180,21 +181,21 @@ def test_recover_interior_composed_with_interface_solve(suite):
         S, d = assemble_interface_operator(case.system)
         x_g = np.linalg.solve(S, d) if case.system.n_interface else np.zeros(0)
         direct = exact_solution(case.problem)
-        for loc in case.system.subdomains:
-            x_i = recover_interior(loc, x_g[loc.gamma_positions])
-            ref = direct[loc.interior_rows]
-            assert np.linalg.norm(x_i - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-30)
+        x = assemble_full_solution(case.system, x_g)
+        for rows in case.decomp.parts:
+            ref = direct[rows]
+            assert np.linalg.norm(x[rows] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-30)
 
 
 def test_global_residual_oracle_and_zero(tiny_1d):
     direct = exact_solution(tiny_1d.problem)
     x_g = direct[tiny_1d.decomp.interface]
-    r = global_residual(tiny_1d.problem, tiny_1d.decomp, tiny_1d.system.subdomains, x_g)
+    r = global_residual(tiny_1d.system, x_g)
     assert r <= 1e-10 * np.linalg.norm(tiny_1d.problem.b)
-    r0 = global_residual(tiny_1d.problem, tiny_1d.decomp, tiny_1d.system.subdomains, np.zeros(1))
+    r0 = global_residual(tiny_1d.system, np.zeros(1))
     # interiors are recovered exactly, so only the interface defect d remains
     assert r0 == pytest.approx(2.0, abs=1e-12)
-    assert global_residual(tiny_1d.problem, tiny_1d.decomp, tiny_1d.system.subdomains, np.array([2.0])) <= 1e-12
+    assert global_residual(tiny_1d.system, np.array([2.0])) <= 1e-12
 
 
 def test_interface_rhs_matches_assembled(suite):
@@ -225,3 +226,89 @@ def test_residual_history_csv(tmp_path, tiny_1d):
     assert len(lines) == len(report.residual_history) + 1
     k, r = lines[1].split(",")
     assert int(k) == 0 and float(r) > 0
+
+
+# -- the stacked functions against the per-subdomain loops they replace --
+
+
+def _loop_operator(system, v):
+    out = np.zeros(system.n_interface)
+    for loc in system.subdomains:
+        x_l = v[loc.gamma_positions]
+        y = loc.A_GG @ x_l - spmv(loc.A_GI, lu_solve(loc.lu, spmv(loc.A_IG, x_l)))
+        out[loc.gamma_positions] += y
+    return out
+
+
+def _loop_rhs(system):
+    d = np.zeros(system.n_interface)
+    for loc in system.subdomains:
+        d[loc.gamma_positions] += compute_d(loc)
+    return d
+
+
+def _loop_full_solution(system, x_g):
+    x = np.zeros(system.problem.A.nrows)
+    x[system.decomp.interface] = x_g
+    for loc in system.subdomains:
+        x[loc.interior_rows] = lu_solve(loc.lu, loc.b_I - spmv(loc.A_IG, x_g[loc.gamma_positions]))
+    return x
+
+
+def _close(stacked, ref):
+    return np.linalg.norm(stacked - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+
+
+def test_stacked_functions_match_subdomain_loops(suite):
+    rng = np.random.default_rng(5)
+    for case in suite.values():
+        # A fresh system: the synchronous solvers must never build the subdomains.
+        system = SchurSystem.build(case.problem, case.decomp)
+        cg_schur(system, tol=1e-8, k_max=500)
+        sync_relaxation(system, case.split, tol=1e-8, k_max=20)
+        assert "subdomains" not in vars(system), case.name
+
+        v = rng.normal(size=system.n_interface)
+        assert _close(apply_interface_operator(system, v), _loop_operator(system, v)), case.name
+        assert _close(interface_rhs(system), _loop_rhs(system)), case.name
+        x = _loop_full_solution(system, v)
+        assert _close(assemble_full_solution(system, v), x), case.name
+        ref = np.linalg.norm(case.problem.b - case.problem.A._csr @ x)
+        assert abs(global_residual(system, v) - ref) <= 1e-12 * ref, case.name
+
+
+def test_non_finite_interface_vector_raises(suite):
+    system = suite["2d-7x7-p4"].system
+    v = np.zeros(system.n_interface)
+    v[0] = np.nan
+    for stacked in (apply_interface_operator, assemble_full_solution, global_residual):
+        with pytest.raises(FloatingPointError):
+            stacked(system, v)
+
+
+def test_large_interiors_solve_without_the_dense_lu():
+    # two interiors of 47 x 95 = 4465 unknowns, above the dense LU cap
+    problem = assemble(GridSpec(dims=(95, 95)))
+    decomp = partition(problem, (2, 1))
+    system = SchurSystem.build(problem, decomp)
+    split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+    ref = scipy.sparse.linalg.spsolve(problem.A._csr.tocsc(), problem.b)[decomp.interface]
+    for x, report in (cg_schur(system, tol=1e-6, k_max=500), sync_relaxation(system, split, tol=1e-6, k_max=5000)):
+        assert report.converged and report.final_residual <= 1e-6
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert "subdomains" not in vars(system)
+
+
+@pytest.mark.parametrize("solver", ["sync", "cg"])
+def test_stop_needs_the_exact_residual_below_tol(suite, monkeypatch, solver):
+    from aschur import solvers
+
+    case = suite["2d-15x15-p8"]
+    monkeypatch.setattr(solvers, "global_residual", lambda *args: 1.0)
+    if solver == "sync":
+        _, report = sync_relaxation(case.system, case.split, tol=1e-2, k_max=400)
+    else:
+        _, report = cg_schur(case.system, tol=1e-2, k_max=14)
+    # the cheap residual fell below tol, but no stop was confirmed
+    assert min(r for _, r in report.residual_history) <= 1e-2
+    assert report.status == "k-max" and report.iterations_k == report.k_max
