@@ -9,17 +9,12 @@ from .decomp import (
     build_interface_map,
     extract_local,
     partition,
-    prolong,
-    restrict,
 )
 from .linalg import (
-    LuFactors,
     SparseMatrix,
     comparison_matrix,
     is_h_matrix,
     is_m_matrix,
-    lu_factorize,
-    lu_solve,
     spectral_radius_nonneg,
     spmv,
     weighted_max_norm,

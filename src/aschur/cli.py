@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .decomp import INTERIOR_LU_LIMIT, check_splits, decomposition_to_json, partition, slab_sizes
+from .decomp import check_splits, decomposition_to_json, partition
 from .linalg import write_matrix_market
 from .poisson import GridSpec, assemble
 from .runtime import (
@@ -186,10 +186,6 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     solver = _get(raw, "solver", str, path, default="all")
     if solver not in SOLVER_CHOICES:
         raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
-    n_interior = math.prod(max(slab_sizes(ext, s)) for ext, s in zip(grid.dims, splits))
-    if solver in ("async", "all") and n_interior > INTERIOR_LU_LIMIT:
-        raise ConfigError(f"{path}.splits: largest interior of {n_interior} unknowns exceeds the dense LU cap"
-                          f" of {INTERIOR_LU_LIMIT} that solver {solver!r} needs; use more subdomains")
     out_obj = _get(raw, "output", dict, path, default={})
     _expect_keys(
         out_obj,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import LuFactors, SingularMatrixError, SparseMatrix, lu_factorize, lu_solve, submatrix
+from .linalg import SingularMatrixError, SparseMatrix, submatrix
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -30,18 +30,14 @@ __all__ = [
     "LocalSubdomain",
     "StackedBlocks",
     "check_splits",
-    "slab_sizes",
     "partition",
     "build_interface_map",
     "extract_local",
     "stack_blocks",
-    "restrict",
-    "prolong",
     "assemble_schur_explicit",
     "decomposition_to_json",
 ]
 
-INTERIOR_LU_LIMIT = 2000
 SCHUR_EXPLICIT_LIMIT = 2000
 
 
@@ -94,7 +90,7 @@ class InterfaceMap:
 
 @dataclass(frozen=True)
 class LocalSubdomain:
-    """One subdomain's blocks, right-hand side pieces and interior LU."""
+    """One subdomain's blocks and right-hand side pieces."""
 
     index: int
     A_II: SparseMatrix
@@ -104,7 +100,6 @@ class LocalSubdomain:
     b_I: np.ndarray
     b_G: np.ndarray  # multiplicity-weighted
     weights: np.ndarray  # diagonal of the local identity share, 1/m per entry
-    lu: LuFactors
     interior_rows: np.ndarray
     gamma_rows: np.ndarray
     gamma_positions: np.ndarray
@@ -132,22 +127,19 @@ class StackedBlocks:
     lu: scipy.sparse.linalg.SuperLU
 
 
-def slab_sizes(extent: int, split: int) -> list[int]:
-    """Interior widths of the ``split`` slabs along one axis; the first slabs take the remainder."""
-    base, rem = divmod(extent - (split - 1), split)
-    return [base + (1 if k < rem else 0) for k in range(split)]
-
-
 def _axis_layout(extent: int, split: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate closure range of slab indices along one axis.
 
     Returns (klo, khi) arrays of length ``extent``: coordinates inside slab k
-    get (k, k); a separator between slabs k and k+1 gets (k, k+1).
+    get (k, k); a separator between slabs k and k+1 gets (k, k+1).  The
+    first slabs take the remainder of the interior width.
     """
     klo = np.empty(extent, dtype=np.int64)
     khi = np.empty(extent, dtype=np.int64)
+    base, rem = divmod(extent - (split - 1), split)
     c = 0
-    for k, size in enumerate(slab_sizes(extent, split)):
+    for k in range(split):
+        size = base + (1 if k < rem else 0)
         klo[c : c + size] = k
         khi[c : c + size] = k
         c += size
@@ -241,14 +233,12 @@ def build_interface_map(decomp: Decomposition) -> InterfaceMap:
 
 
 def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> LocalSubdomain:
-    """Gather subdomain i's blocks and factor its interior matrix once."""
+    """Gather subdomain i's blocks, with the interface block and right-hand side weighted."""
     if not 0 <= i < decomp.p:
         raise ValueError(f"subdomain id {i} out of range")
     rows_I = decomp.parts[i]
     rows_G = decomp.local_interfaces[i]
     gpos = np.searchsorted(decomp.interface, rows_G).astype(np.int64)
-    if len(rows_I) > INTERIOR_LU_LIMIT:
-        raise ValueError(f"subdomain {i}: interior of size {len(rows_I)} exceeds the dense LU cap")
 
     A = problem.A
     A_II = submatrix(A, rows_I, rows_I)
@@ -270,11 +260,6 @@ def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> L
     b_I = problem.b[rows_I]
     b_G = problem.b[rows_G] * weights if gpos.size else np.zeros(0)
 
-    try:
-        lu = lu_factorize(A_II.to_dense())
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"subdomain {i}: interior factorization failed ({exc})") from exc
-
     return LocalSubdomain(
         index=i,
         A_II=A_II,
@@ -284,7 +269,6 @@ def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> L
         b_I=b_I,
         b_G=b_G,
         weights=weights,
-        lu=lu,
         interior_rows=rows_I,
         gamma_rows=rows_G,
         gamma_positions=gpos,
@@ -306,27 +290,10 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
     return StackedBlocks(interior, A_IG, A_GI, A_GG, problem.b[interior], problem.b[decomp.interface], lu)
 
 
-def restrict(imap: InterfaceMap, i: int, x_g: np.ndarray) -> np.ndarray:
-    x_g = np.asarray(x_g, dtype=np.float64)
-    if x_g.shape != (imap.n_interface,):
-        raise ValueError("interface vector has the wrong length")
-    return x_g[imap.gamma_positions[i]]
-
-
-def prolong(imap: InterfaceMap, i: int, x_l: np.ndarray) -> np.ndarray:
-    x_l = np.asarray(x_l, dtype=np.float64)
-    pos = imap.gamma_positions[i]
-    if x_l.shape != pos.shape:
-        raise ValueError("local interface vector has the wrong length")
-    out = np.zeros(imap.n_interface)
-    out[pos] = x_l
-    return out
-
-
 def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarray]:
     """Dense local interface complement and its right-hand side.
 
-    Eliminates the interior block through the stored LU factors:
+    Eliminates the interior block with one dense solve (desk scale):
     S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I.
     """
     if local.n_gamma > SCHUR_EXPLICIT_LIMIT:
@@ -335,9 +302,9 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
         return np.zeros((0, 0)), np.zeros(0)
     a_gi = local.A_GI.to_dense()
     if local.n_interior:
-        X = lu_solve(local.lu, local.A_IG.to_dense())
-        S = local.A_GG - a_gi @ X
-        d = local.b_G - a_gi @ lu_solve(local.lu, local.b_I)
+        X = np.linalg.solve(local.A_II.to_dense(), np.column_stack([local.A_IG.to_dense(), local.b_I]))
+        S = local.A_GG - a_gi @ X[:, :-1]
+        d = local.b_G - a_gi @ X[:, -1]
     else:
         S = local.A_GG.copy()
         d = local.b_G.copy()

@@ -1,4 +1,4 @@
-"""Shared linear-algebra kernels: CSR matrices, LU solves, weighted norms,
+"""Shared linear-algebra kernels: CSR matrices, weighted norms,
 matrix-class predicates and a nonnegative power iteration.
 
 Vectors and dense matrices are plain float64 numpy arrays (1-D, and 2-D in
@@ -15,13 +15,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgetrs
 
 __all__ = [
     "SparseMatrix",
-    "LuFactors",
     "SingularMatrixError",
     "PowerIterationError",
     "spmv",
@@ -31,8 +28,6 @@ __all__ = [
     "is_m_matrix",
     "is_h_matrix",
     "spectral_radius_nonneg",
-    "lu_factorize",
-    "lu_solve",
     "submatrix",
     "read_matrix_market",
     "write_matrix_market",
@@ -44,11 +39,7 @@ DENSE_OP_LIMIT = 2000
 
 
 class SingularMatrixError(ValueError):
-    """Raised when LU factorization meets a pivot below the drop threshold."""
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    """Raised when an interior factorization meets a singular block."""
 
 
 class PowerIterationError(RuntimeError):
@@ -158,18 +149,6 @@ class SparseMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseMatrix":
         return cls(nrows, ncols, np.zeros(nrows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-
-
-@dataclass(frozen=True)
-class LuFactors:
-    """Packed L\\U factors with LAPACK-style pivot indices."""
-
-    factored: np.ndarray
-    pivots: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.factored.shape[0]
 
 
 def _as_dense(a) -> np.ndarray:
@@ -346,39 +325,6 @@ def spectral_radius_nonneg(a, tol: float = 1e-12, max_iters: int = 50_000) -> fl
             block = as_dense[np.ix_(idx, idx)]
             rho = max(rho, _power_shifted(block, tol, max_iters))
     return rho
-
-
-def lu_factorize(a) -> LuFactors:
-    """LU with partial pivoting; rejects pivots below 1e-14 * max|a_ij|."""
-    d = np.array(_as_dense(a), dtype=np.float64, order="C", copy=True)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("lu_factorize needs a square matrix")
-    if d.shape[0] == 0:
-        return LuFactors(d, np.zeros(0, dtype=np.int32))
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(d, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    bad = np.flatnonzero(pivots <= 1e-14 * scale)
-    if scale == 0.0 or bad.size:
-        k = int(bad[0]) if bad.size else 0
-        raise SingularMatrixError(f"singular matrix: pivot {k} below drop threshold", pivot_index=k)
-    return LuFactors(lu, piv)
-
-
-def lu_solve(f: LuFactors, b) -> np.ndarray:
-    """Forward/back substitution against packed LU factors; b may be 2-D.
-    LAPACK ``dgetrs`` is what ``scipy.linalg.lu_solve`` calls, so results match it bit for bit."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != f.n:
-        raise ValueError("right-hand side length does not match the factorization")
-    if b.size == 0:
-        return b.copy()
-    x, info = dgetrs(f.factored, f.pivots, b)
-    if info != 0:
-        raise ValueError(f"dgetrs: illegal value in argument {-info}")
-    return x
 
 
 def submatrix(a: SparseMatrix, rows, cols) -> SparseMatrix:

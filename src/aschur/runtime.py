@@ -2,20 +2,22 @@
 channels with configurable delay and reordering, non-blocking convergence
 detection and fault injection.
 
-The workers run one kernel: the ``_WorkerState`` methods for the update,
-the detection machine and the receive rule, which publish through a
-``send(dst, tag, payload, round)`` callback.  A virtual-time scheduler
-steps them: messages injected at step t are deliverable from step
-t + 1 + delay, which is the bounded-delay model of asynchronous iterations
-with arbitrary reordering.  Every draw comes from seeded generators, so
-equal seeds reproduce runs bit for bit.  Uniform delays come from the same
-seeded stream as one draw per message, drawn in blocks.
+A virtual-time scheduler steps the workers: messages injected at step t
+are deliverable from step t + 1 + delay, which is the bounded-delay model
+of asynchronous iterations with arbitrary reordering.  Every draw comes
+from seeded generators, so equal seeds reproduce runs bit for bit.
+Uniform delays come from the same seeded stream as one draw per message,
+drawn in blocks.
 
-Worker loop per activation: merge the latest received neighbor shares into
-the local interface vector, solve the interior block, form the new local
-share (identity share plus the scaled local interface defect), publish the
-updated share to the neighbors, and advance the three-phase detection
-machine:
+One step runs in three parts, since the workers active in it never see
+each other's output: each ingests its due messages and merges the latest
+neighbor shares; one batched update over the stacked local space
+(``SchurSystem.local_space``) solves every interior with the one interior
+factorization, forms each new local share (identity share plus the scaled
+local interface defect) and, when a worker starts a detection round, the
+residual pieces at the new shares; then, in activation order, each commits
+its share, publishes it to its neighbors and advances the three-phase
+detection machine of ``_WorkerState``:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -24,14 +26,17 @@ machine:
 * phase 2: once the sum is complete, compare its square root to the
   tolerance and open the next round.
 
-Workers never block on any phase.  After detection the final residual is
-always recomputed synchronously from the assembled interface vector.
+Workers never block on any phase.  A firing counts as convergence only
+once the exact residual, recomputed from the assembled interface vector,
+confirms it.
 
-A fault resets the victim's interface share, interior values and
-communication buffers to their initial state and drops its in-flight
-messages; interior factorizations are kept.  Detection rounds in flight are
-invalidated conservatively: a global epoch counter stamps every detection
-message, faults bump it, and stale contributions are discarded on arrival.
+A fault resets the victim's interface share and communication buffers to
+their initial state and drops its in-flight messages; the interior
+factorization is kept.  Step faults apply at the start of their step;
+iteration faults at the end of the step in which a victim reaches the
+count.  Detection rounds in flight are invalidated conservatively: a
+global epoch counter stamps every detection message, faults bump it, and
+stale contributions are discarded on arrival.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import lu_solve
 from .solvers import (
     DIVERGENCE_LIMIT,
     SchurSystem,
@@ -212,59 +216,44 @@ def _payload_digest(payload) -> str:
 
 
 class _WorkerState:
-    """Mutable per-subdomain state owned by exactly one worker."""
+    """One worker's receive rule, neighbour-merge state and detection machine.
+
+    ``y_own`` and ``nbr_sum`` are views of the worker's slots in the
+    simulator's stacked share and neighbour-sum vectors.
+    """
 
     __slots__ = (
-        "idx", "lu", "A_II_op", "A_IG_op", "A_GI_op", "A_GG", "b_I", "b_G",
-        "w", "minv", "gpos", "x0_l", "neighbors", "init_nbr", "y_own",
-        "nbr_y", "x_I", "k_local", "phase", "round", "rs_have", "red_have",
-        "r_own_G", "r_own_I_sq", "rounds_done", "done", "nbr_sum", "nbr_pos",
+        "idx", "slots", "w", "x0_l", "y_own", "neighbors", "init_nbr", "nbr_y", "nbr_pos", "nbr_sum",
+        "k_local", "phase", "round", "rs_have", "red_have", "r_own_G", "r_own_I_sq", "rounds_done", "done",
     )
 
-    def __init__(self, local, split, x0):
-        self.idx = local.index
-        self.lu = local.lu
-        dense_ok = local.n_interior * max(local.n_interior, local.n_gamma, 1) <= 500_000
-        self.A_II_op = local.A_II.to_dense() if dense_ok else local.A_II._csr
-        self.A_IG_op = local.A_IG.to_dense() if dense_ok else local.A_IG._csr
-        self.A_GI_op = local.A_GI.to_dense() if dense_ok else local.A_GI._csr
-        self.A_GG = local.A_GG
-        self.b_I = local.b_I
-        self.b_G = local.b_G
-        self.w = local.weights
-        self.minv = 1.0 / split.m_diag[local.gamma_positions] if local.n_gamma else np.zeros(0)
-        self.gpos = local.gamma_positions
-        self.x0_l = x0[local.gamma_positions].copy() if local.n_gamma else np.zeros(0)
-        self.neighbors = []  # (j, idx_into_my_gamma) filled by the runtime
+    def __init__(self, idx: int, slots: slice, sim: "AsyncSimulator"):
+        self.idx = idx
+        self.slots = slots
+        self.w = sim.space.weights[slots]
+        self.x0_l = sim.x0[sim.space.positions[slots]]
+        self.y_own = sim.y[slots]
+        self.nbr_sum = sim.nbr[slots]
+        self.neighbors = []  # (j, idx_into_my_slots)
         self.init_nbr = {}
-        self.y_own = self.w * self.x0_l
-        self.nbr_y = {}
-        self.x_I = np.zeros(local.n_interior)
         self.k_local = 0
-        self.phase = 0
         self.round = 0
-        self.rs_have = {}
-        self.red_have = {}
-        self.r_own_G = None
-        self.r_own_I_sq = 0.0
         self.rounds_done = 0
         self.done = False
-        self.nbr_sum = np.zeros(local.n_gamma)
 
     def attach_neighbors(self, imap, w_global, x0):
         i = self.idx
+        gpos = imap.gamma_positions[i]
         for j in imap.neighbors[i]:
             shared = imap.shared_positions(i, j)
-            my_idx = np.searchsorted(self.gpos, shared)
-            self.neighbors.append((j, my_idx))
+            self.neighbors.append((j, np.searchsorted(gpos, shared)))
             self.init_nbr[j] = w_global[shared] * x0[shared]
         self.nbr_pos = np.array([k for _, my_idx in self.neighbors for k in my_idx], dtype=np.intp)
         self.reset_state()
 
     def reset_state(self):
-        self.y_own = self.w * self.x0_l
+        self.y_own[:] = self.w * self.x0_l
         self.nbr_y = {j: (-1, payload.copy()) for j, payload in self.init_nbr.items()}
-        self.x_I = np.zeros_like(self.x_I)
         self.phase = 0
         self.rs_have = {}
         self.red_have = {}
@@ -282,43 +271,25 @@ class _WorkerState:
         else:
             self.red_have.setdefault(env.round, {})[env.src] = env.payload
 
-    def update(self, send) -> None:
-        """One relaxation: merge, interior solve, new share, publish it.
-
-        ``send(dst, tag, payload, round)`` hands a message to the transport.
-        ``ndarray.dot`` makes the same BLAS gemv call as ``@`` with less dispatch.
-        """
+    def merge(self) -> None:
+        """Sum the latest neighbour shares into ``nbr_sum``.  bincount adds in input
+        order: each entry sums the neighbours in list order from 0.0."""
         if self.neighbors:
-            # bincount adds in input order: each entry sums the neighbors in list order from 0.0.
             shares = np.concatenate([self.nbr_y[j][1] for j, _ in self.neighbors])
-            self.nbr_sum = np.bincount(self.nbr_pos, shares, len(self.nbr_sum))
-        x_l = self.y_own + self.nbr_sum
-        if len(self.b_I):
-            self.x_I = lu_solve(self.lu, self.b_I - self.A_IG_op.dot(x_l))
-        if len(x_l):
-            defect = self.b_G - self.A_GI_op.dot(self.x_I) - self.A_GG.dot(x_l)
-            self.y_own = self.w * x_l + self.minv * defect
-        self.k_local += 1
-        for j, my_idx in self.neighbors:
-            send(j, TAG_DATA, self.y_own[my_idx], -1)  # fancy indexing already copies
+            self.nbr_sum[:] = np.bincount(self.nbr_pos, shares, len(self.nbr_sum))
 
-    def detect(self, send, p: int) -> tuple[int, float] | None:
+    def detect(self, send, p: int, r_I_sq, r_G) -> tuple[int, float] | None:
         """Advance the three-phase detection machine without blocking.
 
-        Uses the neighbor sum merged by the last ``update``.  Returns the
-        round number and protocol value when a round completes, else None.
+        Phase 0 takes this worker's entries of the step's residual pieces:
+        ``r_I_sq`` per worker, ``r_G`` per slot.  Returns the round number
+        and protocol value when a round completes, else None.
         """
         if self.phase == 0:
-            x_merged = self.y_own + self.nbr_sum
-            if len(self.b_I):
-                r_I = self.b_I - self.A_II_op.dot(self.x_I) - self.A_IG_op.dot(x_merged)
-                self.r_own_I_sq = float(r_I @ r_I)
-            else:
-                self.r_own_I_sq = 0.0
-            r_G = self.b_G - self.A_GI_op.dot(self.x_I) - self.A_GG.dot(x_merged) if len(x_merged) else np.zeros(0)
-            self.r_own_G = r_G
+            self.r_own_I_sq = float(r_I_sq[self.idx])
+            self.r_own_G = r_G[self.slots]
             for j, my_idx in self.neighbors:
-                send(j, TAG_RESIDUAL, r_G[my_idx], self.round)
+                send(j, TAG_RESIDUAL, self.r_own_G[my_idx], self.round)
             self.phase = 1
         if self.phase == 1:
             # Only neighbors send residual pieces, one each per round.
@@ -362,8 +333,18 @@ class AsyncSimulator:
         self.p = system.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], self.p)
         self.x0 = _start_vector(system, x0)
+        # The stacked local space: K's interior columns [A_II; A_GI], its slot columns [A_IG; A_GG].
+        self.space = space = system.local_space
+        self._lu = system.blocks.lu
+        self._n_I = n_I = len(space.b) - len(space.weights)
+        self._K_I, self._K_G = space.K[:, :n_I], space.K[:, n_I:]
+        self._minv = 1.0 / split.m_diag[space.positions]
+        self._owner_I = np.repeat(np.arange(self.p), [len(part) for part in system.decomp.parts])
+        self.y = np.zeros(len(space.weights))  # every worker's committed share, stacked
+        self.nbr = np.zeros(len(space.weights))  # every worker's merged neighbour sum, stacked
         w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if system.n_interface else np.zeros(0)
-        self.workers = [_WorkerState(local, split, self.x0) for local in system.subdomains]
+        off = space.offsets
+        self.workers = [_WorkerState(i, slice(off[i], off[i + 1]), self) for i in range(self.p)]
         for w in self.workers:
             w.attach_neighbors(system.imap, w_global, self.x0)
         self.rng_sched = np.random.default_rng(cfg.seed)
@@ -414,28 +395,38 @@ class AsyncSimulator:
                 "epoch": self.epoch, "payload": _payload_digest(payload),
             })
 
-    def _ingest(self, w: _WorkerState) -> None:
+    def _ingest(self, w: _WorkerState) -> int:
+        """Deliver the worker's due messages; returns how many stale ones it dropped."""
         box = self.inbox[w.idx]
+        stale = 0
         while box and box[0][0] <= self.t:
             env = heapq.heappop(box)[2]
             if env.tag == TAG_DATA or env.epoch == self.epoch:
                 w.receive(env)
             else:
-                self.stale_discarded += 1
+                stale += 1
+        return stale
 
-    # -- worker step ---------------------------------------------------
+    # -- the batched update ----------------------------------------------
 
-    def _step_worker(self, w: _WorkerState) -> None:
-        self._ingest(w)
-        send = partial(self._send, w.idx)
-        w.update(send)
-        completed = w.detect(send, self.p)
-        if completed is not None:
-            if w.rounds_done >= self.cfg.k_max:
-                w.done = True
-            self._note_round(*completed)
-        if self._trace:
-            self.trace.append({"type": "step", "t": self.t, "worker": w.idx, "k": w.k_local, "phase": w.phase})
+    def _update(self, residual: bool):
+        """Every worker's update from its merged local view, in one pass over the stack.
+
+        Returns the new stacked shares and, if ``residual``, the phase-0
+        pieces at the new shares: the interior residual square per worker
+        and the interface residual per slot.  Only the active workers'
+        entries are used.
+        """
+        n_I = self._n_I
+        x_l = self.y + self.nbr
+        g = self._K_G @ x_l  # [A_IG x_l; A_GG x_l]
+        x_I = self._lu.solve(self.space.b[:n_I] - g[:n_I])
+        h = self._K_I @ x_I  # [A_II x_I; A_GI x_I]
+        y_new = self.space.weights * x_l + self._minv * (self.space.b[n_I:] - h[n_I:] - g[n_I:])
+        if not residual:
+            return y_new, None, None
+        r = self.space.b - h - self._K_G @ (y_new + self.nbr)
+        return y_new, np.bincount(self._owner_I, r[:n_I] * r[:n_I], self.p), r[n_I:]
 
     def _note_round(self, rnd: int, value: float) -> None:
         key = (self.epoch, rnd)
@@ -519,22 +510,42 @@ class AsyncSimulator:
 
     def assembled_interface(self) -> np.ndarray:
         """Interface vector as the sum of the workers' prolonged shares."""
-        x = np.zeros(self.system.n_interface)
-        for w in self.workers:
-            x[w.gpos] += w.y_own
-        return x
+        # bincount adds in slot order, so each entry sums the workers in order from 0.0.
+        return np.bincount(self.space.positions, self.y, self.system.n_interface)
 
     # -- driving ---------------------------------------------------------
 
     def step(self) -> None:
-        """Advance virtual time by one step."""
+        """Advance virtual time by one step.
+
+        Messages sent in a step arrive in a later one, so the active workers
+        never see each other's output: they merge, update in one batched
+        pass, then commit, publish and detect one by one in activation order.
+        """
         self._apply_step_faults()
-        for i in self._choose_active():
-            self._step_worker(self.workers[i])
-            if self._pending_iter_faults:
-                self._apply_iteration_faults()
+        workers = [self.workers[i] for i in self._choose_active()]
+        stale = [self._ingest(w) for w in workers]  # counted at commit: workers after a detection never run
+        for w in workers:
+            w.merge()
+        y_new, r_I_sq, r_G = self._update(any(w.phase == 0 for w in workers))
+        for w, n_stale in zip(workers, stale):
+            self.stale_discarded += n_stale
+            w.y_own[:] = y_new[w.slots]
+            w.k_local += 1
+            send = partial(self._send, w.idx)
+            for j, my_idx in w.neighbors:
+                send(j, TAG_DATA, w.y_own[my_idx], -1)  # fancy indexing already copies
+            completed = w.detect(send, self.p, r_I_sq, r_G)
+            if completed is not None:
+                if w.rounds_done >= self.cfg.k_max:
+                    w.done = True
+                self._note_round(*completed)
+            if self._trace:
+                self.trace.append({"type": "step", "t": self.t, "worker": w.idx, "k": w.k_local, "phase": w.phase})
             if self.detected or self.diverged:
                 break
+        if self._pending_iter_faults:
+            self._apply_iteration_faults()
         self.t += 1
         if self.cfg.record_trajectory:
             self.trajectory.append(self.assembled_interface())

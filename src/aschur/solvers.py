@@ -15,9 +15,10 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+import scipy.sparse
 
 from .decomp import (
     Decomposition,
@@ -29,17 +30,17 @@ from .decomp import (
     extract_local,
     stack_blocks,
 )
-from .linalg import lu_solve, spmv
+from .linalg import spmv
 from .poisson import AssembledProblem
 
 __all__ = [
     "SolveReport",
     "SchurSystem",
+    "LocalSpace",
     "BreakdownError",
     "compute_d",
     "assemble_full_solution",
     "global_residual",
-    "interface_rhs",
     "apply_interface_operator",
     "assemble_interface_operator",
     "sync_relaxation",
@@ -87,9 +88,28 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
+class LocalSpace:
+    """The asynchronous workers' stacked local space: every interior in ``decomp.parts`` order,
+    then every subdomain's local interface slots.  ``K`` is block diagonal by subdomain, each
+    block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``, and ``b`` its weighted right-hand side.
+    Per slot: the identity-share weight and the interface position; subdomain i owns the
+    slots ``offsets[i]:offsets[i + 1]``."""
+
+    K: scipy.sparse.csr_matrix
+    b: np.ndarray
+    weights: np.ndarray
+    positions: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True)
 class SchurSystem:
-    """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.  The per-subdomain
-    blocks (``subdomains``) are built on first use, by the async workers or the certificates."""
+    """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.
+
+    Built on first use: the per-subdomain blocks (``subdomains``), for the
+    certificates and the local space, and the ``local_space``, for the async
+    workers.  ``blocks.lu`` is the one interior factor; sync and CG build neither.
+    """
 
     problem: AssembledProblem
     decomp: Decomposition
@@ -107,6 +127,18 @@ class SchurSystem:
     def subdomains(self) -> tuple[LocalSubdomain, ...]:
         return tuple(extract_local(self.problem, self.decomp, i) for i in range(self.p))
 
+    @cached_property
+    def local_space(self) -> LocalSpace:
+        subs = self.subdomains
+        diag = partial(scipy.sparse.block_diag, format="csr")
+        A_GG = [scipy.sparse.csr_matrix(s.A_GG) for s in subs]  # block_diag keeps a dense block's zeros
+        K = scipy.sparse.bmat([[diag([s.A_II._csr for s in subs]), diag([s.A_IG._csr for s in subs])],
+                               [diag([s.A_GI._csr for s in subs]), diag(A_GG)]], format="csr")
+        b = np.concatenate([s.b_I for s in subs] + [s.b_G for s in subs])
+        return LocalSpace(K, b, np.concatenate([s.weights for s in subs]),
+                          np.concatenate([s.gamma_positions for s in subs]),
+                          np.cumsum([0] + [s.n_gamma for s in subs]))
+
     @property
     def p(self) -> int:
         return self.decomp.p
@@ -122,7 +154,7 @@ def compute_d(local: LocalSubdomain) -> np.ndarray:
         return np.zeros(0)
     if local.n_interior == 0:
         return local.b_G.copy()
-    return local.b_G - spmv(local.A_GI, lu_solve(local.lu, local.b_I))
+    return local.b_G - spmv(local.A_GI, np.linalg.solve(local.A_II.to_dense(), local.b_I))
 
 
 def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
@@ -138,10 +170,6 @@ def global_residual(system: SchurSystem, x_g: np.ndarray) -> float:
     """Euclidean norm of b - A x with interiors recovered from x_g."""
     x = assemble_full_solution(system, x_g)
     return float(np.linalg.norm(system.problem.b - system.problem.A._csr @ x))
-
-
-def interface_rhs(system: SchurSystem) -> np.ndarray:
-    return system.d.copy()
 
 
 def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:

@@ -218,17 +218,13 @@ def test_large_interiors_run_with_cg(tmp_path):
         assert json.loads((out / "report_cg.json").read_text())["report"]["converged"]
 
 
-@pytest.mark.parametrize("solver", ["async", "all"])
-def test_large_interiors_rejected_for_async(tmp_path, capsys, solver):
-    cfg = write_config(tmp_path, grid={"dims": [95, 95]}, splits=[2, 1], solver=solver, certify=False)
+def test_large_interiors_run_with_every_solver(tmp_path):
+    # interiors of 8 x 17 x 17 = 2312 unknowns, above the old dense LU cap
+    cfg = write_config(tmp_path, grid={"dims": [17, 17, 17]}, splits=[2, 1, 1], solver="all", certify=False)
     out = tmp_path / "out"
-    out.mkdir()
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config.json.splits" in err and "4465" in err
-    assert not any(out.iterdir())
-    with pytest.raises(ConfigError, match=r"^config\.splits"):
-        parse_run_spec({"grid": {"dims": [95, 95]}, "splits": [2, 1], "solver": solver})
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    for solver in ("sync", "cg", "async", "cg-restart"):
+        assert json.loads((out / f"report_{solver}.json").read_text())["report"]["converged"], solver
 
 
 def test_deterministic_flag_is_gone(tmp_path):

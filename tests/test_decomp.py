@@ -9,8 +9,6 @@ from aschur.decomp import (
     decomposition_to_json,
     extract_local,
     partition,
-    prolong,
-    restrict,
     stack_blocks,
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix
@@ -131,31 +129,6 @@ def test_sign_compatibility_of_weighted_blocks(suite):
             prod = loc.A_GG * block
             assert np.all(prod >= 0.0)
             assert np.array_equal(loc.A_GG == 0.0, block == 0.0)
-
-
-def test_restrict_prolong_algebra(tiny_1d):
-    imap = tiny_1d.system.imap
-    x = np.array([7.0])
-    for i in range(2):
-        local = restrict(imap, i, x)
-        np.testing.assert_array_equal(local, [7.0])
-        back = prolong(imap, i, local)
-        np.testing.assert_array_equal(restrict(imap, i, back), local)
-
-
-def test_restrict_prolong_support(suite):
-    case = suite["2d-15x15-p4"]
-    imap = case.system.imap
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=imap.n_interface)
-    for i in range(case.system.p):
-        y = prolong(imap, i, restrict(imap, i, x))
-        pos = imap.gamma_positions[i]
-        np.testing.assert_array_equal(y[pos], x[pos])
-        mask = np.ones(imap.n_interface, dtype=bool)
-        mask[pos] = False
-        np.testing.assert_array_equal(y[mask], np.zeros(mask.sum()))
-        np.testing.assert_array_equal(restrict(imap, i, prolong(imap, i, x[pos])), x[pos])
 
 
 def test_neighbor_lists_symmetric(suite):

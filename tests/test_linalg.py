@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aschur.linalg import (
-    LuFactors,
     PowerIterationError,
-    SingularMatrixError,
     SparseMatrix,
     comparison_matrix,
     is_h_matrix,
     is_m_matrix,
-    lu_factorize,
-    lu_solve,
     read_matrix_market,
     spectral_radius_nonneg,
     spmv,
@@ -327,67 +322,6 @@ def test_weighted_row_sum_product_bound():
         assert np.all(lhs < rhs)
         checked += 1
     assert checked >= 100
-
-
-# -- LU -------------------------------------------------------------------------
-
-
-def test_lu_identity():
-    f = lu_factorize(np.eye(3))
-    np.testing.assert_array_equal(lu_solve(f, np.array([4.0, 5.0, 6.0])), [4.0, 5.0, 6.0])
-
-
-def test_lu_tridiagonal_solve():
-    f = lu_factorize(tridiag(3))
-    np.testing.assert_allclose(lu_solve(f, np.ones(3)), [1.5, 2.0, 1.5], atol=1e-12)
-
-
-def test_lu_pivoting_row_swap():
-    f = lu_factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(lu_solve(f, np.array([3.0, 8.0])), [8.0, 3.0], atol=1e-14)
-
-
-def test_lu_singular_names_pivot():
-    with pytest.raises(SingularMatrixError) as err:
-        lu_factorize(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert err.value.pivot_index == 1
-    with pytest.raises(SingularMatrixError):
-        lu_factorize(np.zeros((2, 2)))
-
-
-def test_lu_residual_small_on_random_systems():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        a = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=n)
-        x = lu_solve(lu_factorize(a), b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
-
-
-def test_lu_factors_reproduce_matrix():
-    a = np.array([[4.0, 3.0], [6.0, 3.0]])
-    f = lu_factorize(a)
-    assert isinstance(f, LuFactors)
-    x = lu_solve(f, np.array([10.0, 12.0]))
-    np.testing.assert_allclose(a @ x, [10.0, 12.0], atol=1e-12)
-
-
-def test_lu_solve_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 7, 24, 60):
-        a = rng.normal(size=(n, n)) + n * np.eye(n)
-        f = lu_factorize(a)
-        for b in (rng.normal(size=n), rng.normal(size=(n, 3)), np.asfortranarray(rng.normal(size=(n, 2)))):
-            expected = scipy.linalg.lu_solve((f.factored, f.pivots), b)
-            got = lu_solve(f, b)
-            assert got.shape == b.shape
-            assert np.array_equal(got, expected)
-    with pytest.raises(ValueError):
-        lu_solve(lu_factorize(np.eye(3)), np.ones(2))
-    empty = np.zeros(0)
-    out = lu_solve(lu_factorize(np.zeros((0, 0))), empty)
-    assert out.shape == (0,) and out is not empty
 
 
 # -- submatrix / matrix market ----------------------------------------------------

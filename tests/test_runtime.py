@@ -217,7 +217,7 @@ def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
 
 @pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8"])
 def test_neighbor_merge_matches_loop_reference(suite, name):
-    # The update sums the neighbors' shares in one bincount; at cross points
+    # The merge sums the neighbors' shares in one bincount; at cross points
     # several neighbors overlap, and the sum must equal, bit for bit, adding
     # the shares one neighbor at a time in the interface map's order.
     case = suite[name]
@@ -225,13 +225,77 @@ def test_neighbor_merge_matches_loop_reference(suite, name):
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
     rng = np.random.default_rng(0)
     for w in sim.workers:
-        expected = np.zeros(len(w.gpos))
+        gpos = imap.gamma_positions[w.idx]
+        expected = np.zeros(len(gpos))
         for j in imap.neighbors[w.idx]:
-            my_idx = np.searchsorted(w.gpos, imap.shared_positions(w.idx, j))
+            my_idx = np.searchsorted(gpos, imap.shared_positions(w.idx, j))
             w.nbr_y[j] = (0, rng.normal(size=len(my_idx)))
             expected[my_idx] += w.nbr_y[j][1]
-        w.update(lambda *message: None)
+        w.merge()
         assert np.array_equal(w.nbr_sum, expected)
+
+
+def _loop_update(local, minv, y_own, nbr_sum):
+    """One worker's update and phase-0 residual pieces, per subdomain with a dense solve."""
+    A_II, A_IG, A_GI = (m.to_dense() for m in (local.A_II, local.A_IG, local.A_GI))
+    x_l = y_own + nbr_sum
+    x_I = np.linalg.solve(A_II, local.b_I - A_IG @ x_l)
+    y_new = local.weights * x_l + minv * (local.b_G - A_GI @ x_I - local.A_GG @ x_l)
+    x_merged = y_new + nbr_sum
+    r_I = local.b_I - A_II @ x_I - A_IG @ x_merged
+    return y_new, float(r_I @ r_I), local.b_G - A_GI @ x_I - local.A_GG @ x_merged
+
+
+def _close(got, ref):
+    return np.linalg.norm(np.subtract(got, ref)) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+
+
+def _extra_cases():
+    from aschur import GridSpec, SchurSystem, assemble, partition
+    from aschur.splitting import InterfaceSplitting
+
+    for dims, splits in (((6,), (1,)), ((3, 3), (2, 2)), ((5, 3, 3), (3, 2, 2))):
+        problem = assemble(GridSpec(dims=dims))
+        decomp = partition(problem, splits)
+        system = SchurSystem.build(problem, decomp)
+        m_diag = build_splitting(interface_diagonal(problem, decomp), alpha=1.0).m_diag if decomp.p > 1 else np.zeros(0)
+        yield f"{dims}/{splits}", system, InterfaceSplitting(alpha=1.0, m_diag=m_diag)
+
+
+def test_batched_step_matches_subdomain_loop(suite):
+    # One step from random shares and neighbour data, for a random subset of
+    # active workers: every active worker's new share and phase-0 pieces equal
+    # the per-subdomain update; the idle workers keep their shares.  The extra
+    # cases are p = 1 and subdomains with one interior node each.
+    rng = np.random.default_rng(3)
+    cases = [(name, c.system, c.split) for name, c in suite.items()] + list(_extra_cases())
+    for name, system, split in cases:
+        assert np.all(system.local_space.K.data != 0), name  # no stored zeros from the dense A_GG
+        for trial in range(3):
+            sim = AsyncSimulator(system, split, RuntimeConfig(tol=1e-300))
+            nbr_sums = []
+            for w, loc in zip(sim.workers, system.subdomains):
+                w.y_own[:] = rng.normal(size=loc.n_gamma)
+                nbr_sum = np.zeros(loc.n_gamma)
+                for j, my_idx in w.neighbors:
+                    w.nbr_y[j] = (0, rng.normal(size=len(my_idx)))
+                    nbr_sum[my_idx] += w.nbr_y[j][1]
+                nbr_sums.append(nbr_sum)
+            active = [i for i in range(system.p) if rng.random() < 0.6] or [int(rng.integers(system.p))]
+            before = [w.y_own.copy() for w in sim.workers]
+            sim._choose_active = lambda: active
+            sim.step()
+            for w, loc, y_old, nbr_sum in zip(sim.workers, system.subdomains, before, nbr_sums):
+                if w.idx not in active:
+                    assert w.k_local == 0 and np.array_equal(w.y_own, y_old), (name, w.idx)
+                    continue
+                minv = 1.0 / split.m_diag[loc.gamma_positions]
+                y_new, r_I_sq, r_G = _loop_update(loc, minv, y_old, nbr_sum)
+                assert w.k_local == 1, (name, w.idx)
+                assert _close(w.y_own, y_new), (name, trial, w.idx)
+                # the data are O(1); with p = 1 the interior residual is rounding alone
+                assert abs(w.r_own_I_sq - r_I_sq) <= 1e-12 * max(r_I_sq, 1.0), (name, trial, w.idx)
+                assert _close(w.r_own_G, r_G), (name, trial, w.idx)
 
 
 # -- fairness -------------------------------------------------------------------
@@ -378,14 +442,30 @@ def test_fault_preserves_factorization_and_counts(tiny_1d):
     sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
     for _ in range(5):
         sim.step()
-    lu_before = sim.workers[0].lu
-    k_before = sim.workers[0].k_local
+    lu_before = sim.system.blocks.lu
+    k_before = [w.k_local for w in sim.workers]
     sim.inject_fault([0])
-    assert sim.workers[0].lu is lu_before
-    assert sim.workers[0].k_local == k_before
+    assert sim._lu is sim.system.blocks.lu is lu_before
+    assert [w.k_local for w in sim.workers] == k_before
     np.testing.assert_array_equal(
         sim.workers[0].y_own, sim.workers[0].w * sim.workers[0].x0_l
     )
+
+
+def test_iteration_fault_takes_effect_at_the_end_of_its_step(suite):
+    # Worker 0 reaches the count first within the step.  Were the reset
+    # applied there, victim 1 would then commit an update computed before it.
+    case = suite["2d-7x7-p2"]
+    cfg = RuntimeConfig(tol=1e-300, k_max=10_000,
+                        faults=FaultPlan(events=(FaultEvent(victims=(0, 1), at_local_iteration=3),)))
+    x0 = np.random.default_rng(1).normal(size=case.system.n_interface)
+    sim = AsyncSimulator(case.system, case.split, cfg, x0=x0)
+    while not sim.faults_injected:
+        sim.step()
+    assert sim.t == 3 and sim.workers[0].k_local == 3
+    for w in sim.workers:
+        assert np.any(w.x0_l != 0)
+        np.testing.assert_array_equal(w.y_own, w.w * w.x0_l)
 
 
 # -- cg with restart -----------------------------------------------------------------

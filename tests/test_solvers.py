@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from aschur.decomp import partition
-from aschur.linalg import lu_solve, spmv
+from aschur.linalg import spmv
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
@@ -14,7 +14,6 @@ from aschur.solvers import (
     cg_schur,
     compute_d,
     global_residual,
-    interface_rhs,
     sync_relaxation,
     write_residual_history,
 )
@@ -201,7 +200,7 @@ def test_global_residual_oracle_and_zero(tiny_1d):
 def test_interface_rhs_matches_assembled(suite):
     for case in suite.values():
         S, d = assemble_interface_operator(case.system)
-        np.testing.assert_allclose(interface_rhs(case.system), d, atol=1e-14)
+        np.testing.assert_allclose(case.system.d, d, atol=1e-14)
 
 
 def test_report_invariants_enforced():
@@ -235,7 +234,7 @@ def _loop_operator(system, v):
     out = np.zeros(system.n_interface)
     for loc in system.subdomains:
         x_l = v[loc.gamma_positions]
-        y = loc.A_GG @ x_l - spmv(loc.A_GI, lu_solve(loc.lu, spmv(loc.A_IG, x_l)))
+        y = loc.A_GG @ x_l - spmv(loc.A_GI, np.linalg.solve(loc.A_II.to_dense(), spmv(loc.A_IG, x_l)))
         out[loc.gamma_positions] += y
     return out
 
@@ -251,7 +250,7 @@ def _loop_full_solution(system, x_g):
     x = np.zeros(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
     for loc in system.subdomains:
-        x[loc.interior_rows] = lu_solve(loc.lu, loc.b_I - spmv(loc.A_IG, x_g[loc.gamma_positions]))
+        x[loc.interior_rows] = np.linalg.solve(loc.A_II.to_dense(), loc.b_I - spmv(loc.A_IG, x_g[loc.gamma_positions]))
     return x
 
 
@@ -262,15 +261,15 @@ def _close(stacked, ref):
 def test_stacked_functions_match_subdomain_loops(suite):
     rng = np.random.default_rng(5)
     for case in suite.values():
-        # A fresh system: the synchronous solvers must never build the subdomains.
+        # A fresh system: the synchronous solvers must never build the subdomains or the local space.
         system = SchurSystem.build(case.problem, case.decomp)
         cg_schur(system, tol=1e-8, k_max=500)
         sync_relaxation(system, case.split, tol=1e-8, k_max=20)
-        assert "subdomains" not in vars(system), case.name
+        assert not {"subdomains", "local_space"} & vars(system).keys(), case.name
 
         v = rng.normal(size=system.n_interface)
         assert _close(apply_interface_operator(system, v), _loop_operator(system, v)), case.name
-        assert _close(interface_rhs(system), _loop_rhs(system)), case.name
+        assert _close(system.d, _loop_rhs(system)), case.name
         x = _loop_full_solution(system, v)
         assert _close(assemble_full_solution(system, v), x), case.name
         ref = np.linalg.norm(case.problem.b - case.problem.A._csr @ x)
@@ -287,16 +286,20 @@ def test_non_finite_interface_vector_raises(suite):
 
 
 def test_large_interiors_solve_without_the_dense_lu():
-    # two interiors of 47 x 95 = 4465 unknowns, above the dense LU cap
+    # two interiors of 47 x 95 = 4465 unknowns, above the old dense LU cap
+    from aschur.runtime import RuntimeConfig, async_solve
+
     problem = assemble(GridSpec(dims=(95, 95)))
     decomp = partition(problem, (2, 1))
     system = SchurSystem.build(problem, decomp)
     split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
     ref = scipy.sparse.linalg.spsolve(problem.A._csr.tocsc(), problem.b)[decomp.interface]
-    for x, report in (cg_schur(system, tol=1e-6, k_max=500), sync_relaxation(system, split, tol=1e-6, k_max=5000)):
+    runs = [cg_schur(system, tol=1e-6, k_max=500), sync_relaxation(system, split, tol=1e-6, k_max=5000)]
+    assert "subdomains" not in vars(system)
+    runs.append(async_solve(system, split, RuntimeConfig(tol=1e-6, k_max=5000)))
+    for x, report in runs:
         assert report.converged and report.final_residual <= 1e-6
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
-    assert "subdomains" not in vars(system)
 
 
 @pytest.mark.parametrize("solver", ["sync", "cg"])
