@@ -7,7 +7,6 @@ from .decomp import (
     LocalSubdomain,
     assemble_schur_explicit,
     build_interface_map,
-    extract_local,
     partition,
 )
 from .linalg import (

@@ -21,18 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import SingularMatrixError, SparseMatrix, submatrix
+from .linalg import SingularMatrixError, SparseMatrix
 from .poisson import AssembledProblem
 
 __all__ = [
     "Decomposition",
     "InterfaceMap",
     "LocalSubdomain",
+    "LocalSpace",
     "StackedBlocks",
     "check_splits",
     "partition",
     "build_interface_map",
-    "extract_local",
+    "gather_local_space",
     "stack_blocks",
     "assemble_schur_explicit",
     "decomposition_to_json",
@@ -92,7 +93,6 @@ class InterfaceMap:
 class LocalSubdomain:
     """One subdomain's blocks and right-hand side pieces."""
 
-    index: int
     A_II: SparseMatrix
     A_IG: SparseMatrix
     A_GI: SparseMatrix
@@ -111,6 +111,23 @@ class LocalSubdomain:
     @property
     def n_gamma(self) -> int:
         return len(self.gamma_rows)
+
+
+@dataclass(frozen=True)
+class LocalSpace:
+    """The asynchronous workers' stacked local space: every interior in ``decomp.parts`` order,
+    then every subdomain's local interface slots.  Its matrix K is block diagonal by subdomain,
+    each block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``, and is kept as its interior columns
+    ``K_I = [A_II; A_GI]`` and its slot columns ``K_G = [A_IG; A_GG]``; ``b`` is its weighted
+    right-hand side.  Per slot: the identity-share weight and the interface position; subdomain
+    i owns the slots ``offsets[i]:offsets[i + 1]``."""
+
+    K_I: scipy.sparse.csr_matrix
+    K_G: scipy.sparse.csr_matrix
+    b: np.ndarray
+    weights: np.ndarray
+    positions: np.ndarray
+    offsets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,47 +249,35 @@ def build_interface_map(decomp: Decomposition) -> InterfaceMap:
     )
 
 
-def extract_local(problem: AssembledProblem, decomp: Decomposition, i: int) -> LocalSubdomain:
-    """Gather subdomain i's blocks, with the interface block and right-hand side weighted."""
-    if not 0 <= i < decomp.p:
-        raise ValueError(f"subdomain id {i} out of range")
-    rows_I = decomp.parts[i]
-    rows_G = decomp.local_interfaces[i]
-    gpos = np.searchsorted(decomp.interface, rows_G).astype(np.int64)
+def gather_local_space(problem: AssembledProblem, decomp: Decomposition) -> LocalSpace:
+    """One gather of A over [interiors | every subdomain's slots], keeping the entries whose row
+    and column belong to one subdomain, each slot-slot entry over its pair multiplicity."""
+    slots = np.concatenate(decomp.local_interfaces)
+    positions = np.searchsorted(decomp.interface, slots)
+    order = np.concatenate([*decomp.parts, slots])
+    n_I = len(order) - len(slots)
+    owner = np.repeat(np.tile(np.arange(decomp.p), 2), [len(ids) for ids in decomp.parts + decomp.local_interfaces])
+    P = problem.A._csr[order][:, order].tocoo()
+    keep = owner[P.row] == owner[P.col]
+    r, c, v = P.row[keep], P.col[keep], P.data[keep]
 
-    A = problem.A
-    A_II = submatrix(A, rows_I, rows_I)
-    A_IG = submatrix(A, rows_I, rows_G)
-    A_GI = submatrix(A, rows_G, rows_I)
-    G = submatrix(A, rows_G, rows_G)
-
-    # Pair multiplicity at the nonzeros: subdomains owning both entries.
-    r = np.repeat(np.arange(G.nrows), np.diff(G.row_offsets))
-    o_r = decomp.owners[gpos[r]][:, :, None]
-    o_c = decomp.owners[gpos[G.col_indices]][:, None, :]
+    # Pair multiplicity at the slot-slot entries: subdomains owning both.
+    gg = np.flatnonzero((r >= n_I) & (c >= n_I))
+    o_r = decomp.owners[positions[r[gg] - n_I]][:, :, None]
+    o_c = decomp.owners[positions[c[gg] - n_I]][:, None, :]
     pair_count = ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
     if pair_count.size and pair_count.min() < 1:
         raise AssertionError("interface pair without a covering subdomain")
-    A_GG = np.zeros((G.nrows, G.ncols))
-    A_GG[r, G.col_indices] = G.values / pair_count
+    v[gg] /= pair_count
 
-    weights = 1.0 / decomp.owner_count[gpos] if gpos.size else np.zeros(0)
-    b_I = problem.b[rows_I]
-    b_G = problem.b[rows_G] * weights if gpos.size else np.zeros(0)
-
-    return LocalSubdomain(
-        index=i,
-        A_II=A_II,
-        A_IG=A_IG,
-        A_GI=A_GI,
-        A_GG=A_GG,
-        b_I=b_I,
-        b_G=b_G,
-        weights=weights,
-        interior_rows=rows_I,
-        gamma_rows=rows_G,
-        gamma_positions=gpos,
-    )
+    weights = 1.0 / decomp.owner_count[positions]
+    b = problem.b[order]
+    b[n_I:] *= weights
+    n, cols_I = len(order), c < n_I
+    K_I = scipy.sparse.csr_matrix((v[cols_I], (r[cols_I], c[cols_I])), shape=(n, n_I))
+    K_G = scipy.sparse.csr_matrix((v[~cols_I], (r[~cols_I], c[~cols_I] - n_I)), shape=(n, len(slots)))
+    offsets = np.cumsum([0] + [len(ids) for ids in decomp.local_interfaces])
+    return LocalSpace(K_I, K_G, b, weights, positions, offsets)
 
 
 def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlocks:

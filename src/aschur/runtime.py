@@ -12,12 +12,12 @@ drawn in blocks.
 One step runs in three parts, since the workers active in it never see
 each other's output: each ingests its due messages and merges the latest
 neighbor shares; one batched update over the stacked local space
-(``SchurSystem.local_space``) solves every interior with the one interior
-factorization, forms each new local share (identity share plus the scaled
-local interface defect) and, when a worker starts a detection round, the
-residual pieces at the new shares; then, in activation order, each commits
-its share, publishes it to its neighbors and advances the three-phase
-detection machine of ``_WorkerState``:
+(``SchurSystem.local_space``, one gather of A) solves every interior with
+the one interior factorization, forms each new local share (identity share
+plus the scaled local interface defect) and, when a worker starts a
+detection round, the residual pieces at the new shares; then, in
+activation order, each commits its share, publishes it to its neighbors
+and advances the three-phase detection machine of ``_WorkerState``:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -328,16 +328,13 @@ class AsyncSimulator:
 
     def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
         self.system = system
-        self.split = split
         self.cfg = cfg
         self.p = system.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], self.p)
         self.x0 = _start_vector(system, x0)
-        # The stacked local space: K's interior columns [A_II; A_GI], its slot columns [A_IG; A_GG].
         self.space = space = system.local_space
         self._lu = system.blocks.lu
-        self._n_I = n_I = len(space.b) - len(space.weights)
-        self._K_I, self._K_G = space.K[:, :n_I], space.K[:, n_I:]
+        self._n_I = space.K_I.shape[1]
         self._minv = 1.0 / split.m_diag[space.positions]
         self._owner_I = np.repeat(np.arange(self.p), [len(part) for part in system.decomp.parts])
         self.y = np.zeros(len(space.weights))  # every worker's committed share, stacked
@@ -372,9 +369,8 @@ class AsyncSimulator:
         self.stale_discarded = 0
         self.trajectory: list[np.ndarray] = []
         self.trace: list[dict] = []
-        self._pending_step_faults = sorted(
-            (e for e in cfg.faults.events if e.at_step is not None), key=lambda e: e.at_step
-        )
+        # FaultPlan keeps the events of each kind in trigger order.
+        self._pending_step_faults = [e for e in cfg.faults.events if e.at_step is not None]
         self._pending_iter_faults = [e for e in cfg.faults.events if e.at_local_iteration is not None]
 
     # -- transport -----------------------------------------------------
@@ -417,15 +413,15 @@ class AsyncSimulator:
         and the interface residual per slot.  Only the active workers'
         entries are used.
         """
-        n_I = self._n_I
+        n_I, space = self._n_I, self.space
         x_l = self.y + self.nbr
-        g = self._K_G @ x_l  # [A_IG x_l; A_GG x_l]
-        x_I = self._lu.solve(self.space.b[:n_I] - g[:n_I])
-        h = self._K_I @ x_I  # [A_II x_I; A_GI x_I]
-        y_new = self.space.weights * x_l + self._minv * (self.space.b[n_I:] - h[n_I:] - g[n_I:])
+        g = space.K_G @ x_l  # [A_IG x_l; A_GG x_l]
+        x_I = self._lu.solve(space.b[:n_I] - g[:n_I])
+        h = space.K_I @ x_I  # [A_II x_I; A_GI x_I]
+        y_new = space.weights * x_l + self._minv * (space.b[n_I:] - h[n_I:] - g[n_I:])
         if not residual:
             return y_new, None, None
-        r = self.space.b - h - self._K_G @ (y_new + self.nbr)
+        r = space.b - h - space.K_G @ (y_new + self.nbr)
         return y_new, np.bincount(self._owner_I, r[:n_I] * r[:n_I], self.p), r[n_I:]
 
     def _note_round(self, rnd: int, value: float) -> None:

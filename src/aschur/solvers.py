@@ -15,28 +15,27 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .decomp import (
     Decomposition,
     InterfaceMap,
+    LocalSpace,
     LocalSubdomain,
     StackedBlocks,
     assemble_schur_explicit,
     build_interface_map,
-    extract_local,
+    gather_local_space,
     stack_blocks,
 )
-from .linalg import spmv
+from .linalg import SparseMatrix, spmv
 from .poisson import AssembledProblem
 
 __all__ = [
     "SolveReport",
     "SchurSystem",
-    "LocalSpace",
     "BreakdownError",
     "compute_d",
     "assemble_full_solution",
@@ -88,27 +87,13 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class LocalSpace:
-    """The asynchronous workers' stacked local space: every interior in ``decomp.parts`` order,
-    then every subdomain's local interface slots.  ``K`` is block diagonal by subdomain, each
-    block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``, and ``b`` its weighted right-hand side.
-    Per slot: the identity-share weight and the interface position; subdomain i owns the
-    slots ``offsets[i]:offsets[i + 1]``."""
-
-    K: scipy.sparse.csr_matrix
-    b: np.ndarray
-    weights: np.ndarray
-    positions: np.ndarray
-    offsets: np.ndarray
-
-
-@dataclass(frozen=True)
 class SchurSystem:
     """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.
 
-    Built on first use: the per-subdomain blocks (``subdomains``), for the
-    certificates and the local space, and the ``local_space``, for the async
-    workers.  ``blocks.lu`` is the one interior factor; sync and CG build neither.
+    Built on first use: the ``local_space``, gathered straight from A for the
+    async workers, and the per-subdomain blocks (``subdomains``), its slices,
+    for the desk-scale certificates and oracles.  ``blocks.lu`` is the one
+    interior factor; sync and CG build neither.
     """
 
     problem: AssembledProblem
@@ -124,20 +109,28 @@ class SchurSystem:
         return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
 
     @cached_property
-    def subdomains(self) -> tuple[LocalSubdomain, ...]:
-        return tuple(extract_local(self.problem, self.decomp, i) for i in range(self.p))
+    def local_space(self) -> LocalSpace:
+        return gather_local_space(self.problem, self.decomp)
 
     @cached_property
-    def local_space(self) -> LocalSpace:
-        subs = self.subdomains
-        diag = partial(scipy.sparse.block_diag, format="csr")
-        A_GG = [scipy.sparse.csr_matrix(s.A_GG) for s in subs]  # block_diag keeps a dense block's zeros
-        K = scipy.sparse.bmat([[diag([s.A_II._csr for s in subs]), diag([s.A_IG._csr for s in subs])],
-                               [diag([s.A_GI._csr for s in subs]), diag(A_GG)]], format="csr")
-        b = np.concatenate([s.b_I for s in subs] + [s.b_G for s in subs])
-        return LocalSpace(K, b, np.concatenate([s.weights for s in subs]),
-                          np.concatenate([s.gamma_positions for s in subs]),
-                          np.cumsum([0] + [s.n_gamma for s in subs]))
+    def subdomains(self) -> tuple[LocalSubdomain, ...]:
+        space, dec = self.local_space, self.decomp
+        n_I = space.K_I.shape[1]
+        ends_I = np.cumsum([0] + [len(part) for part in dec.parts])
+        subs = []
+        for i in range(self.p):
+            rows_I = slice(ends_I[i], ends_I[i + 1])
+            own = slice(space.offsets[i], space.offsets[i + 1])
+            rows_G = slice(n_I + own.start, n_I + own.stop)
+            subs.append(LocalSubdomain(
+                A_II=SparseMatrix.from_scipy(space.K_I[rows_I, rows_I]),
+                A_IG=SparseMatrix.from_scipy(space.K_G[rows_I, own]),
+                A_GI=SparseMatrix.from_scipy(space.K_I[rows_G, rows_I]),
+                A_GG=space.K_G[rows_G, own].toarray(),
+                b_I=space.b[rows_I], b_G=space.b[rows_G], weights=space.weights[own],
+                interior_rows=dec.parts[i], gamma_rows=dec.local_interfaces[i], gamma_positions=space.positions[own],
+            ))
+        return tuple(subs)
 
     @property
     def p(self) -> int:

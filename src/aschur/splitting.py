@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit, submatrix
-from .linalg import comparison_matrix, is_h_matrix, spectral_radius_nonneg
+from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit
+from .linalg import comparison_matrix, is_h_matrix, spectral_radius_nonneg, submatrix
 from .poisson import AssembledProblem
 
 __all__ = [

@@ -2,18 +2,18 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from aschur.decomp import (
     assemble_schur_explicit,
     build_interface_map,
     decomposition_to_json,
-    extract_local,
     partition,
     stack_blocks,
 )
-from aschur.linalg import SingularMatrixError, SparseMatrix
+from aschur.linalg import SingularMatrixError, SparseMatrix, submatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
-from aschur.solvers import assemble_interface_operator
+from aschur.solvers import SchurSystem, assemble_interface_operator
 
 
 def test_partition_1d_3_nodes():
@@ -93,15 +93,10 @@ def test_extract_local_single_subdomain_degenerate():
     prob = assemble(GridSpec(dims=(5,)))
     dec = partition(prob, (1,))
     assert dec.n_interface == 0
-    loc = extract_local(prob, dec, 0)
+    (loc,) = SchurSystem.build(prob, dec).subdomains
     np.testing.assert_array_equal(loc.A_II.to_dense(), prob.A.to_dense())
     assert loc.n_gamma == 0
     assert loc.A_GG.shape == (0, 0)
-
-
-def test_extract_local_validates_subdomain_id(tiny_1d):
-    with pytest.raises(ValueError):
-        extract_local(tiny_1d.problem, tiny_1d.decomp, 5)
 
 
 def test_reassembly_is_exact(suite):
@@ -165,14 +160,17 @@ def _in_closed_boxes(problem, dec):
     return ((lo[:, None, :] <= c) & (c <= hi[:, None, :])).all(axis=2)
 
 
+def _cases(suite, extra):
+    if extra is None:
+        return [(case.problem, case.decomp) for case in suite.values()]
+    problem = assemble(GridSpec(dims=extra[0]))
+    return [(problem, partition(problem, extra[1]))]
+
+
 @pytest.mark.parametrize("extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))], ids=["suite", "3d-p27", "2d-p16"])
 def test_interface_map_matches_all_pairs_reference(suite, extra):
-    if extra is None:
-        cases = [(case.problem, case.decomp) for case in suite.values()]
-    else:
-        problem = assemble(GridSpec(dims=extra[0]))
-        cases = [(problem, partition(problem, extra[1]))]
-    for problem, dec in cases:
+    for problem, dec in _cases(suite, extra):
+        subdomains = SchurSystem.build(problem, dec).subdomains
         imap = build_interface_map(dec)
         shared, neighbors = _all_pairs_reference(imap.gamma_positions)
         assert imap.neighbors == neighbors
@@ -188,7 +186,67 @@ def test_interface_map_matches_all_pairs_reference(suite, extra):
             count = inside.T @ inside  # pair count from the cover ranges
             assert count.min(initial=1) >= 1
             expected = dense[np.ix_(rows, rows)] / count
-            np.testing.assert_array_equal(extract_local(problem, dec, i).A_GG, expected)
+            np.testing.assert_array_equal(subdomains[i].A_GG, expected)
+
+
+def _reference_subdomains(problem, dec):
+    """Per-subdomain fields from four submatrix gathers each, pair counts and owner counts from
+    the closed boxes."""
+    owned = _in_closed_boxes(problem, dec)
+    A, b = problem.A, problem.b
+    subs = []
+    for i in range(dec.p):
+        rows_I, gpos = dec.parts[i], np.flatnonzero(owned[i])
+        rows_G = dec.interface[gpos]
+        inside = owned[:, gpos].astype(float)
+        weights = 1.0 / inside.sum(axis=0)
+        subs.append(dict(
+            A_II=submatrix(A, rows_I, rows_I), A_IG=submatrix(A, rows_I, rows_G),
+            A_GI=submatrix(A, rows_G, rows_I), A_GG=submatrix(A, rows_G, rows_G).to_dense() / (inside.T @ inside),
+            b_I=b[rows_I], b_G=b[rows_G] * weights, weights=weights,
+            interior_rows=rows_I, gamma_rows=rows_G, gamma_positions=gpos,
+        ))
+    return subs
+
+
+def _same(a, b):
+    if isinstance(a, SparseMatrix):
+        return a.shape == b.shape and all(
+            _same(getattr(a, f), getattr(b, f)) for f in ("row_offsets", "col_indices", "values"))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4)), ((7, 5), (1, 1))],
+    ids=["suite", "3d-p27", "2d-p16", "2d-p1"],
+)
+def test_local_space_matches_per_subdomain_reference(suite, extra):
+    # The one gather of A, and the subdomains sliced from it, equal bit for
+    # bit the per-subdomain gathers assembled block by block.
+    for problem, dec in _cases(suite, extra):
+        system = SchurSystem.build(problem, dec)
+        ref = _reference_subdomains(problem, dec)
+        for loc, expected in zip(system.subdomains, ref, strict=True):
+            for field, value in expected.items():
+                assert _same(getattr(loc, field), value), (dec.splits, field)
+        diag = lambda blocks: scipy.sparse.block_diag(blocks, format="csr")  # noqa: E731
+        K = scipy.sparse.bmat([
+            [diag([s["A_II"]._csr for s in ref]), diag([s["A_IG"]._csr for s in ref])],
+            [diag([s["A_GI"]._csr for s in ref]), diag([scipy.sparse.csr_matrix(s["A_GG"]) for s in ref])],
+        ], format="csr")
+        space = system.local_space
+        n_I = sum(len(s["b_I"]) for s in ref)
+        for got, want in ((space.K_I, K[:, :n_I]), (space.K_G, K[:, n_I:])):
+            assert got.shape == want.shape
+            assert all(_same(getattr(got, f), getattr(want, f)) for f in ("indptr", "indices", "data"))
+        expected = {
+            "b": np.concatenate([s["b_I"] for s in ref] + [s["b_G"] for s in ref]),
+            "weights": np.concatenate([s["weights"] for s in ref]),
+            "positions": np.concatenate([s["gamma_positions"] for s in ref]),
+            "offsets": np.cumsum([0] + [len(s["gamma_rows"]) for s in ref]),
+        }
+        for field, value in expected.items():
+            assert _same(getattr(space, field), value), (dec.splits, field)
 
 
 def test_schur_explicit_1d_hand_values(tiny_1d):

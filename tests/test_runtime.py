@@ -270,7 +270,8 @@ def test_batched_step_matches_subdomain_loop(suite):
     rng = np.random.default_rng(3)
     cases = [(name, c.system, c.split) for name, c in suite.items()] + list(_extra_cases())
     for name, system, split in cases:
-        assert np.all(system.local_space.K.data != 0), name  # no stored zeros from the dense A_GG
+        space = system.local_space
+        assert np.all(space.K_I.data != 0) and np.all(space.K_G.data != 0), name  # no stored zeros
         for trial in range(3):
             sim = AsyncSimulator(system, split, RuntimeConfig(tol=1e-300))
             nbr_sums = []

@@ -297,6 +297,7 @@ def test_large_interiors_solve_without_the_dense_lu():
     runs = [cg_schur(system, tol=1e-6, k_max=500), sync_relaxation(system, split, tol=1e-6, k_max=5000)]
     assert "subdomains" not in vars(system)
     runs.append(async_solve(system, split, RuntimeConfig(tol=1e-6, k_max=5000)))
+    assert "subdomains" not in vars(system)  # the workers need the local space alone
     for x, report in runs:
         assert report.converged and report.final_residual <= 1e-6
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
