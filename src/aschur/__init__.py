@@ -23,7 +23,6 @@ from .poisson import AssembledProblem, GridSpec, assemble, exact_solution
 from .runtime import (
     AsyncSimulator,
     DelayModel,
-    Envelope,
     FaultEvent,
     FaultPlan,
     RuntimeConfig,

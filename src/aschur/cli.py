@@ -97,7 +97,7 @@ def _float(obj: dict, key: str, path: str, default: float) -> float:
         raise ConfigError(f"{path}.{key}: {exc}") from exc
 
 
-def _parse_delay(obj: dict, path: str) -> DelayModel:
+def _parse_delay(obj: dict, path: str, p: int) -> DelayModel:
     _expect_keys(obj, {"kind", "fixed", "low", "high", "table", "reorder", "seed"}, path)
     kind = _get(obj, "kind", str, path, default="zero")
     table = None
@@ -111,6 +111,8 @@ def _parse_delay(obj: dict, path: str) -> DelayModel:
                 raise ConfigError(f"{path}.table: link keys look like 'src->dst', got {key!r}") from exc
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{path}.table[{key!r}]: delay must be an integer")
+            if not (0 <= src < p and 0 <= dst < p and src != dst):
+                raise ConfigError(f"{path}.table: link {key!r} does not join two of the {p} subdomains")
             table[(src, dst)] = value
     try:
         return DelayModel(
@@ -202,8 +204,9 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     alpha = _float(raw, "alpha", path, default=1.0)
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"{path}.alpha: must be finite and at least 1, got {alpha}")
-    delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay")
-    faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", math.prod(splits))
+    p = math.prod(splits)
+    delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay", p)
+    faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", p)
     settings = dict(
         tol=_float(raw, "tol", path, default=1e-6),
         k_max=_get(raw, "k_max", int, path, default=10_000),

@@ -3,21 +3,25 @@ channels with configurable delay and reordering, non-blocking convergence
 detection and fault injection.
 
 A virtual-time scheduler steps the workers: messages injected at step t
-are deliverable from step t + 1 + delay, which is the bounded-delay model
-of asynchronous iterations with arbitrary reordering.  Every draw comes
-from seeded generators, so equal seeds reproduce runs bit for bit.
-Uniform delays come from the same seeded stream as one draw per message,
-drawn in blocks.
+are deliverable from step t + 1 + delay, the bounded-delay model of
+asynchronous iterations with arbitrary reordering (worker i's update reads
+neighbour j's share from a step s_ij(t) <= t - 1).  Every draw comes from
+seeded generators, so equal seeds reproduce runs bit for bit; a step's
+delays are one block of the stream, in send order (per active worker: its
+data shares, residual pieces, then reductions).
 
-One step runs in three parts, since the workers active in it never see
-each other's output: each ingests its due messages and merges the latest
-neighbor shares; one batched update over the stacked local space
-(``SchurSystem.local_space``, one gather of A) solves every interior with
-the one interior factorization, forms each new local share (identity share
-plus the scaled local interface defect) and, when a worker starts a
-detection round, the residual pieces at the new shares; then, in
-activation order, each commits its share, publishes it to its neighbors
-and advances the three-phase detection machine of ``_WorkerState``:
+The transport holds arrays, not messages: a ring of the last steps'
+stacked shares by inject step, a delivery-time row and an adopted stamp
+per directed link, and a delivery time per detection slot (a residual
+piece per link, a reduction per round parity and pair; worker rounds never
+differ by more than one).  A link adopts the greatest inject step among
+its delivered shares; the merge is one gather from the ring at the stamps.
+In a step the active workers ingest and merge; one batched update over the
+stacked local space (``SchurSystem.local_space``) solves every interior
+with the one interior factorization and forms each new share (identity
+share plus the scaled local interface defect) and, for workers starting a
+detection round, the residual pieces at it; then they commit and publish
+in activation order, each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -26,31 +30,25 @@ and advances the three-phase detection machine of ``_WorkerState``:
 * phase 2: once the sum is complete, compare its square root to the
   tolerance and open the next round.
 
-Workers never block on any phase.  A firing counts as convergence only
-once the exact residual, recomputed from the assembled interface vector,
-confirms it.
-
-A fault resets the victim's interface share and communication buffers to
-their initial state and drops its in-flight messages; the interior
-factorization is kept.  Step faults apply at the start of their step;
-iteration faults at the end of the step in which a victim reaches the
-count.  Detection rounds in flight are invalidated conservatively: a
-global epoch counter stamps every detection message, faults bump it, and
-stale contributions are discarded on arrival.
+A firing counts as convergence only once the exact residual of the shares
+committed so far confirms it; later workers do not commit in that step.  A
+fault resets the victims' shares and buffers and drops the messages in
+flight to or from them, keeping the interior factorization.  Step faults
+apply at the start of their step, iteration faults at the end of the step
+in which a victim reaches the count.  A fault bumps the epoch: detection
+messages it finds in flight arrive stale, and are dropped and counted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from .solvers import (
     DIVERGENCE_LIMIT,
@@ -67,7 +65,6 @@ __all__ = [
     "DelayModel",
     "FaultEvent",
     "FaultPlan",
-    "Envelope",
     "RuntimeConfig",
     "AsyncSimulator",
     "ReplayResult",
@@ -79,12 +76,11 @@ __all__ = [
 DETECTION_SLACK = 2.0
 DELAY_BLOCK = 1024
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
+NEVER = DELAY_MAX  # delivery time of an empty slot; later deliveries saturate to it
 
 log = logging.getLogger("aschur.runtime")
 
-TAG_DATA = "data"
-TAG_RESIDUAL = "residual-sync"
-TAG_REDUCTION = "reduction"
+TAGS = ("data", "residual-sync", "reduction")
 
 
 @dataclass(frozen=True)
@@ -107,15 +103,15 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "uniform", "table"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if self.fixed < 0 or self.low < 0 or not self.low <= self.high <= DELAY_MAX:
-            raise ValueError(f"delay bounds must satisfy 0 <= low <= high <= {DELAY_MAX}")
+        if not 0 <= self.fixed <= DELAY_MAX or self.low < 0 or not self.low <= self.high <= DELAY_MAX:
+            raise ValueError(f"delays must satisfy 0 <= fixed <= {DELAY_MAX} and 0 <= low <= high <= {DELAY_MAX}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "table":
             if self.table is None:
                 raise ValueError("table delays need a table")
-            if any(v < 0 for v in self.table.values()):
-                raise ValueError("table delays must be nonnegative")
+            if any(not 0 <= v <= DELAY_MAX for v in self.table.values()):
+                raise ValueError(f"table delays must lie in [0, {DELAY_MAX}]")
 
     @property
     def bound(self) -> int:
@@ -127,18 +123,31 @@ class DelayModel:
             return max(self.table.values())
         return 0
 
-    def sampler(self, rng: np.random.Generator):
-        """Per-message delay function ``(src, dst) -> steps``.  Uniform delays
-        are drawn ``DELAY_BLOCK`` at a time: the same stream as one scalar
-        ``rng.integers(low, high, endpoint=True)`` per call."""
+    def sampler(self, rng: np.random.Generator, p: int):
+        """Delay function ``(src, dst) -> steps`` over arrays of messages in send
+        order.  Uniform delays are drawn ``DELAY_BLOCK`` at a time: the same
+        stream as one scalar ``rng.integers(low, high, endpoint=True)`` per
+        message.  Table links outside the p workers are ignored."""
         if self.kind == "uniform":
-            blocks = iter(lambda: rng.integers(self.low, self.high, endpoint=True, size=DELAY_BLOCK).tolist(), None)
-            draws = itertools.chain.from_iterable(blocks)
-            return lambda src, dst: next(draws)
+            drawn = np.zeros(0, dtype=np.int64)
+
+            def draw(src, dst):
+                nonlocal drawn
+                if len(drawn) < len(src):
+                    block = rng.integers(self.low, self.high, endpoint=True, size=max(DELAY_BLOCK, len(src)))
+                    drawn = np.concatenate((drawn, block))
+                out, drawn = drawn[:len(src)], drawn[len(src):]
+                return out
+
+            return draw
         if self.kind == "table":
-            return lambda src, dst: int(self.table.get((src, dst), 0))
+            table = np.zeros((p, p), dtype=np.int64)
+            for (src, dst), value in self.table.items():
+                if 0 <= src < p and 0 <= dst < p:
+                    table[src, dst] = value
+            return lambda src, dst: table[src, dst]
         delay = self.fixed if self.kind == "fixed" else 0
-        return lambda src, dst: delay
+        return lambda src, dst: np.full(len(src), delay, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -171,21 +180,6 @@ class FaultPlan:
             raise ValueError("fault events must be time-ordered")
 
 
-@dataclass(slots=True)
-class Envelope:
-    """One message: interface share, residual piece or reduction scalar."""
-
-    src: int
-    dst: int
-    tag: str
-    payload: object
-    inject_step: int
-    deliver_step: int
-    round: int = -1
-    epoch: int = 0
-    seq: int = 0
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     tol: float = 1e-6
@@ -209,230 +203,225 @@ class RuntimeConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _payload_digest(payload) -> str:
-    if isinstance(payload, np.ndarray):
-        return hashlib.sha1(np.ascontiguousarray(payload).tobytes()).hexdigest()[:16]
-    return hashlib.sha1(np.float64(payload).tobytes()).hexdigest()[:16]
-
-
-class _WorkerState:
-    """One worker's receive rule, neighbour-merge state and detection machine.
-
-    ``y_own`` and ``nbr_sum`` are views of the worker's slots in the
-    simulator's stacked share and neighbour-sum vectors.
-    """
-
-    __slots__ = (
-        "idx", "slots", "w", "x0_l", "y_own", "neighbors", "init_nbr", "nbr_y", "nbr_pos", "nbr_sum",
-        "k_local", "phase", "round", "rs_have", "red_have", "r_own_G", "r_own_I_sq", "rounds_done", "done",
-    )
-
-    def __init__(self, idx: int, slots: slice, sim: "AsyncSimulator"):
-        self.idx = idx
-        self.slots = slots
-        self.w = sim.space.weights[slots]
-        self.x0_l = sim.x0[sim.space.positions[slots]]
-        self.y_own = sim.y[slots]
-        self.nbr_sum = sim.nbr[slots]
-        self.neighbors = []  # (j, idx_into_my_slots)
-        self.init_nbr = {}
-        self.k_local = 0
-        self.round = 0
-        self.rounds_done = 0
-        self.done = False
-
-    def attach_neighbors(self, imap, w_global, x0):
-        i = self.idx
-        gpos = imap.gamma_positions[i]
-        for j in imap.neighbors[i]:
-            shared = imap.shared_positions(i, j)
-            self.neighbors.append((j, np.searchsorted(gpos, shared)))
-            self.init_nbr[j] = w_global[shared] * x0[shared]
-        self.nbr_pos = np.array([k for _, my_idx in self.neighbors for k in my_idx], dtype=np.intp)
-        self.reset_state()
-
-    def reset_state(self):
-        self.y_own[:] = self.w * self.x0_l
-        self.nbr_y = {j: (-1, payload.copy()) for j, payload in self.init_nbr.items()}
-        self.phase = 0
-        self.rs_have = {}
-        self.red_have = {}
-        self.r_own_G = None
-        self.r_own_I_sq = 0.0
-
-    def receive(self, env: Envelope) -> None:
-        """Keep the newest share per neighbor; file detection pieces by round."""
-        if env.tag == TAG_DATA:
-            cur = self.nbr_y.get(env.src)
-            if cur is None or env.inject_step > cur[0]:
-                self.nbr_y[env.src] = (env.inject_step, env.payload)
-        elif env.tag == TAG_RESIDUAL:
-            self.rs_have.setdefault(env.round, {})[env.src] = env.payload
-        else:
-            self.red_have.setdefault(env.round, {})[env.src] = env.payload
-
-    def merge(self) -> None:
-        """Sum the latest neighbour shares into ``nbr_sum``.  bincount adds in input
-        order: each entry sums the neighbours in list order from 0.0."""
-        if self.neighbors:
-            shares = np.concatenate([self.nbr_y[j][1] for j, _ in self.neighbors])
-            self.nbr_sum[:] = np.bincount(self.nbr_pos, shares, len(self.nbr_sum))
-
-    def detect(self, send, p: int, r_I_sq, r_G) -> tuple[int, float] | None:
-        """Advance the three-phase detection machine without blocking.
-
-        Phase 0 takes this worker's entries of the step's residual pieces:
-        ``r_I_sq`` per worker, ``r_G`` per slot.  Returns the round number
-        and protocol value when a round completes, else None.
-        """
-        if self.phase == 0:
-            self.r_own_I_sq = float(r_I_sq[self.idx])
-            self.r_own_G = r_G[self.slots]
-            for j, my_idx in self.neighbors:
-                send(j, TAG_RESIDUAL, self.r_own_G[my_idx], self.round)
-            self.phase = 1
-        if self.phase == 1:
-            # Only neighbors send residual pieces, one each per round.
-            have = self.rs_have.get(self.round, {})
-            if len(have) == len(self.neighbors):
-                r_sync = self.r_own_G.copy()
-                for j, my_idx in self.neighbors:
-                    r_sync[my_idx] += have[j]
-                contrib = self.r_own_I_sq + float((self.w * r_sync) @ r_sync)
-                for j in range(p):
-                    if j != self.idx:
-                        send(j, TAG_REDUCTION, contrib, self.round)
-                self.red_have.setdefault(self.round, {})[self.idx] = contrib
-                self.phase = 2
-        if self.phase == 2:
-            have = self.red_have.get(self.round, {})
-            if len(have) == p:
-                total = sum(have[j] for j in sorted(have))
-                value = float(np.sqrt(max(total, 0.0)))
-                self.rs_have.pop(self.round, None)
-                self.red_have.pop(self.round, None)
-                completed_round = self.round
-                self.round += 1
-                self.phase = 0
-                self.rounds_done += 1
-                return completed_round, value
-        return None
+def _matvec(csr, x) -> np.ndarray:
+    """``K @ x`` for ``csr = (rows, columns, indptr, indices, data)`` of a CSR matrix K,
+    through scipy's kernel alone: the same sums in the same order, without the
+    operator dispatch that costs more than the product at the local space's sizes."""
+    y = np.zeros(csr[0])
+    csr_matvec(*csr, x, y)
+    return y
 
 
 class AsyncSimulator:
-    """Virtual-time scheduler over in-process workers.
-
-    Exposes ``step`` and ``inject_fault`` so protocol-level tests can drive
-    and perturb a run manually; ``run`` loops to completion.
-    """
+    """Virtual-time scheduler over the stacked worker state: per worker
+    ``k_local``, ``phase``, ``round``, ``rounds_done`` and ``done``, and its
+    committed shares ``y[offsets[i]:offsets[i + 1]]`` of the local space.
+    ``step`` and ``inject_fault`` let protocol-level tests drive and perturb
+    a run manually; ``run`` loops to completion."""
 
     def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
-        self.system = system
-        self.cfg = cfg
-        self.p = system.p
-        _check_victims([v for e in cfg.faults.events for v in e.victims], self.p)
+        self.system, self.cfg, self.p = system, cfg, system.p
+        p = self.p
+        _check_victims([v for e in cfg.faults.events for v in e.victims], p)
         self.x0 = _start_vector(system, x0)
         self.space = space = system.local_space
-        self._lu = system.blocks.lu
-        self._n_I = space.K_I.shape[1]
-        self._minv = 1.0 / split.m_diag[space.positions]
-        self._owner_I = np.repeat(np.arange(self.p), [len(part) for part in system.decomp.parts])
-        self.y = np.zeros(len(space.weights))  # every worker's committed share, stacked
-        self.nbr = np.zeros(len(space.weights))  # every worker's merged neighbour sum, stacked
-        w_global = 1.0 / system.decomp.owner_count.astype(np.float64) if system.n_interface else np.zeros(0)
-        off = space.offsets
-        self.workers = [_WorkerState(i, slice(off[i], off[i + 1]), self) for i in range(self.p)]
-        for w in self.workers:
-            w.attach_neighbors(system.imap, w_global, self.x0)
+        self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
+        self._K_I, self._K_G = ((*K.shape, K.indptr, K.indices, K.data) for K in (space.K_I, space.K_G))
+        self._owner_I = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])
+        self._owner_G = np.repeat(np.arange(p), np.diff(space.offsets))
+        self._off, self._workers = space.offsets.tolist(), np.arange(p)
+        self._all, self._everyone = list(range(p)), np.ones(p, dtype=bool)
+        self._y0 = space.weights * self.x0[space.positions]  # the initial shares
+        self.y = self._y0.copy()  # every worker's committed share, stacked
+        self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
+        self._build_links(system.imap)
+        self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
+        self.done, self._n_done = np.zeros(p, dtype=bool), 0
+        self._r_own_G, self._r_own_I_sq = np.zeros(len(self.y)), np.zeros(p)  # captured at phase 0
+        self._red_val = np.zeros((2, p))  # reduction value per (round parity, src)
+        # Detection messages delivered for the current round: residual pieces
+        # per dst, then reductions per (round parity, dst).
+        self._got = np.zeros(3 * p, dtype=np.int64)
+        self._rs_cnt, self._red_cnt = self._got[:p], self._got[p:].reshape(2, p)
+        self._stamp = np.full(self._n_links, -1, dtype=np.int64)  # inject step of the adopted share
+        self._floor, self._bound = -1, cfg.delay.bound  # no greater than any stamp; the delay bound
+        self._inj, self._ring, self._dl = np.zeros(0, dtype=np.int64), None, None
+        self._when = np.full(self._n_det, NEVER, dtype=np.int64)
+        self._resize(2 * min(self._bound, 62) + 4)
+        self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
+        self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
         self.rng_sched = np.random.default_rng(cfg.seed)
-        delay_seed = cfg.delay.seed if cfg.delay.seed else cfg.seed + 1
-        self.rng_delay = np.random.default_rng(delay_seed)
-        # Read once per run; the sampler holds no reference back to the simulator.
-        self._delay = cfg.delay.sampler(self.rng_delay)
-        self._reorder = cfg.delay.reorder
-        self._trace = cfg.trace
-        self.inbox = [[] for _ in range(self.p)]
-        self.last_deliver = {}
-        self.seq = 0
-        self.t = 0
-        self.epoch = 0
-        self.idle = np.zeros(self.p, dtype=np.int64)
-        self.window = 16 * self.p
-        self.detected = False
-        self.diverged = False
-        self.detection_value = None
+        self.rng_delay = np.random.default_rng(cfg.delay.seed if cfg.delay.seed else cfg.seed + 1)
+        self._delay = cfg.delay.sampler(self.rng_delay, p)  # holds no reference back to the simulator
+        self._reorder, self._trace = cfg.delay.reorder, cfg.trace
+        self.t = self.epoch = self.rounds_completed = self.faults_injected = self.stale_discarded = 0
+        self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
+        self.detected = self.diverged = False
+        self.detection_value, self._round_seen = None, set()
         self.detection_events: list[tuple[float, float]] = []
-        self.rounds_completed = 0
-        self._round_seen = set()
         self.history: list[tuple[int, float]] = []
-        self.faults_injected = 0
-        self.stale_discarded = 0
         self.trajectory: list[np.ndarray] = []
         self.trace: list[dict] = []
         # FaultPlan keeps the events of each kind in trigger order.
         self._pending_step_faults = [e for e in cfg.faults.events if e.at_step is not None]
         self._pending_iter_faults = [e for e in cfg.faults.events if e.at_local_iteration is not None]
 
+    def _build_links(self, imap) -> None:
+        """Directed links (by sender, then its neighbour order), merge entries (by receiver,
+        its neighbour order, shared position), detection slots (a residual piece per link,
+        a reduction per (round parity, dst, src)) and every message, in send order."""
+        p, off = self.p, self.space.offsets
+        links = [(i, j) for i in range(p) for j in imap.neighbors[i]]
+        index = {link: k for k, link in enumerate(links)}
+        reverse = [index[(j, i)] for i, j in links]
+        shared = [imap.shared_positions(i, j) for i, j in links]
+        self._link_slots = [off[i] + np.searchsorted(imap.gamma_positions[i], s) for (i, _), s in zip(links, shared)]
+        self._link_src, self._link_dst = np.array(links, dtype=np.intp).reshape(-1, 2).T
+        self._n_links = n_links = len(links)
+        self._n_nbr = np.bincount(self._link_dst, minlength=p)
+        self._e_link = np.repeat(np.array(reverse, dtype=np.intp), [len(s) for s in shared])  # link j -> i
+        self._e_src = np.concatenate([self._link_slots[k] for k in reverse] + [np.zeros(0, dtype=np.intp)])
+        self._e_dst = np.concatenate(self._link_slots + [np.zeros(0, dtype=np.intp)])
+        self._sync_pos = np.concatenate([np.arange(off[-1]), self._e_dst])
+        self._n_det = n_links + 2 * p * p
+        self._det_src = np.concatenate([self._link_src, np.tile(np.arange(p), 2 * p)])
+        self._det_dst = np.concatenate([self._link_dst, np.tile(np.repeat(np.arange(p), p), 2)])
+        self._det_group = np.concatenate([self._link_dst, p + np.repeat(np.arange(2 * p), p)])  # index into _got
+        # Per message (src, kind, order, dst, link, target), kind 0 data, 1 residual piece,
+        # 2 + round parity reduction; the target is the detection slot or, for data, the
+        # link's delivery time in ring row 0.
+        msgs = sorted([(i, 0, k, j, k, self._n_det + k) for k, (i, j) in enumerate(links)]
+                      + [(i, 1, k, j, k, k) for k, (i, j) in enumerate(links)]
+                      + [(i, 2 + par, j, j, 0, n_links + (par * p + j) * p + i)
+                         for par in (0, 1) for i in range(p) for j in range(p) if i != j])
+        msgs = np.array(msgs, dtype=np.intp).reshape(-1, 6).T
+        self._msg_src, self._msg_kind, _, self._msg_dst, self._msg_link, self._msg_target = msgs
+        self._msg_key = self._msg_kind * p + self._msg_src
+
     # -- transport -----------------------------------------------------
 
-    def _send(self, src: int, dst: int, tag: str, payload, rnd: int = -1) -> None:
-        deliver = self.t + 1 + self._delay(src, dst)
-        if not self._reorder:
-            link = (src, dst)
-            deliver = max(deliver, self.last_deliver.get(link, 0))
-            self.last_deliver[link] = deliver
-        self.seq = seq = self.seq + 1
-        env = Envelope(src, dst, tag, payload, self.t, deliver, rnd, self.epoch, seq)
-        heapq.heappush(self.inbox[dst], (deliver, seq, env))
-        if self._trace:
-            self.trace.append({
-                "type": "envelope", "from": src, "to": dst, "tag": tag,
-                "inject": self.t, "deliver": deliver, "round": rnd,
-                "epoch": self.epoch, "payload": _payload_digest(payload),
-            })
+    def _resize(self, rows: int) -> None:
+        """Lay the ring and the data delivery rows out for ``rows`` inject steps,
+        keeping what they hold; the ring's last row holds the initial shares."""
+        used = np.flatnonzero(self._inj >= 0)
+        new = self._inj[used] % rows
+        ring = np.zeros((rows + 1, len(self.y)))
+        inj = np.full(rows, -1, dtype=np.int64)
+        when = np.full(self._n_det + rows * self._n_links, NEVER, dtype=np.int64)
+        dl = when[self._n_det:].reshape(rows, self._n_links)  # per ring row, per link
+        ring[-1] = self._y0
+        if len(used):
+            ring[new], inj[new], dl[new] = self._ring[used], self._inj[used], self._dl[used]
+        when[:self._n_det] = self._when[:self._n_det]
+        self._ring, self._inj, self._when, self._dl = ring, inj, when, dl
+        self._targets = self._msg_target + np.outer(np.arange(rows) * self._n_links, self._msg_kind == 0)
 
-    def _ingest(self, w: _WorkerState) -> int:
-        """Deliver the worker's due messages; returns how many stale ones it dropped."""
-        box = self.inbox[w.idx]
-        stale = 0
-        while box and box[0][0] <= self.t:
-            env = heapq.heappop(box)[2]
-            if env.tag == TAG_DATA or env.epoch == self.epoch:
-                w.receive(env)
-            else:
-                stale += 1
+    def _ingest(self, on, full: bool) -> np.ndarray | None:
+        """Deliver the active workers' due messages and merge; returns the stale
+        detection messages each dropped, if any are in flight.  A link adopts the
+        greatest inject step delivered (consumed shares are never newer than its
+        stamp, so need no clearing).  bincount adds in input order and the entries
+        run in each receiver's neighbour order: each slot sums its neighbours in
+        list order from 0.0."""
+        t, n_det = self.t, self._n_det
+        due = self._when <= t
+        data = due[n_det:].reshape(self._dl.shape)
+        if not full:
+            data &= on[self._link_dst]
+            due[:n_det] &= on[self._det_dst]
+        np.maximum(self._stamp, np.maximum.reduce(np.where(data, self._inj[:, None], -1), axis=0), out=self._stamp)
+        rows = np.fmod(self._stamp, len(self._inj))  # stamp -1 reads the initial row
+        self.nbr = np.bincount(self._e_dst, self._ring[rows[self._e_link], self._e_src], len(self.y))
+        due = due[:n_det].nonzero()[0]
+        if len(due):
+            self._when[due] = NEVER
+            self._got += np.bincount(self._det_group[due], minlength=3 * self.p)
+        if not self._stale.size:
+            return None
+        due = (self._stale[2] <= t) & on[self._stale[1]]
+        stale = np.bincount(self._stale[1, due], minlength=self.p)
+        self._stale = self._stale[:, ~due]
         return stale
+
+    def _send(self, com, res, red, par, y_new):
+        """Publish the committed workers' messages; returns them (indices into the
+        message table) and their delivery steps, in send order.  The ring doubles
+        while this step's row holds shares that are adopted, or in flight to a live
+        worker and newer than what it holds."""
+        t = self.t
+        odd = par == 1
+        ids = np.concatenate((com, res, red > odd, red & odd))[self._msg_key].nonzero()[0]
+        src, dst = self._msg_src[ids], self._msg_dst[ids]
+        deliver = self._delay(src, dst)
+        saturate = self._bound >= NEVER - t - 1  # cap instead of wrapping
+        deliver = (np.minimum(deliver, NEVER - t - 1) if saturate else deliver) + (t + 1)
+        if not self._reorder:  # FIFO: a pair carries at most one message per kind per step
+            kind = self._msg_kind[ids]
+            for k in range(4):
+                sel = (kind == k).nonzero()[0]
+                s, d = src[sel], dst[sel]
+                deliver[sel] = self._last[s, d] = np.maximum(deliver[sel], self._last[s, d])
+        while True:
+            row = t % len(self._inj)
+            old = self._inj[row]
+            if old < 0 or old < self._floor:  # unused, or older than every adopted share
+                break
+            self._floor = self._stamp.min() if self._n_links else NEVER  # stamps only grow between faults
+            wanted = ((self._dl[row] < NEVER) & (old > self._stamp)) | (old == self._stamp)
+            if old < self._floor or not (wanted & ~self.done[self._link_dst]).any():
+                break
+            self._resize(2 * len(self._inj))
+        self._ring[row], self._inj[row], self._dl[row] = y_new, t, NEVER
+        self._when[self._targets[row, ids]] = deliver
+        return ids, deliver
 
     # -- the batched update ----------------------------------------------
 
     def _update(self, residual: bool):
-        """Every worker's update from its merged local view, in one pass over the stack.
-
-        Returns the new stacked shares and, if ``residual``, the phase-0
-        pieces at the new shares: the interior residual square per worker
-        and the interface residual per slot.  Only the active workers'
-        entries are used.
-        """
+        """Every worker's update from its merged local view, in one pass over the
+        stack: the new stacked shares and, if ``residual``, the phase-0 pieces at
+        them (interior residual square per worker, interface residual per slot).
+        Only the active workers' entries are used."""
         n_I, space = self._n_I, self.space
         x_l = self.y + self.nbr
-        g = space.K_G @ x_l  # [A_IG x_l; A_GG x_l]
+        g = _matvec(self._K_G, x_l)  # [A_IG x_l; A_GG x_l]
         x_I = self._lu.solve(space.b[:n_I] - g[:n_I])
-        h = space.K_I @ x_I  # [A_II x_I; A_GI x_I]
+        h = _matvec(self._K_I, x_I)  # [A_II x_I; A_GI x_I]
         y_new = space.weights * x_l + self._minv * (space.b[n_I:] - h[n_I:] - g[n_I:])
         if not residual:
             return y_new, None, None
-        r = space.b - h - space.K_G @ (y_new + self.nbr)
+        r = space.b - h - _matvec(self._K_G, y_new + self.nbr)
         return y_new, np.bincount(self._owner_I, r[:n_I] * r[:n_I], self.p), r[n_I:]
 
-    def _note_round(self, rnd: int, value: float) -> None:
+    def _detect(self, on, res, r_I_sq, r_G):
+        """Advance the active workers' detection machines from what they ingested;
+        ``res`` marks the workers in phase 0.  Captures their pieces and reduction
+        values; returns the masks of the workers that pass phase 1 and that complete
+        a round, and the round parities.  The caller commits the moves."""
+        phase, off = self.phase, self._off
+        if r_G is not None:  # phase 0: capture the pieces at the new shares
+            self._r_own_I_sq[res] = r_I_sq[res]
+            np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
+        red = (phase < 2) & (self._rs_cnt == self._n_nbr) & on  # phase 1: every neighbour's piece is in
+        par = self.round & 1
+        senders = red.nonzero()[0].tolist()
+        if senders:
+            r_sync = np.bincount(self._sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._e_src])))
+            w = self.space.weights
+            for i in senders:  # per worker, as each would sum its own
+                r = r_sync[off[i]:off[i + 1]]
+                self._red_val[par[i], i] = self._r_own_I_sq[i] + float((w[off[i]:off[i + 1]] * r) @ r)
+        fin = (self._red_cnt[par, self._workers] + red == self.p) & on  # phase 2: all in, own one from phase 1
+        return red, fin, par
+
+    def _note_round(self, rnd: int, value: float) -> bool:
+        """Record a completed round once per (epoch, round); True if it is new."""
         key = (self.epoch, rnd)
         if key in self._round_seen:
-            return
+            return False
         self._round_seen.add(key)
         self.rounds_completed += 1
         self.history.append((self.rounds_completed, value))
-        if self.cfg.trace:
-            self.trace.append({"type": "round", "t": self.t, "k": self.rounds_completed, "value": value})
         if value <= self.cfg.tol:
             # The protocol value mixes snapshots from different moments, so a
             # firing is confirmed against an exact synchronous residual; a
@@ -440,15 +429,13 @@ class AsyncSimulator:
             exact = global_residual(self.system, self.assembled_interface())
             self.detection_events.append((value, exact))
             if exact > DETECTION_SLACK * self.cfg.tol:
-                log.warning(
-                    "detector fired at %.3e but the exact residual %.3e exceeds %g*tol",
-                    value, exact, DETECTION_SLACK,
-                )
+                log.warning("detector fired at %.3e but the exact residual %.3e exceeds %g*tol",
+                            value, exact, DETECTION_SLACK)
             if exact <= self.cfg.tol:
-                self.detected = True
-                self.detection_value = value
+                self.detected, self.detection_value = True, value
         elif value > DIVERGENCE_LIMIT or not np.isfinite(value):
             self.diverged = True
+        return True
 
     # -- faults ----------------------------------------------------------
 
@@ -456,22 +443,21 @@ class AsyncSimulator:
         """Reset the victims and invalidate every detection round in flight."""
         victims = sorted({int(v) for v in victims})
         _check_victims(victims, self.p)
-        victim_set = set(victims)
-        for v in victims:
-            self.workers[v].reset_state()
-            self.inbox[v] = []
-        for i in range(self.p):
-            if i in victim_set:
-                continue
-            box = [entry for entry in self.inbox[i] if entry[2].src not in victim_set]
-            heapq.heapify(box)
-            self.inbox[i] = box
+        hit = np.zeros(self.p, dtype=bool)
+        hit[victims] = True
+        self._dl[:, hit[self._link_src] | hit[self._link_dst]] = NEVER
+        self._stamp[hit[self._link_dst]] = self._floor = -1
+        slots = hit[self._owner_G]
+        self.y[slots] = self._y0[slots]
+        # Detection messages in flight between survivors arrive stale.
+        n_det, src, dst = self._n_det, self._det_src, self._det_dst
+        live = (self._when[:n_det] < NEVER) & ~(hit[src] | hit[dst])
+        keep = ~(hit[self._stale[0]] | hit[self._stale[1]])
+        fresh = np.stack([src[live], dst[live], self._when[:n_det][live]])
+        self._stale = np.concatenate([self._stale[:, keep], fresh], axis=1)
+        self._when[:n_det] = NEVER
+        self._got[:] = self.phase[:] = self.round[:] = 0
         self.epoch += 1
-        for w in self.workers:
-            w.phase = 0
-            w.round = 0
-            w.rs_have = {}
-            w.red_have = {}
         self.faults_injected += 1
         if self.cfg.trace:
             self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.epoch})
@@ -481,18 +467,15 @@ class AsyncSimulator:
             self.inject_fault(self._pending_step_faults.pop(0).victims)
 
     def _apply_iteration_faults(self) -> None:
-        remaining = []
-        for event in self._pending_iter_faults:
-            if any(self.workers[v].k_local >= event.at_local_iteration for v in event.victims):
-                self.inject_fault(event.victims)
-            else:
-                remaining.append(event)
-        self._pending_iter_faults = remaining
+        due = [e for e in self._pending_iter_faults if max(self.k_local[list(e.victims)]) >= e.at_local_iteration]
+        for event in due:
+            self._pending_iter_faults.remove(event)
+            self.inject_fault(event.victims)
 
     # -- scheduling ------------------------------------------------------
 
     def _choose_active(self) -> list[int]:
-        live = [i for i in range(self.p) if not self.workers[i].done]
+        live = np.flatnonzero(~self.done).tolist() if self._n_done else self._all
         if not live or self.cfg.activation >= 1.0:
             return live  # every live worker runs; idle counts are never read
         draws = self.rng_sched.random(self.p)
@@ -512,78 +495,95 @@ class AsyncSimulator:
     # -- driving ---------------------------------------------------------
 
     def step(self) -> None:
-        """Advance virtual time by one step.
-
-        Messages sent in a step arrive in a later one, so the active workers
-        never see each other's output: they merge, update in one batched
-        pass, then commit, publish and detect one by one in activation order.
-        """
+        """Advance virtual time by one step.  Messages sent in a step arrive in a
+        later one, so the active workers never see each other's output: they
+        ingest and merge, update in one batched pass and advance detection from
+        what they ingested, then commit and publish in activation order."""
         self._apply_step_faults()
-        workers = [self.workers[i] for i in self._choose_active()]
-        stale = [self._ingest(w) for w in workers]  # counted at commit: workers after a detection never run
-        for w in workers:
-            w.merge()
-        y_new, r_I_sq, r_G = self._update(any(w.phase == 0 for w in workers))
-        for w, n_stale in zip(workers, stale):
-            self.stale_discarded += n_stale
-            w.y_own[:] = y_new[w.slots]
-            w.k_local += 1
-            send = partial(self._send, w.idx)
-            for j, my_idx in w.neighbors:
-                send(j, TAG_DATA, w.y_own[my_idx], -1)  # fancy indexing already copies
-            completed = w.detect(send, self.p, r_I_sq, r_G)
-            if completed is not None:
-                if w.rounds_done >= self.cfg.k_max:
-                    w.done = True
-                self._note_round(*completed)
-            if self._trace:
-                self.trace.append({"type": "step", "t": self.t, "worker": w.idx, "k": w.k_local, "phase": w.phase})
+        p, off = self.p, self._off
+        active = self._choose_active()
+        full = len(active) == p
+        on = self._everyone if full else np.bincount(active, minlength=p).astype(bool)
+        stale = self._ingest(on, full)
+        res = (self.phase == 0) & on
+        y_new, r_I_sq, r_G = self._update(bool(np.count_nonzero(res)))
+        red, fin, par = self._detect(on, res, r_I_sq, r_G)
+        sent_round = self.round.copy() if self._trace else None
+        cut, noted = p, {}
+        for i in fin.nonzero()[0].tolist():
+            value = float(np.sqrt(max(sum(self._red_val[par[i]].tolist()), 0.0)))  # in index order
+            self.rounds_done[i] += 1
+            if self.rounds_done[i] >= self.cfg.k_max:
+                self.done[i] = True
+                self._n_done += 1
+            hi = off[i + 1]  # the exact residual sees the commits up to this worker
+            np.copyto(self.y[:hi], y_new[:hi], where=on[self._owner_G[:hi]])
+            if self._note_round(int(self.round[i]), value):
+                noted[i] = {"type": "round", "t": self.t, "k": self.rounds_completed, "value": value}
             if self.detected or self.diverged:
+                cut = i + 1
                 break
+        if cut < p:
+            on = on & (self._workers < cut)
+            full, res, red, fin = False, res & on, red & on, fin & on
+        self.y = y_new if full else np.where(on[self._owner_G], y_new, self.y)
+        self.k_local += on
+        if stale is not None:
+            self.stale_discarded += int(stale[on].sum())
+        ids, deliver = self._send(on, res, red, par, y_new)
+        self.phase[res] = 1
+        red, fin = red.nonzero()[0], fin.nonzero()[0]
+        if len(red):
+            self.phase[red] = 2
+            self._rs_cnt[red] = 0
+            self._red_cnt[par[red], red] += 1
+        if len(fin):
+            self.phase[fin] = self._red_cnt[par[fin], fin] = 0
+            self.round[fin] += 1
+        if self._trace:
+            self._trace_step(on, ids, deliver, noted, y_new, r_G, sent_round)
         if self._pending_iter_faults:
             self._apply_iteration_faults()
         self.t += 1
         if self.cfg.record_trajectory:
             self.trajectory.append(self.assembled_interface())
 
+    def _trace_step(self, com, ids, deliver, noted, y_new, r_G, sent_round) -> None:
+        """Per committed worker in activation order: its envelopes in send order, the
+        round it noted first, if any, and its step record."""
+        src = self._msg_src[ids]
+        for i in com.nonzero()[0].tolist():
+            lo, hi = np.searchsorted(src, [i, i + 1])
+            head = {"type": "envelope", "from": i, "inject": self.t, "epoch": self.epoch}
+            for m, dl in zip(ids[lo:hi].tolist(), deliver[lo:hi].tolist()):
+                kind, slots = self._msg_kind[m], self._link_slots[self._msg_link[m]]
+                rnd, payload = ((-1, y_new[slots]) if kind == 0 else (sent_round[i], r_G[slots]) if kind == 1
+                                else (sent_round[i], self._red_val[kind - 2, i]))
+                digest = hashlib.sha1(np.float64(payload).tobytes()).hexdigest()[:16]
+                self.trace.append({**head, "to": int(self._msg_dst[m]), "tag": TAGS[min(kind, 2)], "deliver": dl,
+                                   "round": int(rnd), "payload": digest})
+            if i in noted:
+                self.trace.append(noted[i])
+            self.trace.append({"type": "step", "t": self.t, "worker": i, "k": int(self.k_local[i]),
+                               "phase": int(self.phase[i])})
+
     def run(self) -> tuple[np.ndarray, SolveReport]:
         t0 = time.perf_counter()
         hard_cap = self.cfg.step_limit
-        if hard_cap is None:
-            hard_cap = 1000 + self.cfg.k_max * 50 * (1 + self.cfg.delay.bound)
-        while True:
-            if self.detected or self.diverged:
-                break
-            if all(w.done for w in self.workers):
-                break
-            if self.t >= hard_cap:
-                break
+        hard_cap = 1000 + self.cfg.k_max * 50 * (1 + self._bound) if hard_cap is None else hard_cap
+        while not (self.detected or self.diverged or self.done.all() or self.t >= hard_cap):
             self.step()
         x = self.assembled_interface()
-        final = global_residual(self.system, x)
-        if self.detected:
-            status = "converged"
-        elif self.diverged:
-            status = "diverged"
-        elif all(w.done for w in self.workers):
-            status = "k-max"
-        else:
-            status = "step-cap"
-        per_worker = [w.k_local for w in self.workers]
+        status = ("converged" if self.detected else "diverged" if self.diverged
+                  else "k-max" if self.done.all() else "step-cap")
+        per_worker = self.k_local.tolist()
         report = SolveReport(
-            solver="async",
-            converged=self.detected,
-            iterations_k=self.rounds_completed,
-            per_worker_k=per_worker,
-            k_max=max(per_worker) if per_worker else 0,
-            residual_history=self.history,
-            final_residual=final,
-            wall_time=time.perf_counter() - t0,
-            status=status,
-            faults_injected=self.faults_injected,
-            sim_steps=self.t,
-            detection_residual=self.detection_value,
-            detection_events=self.detection_events,
+            solver="async", converged=self.detected, iterations_k=self.rounds_completed,
+            per_worker_k=per_worker, k_max=max(per_worker) if per_worker else 0, residual_history=self.history,
+            final_residual=global_residual(self.system, x), wall_time=time.perf_counter() - t0,
+            status=status, faults_injected=self.faults_injected, sim_steps=self.t,
+            detection_residual=self.detection_value, detection_events=self.detection_events,
+            stale_discarded=self.stale_discarded,
         )
         return x, report
 

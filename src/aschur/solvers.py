@@ -63,6 +63,8 @@ class SolveReport:
     with ``k_max`` their maximum.  Sync and CG stop on, and record, a cheap
     residual (the interface defect, the recurrence residual) confirmed by
     the exact one; ``final_residual`` is always recomputed from scratch.
+    ``stale_discarded`` counts the detection messages the asynchronous run
+    dropped as stale after faults; the other solvers send none.
     """
 
     solver: str
@@ -78,6 +80,7 @@ class SolveReport:
     sim_steps: int = 0
     detection_residual: float | None = None
     detection_events: list[tuple[float, float]] | None = None
+    stale_discarded: int = 0
 
     def __post_init__(self):
         if self.per_worker_k and self.k_max != max(self.per_worker_k):

@@ -183,6 +183,12 @@ def test_invalid_configs_rejected():
                        ("delay", {"kind": "uniform", "high": 2**64})):
         with pytest.raises(ConfigError, match=rf"config\.{key}"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], key: value})
+    for table in ({"5->9": 3}, {"0->2": 1}, {"-1->1": 1}, {"1->1": 1}):
+        with pytest.raises(ConfigError, match=r"config\.delay\.table"):
+            parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": {"kind": "table", "table": table}})
+    for delay in ({"kind": "fixed", "fixed": 10**30}, {"kind": "table", "table": {"0->1": 2**63}}):
+        with pytest.raises(ConfigError, match=r"config\.delay"):
+            parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": delay})
 
 
 @pytest.mark.parametrize("overrides", [
@@ -200,6 +206,8 @@ def test_invalid_configs_rejected():
     {"grid": {"dims": [7]}, "splits": [2], "solver": "async",
      "delay": {"kind": "uniform", "high": 18446744073709551616}},
     {"deterministic": True},
+    {"delay": {"kind": "table", "table": {"5->9": 3}}},
+    {"delay": {"kind": "fixed", "fixed": 10**30}},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from aschur.runtime import (
     DELAY_BLOCK,
     AsyncSimulator,
     DelayModel,
-    Envelope,
     FaultEvent,
     FaultPlan,
     RuntimeConfig,
@@ -42,7 +42,12 @@ def test_delay_model_validation():
         DelayModel(kind="table", table={(0, 1): -2})
     with pytest.raises(ValueError):
         DelayModel(kind="uniform", high=2**63)
+    with pytest.raises(ValueError):
+        DelayModel(kind="fixed", fixed=10**30)
+    with pytest.raises(ValueError):
+        DelayModel(kind="table", table={(0, 1): 2**63})
     assert DelayModel(kind="uniform", high=2**63 - 1).bound == 2**63 - 1
+    assert DelayModel(kind="fixed", fixed=2**63 - 1).bound == 2**63 - 1
     assert DelayModel(kind="uniform", low=0, high=10).bound == 10
 
 
@@ -197,42 +202,72 @@ def test_uniform_delays_are_one_scalar_draw_per_message(suite, seed, delay):
     assert [rec["deliver"] - rec["inject"] - 1 for rec in sends] == expected
 
 
-def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
-    cfg = RuntimeConfig(tol=1e-300, k_max=10_000, step_limit=5)
-    sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
-    w = sim.workers[0]
-    # deliver out of order: late injection arrives before an older one
-    sim.inbox[0] = []
-    import heapq
+def test_huge_delays_saturate_instead_of_wrapping(tiny_1d):
+    # t + 1 + delay would pass the int64 range: deliveries saturate at its top
+    # and never arrive, so no detection round completes.
+    for delay in (DelayModel(kind="fixed", fixed=2**63 - 1), DelayModel(kind="uniform", low=2**62, high=2**63 - 1)):
+        cfg = RuntimeConfig(tol=1e-300, k_max=10, step_limit=5, delay=delay, trace=True)
+        sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
+        x, report = sim.run()
+        delivers = [rec["deliver"] for rec in sim.trace if rec["type"] == "envelope"]
+        assert delivers and all(2**62 < d <= 2**63 - 1 for d in delivers)
+        if delay.kind == "fixed":
+            assert set(delivers) == {2**63 - 1}
+        assert report.status == "step-cap" and report.sim_steps == 5 and report.iterations_k == 0
 
-    for inject, deliver, val in ((5, 0, 1.0), (9, 0, 2.0), (7, 0, 3.0)):
-        env = Envelope(src=1, dst=0, tag="data", payload=np.array([val]),
-                       inject_step=inject, deliver_step=deliver, seq=inject)
-        heapq.heappush(sim.inbox[0], (deliver, env.seq, env))
-    sim._ingest(w)
-    inject, payload = w.nbr_y[1]
-    assert inject == 9
-    np.testing.assert_array_equal(payload, [2.0])
+
+def _link(sim, src, dst):
+    """Index of the directed link src -> dst in the simulator's per-link arrays."""
+    return list(zip(sim._link_src.tolist(), sim._link_dst.tolist())).index((src, dst))
+
+
+def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
+    # Shares injected at steps 5, 9 and 7 on the link 1 -> 0 are all delivered
+    # by step 10, in every order: worker 0 adopts the one from step 9.  A newer
+    # share still in flight is not adopted, and an older one delivered later
+    # does not replace it.
+    cfg = RuntimeConfig(tol=1e-300, k_max=10_000, delay=DelayModel(kind="uniform", high=10))
+    shares = {5: 1.0, 9: 2.0, 7: 3.0, 10: 4.0, 3: 5.0}
+    for order in itertools.permutations((5, 9, 7)):
+        sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
+        link = _link(sim, 1, 0)
+        rows = len(sim._inj)
+        for inject, deliver in [*zip(order, (8, 9, 10)), (10, 12), (3, 11)]:
+            sim._inj[inject % rows] = inject
+            sim._ring[inject % rows, sim._e_src[sim._e_link == link]] = shares[inject]
+            sim._dl[inject % rows, link] = deliver
+        sim.t = 10
+        sim._ingest(sim._everyone, True)  # delivers, adopts and merges
+        assert sim._stamp[link] == 9
+        np.testing.assert_array_equal(sim.nbr[sim._e_dst[sim._e_link == link]], [2.0])
+        sim.t = 11
+        sim._ingest(sim._everyone, True)
+        assert sim._stamp[link] == 9
 
 
 @pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8"])
 def test_neighbor_merge_matches_loop_reference(suite, name):
-    # The merge sums the neighbors' shares in one bincount; at cross points
-    # several neighbors overlap, and the sum must equal, bit for bit, adding
-    # the shares one neighbor at a time in the interface map's order.
+    # The merge sums the neighbors' adopted shares in one bincount; at cross
+    # points several neighbors overlap, and the sum must equal, bit for bit,
+    # adding the shares one neighbor at a time in the interface map's order.
     case = suite[name]
     imap = case.system.imap
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
     rng = np.random.default_rng(0)
-    for w in sim.workers:
-        gpos = imap.gamma_positions[w.idx]
+    rows = len(sim._inj)
+    sim._ring[:rows] = rng.normal(size=(rows, sim._ring.shape[1]))
+    sim._stamp[:] = rng.integers(-1, 3 * rows, size=len(sim._stamp))  # -1: the initial share
+    sim._ingest(sim._everyone, True)  # nothing in flight: merges alone
+    off = sim.space.offsets
+    for i in range(case.system.p):
+        gpos = imap.gamma_positions[i]
         expected = np.zeros(len(gpos))
-        for j in imap.neighbors[w.idx]:
-            my_idx = np.searchsorted(gpos, imap.shared_positions(w.idx, j))
-            w.nbr_y[j] = (0, rng.normal(size=len(my_idx)))
-            expected[my_idx] += w.nbr_y[j][1]
-        w.merge()
-        assert np.array_equal(w.nbr_sum, expected)
+        for j in imap.neighbors[i]:
+            shared = imap.shared_positions(i, j)
+            stamp = sim._stamp[_link(sim, j, i)]
+            share = sim._ring[stamp % rows if stamp >= 0 else -1, off[j] + np.searchsorted(imap.gamma_positions[j], shared)]
+            expected[np.searchsorted(gpos, shared)] += share
+        assert np.array_equal(sim.nbr[off[i]:off[i + 1]], expected)
 
 
 def _loop_update(local, minv, y_own, nbr_sum):
@@ -263,40 +298,47 @@ def _extra_cases():
 
 
 def test_batched_step_matches_subdomain_loop(suite):
-    # One step from random shares and neighbour data, for a random subset of
-    # active workers: every active worker's new share and phase-0 pieces equal
-    # the per-subdomain update; the idle workers keep their shares.  The extra
-    # cases are p = 1 and subdomains with one interior node each.
+    # One step from random shares and adopted neighbour shares, for a random
+    # subset of active workers: every active worker's new share and phase-0
+    # pieces equal the per-subdomain update; the idle workers keep their
+    # shares.  The extra cases are p = 1 and subdomains with one interior
+    # node each.
     rng = np.random.default_rng(3)
     cases = [(name, c.system, c.split) for name, c in suite.items()] + list(_extra_cases())
     for name, system, split in cases:
-        space = system.local_space
+        space, imap = system.local_space, system.imap
         assert np.all(space.K_I.data != 0) and np.all(space.K_G.data != 0), name  # no stored zeros
+        off = space.offsets
         for trial in range(3):
             sim = AsyncSimulator(system, split, RuntimeConfig(tol=1e-300))
+            sim.y[:] = rng.normal(size=len(sim.y))
+            rows = len(sim._inj)
+            sim._ring[:rows] = rng.normal(size=(rows, sim._ring.shape[1]))
+            sim._stamp[:] = rng.integers(0, rows, size=len(sim._stamp))  # adopted; nothing in flight
             nbr_sums = []
-            for w, loc in zip(sim.workers, system.subdomains):
-                w.y_own[:] = rng.normal(size=loc.n_gamma)
+            for i, loc in enumerate(system.subdomains):
                 nbr_sum = np.zeros(loc.n_gamma)
-                for j, my_idx in w.neighbors:
-                    w.nbr_y[j] = (0, rng.normal(size=len(my_idx)))
-                    nbr_sum[my_idx] += w.nbr_y[j][1]
+                for j in imap.neighbors[i]:
+                    shared = imap.shared_positions(i, j)
+                    src = off[j] + np.searchsorted(imap.gamma_positions[j], shared)
+                    nbr_sum[np.searchsorted(loc.gamma_positions, shared)] += sim._ring[sim._stamp[_link(sim, j, i)], src]
                 nbr_sums.append(nbr_sum)
             active = [i for i in range(system.p) if rng.random() < 0.6] or [int(rng.integers(system.p))]
-            before = [w.y_own.copy() for w in sim.workers]
+            before = sim.y.copy()
             sim._choose_active = lambda: active
             sim.step()
-            for w, loc, y_old, nbr_sum in zip(sim.workers, system.subdomains, before, nbr_sums):
-                if w.idx not in active:
-                    assert w.k_local == 0 and np.array_equal(w.y_own, y_old), (name, w.idx)
+            for i, (loc, nbr_sum) in enumerate(zip(system.subdomains, nbr_sums)):
+                s = slice(off[i], off[i + 1])
+                if i not in active:
+                    assert sim.k_local[i] == 0 and np.array_equal(sim.y[s], before[s]), (name, i)
                     continue
                 minv = 1.0 / split.m_diag[loc.gamma_positions]
-                y_new, r_I_sq, r_G = _loop_update(loc, minv, y_old, nbr_sum)
-                assert w.k_local == 1, (name, w.idx)
-                assert _close(w.y_own, y_new), (name, trial, w.idx)
+                y_new, r_I_sq, r_G = _loop_update(loc, minv, before[s], nbr_sum)
+                assert sim.k_local[i] == 1, (name, i)
+                assert _close(sim.y[s], y_new), (name, trial, i)
                 # the data are O(1); with p = 1 the interior residual is rounding alone
-                assert abs(w.r_own_I_sq - r_I_sq) <= 1e-12 * max(r_I_sq, 1.0), (name, trial, w.idx)
-                assert _close(w.r_own_G, r_G), (name, trial, w.idx)
+                assert abs(sim._r_own_I_sq[i] - r_I_sq) <= 1e-12 * max(r_I_sq, 1.0), (name, trial, i)
+                assert _close(sim._r_own_G[s], r_G), (name, trial, i)
 
 
 # -- fairness -------------------------------------------------------------------
@@ -323,7 +365,7 @@ def test_zero_activation_still_schedules_everyone(suite):
     cfg = RuntimeConfig(tol=1e-300, k_max=10**6, step_limit=200, activation=0.0)
     sim = AsyncSimulator(case.system, case.split, cfg)
     sim.run()
-    assert all(w.k_local > 0 for w in sim.workers)
+    assert np.all(sim.k_local > 0)
 
 
 # -- detection ---------------------------------------------------------------------
@@ -426,12 +468,12 @@ def test_fault_after_detection_initiated_invalidates_round(suite):
     cfg = RuntimeConfig(tol=1e-6, k_max=100_000, seed=0,
                         delay=DelayModel(kind="uniform", low=1, high=3))
     sim = AsyncSimulator(case.system, case.split, cfg)
-    while not any(w.phase >= 1 for w in sim.workers):
+    while not np.any(sim.phase >= 1):
         sim.step()
     epoch_before = sim.epoch
     sim.inject_fault([0])
     assert sim.epoch == epoch_before + 1
-    assert all(w.phase == 0 and w.round == 0 for w in sim.workers)
+    assert not np.any(sim.phase) and not np.any(sim.round)
     x, report = sim.run()
     assert report.converged
     assert sim.stale_discarded > 0
@@ -444,12 +486,13 @@ def test_fault_preserves_factorization_and_counts(tiny_1d):
     for _ in range(5):
         sim.step()
     lu_before = sim.system.blocks.lu
-    k_before = [w.k_local for w in sim.workers]
+    k_before = sim.k_local.copy()
     sim.inject_fault([0])
     assert sim._lu is sim.system.blocks.lu is lu_before
-    assert [w.k_local for w in sim.workers] == k_before
+    np.testing.assert_array_equal(sim.k_local, k_before)
+    space, off = sim.space, sim.space.offsets
     np.testing.assert_array_equal(
-        sim.workers[0].y_own, sim.workers[0].w * sim.workers[0].x0_l
+        sim.y[off[0]:off[1]], (space.weights * sim.x0[space.positions])[off[0]:off[1]]
     )
 
 
@@ -463,10 +506,10 @@ def test_iteration_fault_takes_effect_at_the_end_of_its_step(suite):
     sim = AsyncSimulator(case.system, case.split, cfg, x0=x0)
     while not sim.faults_injected:
         sim.step()
-    assert sim.t == 3 and sim.workers[0].k_local == 3
-    for w in sim.workers:
-        assert np.any(w.x0_l != 0)
-        np.testing.assert_array_equal(w.y_own, w.w * w.x0_l)
+    assert sim.t == 3 and sim.k_local[0] == 3
+    x0_l, off = sim.x0[sim.space.positions], sim.space.offsets
+    assert all(np.any(x0_l[off[i]:off[i + 1]] != 0) for i in range(case.system.p))
+    np.testing.assert_array_equal(sim.y, sim.space.weights * x0_l)
 
 
 # -- cg with restart -----------------------------------------------------------------
