@@ -11,17 +11,23 @@ end-to-end metric, the median and quartiles over the seeds and the
 per-seed values; the attempted and failed operations; the line count of
 ``src/``; the git revision (``-dirty`` with uncommitted changes); the
 numpy and scipy versions; the CPU count; and the BLAS thread setting of
-the runs.  A perf change quotes two such files, one per commit, run on the
-same machine.  About 6 minutes on 2 cores.
+the runs.  It also times one run of the tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH`` and the
+same BLAS setting) and records its wall time as ``tier1_s`` and the counts
+from its summary line as ``tier1_counts``.  A perf change quotes two such
+files, one per commit, run on the same machine.  About 9 minutes on 2
+cores, 3 of them the tier-1 run.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -38,6 +44,19 @@ def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
     out = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          check=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_tier1(env: dict) -> tuple[float, dict]:
+    """Wall time of one tier-1 run and the counts of its summary line (passed, failed, errors, ...)."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    out = subprocess.run(cmd, cwd=ROOT, env={**env, "PYTHONPATH": path}, stdout=subprocess.PIPE,
+                         stderr=subprocess.STDOUT, text=True)
+    seconds = time.perf_counter() - t0
+    last = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", last)}
+    return seconds, {"exit": out.returncode, **counts}
 
 
 def summary(values: list[float]) -> dict:
@@ -66,6 +85,8 @@ def main() -> int:
                         for m in bench["end_to_end"]},
         }
         print(f"bench: {workload} done", file=sys.stderr)
+    tier1_s, tier1_counts = run_tier1(env)
+    print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)
     revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
                               stdout=subprocess.PIPE, text=True).stdout.strip()  # "-dirty": uncommitted changes
     result = {
@@ -78,6 +99,8 @@ def main() -> int:
         "seeds": list(SEEDS),
         "run_seconds": bench["run_seconds"],
         "workloads": workloads,
+        "tier1_s": tier1_s,
+        "tier1_counts": tier1_counts,
     }
     path = next_path()
     path.write_text(json.dumps(result, indent=2) + "\n")

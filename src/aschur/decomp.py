@@ -30,6 +30,7 @@ __all__ = [
     "LocalSubdomain",
     "LocalSpace",
     "StackedBlocks",
+    "InteriorFactors",
     "check_splits",
     "partition",
     "build_interface_map",
@@ -130,10 +131,50 @@ class LocalSpace:
     offsets: np.ndarray
 
 
+class InteriorFactors:
+    """Solves with a block-diagonal A_II, one block per subdomain in ``decomp.parts`` order.
+
+    Each distinct block is factored once: blocks are keyed by their exact CSR
+    content (size, ``indptr``, ``indices``, ``data``), so bitwise-equal blocks
+    share a SuperLU factor and any other block gets its own.  An assembled grid
+    has at most 2**d distinct interior blocks (box extents differ by at most one
+    node per axis).  ``solve`` gathers the copies of each factored block as the
+    columns of one right-hand side and makes one multi-column solve per factor.
+    """
+
+    def __init__(self, A_II: scipy.sparse.csr_matrix, sizes):
+        A_II = A_II.tocsr()
+        A_II.sort_indices()
+        owner = np.repeat(np.arange(len(sizes)), sizes)  # per row and, the matrix being square, per column
+        if (owner[A_II.indices] != np.repeat(owner, np.diff(A_II.indptr))).any():
+            raise ValueError("interiors of different subdomains are coupled")
+        ptr, starts, copies = A_II.indptr, np.cumsum([0, *sizes]), {}
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            p0, p1 = ptr[lo], ptr[hi]
+            key = (hi - lo, (ptr[lo:hi + 1] - p0).tobytes(), (A_II.indices[p0:p1] - lo).tobytes(),
+                   A_II.data[p0:p1].tobytes())
+            copies.setdefault(key, []).append(lo)
+        # Per distinct block: its factor, its size, and its copies' rows (one factor: all of b, as a view).
+        self._copies = []
+        for (m, *_), los in copies.items():
+            lu = scipy.sparse.linalg.splu(A_II[los[0]:los[0] + m, los[0]:los[0] + m].tocsc(), "MMD_AT_PLUS_A",
+                                          options={"SymmetricMode": True})
+            self._copies.append((lu, m, slice(None) if len(copies) == 1 else np.add.outer(los, np.arange(m)).ravel()))
+        self.factors = [lu for lu, *_ in self._copies]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``inv(A_II) b``: per factor, its copies' pieces of b as the columns of one right-hand side."""
+        x = np.empty(len(b))
+        for lu, m, rows in self._copies:
+            x[rows] = lu.solve(b[rows].reshape(-1, m).T).T.ravel()
+        return x
+
+
 @dataclass(frozen=True)
 class StackedBlocks:
     """All interiors, concatenated from ``decomp.parts``, against the sorted interface:
-    assembled (unweighted) blocks, and ``lu``, one SuperLU factor of the block-diagonal A_II."""
+    assembled (unweighted) blocks, and ``lu``, the solver of the block-diagonal A_II with
+    one factor per distinct subdomain block."""
 
     interior: np.ndarray
     A_IG: SparseMatrix
@@ -141,7 +182,7 @@ class StackedBlocks:
     A_GG: SparseMatrix
     b_I: np.ndarray
     b_G: np.ndarray
-    lu: scipy.sparse.linalg.SuperLU
+    lu: InteriorFactors
 
 
 def _axis_layout(extent: int, split: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +322,14 @@ def gather_local_space(problem: AssembledProblem, decomp: Decomposition) -> Loca
 
 
 def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlocks:
-    """Gather the stacked interior and interface blocks and factor the interiors once."""
+    """Gather the stacked interior and interface blocks and factor each distinct interior block once."""
     interior = np.concatenate(decomp.parts)
     n_i = len(interior)
     order = np.concatenate([interior, decomp.interface])
     P = problem.A._csr[order][:, order]  # one permuted slice, cut four ways: cheaper than four submatrix calls
     top, bottom = P[:n_i], P[n_i:]
     try:
-        lu = scipy.sparse.linalg.splu(top[:, :n_i].tocsc(), "MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = InteriorFactors(top[:, :n_i], [len(part) for part in decomp.parts])
     except RuntimeError as exc:
         raise SingularMatrixError(f"stacked interior factorization failed ({exc})") from exc
     A_IG, A_GI, A_GG = (SparseMatrix.from_scipy(m) for m in (top[:, n_i:], bottom[:, :n_i], bottom[:, n_i:]))

@@ -16,12 +16,15 @@ per directed link, and a delivery time per detection slot (a residual
 piece per link, a reduction per round parity and pair; worker rounds never
 differ by more than one).  A link adopts the greatest inject step among
 its delivered shares; the merge is one gather from the ring at the stamps.
-In a step the active workers ingest and merge; one batched update over the
-stacked local space (``SchurSystem.local_space``) solves every interior
-with the one interior factorization and forms each new share (identity
-share plus the scaled local interface defect) and, for workers starting a
-detection round, the residual pieces at it; then they commit and publish
-in activation order, each advancing its three-phase detection machine:
+The link, merge-entry, detection-slot and message tables depend only on
+the system and are built once for it (``SchurSystem.links``); the ring,
+sized from the delay bound, is per run.  In a step the active workers
+ingest and merge; one batched update over the stacked local space
+(``SchurSystem.local_space``) solves every interior with the one interior
+solver and forms each new share (identity share plus the scaled local
+interface defect) and, for workers starting a detection round, the
+residual pieces at it; then they commit and publish in activation order,
+each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -33,7 +36,7 @@ in activation order, each advancing its three-phase detection machine:
 A firing counts as convergence only once the exact residual of the shares
 committed so far confirms it; later workers do not commit in that step.  A
 fault resets the victims' shares and buffers and drops the messages in
-flight to or from them, keeping the interior factorization.  Step faults
+flight to or from them, keeping the interior factors.  Step faults
 apply at the start of their step, iteration faults at the end of the step
 in which a victim reaches the count.  A fault bumps the epoch: detection
 messages it finds in flight arrive stale, and are dropped and counted.
@@ -127,7 +130,8 @@ class DelayModel:
         """Delay function ``(src, dst) -> steps`` over arrays of messages in send
         order.  Uniform delays are drawn ``DELAY_BLOCK`` at a time: the same
         stream as one scalar ``rng.integers(low, high, endpoint=True)`` per
-        message.  Table links outside the p workers are ignored."""
+        message.  A table link must join two of the p workers, so ``bound``
+        is a delay some message can take."""
         if self.kind == "uniform":
             drawn = np.zeros(0, dtype=np.int64)
 
@@ -143,8 +147,9 @@ class DelayModel:
         if self.kind == "table":
             table = np.zeros((p, p), dtype=np.int64)
             for (src, dst), value in self.table.items():
-                if 0 <= src < p and 0 <= dst < p:
-                    table[src, dst] = value
+                if not (0 <= src < p and 0 <= dst < p and src != dst):
+                    raise ValueError(f"table link {src}->{dst} does not join two of the {p} workers")
+                table[src, dst] = value
             return lambda src, dst: table[src, dst]
         delay = self.fixed if self.kind == "fixed" else 0
         return lambda src, dst: np.full(len(src), delay, dtype=np.int64)
@@ -212,6 +217,46 @@ def _matvec(csr, x) -> np.ndarray:
     return y
 
 
+class LinkTables:
+    """The transport's fixed tables, built once per system (``SchurSystem.links``) and
+    shared, read-only, by every run on it: directed links (by sender, then its neighbour
+    order), merge entries (by receiver, its neighbour order, shared position), detection
+    slots (a residual piece per link, a reduction per (round parity, dst, src)) and every
+    message, in send order."""
+
+    def __init__(self, imap, offsets):
+        p = len(imap.neighbors)
+        links = [(i, j) for i in range(p) for j in imap.neighbors[i]]
+        index = {link: k for k, link in enumerate(links)}
+        reverse = [index[(j, i)] for i, j in links]
+        shared = [imap.shared_positions(i, j) for i, j in links]
+        self.link_slots = [offsets[i] + np.searchsorted(imap.gamma_positions[i], s) for (i, _), s in zip(links, shared)]
+        self.link_src, self.link_dst = np.array(links, dtype=np.intp).reshape(-1, 2).T
+        self.n_links = n_links = len(links)
+        self.n_nbr = np.bincount(self.link_dst, minlength=p)
+        self.e_link = np.repeat(np.array(reverse, dtype=np.intp), [len(s) for s in shared])  # link j -> i
+        self.e_src = np.concatenate([self.link_slots[k] for k in reverse] + [np.zeros(0, dtype=np.intp)])
+        self.e_dst = np.concatenate(self.link_slots + [np.zeros(0, dtype=np.intp)])
+        self.sync_pos = np.concatenate([np.arange(offsets[-1]), self.e_dst])
+        self.n_det = n_links + 2 * p * p
+        self.det_src = np.concatenate([self.link_src, np.tile(np.arange(p), 2 * p)])
+        self.det_dst = np.concatenate([self.link_dst, np.tile(np.repeat(np.arange(p), p), 2)])
+        self.det_group = np.concatenate([self.link_dst, p + np.repeat(np.arange(2 * p), p)])  # index into _got
+        # Per message (src, kind, order, dst, link, target), kind 0 data, 1 residual piece,
+        # 2 + round parity reduction; the target is the detection slot or, for data, the
+        # link's delivery time in ring row 0.
+        msgs = sorted([(i, 0, k, j, k, self.n_det + k) for k, (i, j) in enumerate(links)]
+                      + [(i, 1, k, j, k, k) for k, (i, j) in enumerate(links)]
+                      + [(i, 2 + par, j, j, 0, n_links + (par * p + j) * p + i)
+                         for par in (0, 1) for i in range(p) for j in range(p) if i != j])
+        msgs = np.array(msgs, dtype=np.intp).reshape(-1, 6).T
+        self.msg_src, self.msg_kind, _, self.msg_dst, self.msg_link, self.msg_target = msgs
+        self.msg_key = self.msg_kind * p + self.msg_src
+        for table in [*vars(self).values(), *self.link_slots]:
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+
+
 class AsyncSimulator:
     """Virtual-time scheduler over the stacked worker state: per worker
     ``k_local``, ``phase``, ``round``, ``rounds_done`` and ``done``, and its
@@ -223,8 +268,12 @@ class AsyncSimulator:
         self.system, self.cfg, self.p = system, cfg, system.p
         p = self.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], p)
+        self.rng_sched = np.random.default_rng(cfg.seed)
+        self.rng_delay = np.random.default_rng(cfg.delay.seed if cfg.delay.seed else cfg.seed + 1)
+        self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
         self.x0 = _start_vector(system, x0)
         self.space = space = system.local_space
+        self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
         self._K_I, self._K_G = ((*K.shape, K.indptr, K.indices, K.data) for K in (space.K_I, space.K_G))
         self._owner_I = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])
@@ -234,7 +283,6 @@ class AsyncSimulator:
         self._y0 = space.weights * self.x0[space.positions]  # the initial shares
         self.y = self._y0.copy()  # every worker's committed share, stacked
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
-        self._build_links(system.imap)
         self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
         self.done, self._n_done = np.zeros(p, dtype=bool), 0
         self._r_own_G, self._r_own_I_sq = np.zeros(len(self.y)), np.zeros(p)  # captured at phase 0
@@ -243,16 +291,13 @@ class AsyncSimulator:
         # per dst, then reductions per (round parity, dst).
         self._got = np.zeros(3 * p, dtype=np.int64)
         self._rs_cnt, self._red_cnt = self._got[:p], self._got[p:].reshape(2, p)
-        self._stamp = np.full(self._n_links, -1, dtype=np.int64)  # inject step of the adopted share
+        self._stamp = np.full(self._lk.n_links, -1, dtype=np.int64)  # inject step of the adopted share
         self._floor, self._bound = -1, cfg.delay.bound  # no greater than any stamp; the delay bound
         self._inj, self._ring, self._dl = np.zeros(0, dtype=np.int64), None, None
-        self._when = np.full(self._n_det, NEVER, dtype=np.int64)
+        self._when = np.full(self._lk.n_det, NEVER, dtype=np.int64)
         self._resize(2 * min(self._bound, 62) + 4)
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
         self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
-        self.rng_sched = np.random.default_rng(cfg.seed)
-        self.rng_delay = np.random.default_rng(cfg.delay.seed if cfg.delay.seed else cfg.seed + 1)
-        self._delay = cfg.delay.sampler(self.rng_delay, p)  # holds no reference back to the simulator
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
         self.t = self.epoch = self.rounds_completed = self.faults_injected = self.stale_discarded = 0
         self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
@@ -266,55 +311,23 @@ class AsyncSimulator:
         self._pending_step_faults = [e for e in cfg.faults.events if e.at_step is not None]
         self._pending_iter_faults = [e for e in cfg.faults.events if e.at_local_iteration is not None]
 
-    def _build_links(self, imap) -> None:
-        """Directed links (by sender, then its neighbour order), merge entries (by receiver,
-        its neighbour order, shared position), detection slots (a residual piece per link,
-        a reduction per (round parity, dst, src)) and every message, in send order."""
-        p, off = self.p, self.space.offsets
-        links = [(i, j) for i in range(p) for j in imap.neighbors[i]]
-        index = {link: k for k, link in enumerate(links)}
-        reverse = [index[(j, i)] for i, j in links]
-        shared = [imap.shared_positions(i, j) for i, j in links]
-        self._link_slots = [off[i] + np.searchsorted(imap.gamma_positions[i], s) for (i, _), s in zip(links, shared)]
-        self._link_src, self._link_dst = np.array(links, dtype=np.intp).reshape(-1, 2).T
-        self._n_links = n_links = len(links)
-        self._n_nbr = np.bincount(self._link_dst, minlength=p)
-        self._e_link = np.repeat(np.array(reverse, dtype=np.intp), [len(s) for s in shared])  # link j -> i
-        self._e_src = np.concatenate([self._link_slots[k] for k in reverse] + [np.zeros(0, dtype=np.intp)])
-        self._e_dst = np.concatenate(self._link_slots + [np.zeros(0, dtype=np.intp)])
-        self._sync_pos = np.concatenate([np.arange(off[-1]), self._e_dst])
-        self._n_det = n_links + 2 * p * p
-        self._det_src = np.concatenate([self._link_src, np.tile(np.arange(p), 2 * p)])
-        self._det_dst = np.concatenate([self._link_dst, np.tile(np.repeat(np.arange(p), p), 2)])
-        self._det_group = np.concatenate([self._link_dst, p + np.repeat(np.arange(2 * p), p)])  # index into _got
-        # Per message (src, kind, order, dst, link, target), kind 0 data, 1 residual piece,
-        # 2 + round parity reduction; the target is the detection slot or, for data, the
-        # link's delivery time in ring row 0.
-        msgs = sorted([(i, 0, k, j, k, self._n_det + k) for k, (i, j) in enumerate(links)]
-                      + [(i, 1, k, j, k, k) for k, (i, j) in enumerate(links)]
-                      + [(i, 2 + par, j, j, 0, n_links + (par * p + j) * p + i)
-                         for par in (0, 1) for i in range(p) for j in range(p) if i != j])
-        msgs = np.array(msgs, dtype=np.intp).reshape(-1, 6).T
-        self._msg_src, self._msg_kind, _, self._msg_dst, self._msg_link, self._msg_target = msgs
-        self._msg_key = self._msg_kind * p + self._msg_src
-
     # -- transport -----------------------------------------------------
 
     def _resize(self, rows: int) -> None:
         """Lay the ring and the data delivery rows out for ``rows`` inject steps,
         keeping what they hold; the ring's last row holds the initial shares."""
-        used = np.flatnonzero(self._inj >= 0)
+        lk, used = self._lk, np.flatnonzero(self._inj >= 0)
         new = self._inj[used] % rows
         ring = np.zeros((rows + 1, len(self.y)))
         inj = np.full(rows, -1, dtype=np.int64)
-        when = np.full(self._n_det + rows * self._n_links, NEVER, dtype=np.int64)
-        dl = when[self._n_det:].reshape(rows, self._n_links)  # per ring row, per link
+        when = np.full(lk.n_det + rows * lk.n_links, NEVER, dtype=np.int64)
+        dl = when[lk.n_det:].reshape(rows, lk.n_links)  # per ring row, per link
         ring[-1] = self._y0
         if len(used):
             ring[new], inj[new], dl[new] = self._ring[used], self._inj[used], self._dl[used]
-        when[:self._n_det] = self._when[:self._n_det]
+        when[:lk.n_det] = self._when[:lk.n_det]
         self._ring, self._inj, self._when, self._dl = ring, inj, when, dl
-        self._targets = self._msg_target + np.outer(np.arange(rows) * self._n_links, self._msg_kind == 0)
+        self._targets = lk.msg_target + np.outer(np.arange(rows) * lk.n_links, lk.msg_kind == 0)
 
     def _ingest(self, on, full: bool) -> np.ndarray | None:
         """Deliver the active workers' due messages and merge; returns the stale
@@ -323,19 +336,19 @@ class AsyncSimulator:
         stamp, so need no clearing).  bincount adds in input order and the entries
         run in each receiver's neighbour order: each slot sums its neighbours in
         list order from 0.0."""
-        t, n_det = self.t, self._n_det
+        t, n_det = self.t, self._lk.n_det
         due = self._when <= t
         data = due[n_det:].reshape(self._dl.shape)
         if not full:
-            data &= on[self._link_dst]
-            due[:n_det] &= on[self._det_dst]
+            data &= on[self._lk.link_dst]
+            due[:n_det] &= on[self._lk.det_dst]
         np.maximum(self._stamp, np.maximum.reduce(np.where(data, self._inj[:, None], -1), axis=0), out=self._stamp)
         rows = np.fmod(self._stamp, len(self._inj))  # stamp -1 reads the initial row
-        self.nbr = np.bincount(self._e_dst, self._ring[rows[self._e_link], self._e_src], len(self.y))
+        self.nbr = np.bincount(self._lk.e_dst, self._ring[rows[self._lk.e_link], self._lk.e_src], len(self.y))
         due = due[:n_det].nonzero()[0]
         if len(due):
             self._when[due] = NEVER
-            self._got += np.bincount(self._det_group[due], minlength=3 * self.p)
+            self._got += np.bincount(self._lk.det_group[due], minlength=3 * self.p)
         if not self._stale.size:
             return None
         due = (self._stale[2] <= t) & on[self._stale[1]]
@@ -350,13 +363,13 @@ class AsyncSimulator:
         worker and newer than what it holds."""
         t = self.t
         odd = par == 1
-        ids = np.concatenate((com, res, red > odd, red & odd))[self._msg_key].nonzero()[0]
-        src, dst = self._msg_src[ids], self._msg_dst[ids]
+        ids = np.concatenate((com, res, red > odd, red & odd))[self._lk.msg_key].nonzero()[0]
+        src, dst = self._lk.msg_src[ids], self._lk.msg_dst[ids]
         deliver = self._delay(src, dst)
         saturate = self._bound >= NEVER - t - 1  # cap instead of wrapping
         deliver = (np.minimum(deliver, NEVER - t - 1) if saturate else deliver) + (t + 1)
         if not self._reorder:  # FIFO: a pair carries at most one message per kind per step
-            kind = self._msg_kind[ids]
+            kind = self._lk.msg_kind[ids]
             for k in range(4):
                 sel = (kind == k).nonzero()[0]
                 s, d = src[sel], dst[sel]
@@ -366,9 +379,9 @@ class AsyncSimulator:
             old = self._inj[row]
             if old < 0 or old < self._floor:  # unused, or older than every adopted share
                 break
-            self._floor = self._stamp.min() if self._n_links else NEVER  # stamps only grow between faults
+            self._floor = self._stamp.min() if self._lk.n_links else NEVER  # stamps only grow between faults
             wanted = ((self._dl[row] < NEVER) & (old > self._stamp)) | (old == self._stamp)
-            if old < self._floor or not (wanted & ~self.done[self._link_dst]).any():
+            if old < self._floor or not (wanted & ~self.done[self._lk.link_dst]).any():
                 break
             self._resize(2 * len(self._inj))
         self._ring[row], self._inj[row], self._dl[row] = y_new, t, NEVER
@@ -402,11 +415,11 @@ class AsyncSimulator:
         if r_G is not None:  # phase 0: capture the pieces at the new shares
             self._r_own_I_sq[res] = r_I_sq[res]
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
-        red = (phase < 2) & (self._rs_cnt == self._n_nbr) & on  # phase 1: every neighbour's piece is in
+        red = (phase < 2) & (self._rs_cnt == self._lk.n_nbr) & on  # phase 1: every neighbour's piece is in
         par = self.round & 1
         senders = red.nonzero()[0].tolist()
         if senders:
-            r_sync = np.bincount(self._sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._e_src])))
+            r_sync = np.bincount(self._lk.sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._lk.e_src])))
             w = self.space.weights
             for i in senders:  # per worker, as each would sum its own
                 r = r_sync[off[i]:off[i + 1]]
@@ -445,12 +458,12 @@ class AsyncSimulator:
         _check_victims(victims, self.p)
         hit = np.zeros(self.p, dtype=bool)
         hit[victims] = True
-        self._dl[:, hit[self._link_src] | hit[self._link_dst]] = NEVER
-        self._stamp[hit[self._link_dst]] = self._floor = -1
+        self._dl[:, hit[self._lk.link_src] | hit[self._lk.link_dst]] = NEVER
+        self._stamp[hit[self._lk.link_dst]] = self._floor = -1
         slots = hit[self._owner_G]
         self.y[slots] = self._y0[slots]
         # Detection messages in flight between survivors arrive stale.
-        n_det, src, dst = self._n_det, self._det_src, self._det_dst
+        n_det, src, dst = self._lk.n_det, self._lk.det_src, self._lk.det_dst
         live = (self._when[:n_det] < NEVER) & ~(hit[src] | hit[dst])
         keep = ~(hit[self._stale[0]] | hit[self._stale[1]])
         fresh = np.stack([src[live], dst[live], self._when[:n_det][live]])
@@ -551,16 +564,16 @@ class AsyncSimulator:
     def _trace_step(self, com, ids, deliver, noted, y_new, r_G, sent_round) -> None:
         """Per committed worker in activation order: its envelopes in send order, the
         round it noted first, if any, and its step record."""
-        src = self._msg_src[ids]
+        src = self._lk.msg_src[ids]
         for i in com.nonzero()[0].tolist():
             lo, hi = np.searchsorted(src, [i, i + 1])
             head = {"type": "envelope", "from": i, "inject": self.t, "epoch": self.epoch}
             for m, dl in zip(ids[lo:hi].tolist(), deliver[lo:hi].tolist()):
-                kind, slots = self._msg_kind[m], self._link_slots[self._msg_link[m]]
+                kind, slots = self._lk.msg_kind[m], self._lk.link_slots[self._lk.msg_link[m]]
                 rnd, payload = ((-1, y_new[slots]) if kind == 0 else (sent_round[i], r_G[slots]) if kind == 1
                                 else (sent_round[i], self._red_val[kind - 2, i]))
                 digest = hashlib.sha1(np.float64(payload).tobytes()).hexdigest()[:16]
-                self.trace.append({**head, "to": int(self._msg_dst[m]), "tag": TAGS[min(kind, 2)], "deliver": dl,
+                self.trace.append({**head, "to": int(self._lk.msg_dst[m]), "tag": TAGS[min(kind, 2)], "deliver": dl,
                                    "round": int(rnd), "payload": digest})
             if i in noted:
                 self.trace.append(noted[i])

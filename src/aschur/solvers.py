@@ -2,9 +2,10 @@
 
 Both the relaxation sweep and conjugate gradients act on the assembled
 interface operator matrix-free, in its stacked form: every application is
-``A_GG v - A_GI inv(A_II) A_IG v`` with three CSR products and one sparse
-solve against the factorization of all subdomain interiors at once (the
-interior block is block diagonal), so no work loops over the subdomains.
+``A_GG v - A_GI inv(A_II) A_IG v`` with three CSR products and one
+interior solve over all subdomains at once (the interior block is block
+diagonal: one factor per distinct block, its copies solved as the columns
+of one right-hand side), so no work loops over the subdomains.
 A solver's exact residual is the Euclidean residual of the full system
 with interiors recovered from the current interface vector.
 """
@@ -94,9 +95,10 @@ class SchurSystem:
     """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.
 
     Built on first use: the ``local_space``, gathered straight from A for the
-    async workers, and the per-subdomain blocks (``subdomains``), its slices,
-    for the desk-scale certificates and oracles.  ``blocks.lu`` is the one
-    interior factor; sync and CG build neither.
+    async workers, with the transport's ``links`` tables, and the per-subdomain
+    blocks (``subdomains``), its slices, for the desk-scale certificates and
+    oracles.  ``blocks.lu`` is the one interior solver, one factor per distinct
+    subdomain block; sync and CG build none of the rest.
     """
 
     problem: AssembledProblem
@@ -114,6 +116,12 @@ class SchurSystem:
     @cached_property
     def local_space(self) -> LocalSpace:
         return gather_local_space(self.problem, self.decomp)
+
+    @cached_property
+    def links(self):
+        from .runtime import LinkTables  # the transport's own tables; runtime imports this module
+
+        return LinkTables(self.imap, self.local_space.offsets)
 
     @cached_property
     def subdomains(self) -> tuple[LocalSubdomain, ...]:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from aschur.decomp import (
     assemble_schur_explicit,
@@ -304,3 +306,64 @@ def test_stack_blocks_rejects_singular_interior(tiny_1d):
     singular = replace(tiny_1d.problem, A=SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, values))
     with pytest.raises(SingularMatrixError, match="stacked interior factorization"):
         stack_blocks(singular, tiny_1d.decomp)
+
+
+# name, dims, splits, distinct interior box shapes
+INTERIOR_GRIDS = [("1d-6-p1", (6,), (1,), 1), ("2d-13x13-p6", (13, 13), (3, 2), 2),
+                  ("3d-10x10x10-p27", (10, 10, 10), (3, 3, 3), 8), ("2d-15x15-p8", (15, 15), (4, 2), 1)]
+
+
+def _box_shapes(problem, decomp) -> set:
+    """The distinct extents of the subdomain boxes, read from the node coordinates."""
+    coords = problem.node_coords
+    return {tuple(np.ptp(coords[part], axis=0) + 1) for part in decomp.parts}
+
+
+def _check_against_one_stacked_factor(problem, blocks):
+    # Reference: one sparse LU of the whole block-diagonal interior matrix.
+    A_II = problem.A._csr[blocks.interior][:, blocks.interior].tocsc()
+    b = np.random.default_rng(0).standard_normal(len(blocks.interior))
+    ref = scipy.sparse.linalg.splu(A_II).solve(b)
+    x = blocks.lu.solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    np.testing.assert_allclose(A_II @ x, b, rtol=0, atol=1e-11 * np.abs(b).max())
+
+
+def test_interior_solve_matches_one_stacked_factor_on_the_suite(suite):
+    for case in suite.values():
+        _check_against_one_stacked_factor(case.problem, case.system.blocks)
+        assert len(case.system.blocks.lu.factors) == len(_box_shapes(case.problem, case.decomp))
+
+
+@pytest.mark.parametrize("name, dims, splits, shapes", INTERIOR_GRIDS, ids=[g[0] for g in INTERIOR_GRIDS])
+def test_one_factor_per_distinct_interior_box(name, dims, splits, shapes):
+    problem = assemble(GridSpec(dims=dims))
+    decomp = partition(problem, splits)
+    blocks = stack_blocks(problem, decomp)
+    assert len(_box_shapes(problem, decomp)) == shapes
+    assert len(blocks.lu.factors) == shapes
+    _check_against_one_stacked_factor(problem, blocks)
+
+
+def test_perturbed_interior_block_gets_its_own_factor():
+    problem = assemble(GridSpec(dims=(15, 15)))
+    decomp = partition(problem, (4, 2))
+    A, row = problem.A, decomp.parts[5][7]  # an interior node of subdomain 5
+    lo, hi = A.row_offsets[row], A.row_offsets[row + 1]
+    values = A.values.copy()
+    values[lo + np.flatnonzero(A.col_indices[lo:hi] == row)[0]] *= 1.0 + 1e-9  # its diagonal entry
+    perturbed = replace(problem, A=SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, values))
+    blocks = stack_blocks(perturbed, decomp)
+    assert len(stack_blocks(problem, decomp).lu.factors) == 1
+    assert len(blocks.lu.factors) == 2
+    _check_against_one_stacked_factor(perturbed, blocks)
+
+
+def test_stack_blocks_rejects_coupled_interiors(tiny_1d):
+    # Interior nodes 0 and 2 belong to different subdomains; a coupling between
+    # them leaves A_II not block diagonal, which per-block factors cannot solve.
+    A = scipy.sparse.lil_matrix(tiny_1d.problem.A._csr)
+    A[0, 2] = A[2, 0] = -0.5
+    coupled = replace(tiny_1d.problem, A=SparseMatrix.from_scipy(A))
+    with pytest.raises(ValueError, match="interiors of different subdomains are coupled"):
+        stack_blocks(coupled, tiny_1d.decomp)

@@ -51,6 +51,26 @@ def test_delay_model_validation():
     assert DelayModel(kind="uniform", low=0, high=10).bound == 10
 
 
+@pytest.mark.parametrize("link", [(5, 9), (0, 2), (-1, 0), (1, 1)])
+def test_simulator_rejects_table_links_outside_the_workers(tiny_1d, link):
+    # p = 2, so every link joins workers 0 and 1.  A link the sampler could not
+    # use would still set the delay bound, and with it the default step cap.
+    delay = DelayModel(kind="table", table={(0, 1): 2, link: 10**18})
+    with pytest.raises(ValueError, match="does not join two of the 2 workers"):
+        AsyncSimulator(tiny_1d.system, tiny_1d.split, RuntimeConfig(delay=delay))
+
+
+def test_link_tables_are_built_once_per_system_and_read_only(suite):
+    case = suite["2d-15x15-p8"]
+    first = AsyncSimulator(case.system, case.split, RuntimeConfig(seed=0))
+    second = AsyncSimulator(case.system, case.split, RuntimeConfig(seed=1, delay=DelayModel(kind="fixed", fixed=3)))
+    assert first._lk is second._lk is case.system.links
+    with pytest.raises(ValueError, match="read-only"):
+        first._lk.msg_key[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        first._lk.link_slots[0][0] = 0
+
+
 def test_fault_plan_validation():
     with pytest.raises(ValueError):
         FaultEvent(victims=())
@@ -218,7 +238,7 @@ def test_huge_delays_saturate_instead_of_wrapping(tiny_1d):
 
 def _link(sim, src, dst):
     """Index of the directed link src -> dst in the simulator's per-link arrays."""
-    return list(zip(sim._link_src.tolist(), sim._link_dst.tolist())).index((src, dst))
+    return list(zip(sim._lk.link_src.tolist(), sim._lk.link_dst.tolist())).index((src, dst))
 
 
 def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
@@ -234,12 +254,12 @@ def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
         rows = len(sim._inj)
         for inject, deliver in [*zip(order, (8, 9, 10)), (10, 12), (3, 11)]:
             sim._inj[inject % rows] = inject
-            sim._ring[inject % rows, sim._e_src[sim._e_link == link]] = shares[inject]
+            sim._ring[inject % rows, sim._lk.e_src[sim._lk.e_link == link]] = shares[inject]
             sim._dl[inject % rows, link] = deliver
         sim.t = 10
         sim._ingest(sim._everyone, True)  # delivers, adopts and merges
         assert sim._stamp[link] == 9
-        np.testing.assert_array_equal(sim.nbr[sim._e_dst[sim._e_link == link]], [2.0])
+        np.testing.assert_array_equal(sim.nbr[sim._lk.e_dst[sim._lk.e_link == link]], [2.0])
         sim.t = 11
         sim._ingest(sim._everyone, True)
         assert sim._stamp[link] == 9
