@@ -15,7 +15,6 @@ from .linalg import (
     is_h_matrix,
     is_m_matrix,
     spectral_radius_nonneg,
-    spmv,
     weighted_max_norm,
     weighted_row_sums,
 )

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.io
 
 from .decomp import check_splits, decomposition_to_json, partition
-from .linalg import write_matrix_market
 from .poisson import GridSpec, assemble
 from .runtime import (
     DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart, deterministic_replay,
@@ -330,7 +329,7 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     if spec.output.export_matrix_market:
-        write_matrix_market(out_dir / "matrix.mtx", problem.A)
+        scipy.io.mmwrite(str(out_dir / "matrix.mtx"), problem.A.csr.tocoo(), precision=16)
         scipy.io.mmwrite(str(out_dir / "rhs.mtx"), problem.b.reshape(-1, 1), precision=16)
     if spec.output.decomposition_json:
         (out_dir / "decomposition.json").write_text(decomposition_to_json(decomp))
@@ -352,13 +351,27 @@ def cmd_run(args) -> int:
     return run_from_spec(spec, out_dir)
 
 
+def _read_report(path) -> dict:
+    """One report file; a ValueError says what it lacks."""
+    with open(path) as fh:
+        rec = json.load(fh)
+    if not (isinstance(rec, dict) and isinstance(rec.get("problem"), dict) and isinstance(rec.get("report"), dict)):
+        raise ValueError("not a report: expected a JSON object with 'problem' and 'report' objects")
+    fields = ("solver", "converged", "sim_steps", "iterations_k", "k_max", "final_residual")
+    missing = [f"report.{k}" for k in fields if k not in rec["report"]]
+    if "hash" not in rec["problem"]:
+        missing.append("problem.hash")
+    if missing:
+        raise ValueError(f"report lacks {', '.join(missing)}")
+    return rec
+
+
 def cmd_compare(args) -> int:
     reports = []
     for path in args.reports:
         try:
-            with open(path) as fh:
-                reports.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+            reports.append(_read_report(path))
+        except (OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     hashes = {r["problem"]["hash"] for r in reports}

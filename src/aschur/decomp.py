@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import SingularMatrixError, SparseMatrix
+from .linalg import SingularMatrixError
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -92,11 +92,11 @@ class InterfaceMap:
 
 @dataclass(frozen=True)
 class LocalSubdomain:
-    """One subdomain's blocks and right-hand side pieces."""
+    """One subdomain's blocks and right-hand side pieces; the sparse blocks are canonical CSR."""
 
-    A_II: SparseMatrix
-    A_IG: SparseMatrix
-    A_GI: SparseMatrix
+    A_II: scipy.sparse.csr_matrix
+    A_IG: scipy.sparse.csr_matrix
+    A_GI: scipy.sparse.csr_matrix
     A_GG: np.ndarray  # multiplicity-weighted dense interface block
     b_I: np.ndarray
     b_G: np.ndarray  # multiplicity-weighted
@@ -173,13 +173,13 @@ class InteriorFactors:
 @dataclass(frozen=True)
 class StackedBlocks:
     """All interiors, concatenated from ``decomp.parts``, against the sorted interface:
-    assembled (unweighted) blocks, and ``lu``, the solver of the block-diagonal A_II with
-    one factor per distinct subdomain block."""
+    assembled (unweighted) blocks in canonical CSR, and ``lu``, the solver of the
+    block-diagonal A_II with one factor per distinct subdomain block."""
 
     interior: np.ndarray
-    A_IG: SparseMatrix
-    A_GI: SparseMatrix
-    A_GG: SparseMatrix
+    A_IG: scipy.sparse.csr_matrix
+    A_GI: scipy.sparse.csr_matrix
+    A_GG: scipy.sparse.csr_matrix
     b_I: np.ndarray
     b_G: np.ndarray
     lu: InteriorFactors
@@ -298,7 +298,7 @@ def gather_local_space(problem: AssembledProblem, decomp: Decomposition) -> Loca
     order = np.concatenate([*decomp.parts, slots])
     n_I = len(order) - len(slots)
     owner = np.repeat(np.tile(np.arange(decomp.p), 2), [len(ids) for ids in decomp.parts + decomp.local_interfaces])
-    P = problem.A._csr[order][:, order].tocoo()
+    P = problem.A.csr[order][:, order].tocoo()
     keep = owner[P.row] == owner[P.col]
     r, c, v = P.row[keep], P.col[keep], P.data[keep]
 
@@ -326,14 +326,15 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
     interior = np.concatenate(decomp.parts)
     n_i = len(interior)
     order = np.concatenate([interior, decomp.interface])
-    P = problem.A._csr[order][:, order]  # one permuted slice, cut four ways: cheaper than four submatrix calls
+    P = problem.A.csr[order][:, order]  # one permuted slice, cut four ways
+    P.sort_indices()  # the column permutation leaves rows unsorted; every cut of a sorted P is canonical
     top, bottom = P[:n_i], P[n_i:]
     try:
         lu = InteriorFactors(top[:, :n_i], [len(part) for part in decomp.parts])
     except RuntimeError as exc:
         raise SingularMatrixError(f"stacked interior factorization failed ({exc})") from exc
-    A_IG, A_GI, A_GG = (SparseMatrix.from_scipy(m) for m in (top[:, n_i:], bottom[:, :n_i], bottom[:, n_i:]))
-    return StackedBlocks(interior, A_IG, A_GI, A_GG, problem.b[interior], problem.b[decomp.interface], lu)
+    return StackedBlocks(interior, top[:, n_i:], bottom[:, :n_i], bottom[:, n_i:], problem.b[interior],
+                         problem.b[decomp.interface], lu)
 
 
 def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarray]:
@@ -346,9 +347,9 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"local interface of size {local.n_gamma} exceeds the explicit cap")
     if local.n_gamma == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    a_gi = local.A_GI.to_dense()
+    a_gi = local.A_GI.toarray()
     if local.n_interior:
-        X = np.linalg.solve(local.A_II.to_dense(), np.column_stack([local.A_IG.to_dense(), local.b_I]))
+        X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
         S = local.A_GG - a_gi @ X[:, :-1]
         d = local.b_G - a_gi @ X[:, -1]
     else:

@@ -202,6 +202,8 @@ class RuntimeConfig:
         _check_tol(self.tol)
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.step_limit is not None and self.step_limit < 1:
+            raise ValueError(f"step_limit must be at least 1, got {self.step_limit}")
         if not 0.0 <= self.activation <= 1.0:
             raise ValueError(f"activation must lie in [0, 1], got {self.activation}")
         if self.seed < 0:

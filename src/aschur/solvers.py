@@ -31,7 +31,6 @@ from .decomp import (
     gather_local_space,
     stack_blocks,
 )
-from .linalg import SparseMatrix, spmv
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -110,7 +109,7 @@ class SchurSystem:
     @classmethod
     def build(cls, problem: AssembledProblem, decomp: Decomposition) -> "SchurSystem":
         blocks = stack_blocks(problem, decomp)
-        d = blocks.b_G - spmv(blocks.A_GI, blocks.lu.solve(blocks.b_I))
+        d = blocks.b_G - blocks.A_GI @ blocks.lu.solve(blocks.b_I)
         return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
 
     @cached_property
@@ -134,9 +133,7 @@ class SchurSystem:
             own = slice(space.offsets[i], space.offsets[i + 1])
             rows_G = slice(n_I + own.start, n_I + own.stop)
             subs.append(LocalSubdomain(
-                A_II=SparseMatrix.from_scipy(space.K_I[rows_I, rows_I]),
-                A_IG=SparseMatrix.from_scipy(space.K_G[rows_I, own]),
-                A_GI=SparseMatrix.from_scipy(space.K_I[rows_G, rows_I]),
+                A_II=space.K_I[rows_I, rows_I], A_IG=space.K_G[rows_I, own], A_GI=space.K_I[rows_G, rows_I],
                 A_GG=space.K_G[rows_G, own].toarray(),
                 b_I=space.b[rows_I], b_G=space.b[rows_G], weights=space.weights[own],
                 interior_rows=dec.parts[i], gamma_rows=dec.local_interfaces[i], gamma_positions=space.positions[own],
@@ -158,7 +155,13 @@ def compute_d(local: LocalSubdomain) -> np.ndarray:
         return np.zeros(0)
     if local.n_interior == 0:
         return local.b_G.copy()
-    return local.b_G - spmv(local.A_GI, np.linalg.solve(local.A_II.to_dense(), local.b_I))
+    return local.b_G - local.A_GI @ np.linalg.solve(local.A_II.toarray(), local.b_I)
+
+
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{what} contains non-finite entries")
+    return x
 
 
 def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
@@ -166,20 +169,20 @@ def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
     blk = system.blocks
     x = np.empty(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
-    x[blk.interior] = blk.lu.solve(blk.b_I - spmv(blk.A_IG, x_g))
-    return x
+    x[blk.interior] = blk.lu.solve(blk.b_I - blk.A_IG @ x_g)
+    return _require_finite(x, "full solution")
 
 
 def global_residual(system: SchurSystem, x_g: np.ndarray) -> float:
     """Euclidean norm of b - A x with interiors recovered from x_g."""
     x = assemble_full_solution(system, x_g)
-    return float(np.linalg.norm(system.problem.b - system.problem.A._csr @ x))
+    return float(np.linalg.norm(system.problem.b - system.problem.A.csr @ x))
 
 
 def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:
     """Assembled interface operator applied matrix-free: one stacked interior solve."""
     blk = system.blocks
-    return spmv(blk.A_GG, v) - spmv(blk.A_GI, blk.lu.solve(spmv(blk.A_IG, v)))
+    return _require_finite(blk.A_GG @ v - blk.A_GI @ blk.lu.solve(blk.A_IG @ v), "interface operator result")
 
 
 def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:

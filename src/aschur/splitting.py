@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit
-from .linalg import comparison_matrix, is_h_matrix, spectral_radius_nonneg, submatrix
+from .linalg import comparison_matrix, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -63,7 +63,7 @@ class CertificateSet:
 
 def interface_diagonal(problem: AssembledProblem, decomp: Decomposition) -> np.ndarray:
     """Diagonal of the assembled interface block, in interface order."""
-    return problem.A._csr.diagonal()[decomp.interface]
+    return problem.A.csr.diagonal()[decomp.interface]
 
 
 def build_splitting(a_gg_diag, alpha: float = 1.0, allow_small_alpha: bool = False) -> InterfaceSplitting:
@@ -121,7 +121,7 @@ def certify_global(problem: AssembledProblem, decomp: Decomposition, split: Inte
     n = problem.A.nrows
     if n > CERTIFICATE_SIZE_LIMIT:
         raise ValueError(f"certificates are limited to {CERTIFICATE_SIZE_LIMIT} unknowns")
-    Ad = problem.A.to_dense()
+    Ad = problem.A.csr.toarray()
     X = np.zeros_like(Ad)
     for rows in decomp.parts:
         if rows.size:
@@ -140,11 +140,12 @@ def certify_h_conditions(
     n = problem.A.nrows
     if n > CERTIFICATE_SIZE_LIMIT:
         raise ValueError(f"certificates are limited to {CERTIFICATE_SIZE_LIMIT} unknowns")
-    a_is_h = is_h_matrix(problem.A)
+    Ad = problem.A.csr.toarray()
+    a_is_h = is_h_matrix(Ad)
     gamma = decomp.interface
     if gamma.size == 0:
         return a_is_h, True
-    A_GG = submatrix(problem.A, gamma, gamma).to_dense()
+    A_GG = Ad[np.ix_(gamma, gamma)]
     M = np.diag(split.m_diag)
     lhs = comparison_matrix(M) - np.abs(M - A_GG)
     h_split_ok = bool(np.max(np.abs(lhs - comparison_matrix(A_GG))) <= MATRIX_EQ_TOL)

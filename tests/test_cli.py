@@ -132,10 +132,8 @@ def test_exports(tmp_path):
     assert decomp["p"] == 2
     import scipy.io
 
-    from aschur.linalg import read_matrix_market
-
-    back = read_matrix_market(out / "matrix.mtx")
-    np.testing.assert_allclose(back.to_dense(), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    back = scipy.io.mmread(out / "matrix.mtx")
+    np.testing.assert_allclose(back.toarray(), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     rhs = np.asarray(scipy.io.mmread(out / "rhs.mtx")).ravel()
     np.testing.assert_array_equal(rhs, np.ones(3))
 
@@ -310,6 +308,16 @@ def test_compare_mismatched_problems_error(tmp_path, capsys):
 
 def test_compare_needs_two_reports(capsys):
     assert main(["compare", "only.json"]) == 2
+
+
+@pytest.mark.parametrize("content", ["{}", "[1]", '{"problem": {"hash": "h"}, "report": {"solver": "cg"}}'],
+                         ids=["empty-object", "array", "partial-report"])
+def test_compare_rejects_a_file_that_is_not_a_report(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert main(["compare", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
 def test_log_level_env(tmp_path, monkeypatch):

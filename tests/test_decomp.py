@@ -13,7 +13,7 @@ from aschur.decomp import (
     partition,
     stack_blocks,
 )
-from aschur.linalg import SingularMatrixError, SparseMatrix, submatrix
+from aschur.linalg import SingularMatrixError, SparseMatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, assemble_interface_operator
 
@@ -73,7 +73,7 @@ def test_partition_indices_cover_everything_once(suite):
 def test_block_arrow_structure(suite):
     # every interior node couples only inside its own part or into the interface
     for case in suite.values():
-        dense = case.problem.A.to_dense()
+        dense = case.problem.A.csr.toarray()
         iface = set(case.decomp.interface.tolist())
         for i, part in enumerate(case.decomp.parts):
             own = set(part.tolist())
@@ -82,10 +82,19 @@ def test_block_arrow_structure(suite):
                     assert int(col) in own or int(col) in iface
 
 
+def test_sparse_blocks_are_canonical_csr(suite):
+    # Sorted indices without duplicates fix the order in which every row of every product sums.
+    for case in suite.values():
+        blocks = [getattr(case.system.blocks, f) for f in ("A_IG", "A_GI", "A_GG")]
+        blocks += [getattr(loc, f) for loc in case.system.subdomains for f in ("A_II", "A_IG", "A_GI")]
+        for m in blocks:
+            assert isinstance(m, scipy.sparse.csr_matrix) and m.has_canonical_format, case.name
+
+
 def test_extract_local_1d_hand_values(tiny_1d):
     loc = tiny_1d.system.subdomains[0]
-    np.testing.assert_array_equal(loc.A_II.to_dense(), [[2.0]])
-    np.testing.assert_array_equal(loc.A_IG.to_dense(), [[-1.0]])
+    np.testing.assert_array_equal(loc.A_II.toarray(), [[2.0]])
+    np.testing.assert_array_equal(loc.A_IG.toarray(), [[-1.0]])
     np.testing.assert_array_equal(loc.A_GG, [[1.0]])
     np.testing.assert_array_equal(loc.weights, [0.5])
     np.testing.assert_array_equal(loc.b_G, [0.5])
@@ -96,7 +105,7 @@ def test_extract_local_single_subdomain_degenerate():
     dec = partition(prob, (1,))
     assert dec.n_interface == 0
     (loc,) = SchurSystem.build(prob, dec).subdomains
-    np.testing.assert_array_equal(loc.A_II.to_dense(), prob.A.to_dense())
+    np.testing.assert_array_equal(loc.A_II.toarray(), prob.A.csr.toarray())
     assert loc.n_gamma == 0
     assert loc.A_GG.shape == (0, 0)
 
@@ -112,7 +121,7 @@ def test_reassembly_is_exact(suite):
             pos = loc.gamma_positions
             acc[np.ix_(pos, pos)] += loc.A_GG
             wacc[pos] += loc.weights
-        target = case.problem.A.to_dense()[np.ix_(dec.interface, dec.interface)]
+        target = case.problem.A.csr.toarray()[np.ix_(dec.interface, dec.interface)]
         np.testing.assert_array_equal(acc, target)
         np.testing.assert_array_equal(wacc, np.ones(n))
 
@@ -120,7 +129,7 @@ def test_reassembly_is_exact(suite):
 def test_sign_compatibility_of_weighted_blocks(suite):
     for case in suite.values():
         dec = case.decomp
-        target = case.problem.A.to_dense()[np.ix_(dec.interface, dec.interface)]
+        target = case.problem.A.csr.toarray()[np.ix_(dec.interface, dec.interface)]
         for loc in case.system.subdomains:
             block = target[np.ix_(loc.gamma_positions, loc.gamma_positions)]
             prod = loc.A_GG * block
@@ -180,7 +189,7 @@ def test_interface_map_matches_all_pairs_reference(suite, extra):
         for key, pos in shared.items():
             np.testing.assert_array_equal(imap.shared[key], pos)
         owned = _in_closed_boxes(problem, dec)
-        dense = problem.A.to_dense()
+        dense = problem.A.csr.toarray()
         for i in range(dec.p):
             rows = dec.local_interfaces[i]
             np.testing.assert_array_equal(rows, dec.interface[owned[i]])
@@ -192,10 +201,10 @@ def test_interface_map_matches_all_pairs_reference(suite, extra):
 
 
 def _reference_subdomains(problem, dec):
-    """Per-subdomain fields from four submatrix gathers each, pair counts and owner counts from
+    """Per-subdomain fields from four gathers of A each, pair counts and owner counts from
     the closed boxes."""
     owned = _in_closed_boxes(problem, dec)
-    A, b = problem.A, problem.b
+    A, b = problem.A.csr, problem.b
     subs = []
     for i in range(dec.p):
         rows_I, gpos = dec.parts[i], np.flatnonzero(owned[i])
@@ -203,8 +212,8 @@ def _reference_subdomains(problem, dec):
         inside = owned[:, gpos].astype(float)
         weights = 1.0 / inside.sum(axis=0)
         subs.append(dict(
-            A_II=submatrix(A, rows_I, rows_I), A_IG=submatrix(A, rows_I, rows_G),
-            A_GI=submatrix(A, rows_G, rows_I), A_GG=submatrix(A, rows_G, rows_G).to_dense() / (inside.T @ inside),
+            A_II=A[rows_I][:, rows_I], A_IG=A[rows_I][:, rows_G],
+            A_GI=A[rows_G][:, rows_I], A_GG=A[rows_G][:, rows_G].toarray() / (inside.T @ inside),
             b_I=b[rows_I], b_G=b[rows_G] * weights, weights=weights,
             interior_rows=rows_I, gamma_rows=rows_G, gamma_positions=gpos,
         ))
@@ -212,9 +221,8 @@ def _reference_subdomains(problem, dec):
 
 
 def _same(a, b):
-    if isinstance(a, SparseMatrix):
-        return a.shape == b.shape and all(
-            _same(getattr(a, f), getattr(b, f)) for f in ("row_offsets", "col_indices", "values"))
+    if scipy.sparse.issparse(a):
+        return a.shape == b.shape and all(_same(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -233,8 +241,8 @@ def test_local_space_matches_per_subdomain_reference(suite, extra):
                 assert _same(getattr(loc, field), value), (dec.splits, field)
         diag = lambda blocks: scipy.sparse.block_diag(blocks, format="csr")  # noqa: E731
         K = scipy.sparse.bmat([
-            [diag([s["A_II"]._csr for s in ref]), diag([s["A_IG"]._csr for s in ref])],
-            [diag([s["A_GI"]._csr for s in ref]), diag([scipy.sparse.csr_matrix(s["A_GG"]) for s in ref])],
+            [diag([s["A_II"] for s in ref]), diag([s["A_IG"] for s in ref])],
+            [diag([s["A_GI"] for s in ref]), diag([scipy.sparse.csr_matrix(s["A_GG"]) for s in ref])],
         ], format="csr")
         space = system.local_space
         n_I = sum(len(s["b_I"]) for s in ref)
@@ -275,7 +283,7 @@ def test_schur_equals_interface_block_when_decoupled(tiny_1d):
     loc = tiny_1d.system.subdomains[0]
     from dataclasses import replace
 
-    decoupled = replace(loc, A_IG=SparseMatrix.zeros(loc.n_interior, loc.n_gamma))
+    decoupled = replace(loc, A_IG=scipy.sparse.csr_matrix((loc.n_interior, loc.n_gamma)))
     S, d = assemble_schur_explicit(decoupled)
     np.testing.assert_array_equal(S, decoupled.A_GG)
 
@@ -321,7 +329,7 @@ def _box_shapes(problem, decomp) -> set:
 
 def _check_against_one_stacked_factor(problem, blocks):
     # Reference: one sparse LU of the whole block-diagonal interior matrix.
-    A_II = problem.A._csr[blocks.interior][:, blocks.interior].tocsc()
+    A_II = problem.A.csr[blocks.interior][:, blocks.interior].tocsc()
     b = np.random.default_rng(0).standard_normal(len(blocks.interior))
     ref = scipy.sparse.linalg.splu(A_II).solve(b)
     x = blocks.lu.solve(b)
@@ -362,8 +370,9 @@ def test_perturbed_interior_block_gets_its_own_factor():
 def test_stack_blocks_rejects_coupled_interiors(tiny_1d):
     # Interior nodes 0 and 2 belong to different subdomains; a coupling between
     # them leaves A_II not block diagonal, which per-block factors cannot solve.
-    A = scipy.sparse.lil_matrix(tiny_1d.problem.A._csr)
-    A[0, 2] = A[2, 0] = -0.5
-    coupled = replace(tiny_1d.problem, A=SparseMatrix.from_scipy(A))
+    lil = scipy.sparse.lil_matrix(tiny_1d.problem.A.csr)
+    lil[0, 2] = lil[2, 0] = -0.5
+    m = lil.tocsr()
+    coupled = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     with pytest.raises(ValueError, match="interiors of different subdomains are coupled"):
         stack_blocks(coupled, tiny_1d.decomp)

@@ -19,13 +19,13 @@ def test_grid_spec_validation():
 def test_assemble_1d_is_tridiagonal():
     prob = assemble(GridSpec(dims=(3,)))
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    np.testing.assert_array_equal(prob.A.to_dense(), expected)
+    np.testing.assert_array_equal(prob.A.csr.toarray(), expected)
     np.testing.assert_array_equal(prob.b, np.ones(3))
 
 
 def test_assemble_2d_2x2_adjacency():
     prob = assemble(GridSpec(dims=(2, 2)))
-    dense = prob.A.to_dense()
+    dense = prob.A.csr.toarray()
     np.testing.assert_array_equal(np.diag(dense), np.full(4, 4.0))
     for i in range(4):
         off = np.delete(dense[i], i)
@@ -35,13 +35,13 @@ def test_assemble_2d_2x2_adjacency():
 
 def test_assemble_single_node():
     prob = assemble(GridSpec(dims=(1,), source=3.0))
-    np.testing.assert_array_equal(prob.A.to_dense(), [[2.0]])
+    np.testing.assert_array_equal(prob.A.csr.toarray(), [[2.0]])
     np.testing.assert_array_equal(prob.b, [3.0])
 
 
 def test_assemble_scaling_by_spacing():
     prob = assemble(GridSpec(dims=(4, 3), spacing=0.5))
-    dense = prob.A.to_dense()
+    dense = prob.A.csr.toarray()
     assert set(np.diag(dense)) == {16.0}
     off = dense[~np.eye(12, dtype=bool)]
     assert set(off[off != 0]) == {-4.0}
@@ -49,7 +49,7 @@ def test_assemble_scaling_by_spacing():
 
 def test_assemble_symmetry_is_exact():
     prob = assemble(GridSpec(dims=(5, 4, 3), spacing=0.7))
-    dense = prob.A.to_dense()
+    dense = prob.A.csr.toarray()
     np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -77,13 +77,13 @@ def test_node_coords_lexicographic_x_fastest():
 @pytest.mark.parametrize("dims", [(9,), (6, 5), (4, 3, 3), (22, 22)])
 def test_assembled_matrix_is_m_matrix(dims):
     prob = assemble(GridSpec(dims=dims))
-    assert is_m_matrix(prob.A)
+    assert is_m_matrix(prob.A.csr.toarray())
 
 
 @pytest.mark.parametrize("dims", [(7,), (5, 4), (3, 3, 3)])
 def test_row_sums_positive_exactly_at_boundary(dims):
     prob = assemble(GridSpec(dims=dims))
-    row_sums = prob.A.to_dense().sum(axis=1)
+    row_sums = prob.A.csr.toarray().sum(axis=1)
     at_boundary = np.array(
         [any(c == 0 or c == dims[a] - 1 for a, c in enumerate(coord)) for coord in prob.node_coords]
     )
@@ -109,12 +109,12 @@ def test_exact_solution_zero_source():
 def test_exact_solution_meets_residual_bound():
     prob = assemble(GridSpec(dims=(11, 11), spacing=0.25, source=5.0))
     x = exact_solution(prob)
-    resid = np.linalg.norm(prob.A._csr @ x - prob.b)
+    resid = np.linalg.norm(prob.A.csr @ x - prob.b)
     assert resid <= 1e-10 * np.linalg.norm(prob.b)
 
 
 def test_exact_solution_iterative_path_beyond_dense_cap():
     prob = assemble(GridSpec(dims=(47, 47)))  # 2209 unknowns, above the dense cap
     x = exact_solution(prob)
-    resid = np.linalg.norm(prob.A._csr @ x - prob.b)
+    resid = np.linalg.norm(prob.A.csr @ x - prob.b)
     assert resid <= 1e-10 * np.linalg.norm(prob.b)

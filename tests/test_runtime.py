@@ -89,7 +89,7 @@ def test_runtime_config_validation():
         RuntimeConfig(k_max=0)
     with pytest.raises(ValueError):
         RuntimeConfig(activation=1.5)
-    for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1}):
+    for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1}, {"step_limit": 0}, {"step_limit": -5}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             RuntimeConfig(**bad)
     with pytest.raises(ValueError, match="seed"):
@@ -292,7 +292,7 @@ def test_neighbor_merge_matches_loop_reference(suite, name):
 
 def _loop_update(local, minv, y_own, nbr_sum):
     """One worker's update and phase-0 residual pieces, per subdomain with a dense solve."""
-    A_II, A_IG, A_GI = (m.to_dense() for m in (local.A_II, local.A_IG, local.A_GI))
+    A_II, A_IG, A_GI = (m.toarray() for m in (local.A_II, local.A_IG, local.A_GI))
     x_l = y_own + nbr_sum
     x_I = np.linalg.solve(A_II, local.b_I - A_IG @ x_l)
     y_new = local.weights * x_l + minv * (local.b_G - A_GI @ x_I - local.A_GG @ x_l)

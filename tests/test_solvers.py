@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from aschur.decomp import partition
-from aschur.linalg import spmv
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
@@ -43,10 +43,8 @@ def test_compute_d_zero_rhs(tiny_1d):
 def test_compute_d_decoupled(tiny_1d):
     from dataclasses import replace
 
-    from aschur.linalg import SparseMatrix
-
     loc = tiny_1d.system.subdomains[0]
-    decoupled = replace(loc, A_GI=SparseMatrix.zeros(loc.n_gamma, loc.n_interior))
+    decoupled = replace(loc, A_GI=scipy.sparse.csr_matrix((loc.n_gamma, loc.n_interior)))
     np.testing.assert_array_equal(compute_d(decoupled), loc.b_G)
 
 
@@ -234,7 +232,7 @@ def _loop_operator(system, v):
     out = np.zeros(system.n_interface)
     for loc in system.subdomains:
         x_l = v[loc.gamma_positions]
-        y = loc.A_GG @ x_l - spmv(loc.A_GI, np.linalg.solve(loc.A_II.to_dense(), spmv(loc.A_IG, x_l)))
+        y = loc.A_GG @ x_l - loc.A_GI @ np.linalg.solve(loc.A_II.toarray(), loc.A_IG @ x_l)
         out[loc.gamma_positions] += y
     return out
 
@@ -250,7 +248,7 @@ def _loop_full_solution(system, x_g):
     x = np.zeros(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
     for loc in system.subdomains:
-        x[loc.interior_rows] = np.linalg.solve(loc.A_II.to_dense(), loc.b_I - spmv(loc.A_IG, x_g[loc.gamma_positions]))
+        x[loc.interior_rows] = np.linalg.solve(loc.A_II.toarray(), loc.b_I - loc.A_IG @ x_g[loc.gamma_positions])
     return x
 
 
@@ -272,7 +270,7 @@ def test_stacked_functions_match_subdomain_loops(suite):
         assert _close(system.d, _loop_rhs(system)), case.name
         x = _loop_full_solution(system, v)
         assert _close(assemble_full_solution(system, v), x), case.name
-        ref = np.linalg.norm(case.problem.b - case.problem.A._csr @ x)
+        ref = np.linalg.norm(case.problem.b - case.problem.A.csr @ x)
         assert abs(global_residual(system, v) - ref) <= 1e-12 * ref, case.name
 
 
@@ -293,7 +291,7 @@ def test_large_interiors_solve_without_the_dense_lu():
     decomp = partition(problem, (2, 1))
     system = SchurSystem.build(problem, decomp)
     split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
-    ref = scipy.sparse.linalg.spsolve(problem.A._csr.tocsc(), problem.b)[decomp.interface]
+    ref = scipy.sparse.linalg.spsolve(problem.A.csr.tocsc(), problem.b)[decomp.interface]
     runs = [cg_schur(system, tol=1e-6, k_max=500), sync_relaxation(system, split, tol=1e-6, k_max=5000)]
     assert "subdomains" not in vars(system)
     runs.append(async_solve(system, split, RuntimeConfig(tol=1e-6, k_max=5000)))
