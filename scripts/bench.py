@@ -13,8 +13,11 @@ per-seed values; the attempted and failed operations; the line count of
 numpy and scipy versions; the CPU count; and the BLAS thread setting of
 the runs.  It also times one run of the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH`` and the
-same BLAS setting) and records its wall time as ``tier1_s`` and the counts
-from its summary line as ``tier1_counts``.  A perf change quotes two such
+same BLAS setting and ``--durations=0``) and records its wall time as
+``tier1_s``, the counts from its summary line as ``tier1_counts``, and the
+set-up time of ``test_criterion_4_async_convergence_under_chaos`` (the
+chaos fixture, the suite's largest single cost) as ``chaos_fixture_s``
+(null if the run reports none).  A perf change quotes two such
 files, one per commit, run on the same machine.  About 9 minutes on 2
 cores, 3 of them the tier-1 run.
 """
@@ -34,6 +37,7 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+CHAOS_FIXTURE = "tests/test_acceptance.py::test_criterion_4_async_convergence_under_chaos"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1, 2)
 
@@ -46,17 +50,19 @@ def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def run_tier1(env: dict) -> tuple[float, dict]:
-    """Wall time of one tier-1 run and the counts of its summary line (passed, failed, errors, ...)."""
+def run_tier1(env: dict) -> tuple[float, dict, float | None]:
+    """Wall time of one tier-1 run, the counts of its summary line (passed, failed, errors, ...) and
+    the chaos fixture's set-up time from its durations report."""
     path = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
     t0 = time.perf_counter()
     out = subprocess.run(cmd, cwd=ROOT, env={**env, "PYTHONPATH": path}, stdout=subprocess.PIPE,
                          stderr=subprocess.STDOUT, text=True)
     seconds = time.perf_counter() - t0
     last = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", last)}
-    return seconds, {"exit": out.returncode, **counts}
+    fixture = re.search(rf"([\d.]+)s setup\s+{re.escape(CHAOS_FIXTURE)}\s*$", out.stdout, re.MULTILINE)
+    return seconds, {"exit": out.returncode, **counts}, float(fixture.group(1)) if fixture else None
 
 
 def summary(values: list[float]) -> dict:
@@ -85,7 +91,7 @@ def main() -> int:
                         for m in bench["end_to_end"]},
         }
         print(f"bench: {workload} done", file=sys.stderr)
-    tier1_s, tier1_counts = run_tier1(env)
+    tier1_s, tier1_counts, chaos_fixture_s = run_tier1(env)
     print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)
     revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
                               stdout=subprocess.PIPE, text=True).stdout.strip()  # "-dirty": uncommitted changes
@@ -101,6 +107,7 @@ def main() -> int:
         "workloads": workloads,
         "tier1_s": tier1_s,
         "tier1_counts": tier1_counts,
+        "chaos_fixture_s": chaos_fixture_s,
     }
     path = next_path()
     path.write_text(json.dumps(result, indent=2) + "\n")

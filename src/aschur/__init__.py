@@ -33,7 +33,6 @@ from .solvers import (
     SchurSystem,
     SolveReport,
     cg_schur,
-    compute_d,
     global_residual,
     sync_relaxation,
 )

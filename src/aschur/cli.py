@@ -31,12 +31,13 @@ import numpy as np
 import scipy.io
 
 from .decomp import check_splits, decomposition_to_json, partition
+from .linalg import DENSE_OP_LIMIT
 from .poisson import GridSpec, assemble
 from .runtime import (
     DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart, deterministic_replay,
 )
 from .solvers import SchurSystem, SolveReport, cg_schur, sync_relaxation, write_residual_history
-from .splitting import CERTIFICATE_SIZE_LIMIT, build_splitting, certify, interface_diagonal, problem_hash
+from .splitting import build_splitting, certify, interface_diagonal, problem_hash
 
 log = logging.getLogger("aschur")
 
@@ -288,7 +289,7 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
     phash = problem_hash(problem, decomp)
     certs = None
     if spec.certify:
-        if problem.A.nrows <= CERTIFICATE_SIZE_LIMIT:
+        if problem.A.nrows <= DENSE_OP_LIMIT:
             split = certify(problem, decomp, system.subdomains, system.imap, split)
             certs = split.certificates
             log.info(
@@ -329,8 +330,9 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     if spec.output.export_matrix_market:
-        scipy.io.mmwrite(str(out_dir / "matrix.mtx"), problem.A.csr.tocoo(), precision=16)
-        scipy.io.mmwrite(str(out_dir / "rhs.mtx"), problem.b.reshape(-1, 1), precision=16)
+        # 17 significant digits: every float64 reads back bit for bit.
+        scipy.io.mmwrite(str(out_dir / "matrix.mtx"), problem.A.csr.tocoo(), precision=17)
+        scipy.io.mmwrite(str(out_dir / "rhs.mtx"), problem.b.reshape(-1, 1), precision=17)
     if spec.output.decomposition_json:
         (out_dir / "decomposition.json").write_text(decomposition_to_json(decomp))
     return 0 if all_ok else 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import SingularMatrixError
+from .linalg import DENSE_OP_LIMIT, SingularMatrixError
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "assemble_schur_explicit",
     "decomposition_to_json",
 ]
-
-SCHUR_EXPLICIT_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,7 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
     Eliminates the interior block with one dense solve (desk scale):
     S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I.
     """
-    if local.n_gamma > SCHUR_EXPLICIT_LIMIT:
+    if local.n_gamma > DENSE_OP_LIMIT:
         raise ValueError(f"local interface of size {local.n_gamma} exceeds the explicit cap")
     if local.n_gamma == 0:
         return np.zeros((0, 0)), np.zeros(0)

@@ -31,8 +31,9 @@ __all__ = [
     "spectral_radius_nonneg",
 ]
 
-# Dense inversion (used by the matrix-class predicates) is a desk-scale
-# oracle; refuse anything bigger instead of silently grinding.
+# The one desk-scale bound on every dense step (the matrix-class predicates,
+# the explicit local complement, the certificates and the reference solve);
+# refuse anything bigger instead of silently grinding.
 DENSE_OP_LIMIT = 2000
 
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import SparseMatrix
+from .linalg import DENSE_OP_LIMIT, SparseMatrix
 
 __all__ = ["GridSpec", "AssembledProblem", "assemble", "exact_solution"]
 
 MAX_UNKNOWNS = 10**7
-DENSE_SOLVE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -65,36 +64,21 @@ def assemble(grid: GridSpec) -> AssembledProblem:
     n = grid.n
 
     idx = np.arange(n, dtype=np.int64)
-    coords = np.empty((n, d), dtype=np.int64)
-    rem = idx
-    for a in range(d):
-        coords[:, a] = rem % dims[a]
-        rem = rem // dims[a]
+    strides = np.cumprod((1,) + dims[:-1], dtype=np.int64)
+    coords = idx[:, None] // strides % dims
 
+    # A row's stencil columns node - s_{d-1}, ..., node, ..., node + s_{d-1}
+    # ascend (an axis of extent 1 repeats a stride, but its neighbours always
+    # lie outside the box), so masking out-of-box neighbours leaves each row
+    # in canonical CSR order.
+    steps = np.concatenate((-strides[::-1], [0], strides))
+    inside = np.hstack((coords[:, ::-1] > 0, np.ones((n, 1), dtype=bool), coords < np.array(dims) - 1))
+    cols = (idx[:, None] + steps)[inside]
     h2 = grid.spacing * grid.spacing
-    diag_val = (2.0 * d) / h2
-    off_val = -1.0 / h2
-
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(n, diag_val)]
-    stride = 1
-    for a in range(d):
-        lo = coords[:, a] > 0
-        hi = coords[:, a] < dims[a] - 1
-        rows.extend([idx[lo], idx[hi]])
-        cols.extend([idx[lo] - stride, idx[hi] + stride])
-        vals.extend([np.full(int(lo.sum()), off_val), np.full(int(hi.sum()), off_val)])
-        stride *= dims[a]
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    vals = np.where(steps == 0, (2.0 * d) / h2, -1.0 / h2)
+    vals = np.broadcast_to(vals, inside.shape)[inside]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(inside.sum(axis=1), out=offsets[1:])
 
     A = SparseMatrix(n, n, offsets, cols, vals)
     b = np.full(n, float(grid.source))
@@ -109,7 +93,7 @@ def exact_solution(problem: AssembledProblem) -> np.ndarray:
     """
     A, b = problem.A.csr, problem.b
     n = A.shape[0]
-    if n <= DENSE_SOLVE_LIMIT:
+    if n <= DENSE_OP_LIMIT:
         x = np.linalg.solve(A.toarray(), b)
     else:
         x = _cg(A, b, rtol=1e-12, max_iters=20 * n)

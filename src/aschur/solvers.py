@@ -37,7 +37,6 @@ __all__ = [
     "SolveReport",
     "SchurSystem",
     "BreakdownError",
-    "compute_d",
     "assemble_full_solution",
     "global_residual",
     "apply_interface_operator",
@@ -149,15 +148,6 @@ class SchurSystem:
         return self.imap.n_interface
 
 
-def compute_d(local: LocalSubdomain) -> np.ndarray:
-    """Local interface right-hand side after interior elimination."""
-    if local.n_gamma == 0:
-        return np.zeros(0)
-    if local.n_interior == 0:
-        return local.b_G.copy()
-    return local.b_G - local.A_GI @ np.linalg.solve(local.A_II.toarray(), local.b_I)
-
-
 def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise FloatingPointError(f"{what} contains non-finite entries")
@@ -192,10 +182,10 @@ def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.nda
     S = np.zeros((n, n))
     d = np.zeros(n)
     for local in system.subdomains:
-        S_l, _ = assemble_schur_explicit(local)
+        S_l, d_l = assemble_schur_explicit(local)
         pos = local.gamma_positions
         S[np.ix_(pos, pos)] += S_l
-        d[pos] += compute_d(local)
+        d[pos] += d_l
     return S, d
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit
-from .linalg import comparison_matrix, is_h_matrix, spectral_radius_nonneg
+from .linalg import DENSE_OP_LIMIT, comparison_matrix, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "problem_hash",
 ]
 
-CERTIFICATE_SIZE_LIMIT = 2000
 MATRIX_EQ_TOL = 1e-12
 
 
@@ -119,8 +118,8 @@ def certify_global(problem: AssembledProblem, decomp: Decomposition, split: Inte
     a time, so the problem must stay at desk scale.
     """
     n = problem.A.nrows
-    if n > CERTIFICATE_SIZE_LIMIT:
-        raise ValueError(f"certificates are limited to {CERTIFICATE_SIZE_LIMIT} unknowns")
+    if n > DENSE_OP_LIMIT:
+        raise ValueError(f"certificates are limited to {DENSE_OP_LIMIT} unknowns")
     Ad = problem.A.csr.toarray()
     X = np.zeros_like(Ad)
     for rows in decomp.parts:
@@ -138,8 +137,8 @@ def certify_h_conditions(
 ) -> tuple[bool, bool]:
     """(A is an H-matrix, splitting identity holds on the interface block)."""
     n = problem.A.nrows
-    if n > CERTIFICATE_SIZE_LIMIT:
-        raise ValueError(f"certificates are limited to {CERTIFICATE_SIZE_LIMIT} unknowns")
+    if n > DENSE_OP_LIMIT:
+        raise ValueError(f"certificates are limited to {DENSE_OP_LIMIT} unknowns")
     Ad = problem.A.csr.toarray()
     a_is_h = is_h_matrix(Ad)
     gamma = decomp.interface

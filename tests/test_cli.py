@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aschur import AsyncSimulator, SchurSystem, assemble, build_splitting, interface_diagonal, partition
+from aschur import AsyncSimulator, GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition
 from aschur.cli import SOLVER_CHOICES, ConfigError, main, parse_run_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -121,8 +121,9 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_exports(tmp_path):
+    # Neither 1/0.7**2 nor sqrt(2) survives 16 significant digits.
     cfg = write_config(
-        tmp_path, solver="sync", certify=False,
+        tmp_path, solver="sync", certify=False, grid={"dims": [3], "spacing": 0.7, "source": 2**0.5},
         output={"export_matrix_market": True, "decomposition_json": True},
     )
     out = tmp_path / "out"
@@ -132,10 +133,11 @@ def test_exports(tmp_path):
     assert decomp["p"] == 2
     import scipy.io
 
+    problem = assemble(GridSpec(dims=(3,), spacing=0.7, source=2**0.5))
     back = scipy.io.mmread(out / "matrix.mtx")
-    np.testing.assert_allclose(back.toarray(), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    np.testing.assert_array_equal(back.toarray(), problem.A.csr.toarray())
     rhs = np.asarray(scipy.io.mmread(out / "rhs.mtx")).ravel()
-    np.testing.assert_array_equal(rhs, np.ones(3))
+    np.testing.assert_array_equal(rhs, problem.b)
 
 
 def test_trace_written_for_async(tmp_path):

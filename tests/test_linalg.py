@@ -308,11 +308,11 @@ def test_weighted_row_sum_product_bound():
 
 
 def test_matrix_market_roundtrip(tmp_path):
-    # The CLI's matrix export: 17 significant digits read back to within 1e-15.
+    # The CLI's matrix export: 17 significant digits read back bit for bit.
     rng = np.random.default_rng(17)
     dense = rng.normal(size=(6, 5)) * (rng.random((6, 5)) < 0.4)
     path = tmp_path / "matrix.mtx"
-    scipy.io.mmwrite(str(path), scipy.sparse.csr_matrix(dense).tocoo(), precision=16)
+    scipy.io.mmwrite(str(path), scipy.sparse.csr_matrix(dense).tocoo(), precision=17)
     back = scipy.io.mmread(path)
     assert back.shape == dense.shape
-    np.testing.assert_allclose(back.toarray(), dense, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(back.toarray(), dense)

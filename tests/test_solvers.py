@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from aschur.decomp import partition
+from aschur.decomp import assemble_schur_explicit, partition
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
@@ -12,7 +12,6 @@ from aschur.solvers import (
     assemble_full_solution,
     assemble_interface_operator,
     cg_schur,
-    compute_d,
     global_residual,
     sync_relaxation,
     write_residual_history,
@@ -29,7 +28,7 @@ def fit_rate(history, tail=10):
 
 def test_compute_d_1d(tiny_1d):
     for loc in tiny_1d.system.subdomains:
-        np.testing.assert_allclose(compute_d(loc), [1.0], atol=1e-14)
+        np.testing.assert_allclose(assemble_schur_explicit(loc)[1], [1.0], atol=1e-14)
 
 
 def test_compute_d_zero_rhs(tiny_1d):
@@ -37,7 +36,7 @@ def test_compute_d_zero_rhs(tiny_1d):
 
     loc = tiny_1d.system.subdomains[0]
     zeroed = replace(loc, b_I=np.zeros_like(loc.b_I), b_G=np.zeros_like(loc.b_G))
-    np.testing.assert_array_equal(compute_d(zeroed), [0.0])
+    np.testing.assert_array_equal(assemble_schur_explicit(zeroed)[1], [0.0])
 
 
 def test_compute_d_decoupled(tiny_1d):
@@ -45,7 +44,7 @@ def test_compute_d_decoupled(tiny_1d):
 
     loc = tiny_1d.system.subdomains[0]
     decoupled = replace(loc, A_GI=scipy.sparse.csr_matrix((loc.n_gamma, loc.n_interior)))
-    np.testing.assert_array_equal(compute_d(decoupled), loc.b_G)
+    np.testing.assert_array_equal(assemble_schur_explicit(decoupled)[1], loc.b_G)
 
 
 def test_schur_apply_1d(tiny_1d):
@@ -240,7 +239,7 @@ def _loop_operator(system, v):
 def _loop_rhs(system):
     d = np.zeros(system.n_interface)
     for loc in system.subdomains:
-        d[loc.gamma_positions] += compute_d(loc)
+        d[loc.gamma_positions] += assemble_schur_explicit(loc)[1]
     return d
 
 
