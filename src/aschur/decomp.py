@@ -129,15 +129,27 @@ class LocalSpace:
     offsets: np.ndarray
 
 
+DENSE_INVERSE_FILL = 16  # InteriorFactors' dense-path test: m * m <= DENSE_INVERSE_FILL * lu.nnz
+
+
 class InteriorFactors:
     """Solves with a block-diagonal A_II, one block per subdomain in ``decomp.parts`` order.
 
     Each distinct block is factored once: blocks are keyed by their exact CSR
     content (size, ``indptr``, ``indices``, ``data``), so bitwise-equal blocks
-    share a SuperLU factor and any other block gets its own.  An assembled grid
-    has at most 2**d distinct interior blocks (box extents differ by at most one
-    node per axis).  ``solve`` gathers the copies of each factored block as the
-    columns of one right-hand side and makes one multi-column solve per factor.
+    share a SuperLU factor (``factors``; it raises on a singular block and gives
+    the fill) and any other block gets its own.  ``solve`` makes one product per
+    factor over its copies' pieces of b: SuperLU's multi-column solve or, for a
+    block of size m small against its fill (``m * m <= DENSE_INVERSE_FILL *
+    lu.nnz``), one GEMM with its inverse, formed once as ``lu.solve(eye(m))``
+    and kept transposed in ``inverses`` (else None); the paths differ in the
+    last bits.  Crossover, as SuperLU time over GEMM time at 8, 16, 64 and 256
+    columns (one BLAS thread, 2 cores), m * m / lu.nnz in brackets: 15**2 [14.4]
+    1.6-2.6, 17**2 [17.3] 1.1-1.9, 19**2 [20.2] 0.7-1.5, 25**2 [30.9] 0.5-1.0;
+    7**3 [9.5] 1.7-2.4, 8**3 [10.9] 1.1-2.1, 9**3 [14.2] 0.6-1.7; 1-D 200 [50.1]
+    1.0-1.2.  So the ladder's and suite's blocks (at most 15**2 and 7**3) take
+    the GEMM; the 511**2/8x8 and 47**3/2x2x2 rungs' 63**2 [128.5] and 23**3
+    [44.4] blocks take SuperLU.
     """
 
     def __init__(self, A_II: scipy.sparse.csr_matrix, sizes):
@@ -152,19 +164,22 @@ class InteriorFactors:
             key = (hi - lo, (ptr[lo:hi + 1] - p0).tobytes(), (A_II.indices[p0:p1] - lo).tobytes(),
                    A_II.data[p0:p1].tobytes())
             copies.setdefault(key, []).append(lo)
-        # Per distinct block: its factor, its size, and its copies' rows (one factor: all of b, as a view).
+        # Per distinct block: factor, transposed inverse or None, size, copies' rows (one factor: all of b).
         self._copies = []
         for (m, *_), los in copies.items():
             lu = scipy.sparse.linalg.splu(A_II[los[0]:los[0] + m, los[0]:los[0] + m].tocsc(), "MMD_AT_PLUS_A",
                                           options={"SymmetricMode": True})
-            self._copies.append((lu, m, slice(None) if len(copies) == 1 else np.add.outer(los, np.arange(m)).ravel()))
-        self.factors = [lu for lu, *_ in self._copies]
+            inv_t = np.ascontiguousarray(lu.solve(np.eye(m)).T) if m * m <= DENSE_INVERSE_FILL * lu.nnz else None
+            self._copies.append((lu, inv_t, m,
+                                 slice(None) if len(copies) == 1 else np.add.outer(los, np.arange(m)).ravel()))
+        self.factors, self.inverses = [c[0] for c in self._copies], [c[1] for c in self._copies]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``inv(A_II) b``: per factor, its copies' pieces of b as the columns of one right-hand side."""
+        """``inv(A_II) b``: per factor, its copies' pieces of b as the rows of one (copies, m) array."""
         x = np.empty(len(b))
-        for lu, m, rows in self._copies:
-            x[rows] = lu.solve(b[rows].reshape(-1, m).T).T.ravel()
+        for lu, inv_t, m, rows in self._copies:
+            pieces = b[rows].reshape(-1, m)
+            x[rows] = (pieces @ inv_t if inv_t is not None else lu.solve(pieces.T).T).ravel()
         return x
 
 

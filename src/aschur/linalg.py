@@ -18,10 +18,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 __all__ = [
     "SparseMatrix",
     "SingularMatrixError",
+    "matvec",
     "PowerIterationError",
     "weighted_max_norm",
     "weighted_row_sums",
@@ -103,6 +105,15 @@ class SparseMatrix:
         )
         m.has_sorted_indices = True
         return m
+
+
+def matvec(K: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``K @ x`` through scipy's CSR kernel alone: the same sums, without the operator dispatch (~4 us a call)."""
+    if x.shape != (K.shape[1],):  # the kernel reads x unchecked
+        raise ValueError(f"vector of shape {x.shape} for a matrix of shape {K.shape}")
+    y = np.zeros(K.shape[0])
+    csr_matvec(*K.shape, K.indptr, K.indices, K.data, x, y)
+    return y
 
 
 def weighted_max_norm(a, w) -> float:

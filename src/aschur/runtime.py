@@ -51,8 +51,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
+from .linalg import matvec
 from .solvers import (
     DIVERGENCE_LIMIT,
     SchurSystem,
@@ -210,15 +210,6 @@ class RuntimeConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _matvec(csr, x) -> np.ndarray:
-    """``K @ x`` for ``csr = (rows, columns, indptr, indices, data)`` of a CSR matrix K,
-    through scipy's kernel alone: the same sums in the same order, without the
-    operator dispatch that costs more than the product at the local space's sizes."""
-    y = np.zeros(csr[0])
-    csr_matvec(*csr, x, y)
-    return y
-
-
 class LinkTables:
     """The transport's fixed tables, built once per system (``SchurSystem.links``) and
     shared, read-only, by every run on it: directed links (by sender, then its neighbour
@@ -277,7 +268,6 @@ class AsyncSimulator:
         self.space = space = system.local_space
         self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
-        self._K_I, self._K_G = ((*K.shape, K.indptr, K.indices, K.data) for K in (space.K_I, space.K_G))
         self._owner_I = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])
         self._owner_G = np.repeat(np.arange(p), np.diff(space.offsets))
         self._off, self._workers = space.offsets.tolist(), np.arange(p)
@@ -399,13 +389,13 @@ class AsyncSimulator:
         Only the active workers' entries are used."""
         n_I, space = self._n_I, self.space
         x_l = self.y + self.nbr
-        g = _matvec(self._K_G, x_l)  # [A_IG x_l; A_GG x_l]
+        g = matvec(space.K_G, x_l)  # [A_IG x_l; A_GG x_l]
         x_I = self._lu.solve(space.b[:n_I] - g[:n_I])
-        h = _matvec(self._K_I, x_I)  # [A_II x_I; A_GI x_I]
+        h = matvec(space.K_I, x_I)  # [A_II x_I; A_GI x_I]
         y_new = space.weights * x_l + self._minv * (space.b[n_I:] - h[n_I:] - g[n_I:])
         if not residual:
             return y_new, None, None
-        r = space.b - h - _matvec(self._K_G, y_new + self.nbr)
+        r = space.b - h - matvec(space.K_G, y_new + self.nbr)
         return y_new, np.bincount(self._owner_I, r[:n_I] * r[:n_I], self.p), r[n_I:]
 
     def _detect(self, on, res, r_I_sq, r_G):

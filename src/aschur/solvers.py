@@ -2,10 +2,10 @@
 
 Both the relaxation sweep and conjugate gradients act on the assembled
 interface operator matrix-free, in its stacked form: every application is
-``A_GG v - A_GI inv(A_II) A_IG v`` with three CSR products and one
-interior solve over all subdomains at once (the interior block is block
-diagonal: one factor per distinct block, its copies solved as the columns
-of one right-hand side), so no work loops over the subdomains.
+``A_GG v - A_GI inv(A_II) A_IG v``, three CSR products (``linalg.matvec``)
+and one interior solve over all subdomains at once (one product per
+distinct block of the block-diagonal A_II: a GEMM with its inverse when
+small, else SuperLU), so no work loops over the subdomains.
 A solver's exact residual is the Euclidean residual of the full system
 with interiors recovered from the current interface vector.
 """
@@ -31,6 +31,7 @@ from .decomp import (
     gather_local_space,
     stack_blocks,
 )
+from .linalg import matvec
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -108,7 +109,7 @@ class SchurSystem:
     @classmethod
     def build(cls, problem: AssembledProblem, decomp: Decomposition) -> "SchurSystem":
         blocks = stack_blocks(problem, decomp)
-        d = blocks.b_G - blocks.A_GI @ blocks.lu.solve(blocks.b_I)
+        d = blocks.b_G - matvec(blocks.A_GI, blocks.lu.solve(blocks.b_I))
         return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
 
     @cached_property
@@ -159,20 +160,21 @@ def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
     blk = system.blocks
     x = np.empty(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
-    x[blk.interior] = blk.lu.solve(blk.b_I - blk.A_IG @ x_g)
+    x[blk.interior] = blk.lu.solve(blk.b_I - matvec(blk.A_IG, x_g))
     return _require_finite(x, "full solution")
 
 
 def global_residual(system: SchurSystem, x_g: np.ndarray) -> float:
     """Euclidean norm of b - A x with interiors recovered from x_g."""
     x = assemble_full_solution(system, x_g)
-    return float(np.linalg.norm(system.problem.b - system.problem.A.csr @ x))
+    return float(np.linalg.norm(system.problem.b - matvec(system.problem.A.csr, x)))
 
 
 def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:
     """Assembled interface operator applied matrix-free: one stacked interior solve."""
     blk = system.blocks
-    return _require_finite(blk.A_GG @ v - blk.A_GI @ blk.lu.solve(blk.A_IG @ v), "interface operator result")
+    return _require_finite(matvec(blk.A_GG, v) - matvec(blk.A_GI, blk.lu.solve(matvec(blk.A_IG, v))),
+                           "interface operator result")
 
 
 def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from aschur.decomp import (
+    InteriorFactors,
     assemble_schur_explicit,
     build_interface_map,
     decomposition_to_json,
@@ -15,7 +17,7 @@ from aschur.decomp import (
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
-from aschur.solvers import SchurSystem, assemble_interface_operator
+from aschur.solvers import SchurSystem, apply_interface_operator, assemble_interface_operator
 
 
 def test_partition_1d_3_nodes():
@@ -353,14 +355,23 @@ def test_one_factor_per_distinct_interior_box(name, dims, splits, shapes):
     _check_against_one_stacked_factor(problem, blocks)
 
 
+def _scaled(problem, row, factor, col=None):
+    """``problem`` with row ``row`` of A, or only its entry in column ``col``, scaled by ``factor``."""
+    A = problem.A
+    lo, hi = A.row_offsets[row], A.row_offsets[row + 1]
+    values = A.values.copy()
+    if col is None:
+        values[lo:hi] *= factor
+    else:
+        values[lo + np.flatnonzero(A.col_indices[lo:hi] == col)[0]] *= factor
+    return replace(problem, A=SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, values))
+
+
 def test_perturbed_interior_block_gets_its_own_factor():
     problem = assemble(GridSpec(dims=(15, 15)))
     decomp = partition(problem, (4, 2))
-    A, row = problem.A, decomp.parts[5][7]  # an interior node of subdomain 5
-    lo, hi = A.row_offsets[row], A.row_offsets[row + 1]
-    values = A.values.copy()
-    values[lo + np.flatnonzero(A.col_indices[lo:hi] == row)[0]] *= 1.0 + 1e-9  # its diagonal entry
-    perturbed = replace(problem, A=SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, values))
+    row = decomp.parts[5][7]  # an interior node of subdomain 5
+    perturbed = _scaled(problem, row, 1.0 + 1e-9, col=row)  # its diagonal entry
     blocks = stack_blocks(perturbed, decomp)
     assert len(stack_blocks(problem, decomp).lu.factors) == 1
     assert len(blocks.lu.factors) == 2
@@ -376,3 +387,69 @@ def test_stack_blocks_rejects_coupled_interiors(tiny_1d):
     coupled = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     with pytest.raises(ValueError, match="interiors of different subdomains are coupled"):
         stack_blocks(coupled, tiny_1d.decomp)
+
+
+@pytest.fixture(params=["gemm", "superlu"])
+def interior_path(request, monkeypatch):
+    """Every interior block on one solve path: the GEMM with the inverse, or SuperLU."""
+    monkeypatch.setattr("aschur.decomp.DENSE_INVERSE_FILL", math.inf if request.param == "gemm" else 0)
+    return request.param
+
+
+def _check_path_against_spsolve(problem, decomp, path):
+    blocks = stack_blocks(problem, decomp)
+    assert [inv is not None for inv in blocks.lu.inverses] == [path == "gemm"] * len(blocks.lu.factors)
+    A_II = problem.A.csr[blocks.interior][:, blocks.interior].tocsc()
+    b = np.random.default_rng(1).standard_normal(len(blocks.interior))
+    ref = scipy.sparse.linalg.spsolve(A_II, b)
+    assert np.linalg.norm(blocks.lu.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    return blocks
+
+
+# name, dims, splits, distinct interior blocks
+PATH_GRIDS = [("1d-31-p4", (31,), (4,), 1), ("2d-15x15-p8", (15, 15), (4, 2), 1),
+              ("3d-7x7x7-p8", (7, 7, 7), (2, 2, 2), 1), ("2d-16x17-p6", (16, 17), (3, 2), 2)]
+
+
+@pytest.mark.parametrize("name, dims, splits, distinct", PATH_GRIDS, ids=[g[0] for g in PATH_GRIDS])
+def test_both_interior_paths_match_spsolve(interior_path, name, dims, splits, distinct):
+    problem = assemble(GridSpec(dims=dims))
+    blocks = _check_path_against_spsolve(problem, partition(problem, splits), interior_path)
+    assert len(blocks.lu.factors) == distinct
+
+
+def test_both_interior_paths_match_spsolve_on_a_nonsymmetric_block(interior_path):
+    problem = assemble(GridSpec(dims=(15, 15)))
+    decomp = partition(problem, (4, 2))
+    row = decomp.parts[5][7]
+    col = next(c for c in problem.A.csr[row].indices if c != row and c in decomp.parts[5])
+    perturbed = _scaled(problem, row, 1.5, col=col)  # A[row, col] only: subdomain 5's block is nonsymmetric
+    assert len(_check_path_against_spsolve(perturbed, decomp, interior_path).lu.factors) == 2
+
+
+# A grid's whole Laplacian has the pattern of a box interior of that size; 63**2 is the
+# interior block of the 511**2/8x8 rung, 15**2 that of 255**2/16x16, 7**3 that of 31**3/4x4x4.
+@pytest.mark.parametrize("dims, gemm", [((15, 15), True), ((7, 7, 7), True), ((19, 19), False), ((31, 31), False),
+                                        ((200,), False), ((63, 63), False)])
+def test_small_blocks_take_the_gemm_and_large_ones_superlu(dims, gemm):
+    A = assemble(GridSpec(dims=dims)).A.csr
+    lu = InteriorFactors(A, [A.shape[0]])
+    assert (lu.inverses[0] is not None) == gemm
+    if gemm:
+        np.testing.assert_allclose(lu.inverses[0].T @ A.toarray(), np.eye(A.shape[0]), atol=1e-12)
+
+
+def test_singular_block_raises_on_either_path(interior_path):
+    problem = assemble(GridSpec(dims=(15, 15)))
+    decomp = partition(problem, (4, 2))
+    with pytest.raises(SingularMatrixError, match="stacked interior factorization"):
+        stack_blocks(_scaled(problem, decomp.parts[5][7], 0.0), decomp)
+
+
+def test_non_finite_operator_input_raises_on_either_path(interior_path):
+    problem = assemble(GridSpec(dims=(7, 7)))
+    system = SchurSystem.build(problem, partition(problem, (2, 2)))
+    v = np.zeros(system.n_interface)
+    v[0] = np.nan
+    with pytest.raises(FloatingPointError):
+        apply_interface_operator(system, v)

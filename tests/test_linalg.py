@@ -11,6 +11,7 @@ from aschur.linalg import (
     comparison_matrix,
     is_h_matrix,
     is_m_matrix,
+    matvec,
     spectral_radius_nonneg,
     weighted_max_norm,
     weighted_row_sums,
@@ -30,6 +31,15 @@ def test_sparse_roundtrip_dense():
     s = SparseMatrix(3, 3, m.indptr, m.indices, m.data)
     assert s.csr.nnz == 4
     np.testing.assert_array_equal(s.csr.toarray(), a)
+
+
+def test_matvec_is_the_csr_product_bit_for_bit():
+    K = scipy.sparse.random(30, 20, density=0.2, format="csr", random_state=0)
+    x = np.random.default_rng(0).standard_normal(20)
+    np.testing.assert_array_equal(matvec(K, x), K @ x)
+    for bad in (np.ones(19), np.ones(21), np.ones((20, 1))):
+        with pytest.raises(ValueError, match="vector of shape"):
+            matvec(K, bad)
 
 
 def test_sparse_rejects_bad_offsets():
