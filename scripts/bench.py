@@ -17,19 +17,37 @@ same BLAS setting and ``--durations=0``) and records its wall time as
 ``tier1_s``, the counts from its summary line as ``tier1_counts``, and the
 set-up time of ``test_criterion_4_async_convergence_under_chaos`` (the
 chaos fixture, the suite's largest single cost) as ``chaos_fixture_s``
-(null if the run reports none).  A perf change quotes two such
-files, one per commit, run on the same machine.  About 9 minutes on 2
-cores, 3 of them the tier-1 run.
+(null if the run reports none).
+
+Per workload it also makes one profile pass: ``perfbench/workloads.py
+--seed 0 --seconds 0 --trace 0`` (set-up and the two minimum rounds) under
+cProfile, in a process of its own, and records under ``layers`` the call
+count and the self and cumulative seconds of each function in ``LAYERS``,
+from assembly and partition through the interior solves, the operator
+apply and the stopping residual to the asynchronous worker's ingest,
+update, detection and send.  Profiling inflates these times, so they are
+for comparing layers and commits, not for the end-to-end figures.  The
+two interior solves run their products in one shared helper, so read
+their cumulative time.  A workload may leave a layer at zero calls (the ladder runs no
+asynchronous solve), but a listed function that no workload calls is
+stale, and the script fails before writing the file.
+
+A perf change quotes two such files, one per commit, run on the same
+machine.  About 5 minutes on 2 cores, 2 of them the tier-1 run and half a
+minute the profile passes.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pstats
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,9 +55,14 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # LAYERS resolve to the functions the workload process loads from here
 CHAOS_FIXTURE = "tests/test_acceptance.py::test_criterion_4_async_convergence_under_chaos"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1, 2)
+LAYERS = ("poisson.assemble", "decomp.partition", "decomp.stack_blocks", "decomp.gather_local_space",
+          "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled", "linalg.matvec",
+          "solvers.apply_interface_operator", "solvers.global_residual", "runtime.AsyncSimulator._ingest",
+          "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
 
 
 def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
@@ -48,6 +71,31 @@ def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
     out = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          check=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def profile_key(layer: str) -> tuple[str, int, str]:
+    """The profiler's key of a function in ``LAYERS``: its file, first line and name."""
+    module, *attrs = layer.split(".")
+    obj = importlib.import_module(f"aschur.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    code = obj.__code__
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def profile_layers(workload: str, env: dict) -> dict:
+    """Calls and self and cumulative seconds of each function in ``LAYERS`` over one profiled seed-0 run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "profile")
+        cmd = [sys.executable, "-m", "cProfile", "-o", out, str(ROOT / "perfbench" / "workloads.py"),
+               "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
+        subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+        stats = pstats.Stats(out).stats
+    layers = {}
+    for layer in LAYERS:
+        _, calls, self_s, cum_s, _ = stats.get(profile_key(layer), (0, 0, 0.0, 0.0, None))
+        layers[layer] = {"calls": calls, "self_s": self_s, "cum_s": cum_s}
+    return layers
 
 
 def run_tier1(env: dict) -> tuple[float, dict, float | None]:
@@ -89,8 +137,12 @@ def main() -> int:
             "correct": all(r["correct"] for r in runs),
             "metrics": {m["name"]: {"unit": m["unit"], **summary([r["metrics"][m["name"]]["value"] for r in runs])}
                         for m in bench["end_to_end"]},
+            "layers": profile_layers(workload, env),
         }
         print(f"bench: {workload} done", file=sys.stderr)
+    stale = [layer for layer in LAYERS if not any(w["layers"][layer]["calls"] for w in workloads.values())]
+    if stale:
+        sys.exit(f"bench: no workload calls {', '.join(stale)}; update LAYERS")
     tier1_s, tier1_counts, chaos_fixture_s = run_tier1(env)
     print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)
     revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,

@@ -150,9 +150,18 @@ class InteriorFactors:
     1.0-1.2.  So the ladder's and suite's blocks (at most 15**2 and 7**3) take
     the GEMM; the 511**2/8x8 and 47**3/2x2x2 rungs' 63**2 [128.5] and 23**3
     [44.4] blocks take SuperLU.
+
+    The interface operator reads the interior only on the rows that couple to
+    the interface (``touched``: an entry in A_IG or in a column of A_GI).  Per
+    distinct block, B is the union of its copies' touched local rows, so one
+    product still serves every copy; ``coupled`` lists, ascending, the stacked
+    rows ``lo + B`` of every copy, and ``solve_coupled`` applies
+    ``inv(A_II)[coupled, coupled]``: on the dense path one GEMM per block with
+    the gathered ``inv_t[B, B]``, a block with B empty skipped.  SuperLU solves
+    whole blocks, so there B is every row and the product is that of ``solve``.
     """
 
-    def __init__(self, A_II: scipy.sparse.csr_matrix, sizes):
+    def __init__(self, A_II: scipy.sparse.csr_matrix, sizes, touched: np.ndarray):
         A_II = A_II.tocsr()
         A_II.sort_indices()
         owner = np.repeat(np.arange(len(sizes)), sizes)  # per row and, the matrix being square, per column
@@ -164,34 +173,57 @@ class InteriorFactors:
             key = (hi - lo, (ptr[lo:hi + 1] - p0).tobytes(), (A_II.indices[p0:p1] - lo).tobytes(),
                    A_II.data[p0:p1].tobytes())
             copies.setdefault(key, []).append(lo)
-        # Per distinct block: factor, transposed inverse or None, size, copies' rows (one factor: all of b).
-        self._copies = []
+        # Per distinct block: factor, transposed inverse or None, size, copies' rows (copies, m), B.
+        blocks, on = [], np.zeros(len(touched), dtype=bool)
         for (m, *_), los in copies.items():
             lu = scipy.sparse.linalg.splu(A_II[los[0]:los[0] + m, los[0]:los[0] + m].tocsc(), "MMD_AT_PLUS_A",
                                           options={"SymmetricMode": True})
             inv_t = np.ascontiguousarray(lu.solve(np.eye(m)).T) if m * m <= DENSE_INVERSE_FILL * lu.nnz else None
-            self._copies.append((lu, inv_t, m,
-                                 slice(None) if len(copies) == 1 else np.add.outer(los, np.arange(m)).ravel()))
+            rows = np.add.outer(los, np.arange(m))
+            B = np.flatnonzero(touched[rows].any(axis=0)) if inv_t is not None else np.arange(m)
+            on[rows[:, B]] = True
+            blocks.append((lu, inv_t, m, rows, B))
+        self.coupled = np.flatnonzero(on)
+        one = len(blocks) == 1  # then its copies tile b, and c, in order: no index arrays
+        # Per product: factor, matrix or None (SuperLU), piece size, the copies' positions in the vector.
+        self._copies = [(lu, inv_t, m, slice(None) if one else rows.ravel()) for lu, inv_t, m, rows, _ in blocks]
+        self._coupled = [(lu, None if inv_t is None else inv_t[np.ix_(B, B)], len(B),
+                          slice(None) if one else np.searchsorted(self.coupled, rows[:, B].ravel()))
+                         for lu, inv_t, _, rows, B in blocks if len(B)]
         self.factors, self.inverses = [c[0] for c in self._copies], [c[1] for c in self._copies]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``inv(A_II) b``: per factor, its copies' pieces of b as the rows of one (copies, m) array."""
-        x = np.empty(len(b))
-        for lu, inv_t, m, rows in self._copies:
-            pieces = b[rows].reshape(-1, m)
-            x[rows] = (pieces @ inv_t if inv_t is not None else lu.solve(pieces.T).T).ravel()
-        return x
+        return _per_block(self._copies, b)
+
+    def solve_coupled(self, c: np.ndarray) -> np.ndarray:
+        """``inv(A_II)[coupled, coupled] c`` for c on the ``coupled`` rows: per block, its copies' pieces
+        of c as the rows of one (copies, |B|) array."""
+        return _per_block(self._coupled, c)
+
+
+def _per_block(products, b: np.ndarray) -> np.ndarray:
+    """One product per block over its copies' pieces of b: a GEMM with the matrix, or SuperLU's solve."""
+    x = np.empty(len(b))
+    for lu, mat, n, at in products:
+        pieces = b[at].reshape(-1, n)
+        x[at] = (pieces @ mat if mat is not None else lu.solve(pieces.T).T).ravel()
+    return x
 
 
 @dataclass(frozen=True)
 class StackedBlocks:
     """All interiors, concatenated from ``decomp.parts``, against the sorted interface:
     assembled (unweighted) blocks in canonical CSR, and ``lu``, the solver of the
-    block-diagonal A_II with one factor per distinct subdomain block."""
+    block-diagonal A_II with one factor per distinct subdomain block.  A_IG and A_GI
+    keep only the interior rows and columns ``coupled`` (``lu.coupled``, positions in
+    ``interior``): every interior entry either block has lies there, so its products
+    sum the same entries in the same order as the full blocks'."""
 
     interior: np.ndarray
-    A_IG: scipy.sparse.csr_matrix
-    A_GI: scipy.sparse.csr_matrix
+    coupled: np.ndarray
+    A_IG: scipy.sparse.csr_matrix  # rows ``coupled``
+    A_GI: scipy.sparse.csr_matrix  # columns ``coupled``
     A_GG: scipy.sparse.csr_matrix
     b_I: np.ndarray
     b_G: np.ndarray
@@ -342,11 +374,17 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
     P = problem.A.csr[order][:, order]  # one permuted slice, cut four ways
     P.sort_indices()  # the column permutation leaves rows unsorted; every cut of a sorted P is canonical
     top, bottom = P[:n_i], P[n_i:]
+    A_IG = top[:, n_i:]
+    touched = np.diff(A_IG.indptr) > 0
+    touched[bottom.indices[bottom.indices < n_i]] = True  # the columns of A_GI
     try:
-        lu = InteriorFactors(top[:, :n_i], [len(part) for part in decomp.parts])
+        lu = InteriorFactors(top[:, :n_i], [len(part) for part in decomp.parts], touched)
     except RuntimeError as exc:
         raise SingularMatrixError(f"stacked interior factorization failed ({exc})") from exc
-    return StackedBlocks(interior, top[:, n_i:], bottom[:, :n_i], bottom[:, n_i:], problem.b[interior],
+    coupled = lu.coupled  # A_IG's other rows are empty, so its row pointers at ``coupled`` cut it
+    A_IG = scipy.sparse.csr_matrix((A_IG.data, A_IG.indices, A_IG.indptr[np.append(coupled, n_i)]),
+                                   shape=(len(coupled), A_IG.shape[1]))
+    return StackedBlocks(interior, coupled, A_IG, bottom[:, coupled], bottom[:, n_i:], problem.b[interior],
                          problem.b[decomp.interface], lu)
 
 

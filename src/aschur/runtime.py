@@ -171,6 +171,9 @@ class FaultEvent:
             raise ValueError(f"fault victim {min(self.victims)} must be nonnegative")
         if (self.at_step is None) == (self.at_local_iteration is None):
             raise ValueError("exactly one of at_step / at_local_iteration must be set")
+        trigger = self.at_step if self.at_step is not None else self.at_local_iteration
+        if trigger < 0:
+            raise ValueError(f"fault trigger {trigger} must be nonnegative")
 
 
 @dataclass(frozen=True)

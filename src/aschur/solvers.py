@@ -3,9 +3,12 @@
 Both the relaxation sweep and conjugate gradients act on the assembled
 interface operator matrix-free, in its stacked form: every application is
 ``A_GG v - A_GI inv(A_II) A_IG v``, three CSR products (``linalg.matvec``)
-and one interior solve over all subdomains at once (one product per
-distinct block of the block-diagonal A_II: a GEMM with its inverse when
-small, else SuperLU), so no work loops over the subdomains.
+and one interior solve over all subdomains at once, restricted to the
+interior rows that couple to the interface (``blocks.coupled``: A_IG v is
+zero elsewhere and A_GI reads nothing else).  It makes one product per
+distinct block of the block-diagonal A_II: a GEMM with the coupled rows and
+columns of its inverse when small, else SuperLU, so no work loops over the
+subdomains.
 A solver's exact residual is the Euclidean residual of the full system
 with interiors recovered from the current interface vector.
 """
@@ -109,7 +112,7 @@ class SchurSystem:
     @classmethod
     def build(cls, problem: AssembledProblem, decomp: Decomposition) -> "SchurSystem":
         blocks = stack_blocks(problem, decomp)
-        d = blocks.b_G - matvec(blocks.A_GI, blocks.lu.solve(blocks.b_I))
+        d = blocks.b_G - matvec(blocks.A_GI, blocks.lu.solve(blocks.b_I)[blocks.coupled])
         return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
 
     @cached_property
@@ -160,7 +163,9 @@ def assemble_full_solution(system: SchurSystem, x_g: np.ndarray) -> np.ndarray:
     blk = system.blocks
     x = np.empty(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
-    x[blk.interior] = blk.lu.solve(blk.b_I - matvec(blk.A_IG, x_g))
+    rhs = blk.b_I.copy()
+    rhs[blk.coupled] -= matvec(blk.A_IG, x_g)  # A_IG x_g is an exact zero on every other row
+    x[blk.interior] = blk.lu.solve(rhs)
     return _require_finite(x, "full solution")
 
 
@@ -171,9 +176,9 @@ def global_residual(system: SchurSystem, x_g: np.ndarray) -> float:
 
 
 def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:
-    """Assembled interface operator applied matrix-free: one stacked interior solve."""
+    """Assembled interface operator applied matrix-free: one stacked solve on the coupled interior rows."""
     blk = system.blocks
-    return _require_finite(matvec(blk.A_GG, v) - matvec(blk.A_GI, blk.lu.solve(matvec(blk.A_IG, v))),
+    return _require_finite(matvec(blk.A_GG, v) - matvec(blk.A_GI, blk.lu.solve_coupled(matvec(blk.A_IG, v))),
                            "interface operator result")
 
 

@@ -176,6 +176,9 @@ def test_invalid_configs_rejected():
         with pytest.raises(ConfigError, match=r"config\.faults\.events\[0\]\.victims"):
             parse_run_spec({"grid": {"dims": [3]}, "splits": [2],
                             "faults": {"events": [{"victims": [victim], "at_step": 1}]}})
+    for trigger in ({"at_step": -1}, {"at_local_iteration": -2}):
+        with pytest.raises(ConfigError, match=r"config\.faults\.events\[0\]: fault trigger"):
+            parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "faults": {"events": [{"victims": [0], **trigger}]}})
     for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
                        ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1]),
                        ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1),
@@ -194,6 +197,8 @@ def test_invalid_configs_rejected():
 @pytest.mark.parametrize("overrides", [
     {"tol": float("nan")},
     {"faults": {"events": [{"victims": [5], "at_step": 3}]}},
+    {"faults": {"events": [{"victims": [0], "at_local_iteration": -2}]}},
+    {"faults": {"events": [{"victims": [0], "at_step": -1}]}},
     {"deterministic": False},
     {"k_max": 0},
     {"activation": 2},

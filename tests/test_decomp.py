@@ -433,7 +433,7 @@ def test_both_interior_paths_match_spsolve_on_a_nonsymmetric_block(interior_path
                                         ((200,), False), ((63, 63), False)])
 def test_small_blocks_take_the_gemm_and_large_ones_superlu(dims, gemm):
     A = assemble(GridSpec(dims=dims)).A.csr
-    lu = InteriorFactors(A, [A.shape[0]])
+    lu = InteriorFactors(A, [A.shape[0]], np.ones(A.shape[0], dtype=bool))
     assert (lu.inverses[0] is not None) == gemm
     if gemm:
         np.testing.assert_allclose(lu.inverses[0].T @ A.toarray(), np.eye(A.shape[0]), atol=1e-12)
@@ -453,3 +453,70 @@ def test_non_finite_operator_input_raises_on_either_path(interior_path):
     v[0] = np.nan
     with pytest.raises(FloatingPointError):
         apply_interface_operator(system, v)
+
+
+def _full_coupling_blocks(problem, blocks):
+    """The unrestricted A_IG and A_GI of the stacked interior against the interface, dense."""
+    A, interface = problem.A.csr, np.setdiff1d(np.arange(problem.A.nrows), blocks.interior)
+    return A[blocks.interior][:, interface].toarray(), A[interface][:, blocks.interior].toarray()
+
+
+# name, dims, splits; the 1-D ends couple on one side only, and one subdomain has no interface at all
+COUPLED_GRIDS = [("1d-31-p8", (31,), (8,)), ("1d-9-p1", (9,), (1,)), ("2d-15x15-p8", (15, 15), (4, 2)),
+                 ("3d-7x7x7-p8", (7, 7, 7), (2, 2, 2)), ("2d-16x17-p6", (16, 17), (3, 2))]
+
+
+def _check_coupled_rows(problem, decomp, path):
+    blocks = stack_blocks(problem, decomp)
+    coupled, n_i = blocks.coupled, len(blocks.interior)
+    assert coupled is blocks.lu.coupled and (np.diff(coupled) > 0).all()
+    A_IG, A_GI = _full_coupling_blocks(problem, blocks)
+    touched = np.flatnonzero(A_IG.any(axis=1) | A_GI.any(axis=0))
+    assert np.isin(touched, coupled).all()
+    if path == "superlu":  # SuperLU solves whole blocks
+        np.testing.assert_array_equal(coupled, np.arange(n_i))
+    elif decomp.n_interface == 0:
+        assert coupled.size == 0
+    # The restricted blocks are the full ones without their empty rows and columns, still canonical.
+    for restricted, full, at in ((blocks.A_IG, A_IG, np.s_[coupled, :]), (blocks.A_GI, A_GI, np.s_[:, coupled])):
+        assert isinstance(restricted, scipy.sparse.csr_matrix) and restricted.has_canonical_format
+        scattered = np.zeros_like(full)
+        scattered[at] = restricted.toarray()
+        np.testing.assert_array_equal(scattered, full)
+    # solve_coupled is inv(A_II)[coupled, coupled].
+    c = np.random.default_rng(3).standard_normal(len(coupled))
+    b = np.zeros(n_i)
+    b[coupled] = c
+    ref = scipy.sparse.linalg.spsolve(problem.A.csr[blocks.interior][:, blocks.interior].tocsc(), b)[coupled]
+    assert np.linalg.norm(blocks.lu.solve_coupled(c) - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+    # The operator on the coupled rows against the dense sum of the local complements.
+    system = SchurSystem.build(problem, decomp)
+    S, _ = assemble_interface_operator(system)
+    v = np.random.default_rng(4).standard_normal(system.n_interface)
+    assert np.linalg.norm(apply_interface_operator(system, v) - S @ v) <= 1e-12 * max(np.linalg.norm(S @ v), 1e-300)
+    return blocks
+
+
+@pytest.mark.parametrize("name, dims, splits", COUPLED_GRIDS, ids=[g[0] for g in COUPLED_GRIDS])
+def test_operator_on_the_coupled_rows_on_either_path(interior_path, name, dims, splits):
+    problem = assemble(GridSpec(dims=dims))
+    _check_coupled_rows(problem, partition(problem, splits), interior_path)
+
+
+def test_operator_on_the_coupled_rows_of_a_nonsymmetric_block(interior_path):
+    problem = assemble(GridSpec(dims=(15, 15)))
+    decomp = partition(problem, (4, 2))
+    row = decomp.parts[5][0]  # a corner of subdomain 5's box, next to the interface
+    col = next(c for c in problem.A.csr[row].indices if c != row and c in decomp.parts[5])
+    perturbed = _scaled(problem, row, 1.5, col=col)
+    assert len(_check_coupled_rows(perturbed, decomp, interior_path).lu.factors) == 2
+
+
+def test_a_block_whose_copies_couple_on_different_sides_takes_the_union():
+    # 1-D 31/8: the end subdomains couple on one side only, the middle ones on both.
+    problem = assemble(GridSpec(dims=(31,)))
+    decomp = partition(problem, (8,))
+    blocks = stack_blocks(problem, decomp)
+    assert len(blocks.lu.factors) == 1 and blocks.lu.inverses[0] is not None
+    sizes = [len(part) for part in decomp.parts]
+    np.testing.assert_array_equal(blocks.coupled, (np.cumsum([0, *sizes[:-1]])[:, None] + [0, sizes[0] - 1]).ravel())

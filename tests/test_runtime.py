@@ -80,6 +80,10 @@ def test_fault_plan_validation():
         FaultEvent(victims=(0,), at_step=3, at_local_iteration=4)
     with pytest.raises(ValueError):
         FaultPlan(events=(FaultEvent(victims=(0,), at_step=9), FaultEvent(victims=(1,), at_step=2)))
+    for trigger in ({"at_step": -1}, {"at_local_iteration": -2}):
+        with pytest.raises(ValueError, match="fault trigger -[12] must be nonnegative"):
+            FaultEvent(victims=(0,), **trigger)
+    assert FaultEvent(victims=(0,), at_step=0).at_step == 0
 
 
 def test_runtime_config_validation():

@@ -16,7 +16,7 @@ from aschur.solvers import (
     sync_relaxation,
     write_residual_history,
 )
-from aschur.splitting import build_splitting, interface_diagonal
+from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
 
 
 def fit_rate(history, tail=10):
@@ -59,7 +59,7 @@ def test_schur_apply_matches_explicit_operator(suite):
     for case in suite.values():
         S, _ = assemble_interface_operator(case.system)
         x = rng.normal(size=case.system.n_interface)
-        np.testing.assert_allclose(apply_interface_operator(case.system, x), S @ x, atol=1e-10)
+        assert _close(apply_interface_operator(case.system, x), S @ x), case.name
 
 
 def test_sync_relaxation_1d_geometric_sequence(tiny_1d):
@@ -313,3 +313,45 @@ def test_stop_needs_the_exact_residual_below_tol(suite, monkeypatch, solver):
     # the cheap residual fell below tol, but no stop was confirmed
     assert min(r for _, r in report.residual_history) <= 1e-2
     assert report.status == "k-max" and report.iterations_k == report.k_max
+
+
+# -- the restricted stacked blocks against the unrestricted formulas --
+
+
+def _unrestricted_blocks(system):
+    """A_IG and A_GI over every interior row, cut from the permuted matrix exactly as ``stack_blocks`` cuts them."""
+    blk = system.blocks
+    n_i = len(blk.interior)
+    order = np.concatenate([blk.interior, system.decomp.interface])
+    P = system.problem.A.csr[order][:, order]
+    P.sort_indices()
+    return P[:n_i, n_i:], P[n_i:, :n_i]
+
+
+@pytest.mark.parametrize("path", ["gemm", "superlu"])
+def test_rhs_and_full_solution_are_bitwise_the_unrestricted_formulas(suite, monkeypatch, path):
+    monkeypatch.setattr("aschur.decomp.DENSE_INVERSE_FILL", np.inf if path == "gemm" else 0)
+    rng = np.random.default_rng(7)
+    for case in suite.values():
+        system = SchurSystem.build(case.problem, case.decomp)
+        blk = system.blocks
+        A_IG, A_GI = _unrestricted_blocks(system)
+        np.testing.assert_array_equal(system.d, blk.b_G - A_GI @ blk.lu.solve(blk.b_I), err_msg=case.name)
+        x_g = rng.normal(size=system.n_interface)
+        x = np.empty(case.problem.A.nrows)
+        x[case.decomp.interface] = x_g
+        x[blk.interior] = blk.lu.solve(blk.b_I - A_IG @ x_g)
+        np.testing.assert_array_equal(assemble_full_solution(system, x_g), x, err_msg=case.name)
+
+
+@pytest.mark.parametrize("path", ["gemm", "superlu"])
+def test_single_subdomain_without_interface_converges(monkeypatch, path):
+    monkeypatch.setattr("aschur.decomp.DENSE_INVERSE_FILL", np.inf if path == "gemm" else 0)
+    problem = assemble(GridSpec(dims=(9,)))
+    system = SchurSystem.build(problem, partition(problem, [1]))
+    assert system.n_interface == 0 and system.blocks.A_IG.shape[1] == system.blocks.A_GI.shape[0] == 0
+    assert len(system.blocks.coupled) == (0 if path == "gemm" else problem.A.nrows)  # SuperLU keeps every row
+    assert apply_interface_operator(system, np.zeros(0)).shape == (0,)
+    split = InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))
+    for _, report in (cg_schur(system, tol=1e-10, k_max=10), sync_relaxation(system, split, tol=1e-10, k_max=10)):
+        assert report.converged and report.iterations_k == 0 and report.final_residual <= 1e-10
