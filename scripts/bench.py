@@ -32,18 +32,32 @@ their cumulative time.  A workload may leave a layer at zero calls (the ladder r
 asynchronous solve), but a listed function that no workload calls is
 stale, and the script fails before writing the file.
 
+Under ``rungs`` it records the large rungs, each seed in a process of
+its own (``python3 scripts/bench.py --rung NAME --seed S`` prints one such
+run): CG on 511²/8×8 and 47³/2×2×2, whose interior blocks stay on
+SuperLU, and one asynchronous run on 63²/8×8 (p = 64, uniform(0, 2) delays
+with reordering, the seed its ``RuntimeConfig.seed``), the only run that
+reaches the 2p² detection slots at that size.  CG takes no seed, so its
+three runs repeat one solve.  Each rung records, per metric, the median,
+quartiles and per-seed values of ``setup_s`` (assembly to a ready
+system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
+(CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
+converge to tol 1e-6.
+
 A perf change quotes two such files, one per commit, run on the same
-machine.  About 5 minutes on 2 cores, 2 of them the tier-1 run and half a
-minute the profile passes.
+machine.  About 9 minutes on 2 cores, 2 of them the tier-1 run, half a
+minute the profile passes and about a minute the rungs.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
 import pstats
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -63,6 +77,12 @@ LAYERS = ("poisson.assemble", "decomp.partition", "decomp.stack_blocks", "decomp
           "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled", "linalg.matvec",
           "solvers.apply_interface_operator", "solvers.global_residual", "runtime.AsyncSimulator._ingest",
           "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
+RUNGS = {  # name: grid, splits, solver
+    "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
+    "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),
+    "async-63x63-p64": ((63, 63), (8, 8), "async"),
+}
+RUNG_TOL = 1e-6
 
 
 def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
@@ -113,6 +133,42 @@ def run_tier1(env: dict) -> tuple[float, dict, float | None]:
     return seconds, {"exit": out.returncode, **counts}, float(fixture.group(1)) if fixture else None
 
 
+def rung_once(name: str, seed: int) -> dict:
+    """One rung in this process: set-up to a ready system, one solve, and the process's peak RSS."""
+    from aschur import (GridSpec, SchurSystem, assemble, async_solve, build_splitting, cg_schur, interface_diagonal,
+                        partition)
+    from aschur.runtime import DelayModel, RuntimeConfig
+
+    dims, splits, solver = RUNGS[name]
+    t0 = time.perf_counter()
+    problem = assemble(GridSpec(dims=dims))
+    decomp = partition(problem, splits)
+    system = SchurSystem.build(problem, decomp)
+    if solver == "async":
+        split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+        system.local_space, system.links  # built once per system, before its first run
+    t1 = time.perf_counter()
+    if solver == "cg":
+        _, report = cg_schur(system, tol=RUNG_TOL, k_max=100_000)
+    else:
+        delay = DelayModel(kind="uniform", low=0, high=2, reorder=True)
+        _, report = async_solve(system, split, RuntimeConfig(tol=RUNG_TOL, k_max=100_000, seed=seed, delay=delay))
+    solve_s = time.perf_counter() - t1
+    if not (report.converged and report.final_residual <= RUNG_TOL):
+        sys.exit(f"bench: rung {name} seed {seed} ended {report.status} at {report.final_residual:.3e}")
+    run = {"setup_s": t1 - t0, "solve_s": solve_s,
+           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}  # Linux reports KiB
+    if solver == "cg":
+        return {**run, "iterations": report.iterations_k}
+    return {**run, "sim_steps": report.sim_steps, "us_per_step": 1e6 * solve_s / report.sim_steps}
+
+
+def run_rung(name: str, seed: int, env: dict) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--rung", name, "--seed", str(seed)]
+    out = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, check=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
@@ -126,6 +182,13 @@ def next_path() -> Path:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rung", choices=RUNGS, help="run one rung in this process and print it as JSON")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if args.rung:
+        print(json.dumps(rung_once(args.rung, args.seed)))
+        return 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}  # what perfbench/run.py pins as well
     workloads = {}
@@ -143,6 +206,11 @@ def main() -> int:
     stale = [layer for layer in LAYERS if not any(w["layers"][layer]["calls"] for w in workloads.values())]
     if stale:
         sys.exit(f"bench: no workload calls {', '.join(stale)}; update LAYERS")
+    rungs = {}
+    for name in RUNGS:
+        runs = [run_rung(name, seed, env) for seed in SEEDS]
+        rungs[name] = {metric: summary([r[metric] for r in runs]) for metric in runs[0]}
+        print(f"bench: rung {name} done", file=sys.stderr)
     tier1_s, tier1_counts, chaos_fixture_s = run_tier1(env)
     print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)
     revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
@@ -157,6 +225,7 @@ def main() -> int:
         "seeds": list(SEEDS),
         "run_seconds": bench["run_seconds"],
         "workloads": workloads,
+        "rungs": rungs,
         "tier1_s": tier1_s,
         "tier1_counts": tier1_counts,
         "chaos_fixture_s": chaos_fixture_s,

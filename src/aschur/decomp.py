@@ -35,6 +35,7 @@ __all__ = [
     "partition",
     "build_interface_map",
     "gather_local_space",
+    "permute",
     "stack_blocks",
     "assemble_schur_explicit",
     "decomposition_to_json",
@@ -366,13 +367,23 @@ def gather_local_space(problem: AssembledProblem, decomp: Decomposition) -> Loca
     return LocalSpace(K_I, K_G, b, weights, positions, offsets)
 
 
+def permute(A: scipy.sparse.csr_matrix, order: np.ndarray) -> scipy.sparse.csr_matrix:
+    """``A[order][:, order]`` for a permutation ``order``, canonical: the gathered rows' column indices
+    are remapped through the inverse permutation and sorted, the same arrays bit for bit as scipy's
+    column indexing and sort in about half the time."""
+    rows = A[order]
+    inverse = np.empty(len(order), dtype=rows.indices.dtype)
+    inverse[order] = np.arange(len(order), dtype=rows.indices.dtype)
+    P = scipy.sparse.csr_matrix((rows.data, inverse[rows.indices], rows.indptr), shape=rows.shape)
+    P.sort_indices()  # every cut of a sorted P is canonical
+    return P
+
+
 def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlocks:
     """Gather the stacked interior and interface blocks and factor each distinct interior block once."""
     interior = np.concatenate(decomp.parts)
     n_i = len(interior)
-    order = np.concatenate([interior, decomp.interface])
-    P = problem.A.csr[order][:, order]  # one permuted slice, cut four ways
-    P.sort_indices()  # the column permutation leaves rows unsorted; every cut of a sorted P is canonical
+    P = permute(problem.A.csr, np.concatenate([interior, decomp.interface]))  # one permuted slice, cut four ways
     top, bottom = P[:n_i], P[n_i:]
     A_IG = top[:, n_i:]
     touched = np.diff(A_IG.indptr) > 0

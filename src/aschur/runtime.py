@@ -33,6 +33,13 @@ each advancing its three-phase detection machine:
 * phase 2: once the sum is complete, compare its square root to the
   tolerance and open the next round.
 
+Readiness is checked only where an input may have changed: at the
+receivers of the step's detection messages (counted in one bincount), the
+workers that completed a round the step before or were ready but inactive
+or cut off by a confirmed firing, and everywhere at the start and after a
+fault.  A step in which every worker commits and none sends a piece or a
+reduction writes the fixed data messages, one per link, into its row.
+
 A firing counts as convergence only once the exact residual of the shares
 committed so far confirms it; later workers do not commit in that step.  A
 fault resets the victims' shares and buffers and drops the messages in
@@ -197,7 +204,6 @@ class RuntimeConfig:
     seed: int = 0
     activation: float = 1.0
     step_limit: int | None = None
-    record_trajectory: bool = False
     trace: bool = False
 
     def __post_init__(self):
@@ -248,6 +254,7 @@ class LinkTables:
         msgs = np.array(msgs, dtype=np.intp).reshape(-1, 6).T
         self.msg_src, self.msg_kind, _, self.msg_dst, self.msg_link, self.msg_target = msgs
         self.msg_key = self.msg_kind * p + self.msg_src
+        self.data_ids = np.flatnonzero(self.msg_kind == 0)  # one per link, in link order
         for table in [*vars(self).values(), *self.link_slots]:
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
@@ -258,7 +265,8 @@ class AsyncSimulator:
     ``k_local``, ``phase``, ``round``, ``rounds_done`` and ``done``, and its
     committed shares ``y[offsets[i]:offsets[i + 1]]`` of the local space.
     ``step`` and ``inject_fault`` let protocol-level tests drive and perturb
-    a run manually; ``run`` loops to completion."""
+    a run manually; ``run`` loops to completion.  ``_check`` marks the workers
+    whose detection readiness is checked next (the rule in the module docstring)."""
 
     def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
         self.system, self.cfg, self.p = system, cfg, system.p
@@ -286,6 +294,7 @@ class AsyncSimulator:
         # per dst, then reductions per (round parity, dst).
         self._got = np.zeros(3 * p, dtype=np.int64)
         self._rs_cnt, self._red_cnt = self._got[:p], self._got[p:].reshape(2, p)
+        self._check = np.ones(p, dtype=bool)  # workers whose readiness may have changed
         self._stamp = np.full(self._lk.n_links, -1, dtype=np.int64)  # inject step of the adopted share
         self._floor, self._bound = -1, cfg.delay.bound  # no greater than any stamp; the delay bound
         self._inj, self._ring, self._dl = np.zeros(0, dtype=np.int64), None, None
@@ -300,7 +309,6 @@ class AsyncSimulator:
         self.detection_value, self._round_seen = None, set()
         self.detection_events: list[tuple[float, float]] = []
         self.history: list[tuple[int, float]] = []
-        self.trajectory: list[np.ndarray] = []
         self.trace: list[dict] = []
         # FaultPlan keeps the events of each kind in trigger order.
         self._pending_step_faults = [e for e in cfg.faults.events if e.at_step is not None]
@@ -344,6 +352,7 @@ class AsyncSimulator:
         if len(due):
             self._when[due] = NEVER
             self._got += np.bincount(self._lk.det_group[due], minlength=3 * self.p)
+            self._check[self._lk.det_dst[due]] = True
         if not self._stale.size:
             return None
         due = (self._stale[2] <= t) & on[self._stale[1]]
@@ -351,20 +360,26 @@ class AsyncSimulator:
         self._stale = self._stale[:, ~due]
         return stale
 
-    def _send(self, com, res, red, par, y_new):
-        """Publish the committed workers' messages; returns them (indices into the
-        message table) and their delivery steps, in send order.  The ring doubles
-        while this step's row holds shares that are adopted, or in flight to a live
-        worker and newer than what it holds."""
-        t = self.t
-        odd = par == 1
-        ids = np.concatenate((com, res, red > odd, red & odd))[self._lk.msg_key].nonzero()[0]
-        src, dst = self._lk.msg_src[ids], self._lk.msg_dst[ids]
+    def _send(self, com, res, red, y_new, data_only: bool):
+        """Publish the committed workers' messages, ``red`` the reduction senders as
+        (worker, round parity), or with ``data_only`` the data messages alone; returns
+        them (indices into the message table) and their delivery steps, in send order.
+        The ring doubles while this step's row holds shares that are adopted, or in
+        flight to a live worker and newer than what it holds."""
+        t, lk, p = self.t, self._lk, self.p
+        if data_only:
+            ids, src, dst = lk.data_ids, lk.link_src, lk.link_dst
+        else:
+            flags = np.concatenate((com, res, np.zeros(2 * p, dtype=bool)))
+            for i, par in red:
+                flags[(2 + par) * p + i] = True
+            ids = flags[lk.msg_key].nonzero()[0]
+            src, dst = lk.msg_src[ids], lk.msg_dst[ids]
         deliver = self._delay(src, dst)
         saturate = self._bound >= NEVER - t - 1  # cap instead of wrapping
         deliver = (np.minimum(deliver, NEVER - t - 1) if saturate else deliver) + (t + 1)
         if not self._reorder:  # FIFO: a pair carries at most one message per kind per step
-            kind = self._lk.msg_kind[ids]
+            kind = lk.msg_kind[ids]
             for k in range(4):
                 sel = (kind == k).nonzero()[0]
                 s, d = src[sel], dst[sel]
@@ -379,8 +394,9 @@ class AsyncSimulator:
             if old < self._floor or not (wanted & ~self.done[self._lk.link_dst]).any():
                 break
             self._resize(2 * len(self._inj))
-        self._ring[row], self._inj[row], self._dl[row] = y_new, t, NEVER
-        self._when[self._targets[row, ids]] = deliver
+        self._ring[row], self._inj[row], self._dl[row] = y_new, t, deliver if data_only else NEVER
+        if not data_only:
+            self._when[self._targets[row, ids]] = deliver
         return ids, deliver
 
     # -- the batched update ----------------------------------------------
@@ -404,23 +420,33 @@ class AsyncSimulator:
     def _detect(self, on, res, r_I_sq, r_G):
         """Advance the active workers' detection machines from what they ingested;
         ``res`` marks the workers in phase 0.  Captures their pieces and reduction
-        values; returns the masks of the workers that pass phase 1 and that complete
-        a round, and the round parities.  The caller commits the moves."""
-        phase, off = self.phase, self._off
+        values; returns the checked workers that pass phase 1 and that complete a
+        round, as (worker, round parity) in index order, keeping the ready inactive
+        ones checked.  The caller commits the moves."""
         if r_G is not None:  # phase 0: capture the pieces at the new shares
             self._r_own_I_sq[res] = r_I_sq[res]
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
-        red = (phase < 2) & (self._rs_cnt == self._lk.n_nbr) & on  # phase 1: every neighbour's piece is in
-        par = self.round & 1
-        senders = red.nonzero()[0].tolist()
-        if senders:
+        cand, p, red, fin = self._check.nonzero()[0].tolist(), self.p, [], []
+        self._check[:] = False
+        phase, rnd, got, on_l, n_nbr = [a.tolist() for a in (self.phase, self.round, self._got, on, self._lk.n_nbr)]
+        for i in cand:
+            par = rnd[i] & 1
+            sends = phase[i] < 2 and got[i] == n_nbr[i]  # phase 1: every neighbour's piece is in
+            ends = got[(1 + par) * p + i] + sends == p  # phase 2: all in, own one from phase 1
+            if not on_l[i]:
+                self._check[i] = sends or ends
+                continue
+            if sends:
+                red.append((i, par))
+            if ends:
+                fin.append((i, par))
+        if red:
+            off, w = self._off, self.space.weights
             r_sync = np.bincount(self._lk.sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._lk.e_src])))
-            w = self.space.weights
-            for i in senders:  # per worker, as each would sum its own
+            for i, par in red:  # per worker, as each would sum its own
                 r = r_sync[off[i]:off[i + 1]]
-                self._red_val[par[i], i] = self._r_own_I_sq[i] + float((w[off[i]:off[i + 1]] * r) @ r)
-        fin = (self._red_cnt[par, self._workers] + red == self.p) & on  # phase 2: all in, own one from phase 1
-        return red, fin, par
+                self._red_val[par, i] = self._r_own_I_sq[i] + float((w[off[i]:off[i + 1]] * r) @ r)
+        return red, fin
 
     def _note_round(self, rnd: int, value: float) -> bool:
         """Record a completed round once per (epoch, round); True if it is new."""
@@ -465,6 +491,7 @@ class AsyncSimulator:
         self._stale = np.concatenate([self._stale[:, keep], fresh], axis=1)
         self._when[:n_det] = NEVER
         self._got[:] = self.phase[:] = self.round[:] = 0
+        self._check[:] = True
         self.epoch += 1
         self.faults_injected += 1
         if self.cfg.trace:
@@ -513,48 +540,50 @@ class AsyncSimulator:
         full = len(active) == p
         on = self._everyone if full else np.bincount(active, minlength=p).astype(bool)
         stale = self._ingest(on, full)
-        res = (self.phase == 0) & on
-        y_new, r_I_sq, r_G = self._update(bool(np.count_nonzero(res)))
-        red, fin, par = self._detect(on, res, r_I_sq, r_G)
+        res = self.phase == 0 if full else (self.phase == 0) & on
+        pieces = bool(np.count_nonzero(res))
+        y_new, r_I_sq, r_G = self._update(pieces)
+        red, fin = self._detect(on, res, r_I_sq, r_G)
         sent_round = self.round.copy() if self._trace else None
         cut, noted = p, {}
-        for i in fin.nonzero()[0].tolist():
-            value = float(np.sqrt(max(sum(self._red_val[par[i]].tolist()), 0.0)))  # in index order
+        values = fin and [float(np.sqrt(max(sum(v), 0.0))) for v in self._red_val.tolist()]  # per round parity
+        for i, par in fin:
+            value = values[par]
             self.rounds_done[i] += 1
             if self.rounds_done[i] >= self.cfg.k_max:
                 self.done[i] = True
                 self._n_done += 1
-            hi = off[i + 1]  # the exact residual sees the commits up to this worker
-            np.copyto(self.y[:hi], y_new[:hi], where=on[self._owner_G[:hi]])
+            hi = off[i + 1]
+            if value <= self.cfg.tol:  # a firing: the exact residual sees the commits up to this worker
+                np.copyto(self.y[:hi], y_new[:hi], where=on[self._owner_G[:hi]])
             if self._note_round(int(self.round[i]), value):
                 noted[i] = {"type": "round", "t": self.t, "k": self.rounds_completed, "value": value}
             if self.detected or self.diverged:
                 cut = i + 1
                 break
         if cut < p:
-            on = on & (self._workers < cut)
-            full, res, red, fin = False, res & on, red & on, fin & on
+            self._check[[i for i, _ in red + fin if i >= cut]] = True  # ready but not committed
+            on, red, fin = on & (self._workers < cut), [m for m in red if m[0] < cut], [m for m in fin if m[0] < cut]
+            full, res = False, res & on
         self.y = y_new if full else np.where(on[self._owner_G], y_new, self.y)
         self.k_local += on
         if stale is not None:
             self.stale_discarded += int(stale[on].sum())
-        ids, deliver = self._send(on, res, red, par, y_new)
-        self.phase[res] = 1
-        red, fin = red.nonzero()[0], fin.nonzero()[0]
-        if len(red):
-            self.phase[red] = 2
-            self._rs_cnt[red] = 0
-            self._red_cnt[par[red], red] += 1
-        if len(fin):
-            self.phase[fin] = self._red_cnt[par[fin], fin] = 0
-            self.round[fin] += 1
+        ids, deliver = self._send(on, res, red, y_new, full and not pieces and not red)
+        if pieces:
+            self.phase[res] = 1
+        for i, par in red:
+            self.phase[i], self._rs_cnt[i] = 2, 0
+            self._red_cnt[par, i] += 1
+        for i, par in fin:
+            self.phase[i] = self._red_cnt[par, i] = 0
+            self.round[i] += 1
+            self._check[i] = True  # the next round may be ready at once
         if self._trace:
             self._trace_step(on, ids, deliver, noted, y_new, r_G, sent_round)
         if self._pending_iter_faults:
             self._apply_iteration_faults()
         self.t += 1
-        if self.cfg.record_trajectory:
-            self.trajectory.append(self.assembled_interface())
 
     def _trace_step(self, com, ids, deliver, noted, y_new, r_G, sent_round) -> None:
         """Per committed worker in activation order: its envelopes in send order, the
@@ -579,7 +608,7 @@ class AsyncSimulator:
         t0 = time.perf_counter()
         hard_cap = self.cfg.step_limit
         hard_cap = 1000 + self.cfg.k_max * 50 * (1 + self._bound) if hard_cap is None else hard_cap
-        while not (self.detected or self.diverged or self.done.all() or self.t >= hard_cap):
+        while not (self.detected or self.diverged or self._n_done == self.p or self.t >= hard_cap):
             self.step()
         x = self.assembled_interface()
         status = ("converged" if self.detected else "diverged" if self.diverged

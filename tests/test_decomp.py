@@ -13,6 +13,7 @@ from aschur.decomp import (
     build_interface_map,
     decomposition_to_json,
     partition,
+    permute,
     stack_blocks,
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix
@@ -353,6 +354,23 @@ def test_one_factor_per_distinct_interior_box(name, dims, splits, shapes):
     assert len(_box_shapes(problem, decomp)) == shapes
     assert len(blocks.lu.factors) == shapes
     _check_against_one_stacked_factor(problem, blocks)
+
+
+@pytest.mark.parametrize("dims, splits", [((31,), (8,)), ((15, 15), (4, 2)), ((7, 7, 5), (2, 2, 1))])
+def test_permute_matches_fancy_indexing_bit_for_bit(dims, splits):
+    problem = assemble(GridSpec(dims=dims))
+    decomp = partition(problem, splits)
+    rng = np.random.default_rng(0)
+    A = problem.A.csr.copy()
+    A.data = rng.normal(size=A.nnz)  # distinct values, so a misplaced entry shows
+    for order in (np.concatenate([*decomp.parts, decomp.interface]), rng.permutation(A.shape[0])):
+        expected = A[order][:, order]
+        expected.sort_indices()
+        got = permute(A, order)
+        assert got.has_canonical_format and got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 
 def _scaled(problem, row, factor, col=None):

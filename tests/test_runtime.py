@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aschur import runtime
+from aschur import GridSpec, SchurSystem, assemble, partition, runtime
 from aschur.runtime import (
     DELAY_BLOCK,
     AsyncSimulator,
@@ -18,7 +18,7 @@ from aschur.runtime import (
     deterministic_replay,
 )
 from aschur.solvers import cg_schur, sync_relaxation
-from aschur.splitting import build_splitting, interface_diagonal
+from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -114,13 +114,15 @@ def test_zero_delay_matches_sync_trajectory(suite, name):
     case = suite[name]
     sink = []
     sync_relaxation(case.system, case.split, tol=1e-300, k_max=40, iterate_sink=sink)
-    cfg = RuntimeConfig(tol=1e-300, k_max=10_000, step_limit=40, record_trajectory=True)
-    sim = AsyncSimulator(case.system, case.split, cfg)
-    sim.run()
-    assert len(sim.trajectory) == 40
+    sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, k_max=10_000))
+    trajectory = []
+    while len(trajectory) < 40 and not (sim.detected or sim.diverged):
+        sim.step()
+        trajectory.append(sim.assembled_interface())
+    assert len(trajectory) == 40
     for k in range(40):
         scale = max(1.0, float(np.max(np.abs(sink[k]))))
-        assert np.max(np.abs(sim.trajectory[k] - sink[k])) <= 1e-12 * scale
+        assert np.max(np.abs(trajectory[k] - sink[k])) <= 1e-12 * scale
 
 
 def test_zero_delay_converges_to_interface_solution(tiny_1d):
@@ -407,6 +409,64 @@ def test_detection_soundness_under_delays(suite, name):
         assert report.detection_residual <= tol
         assert report.final_residual <= 2 * tol
         assert report.final_residual <= tol
+
+
+def uniform(high, reorder=True):
+    return DelayModel(kind="uniform", low=0, high=high, reorder=reorder)
+
+
+ORACLE_RUNS = {
+    "fires mid-step": ("2d-7x7-p4", dict(seed=5, delay=uniform(3))),
+    "activation 0.5": ("1d-15-p4", dict(seed=0, activation=0.5, delay=uniform(3))),
+    "fifo": ("1d-15-p4", dict(seed=2, delay=uniform(6, reorder=False))),
+    "table": ("1d-7-p2", dict(delay=DelayModel(kind="table", table={(0, 1): 2, (1, 0): 5}))),
+    "step faults": ("2d-7x7-p4", dict(seed=1, delay=uniform(4), faults=FaultPlan(events=(
+        FaultEvent(victims=(1,), at_step=30), FaultEvent(victims=(0, 2), at_step=55))))),
+    "iteration fault": ("1d-15-p4", dict(seed=2, delay=uniform(5, reorder=False), faults=FaultPlan(events=(
+        FaultEvent(victims=(3,), at_local_iteration=20),)))),
+    "p = 1": ("1d-6-p1", dict(delay=uniform(3))),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_RUNS)
+def test_detection_checks_match_the_whole_array_formulas(suite, name):
+    # Detection checks only the workers whose inputs changed; at every step the
+    # workers that pass phase 1 and complete a round must be exactly those the
+    # whole-array formulas pick from the same state.
+    problem, kwargs = ORACLE_RUNS[name]
+    if problem == "1d-6-p1":
+        prob = assemble(GridSpec(dims=(6,)))
+        system = SchurSystem.build(prob, partition(prob, (1,)))
+        split = InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))
+    else:
+        system, split = suite[problem].system, suite[problem].split
+    cfg = RuntimeConfig(tol=1e-6, k_max=100_000, **kwargs)
+    sim = AsyncSimulator(system, split, cfg)
+    detect, inject, workers = sim._detect, sim.inject_fault, np.arange(sim.p)
+    moves, mid_round = [], []
+
+    def checked(on, res, r_I_sq, r_G):
+        par = sim.round & 1
+        red = (sim.phase < 2) & (sim._rs_cnt == sim._lk.n_nbr) & on
+        fin = (sim._red_cnt[par, workers] + red == sim.p) & on
+        moves.append(detect(on, res, r_I_sq, r_G))
+        assert moves[-1] == tuple([(i, int(par[i])) for i in m.nonzero()[0].tolist()] for m in (red, fin)), sim.t
+        return moves[-1]
+
+    def logged(victims):
+        mid_round.append(bool(sim.phase.any()))
+        inject(victims)
+
+    sim._detect, sim.inject_fault = checked, logged
+    sim.run()
+    assert sim.detected
+    red, fin = moves[-1]
+    if name == "fires mid-step":  # the first worker's round fires; later ready workers do not commit
+        assert len(fin) > 1 and fin[0][0] == 0
+    for _ in range(5):  # the workers the firing cut off are checked again
+        sim.step()
+    assert any(red for red, _ in moves) and any(fin for _, fin in moves)
+    assert mid_round == [True] * len(cfg.faults.events)
 
 
 def test_kmax_exhaustion_reports_not_converged(tiny_1d):
