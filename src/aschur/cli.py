@@ -281,7 +281,7 @@ def _summary_row(report: SolveReport, spec: RunSpec, system) -> list[str]:
 
 
 def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run the spec's solvers and write their files into ``out_dir``, an existing directory."""
     problem = assemble(spec.grid)
     decomp = partition(problem, spec.splits)
     system = SchurSystem.build(problem, decomp)
@@ -350,6 +350,12 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else Path(spec.output.directory)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        key = "--out" if args.out else f"{args.config}.output.dir"
+        print(f"error: {out_dir}: {key} must name a directory ({exc.strerror})", file=sys.stderr)
+        return 2
     return run_from_spec(spec, out_dir)
 
 
@@ -365,6 +371,12 @@ def _read_report(path) -> dict:
         missing.append("problem.hash")
     if missing:
         raise ValueError(f"report lacks {', '.join(missing)}")
+    rep = rec["report"]
+    for key in fields[2:]:
+        if not isinstance(rep[key], (int, float)) or isinstance(rep[key], bool):
+            raise ValueError(f"report.{key}: expected a number, got {type(rep[key]).__name__}")
+    if not isinstance(rep["converged"], bool):
+        raise ValueError(f"report.converged: expected a boolean, got {type(rep['converged']).__name__}")
     return rec
 
 

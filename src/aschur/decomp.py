@@ -204,11 +204,15 @@ class InteriorFactors:
 
 
 def _per_block(products, b: np.ndarray) -> np.ndarray:
-    """One product per block over its copies' pieces of b: a GEMM with the matrix, or SuperLU's solve."""
-    x = np.empty(len(b))
+    """One product per block over its copies' pieces of b: a GEMM with the matrix, or SuperLU's solve.
+    A product at ``slice(None)`` is the only one and tiles b, so its raveled result is the vector."""
+    x = None if products and isinstance(products[0][3], slice) else np.empty(len(b))
     for lu, mat, n, at in products:
         pieces = b[at].reshape(-1, n)
-        x[at] = (pieces @ mat if mat is not None else lu.solve(pieces.T).T).ravel()
+        out = (pieces @ mat if mat is not None else lu.solve(pieces.T).T).ravel()
+        if x is None:
+            return out
+        x[at] = out
     return x
 
 

@@ -109,10 +109,11 @@ class SparseMatrix:
 
 def matvec(K: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``K @ x`` through scipy's CSR kernel alone: the same sums, without the operator dispatch (~4 us a call)."""
-    if x.shape != (K.shape[1],):  # the kernel reads x unchecked
-        raise ValueError(f"vector of shape {x.shape} for a matrix of shape {K.shape}")
-    y = np.zeros(K.shape[0])
-    csr_matvec(*K.shape, K.indptr, K.indices, K.data, x, y)
+    m, n = K.shape
+    if x.shape != (n,):  # the kernel reads x unchecked
+        raise ValueError(f"vector of shape {x.shape} for a matrix of shape {(m, n)}")
+    y = np.zeros(m)
+    csr_matvec(m, n, K.indptr, K.indices, K.data, x, y)
     return y
 
 

@@ -45,8 +45,9 @@ committed so far confirms it; later workers do not commit in that step.  A
 fault resets the victims' shares and buffers and drops the messages in
 flight to or from them, keeping the interior factors.  Step faults
 apply at the start of their step, iteration faults at the end of the step
-in which a victim reaches the count.  A fault bumps the epoch: detection
-messages it finds in flight arrive stale, and are dropped and counted.
+in which a victim reaches the count, unless that step ended the run.  A
+fault bumps the epoch: detection messages it finds in flight arrive stale,
+and are dropped and counted.
 """
 
 from __future__ import annotations
@@ -279,10 +280,13 @@ class AsyncSimulator:
         self.space = space = system.local_space
         self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
+        n_I = self._n_I  # K_I's two row blocks and b's two pieces: a CSR row sum reads no other row
+        self._K_II, self._K_GI, self._b_I, self._b_G = space.K_I[:n_I], space.K_I[n_I:], space.b[:n_I], space.b[n_I:]
         self._owner_I = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])
         self._owner_G = np.repeat(np.arange(p), np.diff(space.offsets))
         self._off, self._workers = space.offsets.tolist(), np.arange(p)
-        self._all, self._everyone = list(range(p)), np.ones(p, dtype=bool)
+        self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
+        self._n_nbr = self._lk.n_nbr.tolist()
         self._y0 = space.weights * self.x0[space.positions]  # the initial shares
         self.y = self._y0.copy()  # every worker's committed share, stacked
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
@@ -404,18 +408,19 @@ class AsyncSimulator:
     def _update(self, residual: bool):
         """Every worker's update from its merged local view, in one pass over the
         stack: the new stacked shares and, if ``residual``, the phase-0 pieces at
-        them (interior residual square per worker, interface residual per slot).
-        Only the active workers' entries are used."""
+        them (interior residual square per worker, interface residual per slot),
+        the only reader of ``A_II x_I``.  Only the active workers' entries are used."""
         n_I, space = self._n_I, self.space
         x_l = self.y + self.nbr
         g = matvec(space.K_G, x_l)  # [A_IG x_l; A_GG x_l]
-        x_I = self._lu.solve(space.b[:n_I] - g[:n_I])
-        h = matvec(space.K_I, x_I)  # [A_II x_I; A_GI x_I]
-        y_new = space.weights * x_l + self._minv * (space.b[n_I:] - h[n_I:] - g[n_I:])
+        x_I = self._lu.solve(self._b_I - g[:n_I])
+        f_G = self._b_G - matvec(self._K_GI, x_I)  # b_G - A_GI x_I
+        y_new = space.weights * x_l + self._minv * (f_G - g[n_I:])
         if not residual:
             return y_new, None, None
-        r = space.b - h - matvec(space.K_G, y_new + self.nbr)
-        return y_new, np.bincount(self._owner_I, r[:n_I] * r[:n_I], self.p), r[n_I:]
+        k = matvec(space.K_G, y_new + self.nbr)
+        r_I = self._b_I - matvec(self._K_II, x_I) - k[:n_I]
+        return y_new, np.bincount(self._owner_I, r_I * r_I, self.p), f_G - k[n_I:]
 
     def _detect(self, on, res, r_I_sq, r_G):
         """Advance the active workers' detection machines from what they ingested;
@@ -427,8 +432,11 @@ class AsyncSimulator:
             self._r_own_I_sq[res] = r_I_sq[res]
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
         cand, p, red, fin = self._check.nonzero()[0].tolist(), self.p, [], []
+        if not cand:
+            return red, fin
         self._check[:] = False
-        phase, rnd, got, on_l, n_nbr = [a.tolist() for a in (self.phase, self.round, self._got, on, self._lk.n_nbr)]
+        phase, rnd, got = self.phase.tolist(), self.round.tolist(), self._got.tolist()
+        on_l, n_nbr = self._all_on if on is self._everyone else on.tolist(), self._n_nbr
         for i in cand:
             par = rnd[i] & 1
             sends = phase[i] < 2 and got[i] == n_nbr[i]  # phase 1: every neighbour's piece is in
@@ -566,7 +574,7 @@ class AsyncSimulator:
             on, red, fin = on & (self._workers < cut), [m for m in red if m[0] < cut], [m for m in fin if m[0] < cut]
             full, res = False, res & on
         self.y = y_new if full else np.where(on[self._owner_G], y_new, self.y)
-        self.k_local += on
+        self.k_local += 1 if full else on
         if stale is not None:
             self.stale_discarded += int(stale[on].sum())
         ids, deliver = self._send(on, res, red, y_new, full and not pieces and not red)
@@ -581,7 +589,7 @@ class AsyncSimulator:
             self._check[i] = True  # the next round may be ready at once
         if self._trace:
             self._trace_step(on, ids, deliver, noted, y_new, r_G, sent_round)
-        if self._pending_iter_faults:
+        if self._pending_iter_faults and not (self.detected or self.diverged):
             self._apply_iteration_faults()
         self.t += 1
 

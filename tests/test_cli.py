@@ -223,6 +223,23 @@ def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("via", ["--out", "output.dir"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
+def test_output_path_that_is_a_file_exits_2_before_any_solver(tmp_path, capsys, monkeypatch, via, nested):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if nested else blocker
+    monkeypatch.setattr("aschur.cli.run_from_spec", lambda *args: pytest.fail("a solver ran"))
+    if via == "--out":
+        argv = ["run", str(write_config(tmp_path)), "--out", str(out)]
+    else:
+        argv = ["run", str(write_config(tmp_path, output={"dir": str(out)}))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and via in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_large_interiors_run_with_cg(tmp_path):
     for grid, splits in (({"dims": [95, 95]}, [2, 1]), ({"dims": [3000]}, [1])):
         cfg = write_config(tmp_path, grid=grid, splits=splits, solver="cg", certify=False)
@@ -325,6 +342,23 @@ def test_compare_rejects_a_file_that_is_not_a_report(tmp_path, capsys, content):
     assert main(["compare", str(bad), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("sim_steps", "x"), ("iterations_k", None), ("k_max", [1]),
+                                         ("final_residual", "0.1"), ("sim_steps", True), ("converged", 1),
+                                         ("converged", "yes")])
+def test_compare_names_a_report_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, solver="cg", certify=False)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "report_cg.json").read_text())
+    payload["report"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(out / "report_cg.json"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: report.{field}: ") and "Traceback" not in err
 
 
 def test_log_level_env(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 
 from aschur.decomp import (
     InteriorFactors,
+    _per_block,
     assemble_schur_explicit,
     build_interface_map,
     decomposition_to_json,
@@ -538,3 +539,20 @@ def test_a_block_whose_copies_couple_on_different_sides_takes_the_union():
     assert len(blocks.lu.factors) == 1 and blocks.lu.inverses[0] is not None
     sizes = [len(part) for part in decomp.parts]
     np.testing.assert_array_equal(blocks.coupled, (np.cumsum([0, *sizes[:-1]])[:, None] + [0, sizes[0] - 1]).ravel())
+
+
+@pytest.mark.parametrize("name, dims, splits", [g[:3] for g in PATH_GRIDS if g[3] == 1],
+                         ids=[g[0] for g in PATH_GRIDS if g[3] == 1])
+def test_a_single_product_returns_the_bits_the_scatter_path_writes(interior_path, name, dims, splits):
+    # One distinct block tiles the vector, so its product is returned as it is;
+    # an explicit index array forces the allocate-and-scatter path.
+    problem = assemble(GridSpec(dims=dims))
+    blocks = stack_blocks(problem, partition(problem, splits))
+    lu, rng = blocks.lu, np.random.default_rng(11)
+    for products, n in ((lu._copies, len(blocks.interior)), (lu._coupled, len(lu.coupled))):
+        assert len(products) == 1 and products[0][3] == slice(None)
+        b = rng.standard_normal(n)
+        x = _per_block(products, b)
+        ref = _per_block([(f, mat, m, np.arange(n)) for f, mat, m, _ in products], b)
+        assert x.shape == (n,) and x.flags.c_contiguous and not np.shares_memory(x, b)
+        assert x.tobytes() == ref.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aschur import GridSpec, SchurSystem, assemble, partition, runtime
+from aschur.linalg import matvec
 from aschur.runtime import (
     DELAY_BLOCK,
     AsyncSimulator,
@@ -367,6 +368,26 @@ def test_batched_step_matches_subdomain_loop(suite):
                 assert _close(sim._r_own_G[s], r_G), (name, trial, i)
 
 
+def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
+    # The update forms A_II x_I only for the phase-0 pieces, from K_I's interior
+    # row block: on random states, the shares match bit for bit with and without
+    # the pieces, and the pieces match the residual over the whole stacked K_I.
+    rng = np.random.default_rng(17)
+    for name, case in suite.items():
+        sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300))
+        space, n_I = sim.space, sim._n_I
+        for _ in range(3):
+            sim.y, sim.nbr = rng.normal(size=len(sim.y)), rng.normal(size=len(sim.y))
+            y_new, none_I, none_G = sim._update(False)
+            y_res, r_I_sq, r_G = sim._update(True)
+            assert none_I is None and none_G is None
+            assert y_new.tobytes() == y_res.tobytes(), name
+            x_I = sim._lu.solve(space.b[:n_I] - matvec(space.K_G, sim.y + sim.nbr)[:n_I])
+            r = space.b - matvec(space.K_I, x_I) - matvec(space.K_G, y_new + sim.nbr)
+            assert r_G.tobytes() == r[n_I:].tobytes(), name
+            assert r_I_sq.tobytes() == np.bincount(sim._owner_I, r[:n_I] * r[:n_I], sim.p).tobytes(), name
+
+
 # -- fairness -------------------------------------------------------------------
 
 
@@ -467,6 +488,25 @@ def test_detection_checks_match_the_whole_array_formulas(suite, name):
         sim.step()
     assert any(red for red, _ in moves) and any(fin for _, fin in moves)
     assert mid_round == [True] * len(cfg.faults.events)
+
+
+def test_iteration_fault_due_in_the_step_that_converged_is_not_applied():
+    # Worker 0 reaches its fault count of 47 in the step whose firing the exact
+    # residual confirms; the run is over, so the fault must not reset its share
+    # (it used to, leaving a final residual of 1.45 on a run reported converged).
+    problem = assemble(GridSpec(dims=(4, 3, 1)))
+    decomp = partition(problem, (1, 2, 1))
+    system = SchurSystem.build(problem, decomp)
+    split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+    faults = FaultPlan(events=(FaultEvent(victims=(1,), at_local_iteration=17),
+                               FaultEvent(victims=(0,), at_local_iteration=47)))
+    cfg = RuntimeConfig(tol=1e-6, k_max=100_000, activation=0.015625, faults=faults,
+                        delay=DelayModel(kind="table", table={(0, 1): 1, (1, 0): 3}))
+    sim = AsyncSimulator(system, split, cfg)
+    x, report = sim.run()
+    assert report.converged and sim.k_local[0] == 47
+    assert report.faults_injected == 1 and sim._pending_iter_faults == [faults.events[1]]
+    assert report.final_residual == report.detection_events[-1][1] <= 1e-6
 
 
 def test_kmax_exhaustion_reports_not_converged(tiny_1d):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
 from aschur.decomp import assemble_schur_explicit, partition
+from aschur.linalg import matvec
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
@@ -355,3 +358,73 @@ def test_single_subdomain_without_interface_converges(monkeypatch, path):
     split = InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))
     for _, report in (cg_schur(system, tol=1e-10, k_max=10), sync_relaxation(system, split, tol=1e-10, k_max=10)):
         assert report.converged and report.iterations_k == 0 and report.final_residual <= 1e-10
+
+
+def _reference_operator(system, v):
+    """The interface operator as two allocated products and their difference."""
+    blk = system.blocks
+    return matvec(blk.A_GG, v) - matvec(blk.A_GI, blk.lu.solve_coupled(matvec(blk.A_IG, v)))
+
+
+def _reference_sync(system, split, tol, k_max):
+    """Relaxation sweeps with the residual norm from np.linalg.norm."""
+    x, minv = np.zeros(system.n_interface), 1.0 / split.m_diag
+    g = system.d - _reference_operator(system, x)
+    history, k = [(0, float(np.linalg.norm(g)))], 0
+    while not (history[-1][1] <= tol and global_residual(system, x) <= tol) and k < k_max:
+        x += minv * g
+        k += 1
+        g = system.d - _reference_operator(system, x)
+        history.append((k, float(np.linalg.norm(g))))
+    return x, history
+
+
+def _reference_cg(system, tol, k_max, restarts=()):
+    """Conjugate gradients with a newly allocated direction ``r + beta * p`` per iteration."""
+    x = np.zeros(system.n_interface)
+    history, k, faults, done = [(0, global_residual(system, x))], 0, 0, False
+    while not done and k < k_max:
+        r = system.d - _reference_operator(system, x)
+        p_dir, rs = r.copy(), float(r @ r)
+        while k < k_max:
+            Sp = _reference_operator(system, p_dir)
+            alpha = rs / float(p_dir @ Sp)
+            x += alpha * p_dir
+            r -= alpha * Sp
+            k += 1
+            rs_new = float(r @ r)
+            history.append((k, math.sqrt(rs_new)))
+            if history[-1][1] <= tol and global_residual(system, x) <= tol:
+                done = True
+                break
+            if faults < len(restarts) and k >= restarts[faults][0]:
+                for v in restarts[faults][1]:
+                    x[system.imap.gamma_positions[v]] = 0.0
+                faults += 1
+                break
+            p_dir = r + (rs_new / rs) * p_dir
+            rs = rs_new
+    return x, history
+
+
+def _same_bits(got, ref):
+    x, report = got
+    return x.tobytes() == ref[0].tobytes() and report.residual_history == ref[1]
+
+
+@pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8", "2d-13x13-p6", "1d-31-p8"])
+def test_loops_updated_in_place_give_the_bits_of_the_allocating_loops(suite, name):
+    # The in-place direction update, the operator's in-place difference and the
+    # residual norm as sqrt(g @ g) change no bit of the iterates or histories.
+    from aschur.runtime import FaultEvent, FaultPlan, RuntimeConfig, cg_with_restart
+
+    case = suite[name]
+    system, split, tol = case.system, case.split, 1e-10
+    assert _same_bits(sync_relaxation(system, split, tol=tol, k_max=10_000), _reference_sync(system, split, tol, 10_000))
+    assert _same_bits(sync_relaxation(system, split, tol=tol, k_max=7), _reference_sync(system, split, tol, 7))
+    assert _same_bits(cg_schur(system, tol=tol, k_max=10_000), _reference_cg(system, tol, 10_000))
+    events = (FaultEvent(victims=(0,), at_step=2), FaultEvent(victims=(1, system.p - 1), at_step=5))
+    restarts = [(e.at_step, e.victims) for e in events]
+    got = cg_with_restart(system, RuntimeConfig(tol=tol, k_max=10_000, faults=FaultPlan(events=events)))
+    assert got[1].faults_injected == 2
+    assert _same_bits(got, _reference_cg(system, tol, 10_000, restarts))
