@@ -409,7 +409,7 @@ class AsyncSimulator:
         """Every worker's update from its merged local view, in one pass over the
         stack: the new stacked shares and, if ``residual``, the phase-0 pieces at
         them (interior residual square per worker, interface residual per slot),
-        the only reader of ``A_II x_I``.  Only the active workers' entries are used."""
+        the only values that need ``A_II x_I``.  Only the active workers' entries are used."""
         n_I, space = self._n_I, self.space
         x_l = self.y + self.nbr
         g = matvec(space.K_G, x_l)  # [A_IG x_l; A_GG x_l]
