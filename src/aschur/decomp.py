@@ -409,8 +409,8 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
     Eliminates the interior block with one dense solve (desk scale):
     S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I.
     """
-    if local.n_gamma > DENSE_OP_LIMIT:
-        raise ValueError(f"local interface of size {local.n_gamma} exceeds the explicit cap")
+    if max(local.n_interior, local.n_gamma) > DENSE_OP_LIMIT:
+        raise ValueError(f"local blocks of {local.n_interior} + {local.n_gamma} rows exceed the explicit cap")
     if local.n_gamma == 0:
         return np.zeros((0, 0)), np.zeros(0)
     a_gi = local.A_GI.toarray()

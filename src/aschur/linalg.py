@@ -1,5 +1,5 @@
 """Shared linear-algebra kernels: the assembled matrix's CSR record, weighted
-norms, matrix-class predicates and a nonnegative power iteration.
+norms, matrix-class predicates and the spectral radius of a nonnegative matrix.
 
 Vectors and dense matrices are plain float64 numpy arrays (1-D, and 2-D in
 row-major order).  Sparse blocks are scipy CSR matrices in canonical form
@@ -24,7 +24,6 @@ __all__ = [
     "SparseMatrix",
     "SingularMatrixError",
     "matvec",
-    "PowerIterationError",
     "weighted_max_norm",
     "weighted_row_sums",
     "comparison_matrix",
@@ -41,14 +40,6 @@ DENSE_OP_LIMIT = 2000
 
 class SingularMatrixError(ValueError):
     """Raised when an interior factorization meets a singular block."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not settle; carries the last estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -187,62 +178,15 @@ def is_h_matrix(a, tol: float = 1e-10) -> bool:
     return is_m_matrix(comparison_matrix(a), tol)
 
 
-def _power_shifted(block: np.ndarray, tol: float, max_iters: int) -> float:
-    """Rayleigh power iteration on block + cI, c > 0.
+def spectral_radius_nonneg(a) -> float:
+    """Spectral radius of a dense nonnegative matrix, from all its eigenvalues.
 
-    For a nonnegative block the radius shifts by exactly c, and on an
-    irreducible block the shift breaks modulus ties from periodic structure
-    (a bipartite pattern carries -rho next to rho), so the quotient cannot
-    stall on a spurious plateau.
-    """
-    n = block.shape[0]
-    shift = 0.05 * float(np.max(block.sum(axis=1)))
-    if shift == 0.0:
-        return 0.0
-    x = np.ones(n)
-    x[0] += 1e-12
-    lam_prev = None
-    lam = 0.0
-    for _ in range(max_iters):
-        y = block @ x + shift * x
-        lam = float(x @ y) / float(x @ x)
-        x = y / float(np.linalg.norm(y))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return max(lam - shift, 0.0)
-        lam_prev = lam
-    raise PowerIterationError(
-        f"power iteration: no convergence in {max_iters} iterations (last estimate {lam - shift})",
-        estimate=lam - shift,
-    )
-
-
-def spectral_radius_nonneg(a, tol: float = 1e-12, max_iters: int = 50_000) -> float:
-    """Power-iteration estimate of the spectral radius of a dense nonnegative matrix.
-
-    The sparsity pattern is condensed into strongly connected components;
-    the radius is the maximum over the per-component diagonal blocks, which
-    are irreducible and therefore safe for power iteration (acyclic parts
-    contribute nothing).  Starts from the all-ones vector with a 1e-12 bump
-    on the first entry and stops once the relative change of the Rayleigh
-    quotient falls below ``tol``.  Raises ``PowerIterationError`` carrying
-    the last estimate on non-convergence.
+    Every caller is bounded by ``DENSE_OP_LIMIT``, so one dense eigenvalue
+    solve is exact to rounding and bounded in cost, near ties included.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("spectral_radius_nonneg needs a square matrix")
     if a.size and a.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
-    if a.shape[0] == 0:
-        return 0.0
-    pattern = scipy.sparse.csr_matrix(a)
-    n_comp, labels = scipy.sparse.csgraph.connected_components(pattern, directed=True, connection="strong")
-    rho = 0.0
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        if len(idx) == 1:
-            rho = max(rho, float(a[idx[0], idx[0]]))
-        else:
-            block = a[np.ix_(idx, idx)]
-            rho = max(rho, _power_shifted(block, tol, max_iters))
-    return rho
-
+    return float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))

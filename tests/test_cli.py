@@ -56,6 +56,17 @@ def test_certificates_present_when_requested(tmp_path):
     assert certs["a_is_h"] and certs["h_split_ok"]
 
 
+def test_certificates_when_leading_eigenvalues_nearly_tie(tmp_path):
+    # T is 3x3 with eigenvalues 0.566999, 0.566987 and 0.566975; the radius
+    # must still come out exact.
+    cfg = write_config(tmp_path, grid={"dims": [33, 1]}, splits=[4, 1], alpha=2.0, solver="cg", certify=True)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    certs = json.loads((out / "report_cg.json").read_text())["certificates"]
+    assert certs["rho_async"] == pytest.approx(0.566999209432122, abs=1e-12)
+    assert certs["rho_global"] == pytest.approx(0.609859985872454, abs=1e-12)
+
+
 def test_fault_scenario_emits_paired_reports(tmp_path):
     cfg = write_config(
         tmp_path,

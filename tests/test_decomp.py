@@ -283,6 +283,17 @@ def test_schur_explicit_rejects_oversized_interface(tiny_1d):
         assemble_schur_explicit(loc)
 
 
+def test_schur_explicit_rejects_oversized_interior():
+    # 4003/2: 2,001 interior rows and one interface row per subdomain, so the
+    # dense interior block, not the interface, is over the cap.
+    prob = assemble(GridSpec(dims=(4003,)))
+    system = SchurSystem.build(prob, partition(prob, (2,)))
+    for loc in system.subdomains:
+        assert (loc.n_interior, loc.n_gamma) == (2001, 1)
+        with pytest.raises(ValueError):
+            assemble_schur_explicit(loc)
+
+
 def test_schur_equals_interface_block_when_decoupled(tiny_1d):
     loc = tiny_1d.system.subdomains[0]
     from dataclasses import replace

@@ -6,7 +6,6 @@ and it stops only on a firing that the exact residual confirms."""
 import itertools
 import math
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +19,10 @@ from aschur import (
     assemble,
     async_solve,
     build_splitting,
+    certify_async,
     interface_diagonal,
     partition,
 )
-from aschur.splitting import async_update_blocks
 
 MAX_UNKNOWNS = 400
 # Steps grow with p, the delays and 1 / (1 - rho_async), which nears 1 on long boxes and thin
@@ -37,16 +36,6 @@ TOL = 1e-6
 # Derandomized, so that tier-1 draws the same 100 examples on every run.
 THEOREM = settings(max_examples=100, derandomize=True, database=None, deadline=None, print_blob=True,
                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-
-
-def rho_async(system, split) -> float:
-    """The spectral radius of the summed absolute update blocks, from all eigenvalues: the
-    radius ``certify_async`` estimates by power iteration, which stalls when the leading
-    eigenvalues nearly tie (33x1/4x1 at alpha 2 has three within 2e-5 of each other)."""
-    T = np.zeros((system.n_interface, system.n_interface))
-    for local, Q in zip(system.subdomains, async_update_blocks(system.subdomains, split)):
-        T[np.ix_(local.gamma_positions, local.gamma_positions)] += np.abs(Q)
-    return float(np.abs(np.linalg.eigvals(T)).max(initial=0.0))
 
 
 @st.composite
@@ -102,7 +91,7 @@ def test_rho_async_below_one_means_confirmed_convergence(data):
         activation=data.draw(st.floats(0.0, 1.0, exclude_min=True), label="activation"),
         delay=data.draw(delays(p), label="delay"), faults=data.draw(faults(p), label="faults"),
     )
-    if rho_async(system, split) >= 1.0:
+    if certify_async(system.subdomains, system.imap, split) >= 1.0:
         return
     _, report = async_solve(system, split, cfg)
     assert report.status == "converged" and report.converged, report.status
