@@ -27,7 +27,6 @@ from .runtime import (
     RuntimeConfig,
     async_solve,
     cg_with_restart,
-    deterministic_replay,
 )
 from .solvers import (
     SchurSystem,

@@ -33,9 +33,7 @@ import scipy.io
 from .decomp import check_splits, decomposition_to_json, partition
 from .linalg import DENSE_OP_LIMIT
 from .poisson import GridSpec, assemble
-from .runtime import (
-    DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart, deterministic_replay,
-)
+from .runtime import AsyncSimulator, DelayModel, FaultEvent, FaultPlan, RuntimeConfig, cg_with_restart
 from .solvers import SchurSystem, SolveReport, cg_schur, sync_relaxation, write_residual_history
 from .splitting import build_splitting, certify, interface_diagonal, problem_hash
 
@@ -52,7 +50,6 @@ class ConfigError(ValueError):
 class OutputOptions:
     directory: str = "."
     residual_csv: bool = True
-    trace: bool = False
     export_matrix_market: bool = False
     decomposition_json: bool = False
 
@@ -98,7 +95,7 @@ def _float(obj: dict, key: str, path: str, default: float) -> float:
 
 
 def _parse_delay(obj: dict, path: str, p: int) -> DelayModel:
-    _expect_keys(obj, {"kind", "fixed", "low", "high", "table", "reorder", "seed"}, path)
+    _expect_keys(obj, {"kind", "fixed", "low", "high", "table", "reorder"}, path)
     kind = _get(obj, "kind", str, path, default="zero")
     table = None
     if "table" in obj:
@@ -122,7 +119,6 @@ def _parse_delay(obj: dict, path: str, p: int) -> DelayModel:
             high=_get(obj, "high", int, path, default=0),
             table=table,
             reorder=_get(obj, "reorder", bool, path, default=False),
-            seed=_get(obj, "seed", int, path, default=0),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -197,16 +193,16 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
     output = OutputOptions(
         directory=_get(out_obj, "dir", str, f"{path}.output", default="."),
         residual_csv=_get(out_obj, "residual_csv", bool, f"{path}.output", default=True),
-        trace=_get(out_obj, "trace", bool, f"{path}.output", default=False),
         export_matrix_market=_get(out_obj, "export_matrix_market", bool, f"{path}.output", default=False),
         decomposition_json=_get(out_obj, "decomposition_json", bool, f"{path}.output", default=False),
     )
     alpha = _float(raw, "alpha", path, default=1.0)
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise ConfigError(f"{path}.alpha: must be finite and at least 1, got {alpha}")
+    if not (alpha >= 1 and math.isfinite(alpha * grid.stencil[0])):
+        raise ConfigError(f"{path}.alpha: must be at least 1 and keep alpha * 2d/h^2 finite, got {alpha}")
     p = math.prod(splits)
     delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay", p)
     faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", p)
+    trace = _get(out_obj, "trace", bool, f"{path}.output", default=False)
     settings = dict(
         tol=_float(raw, "tol", path, default=1e-6),
         k_max=_get(raw, "k_max", int, path, default=10_000),
@@ -214,7 +210,7 @@ def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
         activation=_float(raw, "activation", path, default=1.0),
     )
     try:
-        runtime = RuntimeConfig(delay=delay, faults=faults, trace=output.trace, **settings)
+        runtime = RuntimeConfig(delay=delay, faults=faults, trace=trace, **settings)
     except ValueError as exc:
         key, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{path}.{key}: {reason}") from exc
@@ -311,12 +307,11 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
             x_g, report = cg_schur(system, tol=rcfg.tol, k_max=rcfg.k_max)
         elif name == "cg-restart":
             x_g, report = cg_with_restart(system, rcfg)
-        elif rcfg.trace:
-            replay = deterministic_replay(system, split, rcfg)
-            x_g, report = replay.x_interface, replay.report
-            (out_dir / "trace_async.jsonl").write_text("\n".join(replay.trace_lines) + "\n")
         else:
-            x_g, report = async_solve(system, split, rcfg)
+            sim = AsyncSimulator(system, split, rcfg)
+            x_g, report = sim.run()
+            if rcfg.trace:
+                (out_dir / "trace_async.jsonl").write_text("\n".join(sim.trace_lines()) + "\n")
         payload = _report_payload(report, x_g, spec, system, certs, phash)
         (out_dir / f"report_{name}.json").write_text(json.dumps(payload, indent=2))
         if spec.output.residual_csv:

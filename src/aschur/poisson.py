@@ -39,6 +39,8 @@ class GridSpec:
             raise ValueError("every grid extent must be at least 1")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise ValueError("spacing must be positive and finite")
+        if not (self.spacing * self.spacing > 0 and all(0 < v < math.inf for v in self.stencil)):
+            raise ValueError(f"spacing {self.spacing}: stencil entries 2d/h^2 and 1/h^2 must be finite, nonzero")
         if not math.isfinite(self.source):
             raise ValueError("source must be finite")
         if self.n > MAX_UNKNOWNS:
@@ -47,6 +49,12 @@ class GridSpec:
     @property
     def n(self) -> int:
         return math.prod(self.dims)
+
+    @property
+    def stencil(self) -> tuple[float, float]:
+        """The diagonal entry 2d/h^2 and the magnitude 1/h^2 of a neighbour entry."""
+        h2 = self.spacing * self.spacing
+        return (2.0 * len(self.dims)) / h2, 1.0 / h2
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,6 @@ class AssembledProblem:
 def assemble(grid: GridSpec) -> AssembledProblem:
     """Build the scaled 3/5/7-point Laplacian system for ``grid``."""
     dims = grid.dims
-    d = len(dims)
     n = grid.n
 
     idx = np.arange(n, dtype=np.int64)
@@ -74,8 +81,8 @@ def assemble(grid: GridSpec) -> AssembledProblem:
     steps = np.concatenate((-strides[::-1], [0], strides))
     inside = np.hstack((coords[:, ::-1] > 0, np.ones((n, 1), dtype=bool), coords < np.array(dims) - 1))
     cols = (idx[:, None] + steps)[inside]
-    h2 = grid.spacing * grid.spacing
-    vals = np.where(steps == 0, (2.0 * d) / h2, -1.0 / h2)
+    diag, off = grid.stencil
+    vals = np.where(steps == 0, diag, -off)
     vals = np.broadcast_to(vals, inside.shape)[inside]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(inside.sum(axis=1), out=offsets[1:])

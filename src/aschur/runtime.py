@@ -45,9 +45,9 @@ committed so far confirms it; later workers do not commit in that step.  A
 fault resets the victims' shares and buffers and drops the messages in
 flight to or from them, keeping the interior factors.  Step faults
 apply at the start of their step, iteration faults at the end of the step
-in which a victim reaches the count, unless that step ended the run.  A
-fault bumps the epoch: detection messages it finds in flight arrive stale,
-and are dropped and counted.
+in which a victim reaches the count, unless that step ended the run.  The
+epoch is the number of faults injected so far: detection messages a fault
+finds in flight arrive stale, and are dropped and counted.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,10 +78,8 @@ __all__ = [
     "FaultPlan",
     "RuntimeConfig",
     "AsyncSimulator",
-    "ReplayResult",
     "async_solve",
     "cg_with_restart",
-    "deterministic_replay",
 ]
 
 DETECTION_SLACK = 2.0
@@ -109,15 +107,12 @@ class DelayModel:
     high: int = 0
     table: dict | None = None
     reorder: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "uniform", "table"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if not 0 <= self.fixed <= DELAY_MAX or self.low < 0 or not self.low <= self.high <= DELAY_MAX:
             raise ValueError(f"delays must satisfy 0 <= fixed <= {DELAY_MAX} and 0 <= low <= high <= {DELAY_MAX}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "table":
             if self.table is None:
                 raise ValueError("table delays need a table")
@@ -274,7 +269,7 @@ class AsyncSimulator:
         p = self.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], p)
         self.rng_sched = np.random.default_rng(cfg.seed)
-        self.rng_delay = np.random.default_rng(cfg.delay.seed if cfg.delay.seed else cfg.seed + 1)
+        self.rng_delay = np.random.default_rng(cfg.seed + 1)
         self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
         self.x0 = _start_vector(system, x0)
         self.space = space = system.local_space
@@ -307,10 +302,10 @@ class AsyncSimulator:
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
         self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
-        self.t = self.epoch = self.rounds_completed = self.faults_injected = self.stale_discarded = 0
+        self.t = self.rounds_completed = self.faults_injected = self.stale_discarded = 0
         self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
         self.detected = self.diverged = False
-        self.detection_value, self._round_seen = None, set()
+        self._round_seen = set()
         self.detection_events: list[tuple[float, float]] = []
         self.history: list[tuple[int, float]] = []
         self.trace: list[dict] = []
@@ -458,7 +453,7 @@ class AsyncSimulator:
 
     def _note_round(self, rnd: int, value: float) -> bool:
         """Record a completed round once per (epoch, round); True if it is new."""
-        key = (self.epoch, rnd)
+        key = (self.faults_injected, rnd)
         if key in self._round_seen:
             return False
         self._round_seen.add(key)
@@ -474,7 +469,7 @@ class AsyncSimulator:
                 log.warning("detector fired at %.3e but the exact residual %.3e exceeds %g*tol",
                             value, exact, DETECTION_SLACK)
             if exact <= self.cfg.tol:
-                self.detected, self.detection_value = True, value
+                self.detected = True
         elif value > DIVERGENCE_LIMIT or not np.isfinite(value):
             self.diverged = True
         return True
@@ -500,10 +495,9 @@ class AsyncSimulator:
         self._when[:n_det] = NEVER
         self._got[:] = self.phase[:] = self.round[:] = 0
         self._check[:] = True
-        self.epoch += 1
         self.faults_injected += 1
         if self.cfg.trace:
-            self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.epoch})
+            self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.faults_injected})
 
     def _apply_step_faults(self) -> None:
         while self._pending_step_faults and self._pending_step_faults[0].at_step <= self.t:
@@ -599,7 +593,7 @@ class AsyncSimulator:
         src = self._lk.msg_src[ids]
         for i in com.nonzero()[0].tolist():
             lo, hi = np.searchsorted(src, [i, i + 1])
-            head = {"type": "envelope", "from": i, "inject": self.t, "epoch": self.epoch}
+            head = {"type": "envelope", "from": i, "inject": self.t, "epoch": self.faults_injected}
             for m, dl in zip(ids[lo:hi].tolist(), deliver[lo:hi].tolist()):
                 kind, slots = self._lk.msg_kind[m], self._lk.link_slots[self._lk.msg_link[m]]
                 rnd, payload = ((-1, y_new[slots]) if kind == 0 else (sent_round[i], r_G[slots]) if kind == 1
@@ -627,30 +621,15 @@ class AsyncSimulator:
             per_worker_k=per_worker, k_max=max(per_worker) if per_worker else 0, residual_history=self.history,
             final_residual=global_residual(self.system, x), wall_time=time.perf_counter() - t0,
             status=status, faults_injected=self.faults_injected, sim_steps=self.t,
-            detection_residual=self.detection_value, detection_events=self.detection_events,
+            detection_residual=self.detection_events[-1][0] if self.detected else None,
+            detection_events=self.detection_events,
             stale_discarded=self.stale_discarded,
         )
         return x, report
 
     def trace_lines(self) -> list[str]:
+        """The trace records as sorted-key JSON lines; equal seeds give equal lines."""
         return [json.dumps(rec, sort_keys=True) for rec in self.trace]
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    trace_lines: tuple[str, ...]
-    trace_hash: str
-    x_interface: np.ndarray
-    report: SolveReport
-
-
-def deterministic_replay(system: SchurSystem, split, cfg: RuntimeConfig, x0=None) -> ReplayResult:
-    """One fully traced run; equal seeds give equal traces."""
-    sim = AsyncSimulator(system, split, replace(cfg, trace=True), x0=x0)
-    x, report = sim.run()
-    lines = sim.trace_lines()
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return ReplayResult(trace_lines=tuple(lines), trace_hash=digest, x_interface=x, report=report)
 
 
 def async_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None) -> tuple[np.ndarray, SolveReport]:

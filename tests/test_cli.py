@@ -192,11 +192,21 @@ def test_invalid_configs_rejected():
             parse_run_spec({"grid": {"dims": [3]}, "splits": [2], "faults": {"events": [{"victims": [0], **trigger}]}})
     for key, value in (("k_max", 0), ("activation", 2), ("activation", -0.5), ("activation", float("nan")),
                        ("alpha", 0.5), ("alpha", float("nan")), ("alpha", float("inf")), ("splits", [2, 1]),
-                       ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1),
-                       ("delay", {"kind": "uniform", "high": 3, "seed": -5}), ("tol", 10**400),
+                       ("splits", [5]), ("grid", {"dims": [5000, 2001]}), ("seed", -1), ("tol", 10**400),
                        ("delay", {"kind": "uniform", "high": 2**64})):
         with pytest.raises(ConfigError, match=rf"config\.{key}"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], key: value})
+    # The delay generator is seeded from the run seed alone.
+    for seed in (-5, 5):
+        with pytest.raises(ConfigError, match=r"config\.delay: unknown key\(s\) \['seed'\]"):
+            parse_run_spec({"grid": {"dims": [7]}, "splits": [2],
+                            "delay": {"kind": "uniform", "high": 3, "seed": seed}})
+    # Stencil entries or the scaled interface diagonal that overflow or vanish.
+    for spacing in (1e-160, 1e-154, 1e160, 1e200):
+        with pytest.raises(ConfigError, match=r"config\.grid: spacing"):
+            parse_run_spec({"grid": {"dims": [7, 7], "spacing": spacing}, "splits": [2, 2]})
+    with pytest.raises(ConfigError, match=r"config\.alpha"):
+        parse_run_spec({"grid": {"dims": [7, 7]}, "splits": [2, 2], "alpha": 1e308})
     for table in ({"5->9": 3}, {"0->2": 1}, {"-1->1": 1}, {"1->1": 1}):
         with pytest.raises(ConfigError, match=r"config\.delay\.table"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": {"kind": "table", "table": table}})
@@ -224,6 +234,11 @@ def test_invalid_configs_rejected():
     {"deterministic": True},
     {"delay": {"kind": "table", "table": {"5->9": 3}}},
     {"delay": {"kind": "fixed", "fixed": 10**30}},
+    {"grid": {"dims": [7, 7], "spacing": 1e-160}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7], "spacing": 1e-154}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7], "spacing": 1e160}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7], "spacing": 1e200}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7]}, "splits": [2, 2], "alpha": 1e308, "solver": "sync"},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -392,7 +407,7 @@ def _mostly(draw, good, bad):
 
 def _delay(draw):
     delay = {"kind": _mostly(draw, st.sampled_from(["zero", "fixed", "uniform", "table"]), st.just("gauss"))}
-    for key, hi in (("fixed", 5), ("low", 3), ("seed", 10)):
+    for key, hi in (("fixed", 5), ("low", 3)):
         if draw(st.booleans()):
             delay[key] = _mostly(draw, st.integers(0, hi), st.integers(-5, -1))
     if draw(st.booleans()):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from aschur.runtime import (
     RuntimeConfig,
     async_solve,
     cg_with_restart,
-    deterministic_replay,
 )
 from aschur.solvers import cg_schur, sync_relaxation
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
@@ -27,6 +25,13 @@ def report_fields(report, skip=("wall_time",)):
     for key in skip:
         d.pop(key)
     return d
+
+
+def traced_run(case, cfg):
+    """A run with tracing on: (interface vector, report, trace records)."""
+    sim = AsyncSimulator(case.system, case.split, dataclasses.replace(cfg, trace=True))
+    x, report = sim.run()
+    return x, report, sim.trace
 
 
 # -- config validation -------------------------------------------------------
@@ -97,8 +102,6 @@ def test_runtime_config_validation():
     for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1}, {"step_limit": 0}, {"step_limit": -5}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             RuntimeConfig(**bad)
-    with pytest.raises(ValueError, match="seed"):
-        DelayModel(kind="uniform", high=3, seed=-5)
 
 
 def test_fault_victim_range_checked(tiny_1d):
@@ -140,20 +143,18 @@ def test_same_seed_gives_identical_trace_and_report(suite):
     case = suite["2d-7x7-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=3,
                         delay=DelayModel(kind="uniform", low=0, high=4, reorder=True))
-    a = deterministic_replay(case.system, case.split, cfg)
-    b = deterministic_replay(case.system, case.split, cfg)
-    assert a.trace_hash == b.trace_hash
-    assert report_fields(a.report) == report_fields(b.report)
-    np.testing.assert_array_equal(a.x_interface, b.x_interface)
+    x_a, report_a, trace_a = traced_run(case, cfg)
+    x_b, report_b, trace_b = traced_run(case, cfg)
+    assert trace_a == trace_b
+    assert report_fields(report_a) == report_fields(report_b)
+    np.testing.assert_array_equal(x_a, x_b)
 
 
 def test_different_seeds_generally_differ(suite):
     case = suite["1d-15-p4"]
     cfg0 = RuntimeConfig(tol=1e-6, k_max=10_000, seed=0, delay=DelayModel(kind="uniform", low=1, high=5))
     cfg1 = dataclasses.replace(cfg0, seed=1)
-    a = deterministic_replay(case.system, case.split, cfg0)
-    b = deterministic_replay(case.system, case.split, cfg1)
-    assert a.trace_hash != b.trace_hash
+    assert traced_run(case, cfg0)[2] != traced_run(case, cfg1)[2]
 
 
 def test_noop_fault_plan_is_bitwise_identical(suite):
@@ -163,11 +164,11 @@ def test_noop_fault_plan_is_bitwise_identical(suite):
     noop = dataclasses.replace(
         base, faults=FaultPlan(events=(FaultEvent(victims=(0,), at_step=10**9),))
     )
-    a = deterministic_replay(case.system, case.split, base)
-    b = deterministic_replay(case.system, case.split, noop)
-    assert a.trace_hash == b.trace_hash
-    assert report_fields(a.report) == report_fields(b.report)
-    np.testing.assert_array_equal(a.x_interface, b.x_interface)
+    x_a, report_a, trace_a = traced_run(case, base)
+    x_b, report_b, trace_b = traced_run(case, noop)
+    assert trace_a == trace_b
+    assert report_fields(report_a) == report_fields(report_b)
+    np.testing.assert_array_equal(x_a, x_b)
 
 
 # -- transport semantics --------------------------------------------------------
@@ -177,9 +178,7 @@ def test_envelope_timing_invariant_in_traces(suite):
     case = suite["2d-7x7-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=5,
                         delay=DelayModel(kind="uniform", low=0, high=6, reorder=True))
-    replay = deterministic_replay(case.system, case.split, cfg)
-    sends = [json.loads(line) for line in replay.trace_lines]
-    sends = [rec for rec in sends if rec["type"] == "envelope"]
+    sends = [rec for rec in traced_run(case, cfg)[2] if rec["type"] == "envelope"]
     assert sends
     assert all(rec["deliver"] >= rec["inject"] + 1 for rec in sends)
 
@@ -188,9 +187,8 @@ def test_fifo_order_preserved_without_reorder(suite):
     case = suite["1d-15-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=2,
                         delay=DelayModel(kind="uniform", low=0, high=6, reorder=False))
-    replay = deterministic_replay(case.system, case.split, cfg)
     per_link = {}
-    for rec in (json.loads(line) for line in replay.trace_lines):
+    for rec in traced_run(case, cfg)[2]:
         if rec["type"] == "envelope":
             per_link.setdefault((rec["from"], rec["to"]), []).append(rec["deliver"])
     assert per_link
@@ -202,9 +200,8 @@ def test_reordering_actually_occurs_with_reorder_on(suite):
     case = suite["1d-15-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=2,
                         delay=DelayModel(kind="uniform", low=0, high=6, reorder=True))
-    replay = deterministic_replay(case.system, case.split, cfg)
     per_link = {}
-    for rec in (json.loads(line) for line in replay.trace_lines):
+    for rec in traced_run(case, cfg)[2]:
         if rec["type"] == "envelope":
             per_link.setdefault((rec["from"], rec["to"]), []).append(rec["deliver"])
     assert any(
@@ -214,16 +211,15 @@ def test_reordering_actually_occurs_with_reorder_on(suite):
 
 @pytest.mark.parametrize("seed, delay", [
     (3, DelayModel(kind="uniform", low=0, high=6, reorder=True)),
-    (0, DelayModel(kind="uniform", low=2, high=5, reorder=True, seed=9)),
+    (0, DelayModel(kind="uniform", low=2, high=5, reorder=True)),
 ])
 def test_uniform_delays_are_one_scalar_draw_per_message(suite, seed, delay):
     # Delays are drawn in blocks; the stream must equal one scalar draw per
-    # message, in send order, from the delay generator (seed + 1 by default).
+    # message, in send order, from the delay generator, seeded with seed + 1.
     case = suite["2d-7x7-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=seed, delay=delay)
-    replay = deterministic_replay(case.system, case.split, cfg)
-    sends = [rec for rec in map(json.loads, replay.trace_lines) if rec["type"] == "envelope"]
-    rng = np.random.default_rng(delay.seed if delay.seed else seed + 1)
+    sends = [rec for rec in traced_run(case, cfg)[2] if rec["type"] == "envelope"]
+    rng = np.random.default_rng(seed + 1)
     expected = [int(rng.integers(delay.low, delay.high, endpoint=True)) for _ in sends]
     assert len(sends) > 2 * DELAY_BLOCK
     assert [rec["deliver"] - rec["inject"] - 1 for rec in sends] == expected
@@ -518,9 +514,7 @@ def test_kmax_exhaustion_reports_not_converged(tiny_1d):
 
 
 def test_divergent_splitting_aborts(tiny_1d):
-    bad = build_splitting(
-        interface_diagonal(tiny_1d.problem, tiny_1d.decomp), alpha=0.05, allow_small_alpha=True
-    )
+    bad = InterfaceSplitting(alpha=0.05, m_diag=0.05 * interface_diagonal(tiny_1d.problem, tiny_1d.decomp))
     cfg = RuntimeConfig(tol=1e-12, k_max=100_000)
     x, report = async_solve(tiny_1d.system, bad, cfg)
     assert report.status == "diverged"
@@ -594,9 +588,9 @@ def test_fault_after_detection_initiated_invalidates_round(suite):
     sim = AsyncSimulator(case.system, case.split, cfg)
     while not np.any(sim.phase >= 1):
         sim.step()
-    epoch_before = sim.epoch
+    faults_before = sim.faults_injected
     sim.inject_fault([0])
-    assert sim.epoch == epoch_before + 1
+    assert sim.faults_injected == faults_before + 1
     assert not np.any(sim.phase) and not np.any(sim.round)
     x, report = sim.run()
     assert report.converged

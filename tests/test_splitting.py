@@ -7,6 +7,7 @@ from aschur.linalg import SparseMatrix, spectral_radius_nonneg
 from aschur.poisson import GridSpec, assemble
 from aschur.solvers import SchurSystem
 from aschur.splitting import (
+    InterfaceSplitting,
     async_update_blocks,
     build_splitting,
     certify,
@@ -35,17 +36,12 @@ def test_build_splitting_alpha_one_zero_defect_diagonal(tiny_1d):
     np.testing.assert_array_equal(split.m_diag - diag, np.zeros_like(diag))
 
 
-def test_build_splitting_small_alpha_needs_override():
-    with pytest.raises(ValueError):
-        build_splitting(np.array([2.0]), alpha=0.5)
-    split = build_splitting(np.array([2.0]), alpha=0.5, allow_small_alpha=True)
-    np.testing.assert_array_equal(split.m_diag, [1.0])
+def test_build_splitting_rejects_small_alpha():
+    for bad in (0.5, 1.0 - 2**-53, 0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            build_splitting(np.array([2.0]), alpha=bad)
     with pytest.raises(ValueError):
         build_splitting(np.array([0.0]), alpha=1.0)
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        for override in (False, True):
-            with pytest.raises(ValueError, match="alpha"):
-                build_splitting(np.array([2.0]), alpha=bad, allow_small_alpha=override)
 
 
 def test_certify_async_1d_hand_value(tiny_1d):
@@ -116,6 +112,14 @@ def test_certify_h_conditions_poisson_both_alphas(suite):
             split = build_splitting(interface_diagonal(case.problem, case.decomp), alpha=alpha)
             a_is_h, h_split_ok = certify_h_conditions(case.problem, case.decomp, split)
             assert a_is_h and h_split_ok
+    # Diagonals near 4/h^2 = 4.4e5: the identity holds exactly, though
+    # m - |m - a| rounds away from a by more than 1e-12.
+    problem = assemble(GridSpec(dims=(7, 7), spacing=0.003))
+    decomp = partition(problem, (2, 2))
+    diag = interface_diagonal(problem, decomp)
+    assert certify_h_conditions(problem, decomp, build_splitting(diag, alpha=2.5)) == (True, True)
+    # m below diag(A_GG) breaks the identity on the diagonal.
+    assert certify_h_conditions(problem, decomp, InterfaceSplitting(alpha=0.5, m_diag=0.5 * diag)) == (True, False)
 
 
 def test_certify_h_conditions_zero_diagonal_not_h():

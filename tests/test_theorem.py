@@ -52,15 +52,15 @@ def boxes(draw):
 @st.composite
 def delays(draw, p):
     kind = draw(st.sampled_from(["uniform", "fixed", "table"]))
-    reorder, seed = draw(st.booleans()), draw(st.integers(0, 2**16))
+    reorder = draw(st.booleans())
     if kind == "uniform":
         low = draw(st.integers(0, MAX_DELAY))
-        return DelayModel(kind=kind, low=low, high=draw(st.integers(low, MAX_DELAY)), reorder=reorder, seed=seed)
+        return DelayModel(kind=kind, low=low, high=draw(st.integers(low, MAX_DELAY)), reorder=reorder)
     if kind == "fixed":
-        return DelayModel(kind=kind, fixed=draw(st.integers(0, MAX_DELAY)), reorder=reorder, seed=seed)
+        return DelayModel(kind=kind, fixed=draw(st.integers(0, MAX_DELAY)), reorder=reorder)
     links = [(i, j) for i, j in itertools.product(range(p), repeat=2) if i != j]
     table = {link: draw(st.integers(0, MAX_DELAY)) for link in links}
-    return DelayModel(kind=kind, table=table, reorder=reorder, seed=seed)
+    return DelayModel(kind=kind, table=table, reorder=reorder)
 
 
 @st.composite
