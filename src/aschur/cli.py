@@ -286,8 +286,7 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
     certs = None
     if spec.certify:
         if problem.A.nrows <= DENSE_OP_LIMIT:
-            split = certify(problem, decomp, system.subdomains, system.imap, split)
-            certs = split.certificates
+            certs = certify(problem, decomp, system.subdomains, system.imap, split)
             log.info(
                 "certificates: rho_async=%.6g rho_global=%.6g a_is_h=%s h_split_ok=%s",
                 certs.rho_async, certs.rho_global, certs.a_is_h, certs.h_split_ok,

@@ -414,14 +414,8 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
     if local.n_gamma == 0:
         return np.zeros((0, 0)), np.zeros(0)
     a_gi = local.A_GI.toarray()
-    if local.n_interior:
-        X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
-        S = local.A_GG - a_gi @ X[:, :-1]
-        d = local.b_G - a_gi @ X[:, -1]
-    else:
-        S = local.A_GG.copy()
-        d = local.b_G.copy()
-    return S, d
+    X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
+    return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]
 
 
 def decomposition_to_json(decomp: Decomposition) -> str:

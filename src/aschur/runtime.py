@@ -62,11 +62,11 @@ import numpy as np
 
 from .linalg import matvec
 from .solvers import (
-    DIVERGENCE_LIMIT,
     SchurSystem,
     SolveReport,
     _check_tol,
     _check_victims,
+    _diverged,
     _restarted_cg,
     _start_vector,
     global_residual,
@@ -302,7 +302,7 @@ class AsyncSimulator:
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
         self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
-        self.t = self.rounds_completed = self.faults_injected = self.stale_discarded = 0
+        self.t = self.faults_injected = self.stale_discarded = 0
         self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
         self.detected = self.diverged = False
         self._round_seen = set()
@@ -457,8 +457,7 @@ class AsyncSimulator:
         if key in self._round_seen:
             return False
         self._round_seen.add(key)
-        self.rounds_completed += 1
-        self.history.append((self.rounds_completed, value))
+        self.history.append((len(self.history) + 1, value))
         if value <= self.cfg.tol:
             # The protocol value mixes snapshots from different moments, so a
             # firing is confirmed against an exact synchronous residual; a
@@ -470,7 +469,7 @@ class AsyncSimulator:
                             value, exact, DETECTION_SLACK)
             if exact <= self.cfg.tol:
                 self.detected = True
-        elif value > DIVERGENCE_LIMIT or not np.isfinite(value):
+        elif _diverged(self.history, self.cfg.tol):
             self.diverged = True
         return True
 
@@ -496,7 +495,7 @@ class AsyncSimulator:
         self._got[:] = self.phase[:] = self.round[:] = 0
         self._check[:] = True
         self.faults_injected += 1
-        if self.cfg.trace:
+        if self._trace:
             self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.faults_injected})
 
     def _apply_step_faults(self) -> None:
@@ -559,7 +558,7 @@ class AsyncSimulator:
             if value <= self.cfg.tol:  # a firing: the exact residual sees the commits up to this worker
                 np.copyto(self.y[:hi], y_new[:hi], where=on[self._owner_G[:hi]])
             if self._note_round(int(self.round[i]), value):
-                noted[i] = {"type": "round", "t": self.t, "k": self.rounds_completed, "value": value}
+                noted[i] = {"type": "round", "t": self.t, "k": len(self.history), "value": value}
             if self.detected or self.diverged:
                 cut = i + 1
                 break
@@ -617,7 +616,7 @@ class AsyncSimulator:
                   else "k-max" if self.done.all() else "step-cap")
         per_worker = self.k_local.tolist()
         report = SolveReport(
-            solver="async", converged=self.detected, iterations_k=self.rounds_completed,
+            solver="async", converged=self.detected, iterations_k=len(self.history),
             per_worker_k=per_worker, k_max=max(per_worker) if per_worker else 0, residual_history=self.history,
             final_residual=global_residual(self.system, x), wall_time=time.perf_counter() - t0,
             status=status, faults_injected=self.faults_injected, sim_steps=self.t,

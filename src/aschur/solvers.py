@@ -221,7 +221,6 @@ def sync_relaxation(
     tol: float,
     k_max: int,
     x0=None,
-    iterate_sink: list | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Weighted interface relaxation with a bulk-synchronous exchange.
 
@@ -229,7 +228,8 @@ def sync_relaxation(
     ``x + inv(M) (d - S x)``, as the identity shares sum to one and M is
     diagonal; ``|d - S x|`` is the residual of x, so a sweep costs one
     interior solve.  Stops when the exact residual confirms a defect <= tol,
-    at ``k_max`` sweeps, or, diverged, at a defect above 1e12.
+    at ``k_max`` sweeps, or, diverged, at a defect that is not finite or above
+    1e12 times the larger of the first defect and tol.
     """
     _check_tol(tol)
     t0 = time.perf_counter()
@@ -244,15 +244,13 @@ def sync_relaxation(
         if r <= tol and global_residual(system, x) <= tol:
             status = "converged"
             break
-        if r > DIVERGENCE_LIMIT:
+        if _diverged(history, tol):
             status = "diverged"
             break
         if k == k_max:
             break
         x += minv * g
         k += 1
-        if iterate_sink is not None:
-            iterate_sink.append(x.copy())
         g = system.d - apply_interface_operator(system, x)
         history.append((k, math.sqrt(float(g @ g))))
     return x, _sync_report(system, x, "sync", status, k, history, t0)
@@ -272,6 +270,12 @@ def cg_schur(
     BreakdownError.
     """
     return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
+
+
+def _diverged(history: list[tuple[int, float]], tol: float) -> bool:
+    """The last residual is not finite, or exceeds DIVERGENCE_LIMIT times the larger of the first and tol."""
+    r = history[-1][1]
+    return not math.isfinite(r) or r > DIVERGENCE_LIMIT * max(history[0][1], tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -301,7 +305,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     history = [(0, global_residual(system, x))]
     k = 0
     faults = 0
-    status = "converged" if history[0][1] <= tol else "k-max"
+    status = "converged" if history[0][1] <= tol else "diverged" if _diverged(history, tol) else "k-max"
     while status == "k-max" and k < k_max:
         r = system.d - apply_interface_operator(system, x)
         p_dir = r.copy()
@@ -321,7 +325,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
             if resid <= tol and global_residual(system, x) <= tol:
                 status = "converged"
                 break
-            if resid > DIVERGENCE_LIMIT:
+            if _diverged(history, tol):
                 status = "diverged"
                 break
             if faults < len(restarts) and k >= restarts[faults][0]:

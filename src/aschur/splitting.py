@@ -20,7 +20,7 @@ alpha >= 1.  Certificates are desk-scale spectral-radius checks:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class InterfaceSplitting:
 
     alpha: float
     m_diag: np.ndarray
-    certificates: "CertificateSet | None" = None
 
 
 @dataclass(frozen=True)
@@ -143,17 +142,16 @@ def certify(
     subdomains: list[LocalSubdomain] | tuple[LocalSubdomain, ...],
     imap: InterfaceMap,
     split: InterfaceSplitting,
-) -> InterfaceSplitting:
-    """Evaluate all certificates and return the splitting with them attached."""
+) -> CertificateSet:
+    """Evaluate all certificates of the splitting."""
     a_is_h, h_split_ok = certify_h_conditions(problem, decomp, split)
-    certs = CertificateSet(
+    return CertificateSet(
         rho_async=certify_async(subdomains, imap, split),
         rho_global=certify_global(problem, decomp, split),
         a_is_h=a_is_h,
         h_split_ok=h_split_ok,
         input_hash=problem_hash(problem, decomp, split.alpha),
     )
-    return replace(split, certificates=certs)
 
 
 def problem_hash(problem: AssembledProblem, decomp: Decomposition, alpha: float | None = None) -> str:

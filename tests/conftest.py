@@ -2,9 +2,10 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from aschur import GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition
+from aschur import GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition, sync_relaxation
 from aschur.decomp import Decomposition
 from aschur.poisson import AssembledProblem
 from aschur.splitting import InterfaceSplitting
@@ -56,3 +57,13 @@ def suite():
 def tiny_1d(suite):
     """The two-subdomain single-interface case with hand-checkable numbers."""
     return suite["1d-3-p2"]
+
+
+def sync_iterates(system: SchurSystem, split: InterfaceSplitting, sweeps: int) -> list[np.ndarray]:
+    """The first ``sweeps`` relaxation iterates from zero, read one sweep per call."""
+    x = np.zeros(system.n_interface)
+    iterates = []
+    for _ in range(sweeps):
+        x, _ = sync_relaxation(system, split, tol=1e-300, k_max=1, x0=x)
+        iterates.append(x)
+    return iterates

@@ -13,9 +13,10 @@ import pytest
 
 from aschur.poisson import exact_solution
 from aschur.runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart
-from aschur.solvers import assemble_interface_operator, cg_schur, sync_relaxation
+from aschur.solvers import assemble_interface_operator, cg_schur
 from aschur.splitting import build_splitting, certify_async, certify_global, certify_h_conditions, interface_diagonal
 from aschur.linalg import weighted_max_norm, weighted_row_sums
+from conftest import sync_iterates
 
 CHAOS_SEEDS = 100
 CHAOS_DELAY = DelayModel(kind="uniform", low=0, high=10, reorder=True)
@@ -84,8 +85,7 @@ def test_criterion_3_sync_oracle_equivalence(suite):
     for case in suite.values():
         S, d = assemble_interface_operator(case.system)
         minv = 1.0 / case.split.m_diag if case.system.n_interface else case.split.m_diag
-        sink = []
-        sync_relaxation(case.system, case.split, tol=1e-300, k_max=50, iterate_sink=sink)
+        sink = sync_iterates(case.system, case.split, 50)
         x_ref = np.zeros(case.system.n_interface)
         for k in range(50):
             x_ref = x_ref + minv * (d - S @ x_ref)
@@ -112,8 +112,7 @@ def test_criterion_5_zero_delay_reduction(suite):
 
     steps = 50
     for case in suite.values():
-        sink = []
-        sync_relaxation(case.system, case.split, tol=1e-300, k_max=steps, iterate_sink=sink)
+        sink = sync_iterates(case.system, case.split, steps)
         sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, k_max=10**6))
         for k in range(steps):
             sim.step()

@@ -168,6 +168,8 @@ def test_unknown_keys_rejected(tmp_path, capsys):
 
 
 def test_invalid_configs_rejected():
+    with pytest.raises(ConfigError, match=r"config: top level must be an object"):
+        parse_run_spec([{"grid": {"dims": [3]}, "splits": [2]}])
     with pytest.raises(ConfigError, match="grid"):
         parse_run_spec({"splits": [2]})
     with pytest.raises(ConfigError, match="grid"):
@@ -239,6 +241,13 @@ def test_invalid_configs_rejected():
     {"grid": {"dims": [7, 7], "spacing": 1e160}, "splits": [2, 2]},
     {"grid": {"dims": [7, 7], "spacing": 1e200}, "splits": [2, 2]},
     {"grid": {"dims": [7, 7]}, "splits": [2, 2], "alpha": 1e308, "solver": "sync"},
+    {"tol": "1e-6"},
+    {"delay": {"kind": "table", "table": {"a->b": 1}}},
+    {"delay": {"kind": "table", "table": {"0->1": 1.5}}},
+    {"faults": {"events": [3]}},
+    {"faults": {"events": [{"victims": [0], "at_step": 5}, {"victims": [1], "at_step": 2}]}},
+    {"splits": [2.0]},
+    {"grid": {"dims": [3], "source": float("nan")}},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -264,6 +273,19 @@ def test_output_path_that_is_a_file_exits_2_before_any_solver(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: ") and via in err and "Traceback" not in err
     assert blocker.read_text() == "not a directory"
+
+
+def test_scaling_source_and_tol_together_keeps_every_step_count(tmp_path):
+    # The problem is linear: divergence is judged against the first residual,
+    # so a large right-hand side with a matching tol runs as a small one does.
+    steps = []
+    for source, tol in ((1e11, 0.01), (1e13, 1.0)):
+        out = tmp_path / f"out-{source:g}"
+        cfg = write_config(tmp_path, grid={"dims": [7, 7], "source": source}, splits=[2, 2], tol=tol, seed=0,
+                           certify=False, delay={"kind": "uniform", "high": 2, "reorder": True})
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        steps.append([row.split(",")[4] for row in (out / "summary.csv").read_text().splitlines()[1:]])
+    assert steps[0] == steps[1] == ["198", "4", "303", "4"]
 
 
 def test_large_interiors_run_with_cg(tmp_path):

@@ -16,8 +16,9 @@ from aschur.runtime import (
     async_solve,
     cg_with_restart,
 )
-from aschur.solvers import cg_schur, sync_relaxation
+from aschur.solvers import cg_schur
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
+from conftest import sync_iterates
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -116,8 +117,7 @@ def test_fault_victim_range_checked(tiny_1d):
 @pytest.mark.parametrize("name", ["1d-3-p2", "1d-15-p4", "2d-7x7-p4", "3d-5x5x5-p8"])
 def test_zero_delay_matches_sync_trajectory(suite, name):
     case = suite[name]
-    sink = []
-    sync_relaxation(case.system, case.split, tol=1e-300, k_max=40, iterate_sink=sink)
+    sink = sync_iterates(case.system, case.split, 40)
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, k_max=10_000))
     trajectory = []
     while len(trajectory) < 40 and not (sim.detected or sim.diverged):

@@ -20,6 +20,7 @@ from aschur.solvers import (
     write_residual_history,
 )
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
+from conftest import sync_iterates
 
 
 def fit_rate(history, tail=10):
@@ -66,13 +67,29 @@ def test_schur_apply_matches_explicit_operator(suite):
 
 
 def test_sync_relaxation_1d_geometric_sequence(tiny_1d):
-    sink = []
-    x, report = sync_relaxation(tiny_1d.system, tiny_1d.split, tol=1e-8, k_max=200, iterate_sink=sink)
-    seq = [float(v[0]) for v in sink[:4]]
+    seq = [float(v[0]) for v in sync_iterates(tiny_1d.system, tiny_1d.split, 4)]
+    x, report = sync_relaxation(tiny_1d.system, tiny_1d.split, tol=1e-8, k_max=200)
     np.testing.assert_allclose(seq, [1.0, 1.5, 1.75, 1.875], atol=1e-14)
     np.testing.assert_allclose(x, [2.0], atol=1e-7)
     assert report.converged
     assert fit_rate(report.residual_history) == pytest.approx(0.5, abs=0.02)
+
+
+def test_sync_relaxation_over_relaxed_ends_diverged(tiny_1d):
+    # alpha below 1 is rejected by build_splitting; built by hand, the sweep
+    # multiplies the error by -4 and ends on the divergence ratio.
+    split = InterfaceSplitting(alpha=0.05, m_diag=0.05 * tiny_1d.split.m_diag)
+    x, report = sync_relaxation(tiny_1d.system, split, tol=1e-8, k_max=1000)
+    assert report.status == "diverged" and not report.converged
+    assert report.residual_history[-1][1] > 1e12 * report.residual_history[0][1]
+    assert report.iterations_k < 1000 and np.isfinite(x).all()
+
+
+def test_cg_from_overflowing_start_ends_diverged(tiny_1d):
+    x, report = cg_schur(tiny_1d.system, tol=1e-8, k_max=50, x0=np.array([1e200]))
+    assert report.status == "diverged" and report.iterations_k == 0
+    assert report.residual_history == [(0, math.inf)]
+    np.testing.assert_array_equal(x, [1e200])
 
 
 def test_sync_relaxation_zero_iterations_at_exact_start(tiny_1d):
@@ -102,8 +119,7 @@ def test_sync_relaxation_matches_assembled_recursion(suite):
         case = suite[name]
         S, d = assemble_interface_operator(case.system)
         minv = 1.0 / case.split.m_diag
-        sink = []
-        sync_relaxation(case.system, case.split, tol=1e-300, k_max=50, iterate_sink=sink)
+        sink = sync_iterates(case.system, case.split, 50)
         x_ref = np.zeros(case.system.n_interface)
         for k in range(50):
             x_ref = x_ref + minv * (d - S @ x_ref)
