@@ -16,7 +16,6 @@ from .linalg import (
     is_m_matrix,
     spectral_radius_nonneg,
     weighted_max_norm,
-    weighted_row_sums,
 )
 from .poisson import AssembledProblem, GridSpec, assemble, exact_solution
 from .runtime import (

@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +49,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OutputOptions:
-    directory: str = "."
+    dir: str = "."
     residual_csv: bool = True
     export_matrix_market: bool = False
     decomposition_json: bool = False
@@ -66,163 +67,119 @@ class RunSpec:
     output: OutputOptions = field(default_factory=OutputOptions)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
+    def __post_init__(self):
+        # Each message starts with the field name, as RuntimeConfig's do.
+        if not (self.alpha >= 1 and math.isfinite(self.alpha * self.grid.stencil[0])):
+            raise ValueError(f"alpha must be at least 1 and keep alpha * 2d/h^2 finite, got {self.alpha}")
+        if self.solver not in SOLVER_CHOICES:
+            raise ValueError(f"solver must be one of {SOLVER_CHOICES}, got {self.solver!r}")
 
-def _expect_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+
+# One table per config section: every key it takes, with its JSON type.  A
+# float takes any JSON number; list[int] is a list of integers.  Defaults and
+# range checks belong to the type each section builds.
+RUN_KEYS = {"grid": dict, "splits": list[int], "alpha": float, "solver": str, "certify": bool, "output": dict}
+RUNTIME_KEYS = {"tol": float, "k_max": int, "seed": int, "activation": float, "delay": dict, "faults": dict}
+GRID_KEYS = {"dims": list[int], "spacing": float, "source": float}
+OUTPUT_KEYS = {"dir": str, "residual_csv": bool, "trace": bool,
+               "export_matrix_market": bool, "decomposition_json": bool}
+DELAY_KEYS = {"kind": str, "fixed": int, "low": int, "high": int, "table": dict, "reorder": bool}
+FAULTS_KEYS = {"events": list}
+EVENT_KEYS = {"victims": list[int], "at_step": int, "at_local_iteration": int}
+
+
+def _section(obj, keys: dict, path: str, required=()) -> dict:
+    """The keys a config object sets, each checked against its JSON type in ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(keys)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _get(obj: dict, key: str, types, path: str, default=None, required=False):
-    if key not in obj:
-        if required:
+    for key in required:
+        if key not in obj:
             raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    val = obj[key]
-    if not isinstance(val, types) or isinstance(val, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
-    return val
+    return {key: _typed(value, keys[key], f"{path}.{key}") for key, value in obj.items()}
 
 
-def _float(obj: dict, key: str, path: str, default: float) -> float:
-    """A JSON number as a float; an integer too large for a float is a config error."""
+def _typed(value, kind, path: str):
+    """``value`` as ``kind``: a number as a float, a list[int] as a tuple; a bool is not a number."""
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return tuple(_typed(v, item, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path)))
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
     try:
-        return float(_get(obj, key, (int, float), path, default=default))
-    except OverflowError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from exc
+        return float(value) if kind is float else value
+    except OverflowError as exc:  # an integer too large for a float
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_delay(obj: dict, path: str, p: int) -> DelayModel:
-    _expect_keys(obj, {"kind", "fixed", "low", "high", "table", "reorder"}, path)
-    kind = _get(obj, "kind", str, path, default="zero")
-    table = None
-    if "table" in obj:
-        raw = _get(obj, "table", dict, path)
+def _build(make, path: str, **keys):
+    """``make(**keys)``, a section's type or check; a ValueError becomes a ConfigError
+    at ``path``, or at ``path.key`` when its message reads "<key> must ..." for a key
+    given here."""
+    try:
+        return make(**keys)
+    except ValueError as exc:
+        key, sep, reason = str(exc).partition(" must ")
+        if sep and key in keys:
+            raise ConfigError(f"{path}.{key}: must {reason}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_delay(obj, path: str, p: int) -> DelayModel:
+    delay = _section(obj, DELAY_KEYS, path)
+    if "table" in delay:
         table = {}
-        for key, value in raw.items():
+        for key, value in delay["table"].items():
             try:
                 src, dst = (int(part) for part in key.split("->"))
             except ValueError as exc:
                 raise ConfigError(f"{path}.table: link keys look like 'src->dst', got {key!r}") from exc
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{path}.table[{key!r}]: delay must be an integer")
             if not (0 <= src < p and 0 <= dst < p and src != dst):
                 raise ConfigError(f"{path}.table: link {key!r} does not join two of the {p} subdomains")
-            table[(src, dst)] = value
-    try:
-        return DelayModel(
-            kind=kind,
-            fixed=_get(obj, "fixed", int, path, default=0),
-            low=_get(obj, "low", int, path, default=0),
-            high=_get(obj, "high", int, path, default=0),
-            table=table,
-            reorder=_get(obj, "reorder", bool, path, default=False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            table[(src, dst)] = _typed(value, int, f"{path}.table[{key!r}]")
+        delay["table"] = table
+    return _build(DelayModel, path, **delay)
 
 
-def _parse_faults(obj: dict, path: str, p: int) -> FaultPlan:
-    _expect_keys(obj, {"events"}, path)
-    events = []
-    for idx, entry in enumerate(_get(obj, "events", list, path, default=[])):
-        epath = f"{path}.events[{idx}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{epath}: expected an object")
-        _expect_keys(entry, {"victims", "at_step", "at_local_iteration"}, epath)
-        victims = _get(entry, "victims", list, epath, required=True)
-        for v in victims:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < p:
-                raise ConfigError(f"{epath}.victims: {v!r} is not a subdomain index in [0, {p})")
-        try:
-            events.append(
-                FaultEvent(
-                    victims=tuple(victims),
-                    at_step=_get(entry, "at_step", int, epath),
-                    at_local_iteration=_get(entry, "at_local_iteration", int, epath),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{epath}: {exc}") from exc
-    try:
-        return FaultPlan(events=tuple(events))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _parse_faults(obj, path: str, p: int) -> FaultPlan:
+    faults = _section(obj, FAULTS_KEYS, path)
+    if "events" in faults:
+        events = []
+        for idx, entry in enumerate(faults["events"]):
+            epath = f"{path}.events[{idx}]"
+            event = _section(entry, EVENT_KEYS, epath, required=("victims",))
+            for v in event["victims"]:
+                if not 0 <= v < p:
+                    raise ConfigError(f"{epath}.victims: {v!r} is not a subdomain index in [0, {p})")
+            events.append(_build(FaultEvent, epath, **event))
+        faults["events"] = events
+    return _build(FaultPlan, path, **faults)
 
 
 def parse_run_spec(raw: dict, path: str = "config") -> RunSpec:
+    """The run a raw JSON config describes; a ConfigError names the offending key path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _expect_keys(
-        raw,
-        {
-            "grid", "splits", "alpha", "tol", "k_max", "solver", "delay",
-            "faults", "certify", "seed", "activation", "output",
-        },
-        path,
-    )
-    grid_obj = _get(raw, "grid", dict, path, required=True)
-    _expect_keys(grid_obj, {"dims", "spacing", "source"}, f"{path}.grid")
-    dims = _get(grid_obj, "dims", list, f"{path}.grid", required=True)
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-        raise ConfigError(f"{path}.grid.dims: extents must be integers")
-    spacing = _float(grid_obj, "spacing", f"{path}.grid", default=1.0)
-    source = _float(grid_obj, "source", f"{path}.grid", default=1.0)
-    try:
-        grid = GridSpec(dims=tuple(dims), spacing=spacing, source=source)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.grid: {exc}") from exc
-    splits = _get(raw, "splits", list, path, required=True)
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in splits):
-        raise ConfigError(f"{path}.splits: counts must be integers")
-    try:
-        check_splits(grid.dims, splits)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.splits: {exc}") from exc
-    solver = _get(raw, "solver", str, path, default="all")
-    if solver not in SOLVER_CHOICES:
-        raise ConfigError(f"{path}.solver: must be one of {SOLVER_CHOICES}")
-    out_obj = _get(raw, "output", dict, path, default={})
-    _expect_keys(
-        out_obj,
-        {"dir", "residual_csv", "trace", "export_matrix_market", "decomposition_json"},
-        f"{path}.output",
-    )
-    output = OutputOptions(
-        directory=_get(out_obj, "dir", str, f"{path}.output", default="."),
-        residual_csv=_get(out_obj, "residual_csv", bool, f"{path}.output", default=True),
-        export_matrix_market=_get(out_obj, "export_matrix_market", bool, f"{path}.output", default=False),
-        decomposition_json=_get(out_obj, "decomposition_json", bool, f"{path}.output", default=False),
-    )
-    alpha = _float(raw, "alpha", path, default=1.0)
-    if not (alpha >= 1 and math.isfinite(alpha * grid.stencil[0])):
-        raise ConfigError(f"{path}.alpha: must be at least 1 and keep alpha * 2d/h^2 finite, got {alpha}")
-    p = math.prod(splits)
-    delay = _parse_delay(_get(raw, "delay", dict, path, default={}), f"{path}.delay", p)
-    faults = _parse_faults(_get(raw, "faults", dict, path, default={}), f"{path}.faults", p)
-    trace = _get(out_obj, "trace", bool, f"{path}.output", default=False)
-    settings = dict(
-        tol=_float(raw, "tol", path, default=1e-6),
-        k_max=_get(raw, "k_max", int, path, default=10_000),
-        seed=_get(raw, "seed", int, path, default=0),
-        activation=_float(raw, "activation", path, default=1.0),
-    )
-    try:
-        runtime = RuntimeConfig(delay=delay, faults=faults, trace=trace, **settings)
-    except ValueError as exc:
-        key, _, reason = str(exc).partition(" ")
-        raise ConfigError(f"{path}.{key}: {reason}") from exc
-    return RunSpec(
-        grid=grid,
-        splits=tuple(splits),
-        alpha=alpha,
-        solver=solver,
-        certify=_get(raw, "certify", bool, path, default=False),
-        output=output,
-        runtime=runtime,
-    )
+    run = _section(raw, RUN_KEYS | RUNTIME_KEYS, path, required=("grid", "splits"))
+    runtime = {key: run.pop(key) for key in RUNTIME_KEYS if key in run}
+    grid = _section(run["grid"], GRID_KEYS, f"{path}.grid", required=("dims",))
+    run["grid"] = _build(GridSpec, f"{path}.grid", **grid)
+    _build(check_splits, f"{path}.splits", dims=run["grid"].dims, splits=run["splits"])
+    p = math.prod(run["splits"])
+    if "output" in run:
+        output = _section(run["output"], OUTPUT_KEYS, f"{path}.output")
+        if "trace" in output:
+            runtime["trace"] = output.pop("trace")
+        run["output"] = OutputOptions(**output)
+    if "delay" in runtime:
+        runtime["delay"] = _parse_delay(runtime["delay"], f"{path}.delay", p)
+    if "faults" in runtime:
+        runtime["faults"] = _parse_faults(runtime["faults"], f"{path}.faults", p)
+    run["runtime"] = _build(RuntimeConfig, path, **runtime)
+    return _build(RunSpec, path, **run)
 
 
 def _read_config(path):
@@ -343,7 +300,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path(spec.output.directory)
+    out_dir = Path(args.out) if args.out else Path(spec.output.dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission

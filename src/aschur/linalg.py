@@ -24,7 +24,6 @@ __all__ = [
     "SingularMatrixError",
     "matvec",
     "weighted_max_norm",
-    "weighted_row_sums",
     "comparison_matrix",
     "is_m_matrix",
     "is_h_matrix",
@@ -120,18 +119,6 @@ def weighted_max_norm(a, w) -> float:
     if nrows == 0:
         return 0.0
     return float(np.max((abs(a) @ w) / w))
-
-
-def weighted_row_sums(a, w, v) -> np.ndarray:
-    """Row sums of |a| (dense or scipy sparse) weighted by w on columns and normalized by v > 0 on rows."""
-    w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nrows, ncols = np.shape(a)
-    if w.shape != (ncols,) or v.shape != (nrows,):
-        raise ValueError("weight lengths must match matrix dimensions")
-    if np.any(v <= 0):
-        raise ValueError("row normalizers must be strictly positive")
-    return (abs(a) @ w) / v
 
 
 def comparison_matrix(a) -> np.ndarray:

@@ -39,8 +39,13 @@ class GridSpec:
             raise ValueError("every grid extent must be at least 1")
         if not (self.spacing > 0 and self.spacing * self.spacing > 0 and all(0 < v < math.inf for v in self.stencil)):
             raise ValueError(f"spacing {self.spacing}: must be positive, stencil entries 2d/h^2, 1/h^2 finite, nonzero")
-        if not math.isfinite(self.source):
-            raise ValueError("source must be finite")
+        if not math.isfinite(self.n * self.source * self.source):
+            raise ValueError(f"source {self.source}: the squared norm n * source^2 of b must be finite")
+        # The discrete maximum principle bounds |u| by |g| h^2 (m + 1)^2 / 8 on the
+        # narrowest axis m; the smallest factor times the largest first cannot overflow early.
+        low, mid, high = sorted((abs(self.source), self.spacing * self.spacing, (min(dims) + 1) ** 2 / 8))
+        if not math.isfinite(low * high * mid):
+            raise ValueError(f"source {self.source} at spacing {self.spacing}: the bound on |u| must be finite")
         if self.n > MAX_UNKNOWNS:
             raise ValueError(f"grid too large: {self.n} unknowns exceed the {MAX_UNKNOWNS} cap")
 

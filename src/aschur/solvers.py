@@ -54,7 +54,7 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class BreakdownError(RuntimeError):
-    """Conjugate gradients met a nonpositive curvature direction."""
+    """Conjugate gradients met a negative curvature direction."""
 
 
 @dataclass
@@ -266,8 +266,8 @@ def cg_schur(
 
     Stops on the recurrence residual: once it drops to ``tol`` or below,
     the exact residual of the iterate confirms the stop, and iteration
-    continues if it does not.  A nonpositive curvature value raises
-    BreakdownError.
+    continues if it does not; a zero one restarts, or ends ``stalled`` (see
+    ``_restarted_cg``).  A negative curvature value raises BreakdownError.
     """
     return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
 
@@ -295,7 +295,12 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     ``restarts`` lists (trigger, victims) pairs in trigger order.  Once the
     cumulative iteration count reaches the next trigger, the victims'
     interface entries return to their start values and the iteration
-    restarts from the true residual; the count carries on.
+    restarts from the true residual; the count carries on.  A recurrence
+    residual of exactly zero that the exact residual does not confirm also
+    restarts it.  A zero curvature ``p @ S p`` ends the run ``stalled``: the
+    operator is positive definite, so p is zero (a restart found an exact
+    interface solution the full residual does not confirm) or the product
+    underflowed, and no step can move x.
     """
     _check_tol(tol)
     _check_victims([v for _, victims in restarts for v in victims], system.p)
@@ -313,8 +318,11 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
         while k < k_max:
             Sp = apply_interface_operator(system, p_dir)
             curvature = float(p_dir @ Sp)
-            if curvature <= 0:
-                raise BreakdownError(f"nonpositive curvature {curvature} at iteration {k}")
+            if curvature == 0:
+                status = "stalled"
+                break
+            if curvature < 0:
+                raise BreakdownError(f"negative curvature {curvature} at iteration {k}")
             alpha = rs / curvature
             x += alpha * p_dir
             r -= alpha * Sp
@@ -333,6 +341,8 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
                     pos = system.imap.gamma_positions[v]
                     x[pos] = x_init[pos]
                 faults += 1
+                break
+            if rs_new == 0:  # the recurrence residual underflowed: restart from the true one
                 break
             p_dir *= rs_new / rs
             p_dir += r  # IEEE addition commutes: the bits of r + beta * p_dir

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aschur import AsyncSimulator, GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition
-from aschur.cli import SOLVER_CHOICES, ConfigError, main, parse_run_spec
+from aschur.cli import SOLVER_CHOICES, ConfigError, OutputOptions, RunSpec, main, parse_run_spec
+from aschur.runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -248,6 +251,10 @@ def test_invalid_configs_rejected():
     {"faults": {"events": [{"victims": [0], "at_step": 5}, {"victims": [1], "at_step": 2}]}},
     {"splits": [2.0]},
     {"grid": {"dims": [3], "source": float("nan")}},
+    {"grid": {"dims": [7, 7], "spacing": 1e-3, "source": 1e308}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7], "spacing": 1e-3, "source": 1e154}, "splits": [2, 2]},
+    {"grid": {"dims": [7, 7], "spacing": 1e-3, "source": 1e160}, "splits": [2, 2]},
+    {"grid": {"dims": [127, 127], "spacing": 1e153}, "splits": [2, 2]},
 ])
 def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -286,6 +293,51 @@ def test_scaling_source_and_tol_together_keeps_every_step_count(tmp_path):
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         steps.append([row.split(",")[4] for row in (out / "summary.csv").read_text().splitlines()[1:]])
     assert steps[0] == steps[1] == ["198", "4", "303", "4"]
+
+
+def test_each_key_lands_in_the_field_that_owns_it():
+    assert parse_run_spec({"grid": {"dims": [7]}, "splits": [2]}) == RunSpec(grid=GridSpec(dims=(7,)), splits=(2,))
+    raw = {
+        "grid": {"dims": [7, 7], "spacing": 0.5, "source": -3},
+        "splits": [2, 2], "alpha": 2, "solver": "cg", "certify": True,
+        "output": {"dir": "runs", "residual_csv": False, "trace": True, "export_matrix_market": True,
+                   "decomposition_json": True},
+        "tol": 1, "k_max": 7, "seed": 3, "activation": 0.5,
+        "delay": {"kind": "table", "fixed": 2, "low": 1, "high": 4, "table": {"0->1": 5}, "reorder": True},
+        "faults": {"events": [{"victims": [1], "at_step": 4}, {"victims": [0, 2], "at_local_iteration": 9}]},
+    }
+    spec = parse_run_spec(raw)
+    delay = DelayModel(kind="table", fixed=2, low=1, high=4, table={(0, 1): 5}, reorder=True)
+    faults = FaultPlan(events=(FaultEvent(victims=(1,), at_step=4), FaultEvent(victims=(0, 2), at_local_iteration=9)))
+    assert spec == RunSpec(
+        grid=GridSpec(dims=(7, 7), spacing=0.5, source=-3.0), splits=(2, 2), alpha=2.0, solver="cg", certify=True,
+        output=OutputOptions(dir="runs", residual_csv=False, export_matrix_market=True, decomposition_json=True),
+        runtime=RuntimeConfig(tol=1.0, k_max=7, seed=3, activation=0.5, trace=True, delay=delay, faults=faults),
+    )
+    # No field kept its default, and every number is a float.
+    for got, default in ((spec, RunSpec(grid=GridSpec(dims=(7,)), splits=(2,))), (spec.grid, GridSpec(dims=(7,))),
+                         (spec.output, OutputOptions()), (spec.runtime, RuntimeConfig()),
+                         (spec.runtime.delay, DelayModel())):
+        for name in (f.name for f in dataclasses.fields(got) if f.name != "step_limit"):
+            assert getattr(got, name) != getattr(default, name), name
+    assert all(type(v) is float for v in (spec.alpha, spec.grid.source, spec.runtime.tol))
+
+
+@pytest.mark.parametrize("grid,splits,statuses", [
+    # CG's recurrence residual first rounds to zero at iteration 95 while the
+    # exact residual stalls near 1e-4: CG restarts and runs to k_max.
+    ({"dims": [7, 7], "source": 1e10}, [2, 2], ["k-max"] * 4),
+    # One step makes the interface residual exactly zero; the full one cannot reach tol.
+    ({"dims": [9], "source": 1e12}, [2], ["k-max", "stalled", "k-max", "stalled"]),
+], ids=["underflow", "exact-interface"])
+def test_unattainable_tol_ends_without_a_traceback(tmp_path, grid, splits, statuses):
+    cfg = write_config(tmp_path, grid=grid, splits=splits, k_max=120, certify=False, seed=0)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    reports = [json.loads((out / f"report_{name}.json").read_text())["report"]
+               for name in ("sync", "cg", "async", "cg-restart")]
+    assert [rep["status"] for rep in reports] == statuses
+    assert all(math.isfinite(rep["final_residual"]) and rep["final_residual"] > 1e-6 for rep in reports)
 
 
 def test_large_interiors_run_with_cg(tmp_path):
@@ -455,13 +507,17 @@ def _fault_event(draw):
 @st.composite
 def configs(draw, max_unknowns=400):
     """Run configs with 1 to 3 axes and at most 400 unknowns; each field is
-    sometimes NaN, infinite, negative or otherwise out of range."""
+    sometimes NaN, infinite, negative or otherwise out of range, and the grid's
+    spacing and source range from 1e-3 to 1e308."""
     dims, budget = [], max_unknowns
     for _ in range(_mostly(draw, st.integers(1, 3), st.sampled_from([0, 4]))):
         dims.append(_mostly(draw, st.integers(1, budget), st.integers(-1, 0)))
         budget = max(1, budget // max(dims[-1], 1))
     fits = [st.integers(1, min(4, max(1, (extent + 1) // 2))) for extent in dims]
     raw = {"grid": {"dims": dims}, "splits": [_mostly(draw, good, st.integers(-1, 9)) for good in fits]}
+    for key in ("spacing", "source"):
+        if draw(st.booleans()):  # the extremes overflow b, u or the stencil on some grids
+            raw["grid"][key] = _mostly(draw, st.sampled_from([1e-3, 1.0, -2.0, 1e10, 1e153, 1e308]), NASTY)
     fields = {
         "alpha": st.floats(1.0, 3.0),
         "tol": st.floats(1e-12, 1e3),
@@ -493,3 +549,17 @@ def test_parsed_configs_build_or_are_rejected(raw):
     system = SchurSystem.build(problem, decomp)
     split = build_splitting(interface_diagonal(problem, decomp), alpha=spec.alpha)
     AsyncSimulator(system, split, spec.runtime)  # seeds and victims
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(configs())
+def test_accepted_configs_run_to_exit_0_or_1(capsys, raw):
+    # Every config ends in exit 0 or 1, or is rejected with exit 2 at its key path.
+    raw["k_max"] = min(raw.get("k_max", 20), 20)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(raw))
+        status = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    err = capsys.readouterr().err
+    assert status in (0, 1) or status == 2 and err.startswith(f"error: {cfg}")

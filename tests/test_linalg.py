@@ -13,7 +13,6 @@ from aschur.linalg import (
     matvec,
     spectral_radius_nonneg,
     weighted_max_norm,
-    weighted_row_sums,
 )
 
 
@@ -97,36 +96,6 @@ def test_weighted_max_norm_on_sparse_matches_dense():
 def test_comparison_matrix_rejects_non_square():
     with pytest.raises(ValueError):
         comparison_matrix(np.ones((2, 3)))
-
-
-def test_weighted_row_sums_hand_case():
-    out = weighted_row_sums(np.array([[1.0, -1.0]]), np.ones(2), np.array([2.0]))
-    np.testing.assert_allclose(out, [1.0])
-
-
-def test_weighted_row_sums_diagonal_cancellation():
-    w = np.array([0.3, 1.7])
-    np.testing.assert_allclose(weighted_row_sums(np.eye(2), w, w), [1.0, 1.0])
-
-
-def test_weighted_row_sums_zero_matrix():
-    out = weighted_row_sums(np.zeros((2, 3)), np.ones(3), np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(out, np.zeros(2))
-
-
-def test_weighted_row_sums_rejects_nonpositive_v():
-    with pytest.raises(ValueError):
-        weighted_row_sums(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
-
-
-def test_weighted_row_sums_on_sparse_matches_dense():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 5)) * (rng.random((4, 5)) < 0.5)
-    w = rng.random(5) + 0.1
-    v = rng.random(4) + 0.1
-    np.testing.assert_allclose(
-        weighted_row_sums(scipy.sparse.csr_matrix(a), w, v), weighted_row_sums(a, w, v)
-    )
 
 
 # -- comparison matrix --------------------------------------------------------
@@ -281,29 +250,6 @@ def test_contraction_norm_exists_when_radius_below_one():
             w = w_new
         w = np.maximum(w, 1e-12)
         assert weighted_max_norm(a, w) < 1.0 + 1e-8
-
-
-def test_weighted_row_sum_product_bound():
-    # If every weighted row sum of B stays below one, multiplying by B can
-    # only shrink weighted row sums: |AB|^w_v < |A|^z_v entrywise.
-    rng = np.random.default_rng(13)
-    checked = 0
-    for _ in range(150):
-        m, k, n = (int(x) for x in rng.integers(1, 7, size=3))
-        a = rng.uniform(0.1, 1.0, size=(m, k)) * np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
-        b = rng.normal(size=(k, n))
-        z = rng.uniform(0.2, 2.0, size=k)
-        v = rng.uniform(0.2, 2.0, size=m)
-        w = rng.uniform(0.0, 2.0, size=n)
-        s = weighted_row_sums(b, w, z)
-        if s.max(initial=0.0) >= 1.0:
-            b *= 0.9 / s.max()
-        assert np.all(weighted_row_sums(b, w, z) < 1.0)
-        lhs = weighted_row_sums(a @ b, w, v)
-        rhs = weighted_row_sums(a, z, v)
-        assert np.all(lhs < rhs)
-        checked += 1
-    assert checked >= 100
 
 
 # -- matrix market ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ def test_grid_spec_validation():
         GridSpec(dims=(0,))
     with pytest.raises(ValueError):
         GridSpec(dims=(3,), spacing=0.0)
+
+
+def test_grid_spec_rejects_a_solution_it_cannot_represent():
+    # |u| <= |g| h^2 (m + 1)^2 / 8: 1.28e308 on 31^2 at h = 1e153, and 1.08e308 on one
+    # node at h = 1.2e154, g = 1.5, where |g| h^2 alone overflows.
+    GridSpec(dims=(31, 31), spacing=1e153)
+    GridSpec(dims=(1,), spacing=1.2e154, source=1.5)
+    for dims, spacing, source in (((127, 127), 1e153, 1.0), ((7, 7), 1e-3, 1e154), ((7, 7), 1e-3, -1e160),
+                                  ((3,), 1.0, float("nan")), ((3,), 1.0, float("inf"))):
+        with pytest.raises(ValueError, match=re.escape(f"source {source}")):
+            GridSpec(dims=dims, spacing=spacing, source=source)
 
 
 def test_assemble_1d_is_tridiagonal():

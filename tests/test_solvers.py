@@ -92,6 +92,31 @@ def test_cg_from_overflowing_start_ends_diverged(tiny_1d):
     np.testing.assert_array_equal(x, [1e200])
 
 
+def test_cg_restarts_when_its_recurrence_residual_underflows():
+    # At source 1e10 the exact residual stalls near 1e-4 while the recurrence
+    # residual keeps falling until it rounds to zero, first at iteration 95.
+    problem = assemble(GridSpec(dims=(7, 7), source=1e10))
+    x, report = cg_schur(SchurSystem.build(problem, partition(problem, (2, 2))), tol=1e-6, k_max=200)
+    assert report.status == "k-max" and report.iterations_k == 200
+    assert (95, 0.0) in report.residual_history and report.residual_history[96][1] > 0
+    assert np.isfinite(x).all() and 1e-6 < report.final_residual < 1e-3
+
+
+@pytest.mark.parametrize("dims,spacing,source,iterations", [
+    # One step solves the single interface unknown exactly, but the full
+    # residual of b ~ source cannot reach tol: a restart could not move.
+    ((9,), 1.0, 1e12, 1), ((31,), 1.0, 1e8, 1),
+    # Each step shrinks the interface residual by about 1e-15 until p @ S p,
+    # with S entries near 1e-20, underflows to zero.
+    ((24,), 1e10, 1e10, 11),
+], ids=["9-at-1e12", "31-at-1e8", "24-at-h-1e10"])
+def test_cg_ends_stalled_where_no_step_can_move(dims, spacing, source, iterations):
+    problem = assemble(GridSpec(dims=dims, spacing=spacing, source=source))
+    x, report = cg_schur(SchurSystem.build(problem, partition(problem, (2,))), tol=1e-6, k_max=50)
+    assert report.status == "stalled" and not report.converged and report.iterations_k == iterations
+    assert np.isfinite(x).all() and report.final_residual > 1e-6
+
+
 def test_sync_relaxation_zero_iterations_at_exact_start(tiny_1d):
     x, report = sync_relaxation(tiny_1d.system, tiny_1d.split, tol=1e-6, k_max=50, x0=np.array([2.0]))
     assert report.iterations_k == 0
