@@ -243,7 +243,7 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
     certs = None
     if spec.certify:
         if problem.A.nrows <= DENSE_OP_LIMIT:
-            certs = certify(problem, decomp, system.subdomains, system.imap, split)
+            certs = certify(system, split)
             log.info(
                 "certificates: rho_async=%.6g rho_global=%.6g a_is_h=%s h_split_ok=%s",
                 certs.rho_async, certs.rho_global, certs.a_is_h, certs.h_split_ok,

@@ -411,8 +411,6 @@ def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarr
     """
     if max(local.n_interior, local.n_gamma) > DENSE_OP_LIMIT:
         raise ValueError(f"local blocks of {local.n_interior} + {local.n_gamma} rows exceed the explicit cap")
-    if local.n_gamma == 0:
-        return np.zeros((0, 0)), np.zeros(0)
     a_gi = local.A_GI.toarray()
     X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
     return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]

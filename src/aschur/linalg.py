@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 # The one desk-scale bound on every dense step (the matrix-class predicates,
-# the explicit local complement, the certificates and the reference solve);
-# refuse anything bigger instead of silently grinding.
+# the explicit local complement and the certificates); refuse anything bigger
+# instead of silently grinding.
 DENSE_OP_LIMIT = 2000
 
 

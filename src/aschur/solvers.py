@@ -267,7 +267,8 @@ def cg_schur(
     Stops on the recurrence residual: once it drops to ``tol`` or below,
     the exact residual of the iterate confirms the stop, and iteration
     continues if it does not; a zero one restarts, or ends ``stalled`` (see
-    ``_restarted_cg``).  A negative curvature value raises BreakdownError.
+    ``_restarted_cg``), as does an overflowing ``S p`` or ``p @ S p``.  A
+    negative curvature value raises BreakdownError.
     """
     return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
 
@@ -300,7 +301,8 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     restarts it.  A zero curvature ``p @ S p`` ends the run ``stalled``: the
     operator is positive definite, so p is zero (a restart found an exact
     interface solution the full residual does not confirm) or the product
-    underflowed, and no step can move x.
+    underflowed, and no step can move x.  A product ``S p`` or curvature
+    that overflowed ends it ``stalled`` too: no step length is representable.
     """
     _check_tol(tol)
     _check_victims([v for _, victims in restarts for v in victims], system.p)
@@ -316,9 +318,13 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
         p_dir = r.copy()
         rs = float(r @ r)
         while k < k_max:
-            Sp = apply_interface_operator(system, p_dir)
+            try:
+                Sp = apply_interface_operator(system, p_dir)
+            except FloatingPointError:  # S p overflowed
+                status = "stalled"
+                break
             curvature = float(p_dir @ Sp)
-            if curvature == 0:
+            if curvature == 0 or not math.isfinite(curvature):
                 status = "stalled"
                 break
             if curvature < 0:

@@ -27,6 +27,7 @@ import numpy as np
 from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit
 from .linalg import DENSE_OP_LIMIT, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
+from .solvers import SchurSystem
 
 __all__ = [
     "InterfaceSplitting",
@@ -74,32 +75,18 @@ def build_splitting(a_gg_diag, alpha: float = 1.0) -> InterfaceSplitting:
     return InterfaceSplitting(alpha=float(alpha), m_diag=alpha * a_gg_diag)
 
 
-def async_update_blocks(
-    subdomains: list[LocalSubdomain] | tuple[LocalSubdomain, ...],
-    split: InterfaceSplitting,
-) -> list[np.ndarray]:
-    """Per-subdomain dense update blocks diag(w) - inv(M) S, on local indices."""
-    blocks = []
-    for local in subdomains:
-        S, _ = assemble_schur_explicit(local)
-        minv = 1.0 / split.m_diag[local.gamma_positions] if local.n_gamma else np.zeros(0)
-        blocks.append(np.diag(local.weights) - minv[:, None] * S)
-    return blocks
-
-
 def certify_async(
     subdomains: list[LocalSubdomain] | tuple[LocalSubdomain, ...],
     imap: InterfaceMap,
     split: InterfaceSplitting,
 ) -> float:
-    """Spectral radius of the summed absolute per-subdomain update blocks."""
-    n = imap.n_interface
-    if n == 0:
-        return 0.0
-    T = np.zeros((n, n))
-    for local, Q in zip(subdomains, async_update_blocks(subdomains, split)):
+    """Spectral radius of the summed |diag(w) - inv(M) S| over the per-subdomain update blocks."""
+    T = np.zeros((imap.n_interface, imap.n_interface))
+    for local in subdomains:
+        S, _ = assemble_schur_explicit(local)
         pos = local.gamma_positions
-        T[np.ix_(pos, pos)] += np.abs(Q)
+        minv = 1.0 / split.m_diag[pos]
+        T[np.ix_(pos, pos)] += np.abs(np.diag(local.weights) - minv[:, None] * S)
     return spectral_radius_nonneg(T)
 
 
@@ -116,11 +103,8 @@ def certify_global(problem: AssembledProblem, decomp: Decomposition, split: Inte
     Ad = problem.A.csr.toarray()
     X = np.zeros_like(Ad)
     for rows in decomp.parts:
-        if rows.size:
-            X[rows, :] = np.linalg.solve(Ad[np.ix_(rows, rows)], Ad[rows, :])
-    gamma = decomp.interface
-    if gamma.size:
-        X[gamma, :] = Ad[gamma, :] / split.m_diag[:, None]
+        X[rows, :] = np.linalg.solve(Ad[np.ix_(rows, rows)], Ad[rows, :])
+    X[decomp.interface, :] = Ad[decomp.interface, :] / split.m_diag[:, None]
     T = np.abs(np.eye(n) - X)
     return spectral_radius_nonneg(T)
 
@@ -129,28 +113,21 @@ def certify_h_conditions(
     problem: AssembledProblem, decomp: Decomposition, split: InterfaceSplitting
 ) -> tuple[bool, bool]:
     """(A is an H-matrix, splitting identity holds on the interface block)."""
-    n = problem.A.nrows
-    if n > DENSE_OP_LIMIT:
+    if problem.A.nrows > DENSE_OP_LIMIT:
         raise ValueError(f"certificates are limited to {DENSE_OP_LIMIT} unknowns")
     a_is_h = is_h_matrix(problem.A.csr.toarray())
     return a_is_h, bool(np.all(split.m_diag >= interface_diagonal(problem, decomp)))
 
 
-def certify(
-    problem: AssembledProblem,
-    decomp: Decomposition,
-    subdomains: list[LocalSubdomain] | tuple[LocalSubdomain, ...],
-    imap: InterfaceMap,
-    split: InterfaceSplitting,
-) -> CertificateSet:
-    """Evaluate all certificates of the splitting."""
-    a_is_h, h_split_ok = certify_h_conditions(problem, decomp, split)
+def certify(system: SchurSystem, split: InterfaceSplitting) -> CertificateSet:
+    """Evaluate all certificates of the splitting on the system's problem and partition."""
+    a_is_h, h_split_ok = certify_h_conditions(system.problem, system.decomp, split)
     return CertificateSet(
-        rho_async=certify_async(subdomains, imap, split),
-        rho_global=certify_global(problem, decomp, split),
+        rho_async=certify_async(system.subdomains, system.imap, split),
+        rho_global=certify_global(system.problem, system.decomp, split),
         a_is_h=a_is_h,
         h_split_ok=h_split_ok,
-        input_hash=problem_hash(problem, decomp, split.alpha),
+        input_hash=problem_hash(system.problem, system.decomp, split.alpha),
     )
 
 

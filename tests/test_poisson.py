@@ -203,7 +203,7 @@ def test_exact_solution_meets_residual_bound():
     assert resid <= 1e-10 * np.linalg.norm(prob.b)
 
 
-def test_exact_solution_iterative_path_beyond_dense_cap():
+def test_exact_solution_beyond_dense_cap_meets_residual_bound():
     prob = assemble(GridSpec(dims=(47, 47)))  # 2209 unknowns, above the dense cap
     x = exact_solution(prob)
     resid = np.linalg.norm(prob.A.csr @ x - prob.b)

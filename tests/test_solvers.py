@@ -117,6 +117,30 @@ def test_cg_ends_stalled_where_no_step_can_move(dims, spacing, source, iteration
     assert np.isfinite(x).all() and report.final_residual > 1e-6
 
 
+@pytest.mark.parametrize("dims,splits,spacing,source,operator_overflows", [
+    # S entries near 8e306 and a first direction of the residual's scale:
+    # S p is finite, but p @ S p overflows.
+    ((20, 20), (4, 4), 1e-153, 1.0, False),
+    # At source 1e100, S p itself overflows.
+    ((40,), (4,), 3e-153, 1e100, True),
+], ids=["curvature", "operator"])
+def test_cg_ends_stalled_where_its_step_overflows(dims, splits, spacing, source, operator_overflows):
+    from aschur.runtime import RuntimeConfig, cg_with_restart
+
+    problem = assemble(GridSpec(dims=dims, spacing=spacing, source=source))
+    system = SchurSystem.build(problem, partition(problem, splits))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if operator_overflows:  # CG's first direction is d
+            with pytest.raises(FloatingPointError, match="interface operator"):
+                apply_interface_operator(system, system.d)
+        else:
+            assert system.d @ apply_interface_operator(system, system.d) == math.inf
+        runs = [cg_schur(system, tol=1e-6, k_max=50), cg_with_restart(system, RuntimeConfig(tol=1e-6, k_max=50))]
+    for x, report in runs:
+        assert report.status == "stalled" and not report.converged and report.iterations_k == 0
+        assert np.isfinite(x).all() and math.isfinite(report.final_residual)
+
+
 def test_sync_relaxation_zero_iterations_at_exact_start(tiny_1d):
     x, report = sync_relaxation(tiny_1d.system, tiny_1d.split, tol=1e-6, k_max=50, x0=np.array([2.0]))
     assert report.iterations_k == 0

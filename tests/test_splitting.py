@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from aschur.decomp import partition
+from aschur.decomp import assemble_schur_explicit, partition
 from aschur.linalg import SparseMatrix, spectral_radius_nonneg
 from aschur.poisson import GridSpec, assemble
 from aschur.solvers import SchurSystem
 from aschur.splitting import (
     InterfaceSplitting,
-    async_update_blocks,
     build_splitting,
     certify,
     certify_async,
@@ -50,7 +49,7 @@ def test_certify_async_1d_hand_value(tiny_1d):
 
 
 def test_certify_async_single_subdomain_is_zero():
-    # no interface at all: the certified radius is zero by convention
+    # no interface at all: T is 0 x 0, so the certified radius is zero
     from aschur.splitting import InterfaceSplitting
 
     prob = assemble(GridSpec(dims=(5,)))
@@ -144,13 +143,15 @@ def test_sign_compatibility_makes_summed_blocks_exact(suite):
         n = case.system.n_interface
         sum_abs = np.zeros((n, n))
         sum_q = np.zeros((n, n))
-        for loc, Q in zip(case.system.subdomains, async_update_blocks(case.system.subdomains, case.split)):
+        for loc in case.system.subdomains:
+            S, _ = assemble_schur_explicit(loc)
             pos = loc.gamma_positions
+            Q = np.diag(loc.weights) - (1.0 / case.split.m_diag[pos])[:, None] * S
             sum_abs[np.ix_(pos, pos)] += np.abs(Q)
             sum_q[np.ix_(pos, pos)] += Q
         assert np.max(np.abs(sum_abs - np.abs(sum_q)), initial=0.0) <= 1e-10
         rho_t = certify_async(case.system.subdomains, case.system.imap, case.split)
-        rho_assembled = spectral_radius_nonneg(np.abs(sum_q)) if n else 0.0
+        rho_assembled = spectral_radius_nonneg(np.abs(sum_q))
         assert rho_t == pytest.approx(rho_assembled, abs=1e-10)
 
 
@@ -165,7 +166,7 @@ def test_h_chain_implies_contractive_global_radius(suite):
 
 
 def test_certify_returns_stamped_certificates(tiny_1d):
-    certs = certify(tiny_1d.problem, tiny_1d.decomp, tiny_1d.system.subdomains, tiny_1d.system.imap, tiny_1d.split)
+    certs = certify(tiny_1d.system, tiny_1d.split)
     assert certs.rho_async == pytest.approx(0.5, abs=1e-8)
     assert certs.rho_global < 1.0
     assert certs.a_is_h and certs.h_split_ok
