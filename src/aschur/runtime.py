@@ -68,7 +68,6 @@ from .solvers import (
     _check_victims,
     _diverged,
     _restarted_cg,
-    _start_vector,
     global_residual,
 )
 
@@ -85,7 +84,7 @@ __all__ = [
 DETECTION_SLACK = 2.0
 DELAY_BLOCK = 1024
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
-NEVER = DELAY_MAX  # delivery time of an empty slot; later deliveries saturate to it
+NEVER = DELAY_MAX  # delivery time of an empty slot; RuntimeConfig keeps every delivery below it
 
 log = logging.getLogger("aschur.runtime")
 
@@ -199,7 +198,6 @@ class RuntimeConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
     seed: int = 0
     activation: float = 1.0
-    step_limit: int | None = None
     trace: bool = False
 
     def __post_init__(self):
@@ -207,12 +205,17 @@ class RuntimeConfig:
         _check_tol(self.tol)
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if self.step_limit is not None and self.step_limit < 1:
-            raise ValueError(f"step_limit must be at least 1, got {self.step_limit}")
+        if self.step_cap + self.delay.bound >= DELAY_MAX:  # a delivery t + 1 + delay stays below NEVER
+            raise ValueError("delay must keep the step cap 1000 + 50 k_max (1 + bound) plus bound below 2**63 - 1")
         if not 0.0 <= self.activation <= 1.0:
             raise ValueError(f"activation must lie in [0, 1], got {self.activation}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    @property
+    def step_cap(self) -> int:
+        """Steps after which an unfinished run ends ``step-cap``: 1000 + 50 k_max (1 + delay bound)."""
+        return 1000 + 50 * self.k_max * (1 + self.delay.bound)
 
 
 class LinkTables:
@@ -264,14 +267,13 @@ class AsyncSimulator:
     a run manually; ``run`` loops to completion.  ``_check`` marks the workers
     whose detection readiness is checked next (the rule in the module docstring)."""
 
-    def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig, x0=None):
+    def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig):
         self.system, self.cfg, self.p = system, cfg, system.p
         p = self.p
         _check_victims([v for e in cfg.faults.events for v in e.victims], p)
         self.rng_sched = np.random.default_rng(cfg.seed)
         self.rng_delay = np.random.default_rng(cfg.seed + 1)
         self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
-        self.x0 = _start_vector(system, x0)
         self.space = space = system.local_space
         self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
@@ -282,8 +284,7 @@ class AsyncSimulator:
         self._off, self._workers = space.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
         self._n_nbr = self._lk.n_nbr.tolist()
-        self._y0 = space.weights * self.x0[space.positions]  # the initial shares
-        self.y = self._y0.copy()  # every worker's committed share, stacked
+        self.y = np.zeros(len(space.positions))  # every worker's committed share, stacked; runs start at zero
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
         self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
         self.done, self._n_done = np.zeros(p, dtype=bool), 0
@@ -295,10 +296,10 @@ class AsyncSimulator:
         self._rs_cnt, self._red_cnt = self._got[:p], self._got[p:].reshape(2, p)
         self._check = np.ones(p, dtype=bool)  # workers whose readiness may have changed
         self._stamp = np.full(self._lk.n_links, -1, dtype=np.int64)  # inject step of the adopted share
-        self._floor, self._bound = -1, cfg.delay.bound  # no greater than any stamp; the delay bound
+        self._floor = -1  # no greater than any stamp
         self._inj, self._ring, self._dl = np.zeros(0, dtype=np.int64), None, None
         self._when = np.full(self._lk.n_det, NEVER, dtype=np.int64)
-        self._resize(2 * min(self._bound, 62) + 4)
+        self._resize(2 * min(cfg.delay.bound, 62) + 4)
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
         self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
@@ -317,14 +318,13 @@ class AsyncSimulator:
 
     def _resize(self, rows: int) -> None:
         """Lay the ring and the data delivery rows out for ``rows`` inject steps,
-        keeping what they hold; the ring's last row holds the initial shares."""
+        keeping what they hold; the ring's last row, all zero, holds the initial shares."""
         lk, used = self._lk, np.flatnonzero(self._inj >= 0)
         new = self._inj[used] % rows
         ring = np.zeros((rows + 1, len(self.y)))
         inj = np.full(rows, -1, dtype=np.int64)
         when = np.full(lk.n_det + rows * lk.n_links, NEVER, dtype=np.int64)
         dl = when[lk.n_det:].reshape(rows, lk.n_links)  # per ring row, per link
-        ring[-1] = self._y0
         if len(used):
             ring[new], inj[new], dl[new] = self._ring[used], self._inj[used], self._dl[used]
         when[:lk.n_det] = self._when[:lk.n_det]
@@ -374,9 +374,7 @@ class AsyncSimulator:
                 flags[(2 + par) * p + i] = True
             ids = flags[lk.msg_key].nonzero()[0]
             src, dst = lk.msg_src[ids], lk.msg_dst[ids]
-        deliver = self._delay(src, dst)
-        saturate = self._bound >= NEVER - t - 1  # cap instead of wrapping
-        deliver = (np.minimum(deliver, NEVER - t - 1) if saturate else deliver) + (t + 1)
+        deliver = self._delay(src, dst) + (t + 1)
         if not self._reorder:  # FIFO: a pair carries at most one message per kind per step
             kind = lk.msg_kind[ids]
             for k in range(4):
@@ -484,7 +482,7 @@ class AsyncSimulator:
         self._dl[:, hit[self._lk.link_src] | hit[self._lk.link_dst]] = NEVER
         self._stamp[hit[self._lk.link_dst]] = self._floor = -1
         slots = hit[self._owner_G]
-        self.y[slots] = self._y0[slots]
+        self.y[slots] = 0.0
         # Detection messages in flight between survivors arrive stale.
         n_det, src, dst = self._lk.n_det, self._lk.det_src, self._lk.det_dst
         live = (self._when[:n_det] < NEVER) & ~(hit[src] | hit[dst])
@@ -607,9 +605,8 @@ class AsyncSimulator:
 
     def run(self) -> tuple[np.ndarray, SolveReport]:
         t0 = time.perf_counter()
-        hard_cap = self.cfg.step_limit
-        hard_cap = 1000 + self.cfg.k_max * 50 * (1 + self._bound) if hard_cap is None else hard_cap
-        while not (self.detected or self.diverged or self._n_done == self.p or self.t >= hard_cap):
+        cap = self.cfg.step_cap
+        while not (self.detected or self.diverged or self._n_done == self.p or self.t >= cap):
             self.step()
         x = self.assembled_interface()
         status = ("converged" if self.detected else "diverged" if self.diverged
@@ -631,24 +628,24 @@ class AsyncSimulator:
         return [json.dumps(rec, sort_keys=True) for rec in self.trace]
 
 
-def async_solve(system: SchurSystem, split, cfg: RuntimeConfig, x0=None) -> tuple[np.ndarray, SolveReport]:
+def async_solve(system: SchurSystem, split, cfg: RuntimeConfig) -> tuple[np.ndarray, SolveReport]:
     """Run the asynchronous interface solver on the simulated cluster."""
-    return AsyncSimulator(system, split, cfg, x0=x0).run()
+    return AsyncSimulator(system, split, cfg).run()
 
 
 # -- conjugate gradients with synchronous restart on faults ---------------
 
 
-def cg_with_restart(system: SchurSystem, cfg: RuntimeConfig, x0=None) -> tuple[np.ndarray, SolveReport]:
+def cg_with_restart(system: SchurSystem, cfg: RuntimeConfig) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients that restart after every injected fault.
 
     Fault triggers are read as cumulative iteration counts.  A fault resets
-    the victims' interface entries to their initial values and discards the
-    Krylov space; iteration counting continues across restarts.
+    the victims' interface entries to zero, where every run starts, and
+    discards the Krylov space; iteration counting continues across restarts.
     """
     restarts = sorted(
         ((e.at_step if e.at_step is not None else e.at_local_iteration, e.victims) for e in cfg.faults.events),
         key=lambda r: r[0],
     )
-    return _restarted_cg(system, cfg.tol, cfg.k_max, x0, restarts, solver="cg-restart")
+    return _restarted_cg(system, cfg.tol, cfg.k_max, restarts, solver="cg-restart")
 

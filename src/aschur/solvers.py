@@ -197,15 +197,6 @@ def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.nda
     return S, d
 
 
-def _start_vector(system: SchurSystem, x0) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(system.n_interface)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (system.n_interface,):
-        raise ValueError("initial interface vector has the wrong length")
-    return x0.copy()
-
-
 def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, faults: int = 0):
     """Report of a bulk-synchronous solver; the final residual is recomputed from x."""
     return SolveReport(
@@ -220,7 +211,6 @@ def sync_relaxation(
     split,
     tol: float,
     k_max: int,
-    x0=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Weighted interface relaxation with a bulk-synchronous exchange.
 
@@ -233,7 +223,7 @@ def sync_relaxation(
     """
     _check_tol(tol)
     t0 = time.perf_counter()
-    x = _start_vector(system, x0)
+    x = np.zeros(system.n_interface)
     minv = 1.0 / split.m_diag
     g = system.d - apply_interface_operator(system, x)
     history = [(0, math.sqrt(float(g @ g)))]  # np.linalg.norm's sum for a real vector
@@ -260,17 +250,16 @@ def cg_schur(
     system: SchurSystem,
     tol: float,
     k_max: int,
-    x0=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Unpreconditioned conjugate gradients on the interface operator.
 
     Stops on the recurrence residual: once it drops to ``tol`` or below,
-    the exact residual of the iterate confirms the stop, and iteration
-    continues if it does not; a zero one restarts, or ends ``stalled`` (see
+    the exact residual of the iterate confirms the stop, or CG restarts
+    from the true residual; a zero curvature ends it ``stalled`` (see
     ``_restarted_cg``), as does an overflowing ``S p`` or ``p @ S p``.  A
     negative curvature value raises BreakdownError.
     """
-    return _restarted_cg(system, tol, k_max, x0, [], solver="cg")
+    return _restarted_cg(system, tol, k_max, [], solver="cg")
 
 
 def _diverged(history: list[tuple[int, float]], tol: float) -> bool:
@@ -290,15 +279,16 @@ def _check_victims(victims, p: int) -> None:
         raise ValueError(f"fault victim {max(bad)} out of range for {p} workers")
 
 
-def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, solver: str):
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing step ends stalled, not in a warning
+def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver: str):
     """The conjugate-gradient loop behind ``cg_schur`` and ``cg_with_restart``.
 
     ``restarts`` lists (trigger, victims) pairs in trigger order.  Once the
     cumulative iteration count reaches the next trigger, the victims'
-    interface entries return to their start values and the iteration
-    restarts from the true residual; the count carries on.  A recurrence
-    residual of exactly zero that the exact residual does not confirm also
-    restarts it.  A zero curvature ``p @ S p`` ends the run ``stalled``: the
+    interface entries return to zero, where every run starts, and CG
+    restarts from the true residual, as it does when the exact residual
+    does not confirm a recurrence residual at or below tol; the count
+    carries on.  A zero curvature ``p @ S p`` ends the run ``stalled``: the
     operator is positive definite, so p is zero (a restart found an exact
     interface solution the full residual does not confirm) or the product
     underflowed, and no step can move x.  A product ``S p`` or curvature
@@ -307,8 +297,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
     _check_tol(tol)
     _check_victims([v for _, victims in restarts for v in victims], system.p)
     t0 = time.perf_counter()
-    x = _start_vector(system, x0)
-    x_init = x.copy()
+    x = np.zeros(system.n_interface)
     history = [(0, global_residual(system, x))]
     k = 0
     faults = 0
@@ -344,11 +333,10 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, x0, restarts, sol
                 break
             if faults < len(restarts) and k >= restarts[faults][0]:
                 for v in restarts[faults][1]:
-                    pos = system.imap.gamma_positions[v]
-                    x[pos] = x_init[pos]
+                    x[system.imap.gamma_positions[v]] = 0.0
                 faults += 1
                 break
-            if rs_new == 0:  # the recurrence residual underflowed: restart from the true one
+            if resid <= tol:  # a stop the exact residual did not confirm: restart from the true residual
                 break
             p_dir *= rs_new / rs
             p_dir += r  # IEEE addition commutes: the bits of r + beta * p_dir

@@ -60,10 +60,5 @@ def tiny_1d(suite):
 
 
 def sync_iterates(system: SchurSystem, split: InterfaceSplitting, sweeps: int) -> list[np.ndarray]:
-    """The first ``sweeps`` relaxation iterates from zero, read one sweep per call."""
-    x = np.zeros(system.n_interface)
-    iterates = []
-    for _ in range(sweeps):
-        x, _ = sync_relaxation(system, split, tol=1e-300, k_max=1, x0=x)
-        iterates.append(x)
-    return iterates
+    """The first ``sweeps`` relaxation iterates from zero, the k-th from a run of k sweeps."""
+    return [sync_relaxation(system, split, tol=1e-300, k_max=k)[0] for k in range(1, sweeps + 1)]

@@ -265,6 +265,16 @@ def test_invalid_config_exits_2_before_any_solver(tmp_path, capsys, overrides):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_step_budget_past_int64_exits_2(tmp_path, capsys):
+    # No message outlives this delay, and the step cap derived from it is
+    # about 4.6e20 steps: the run would never return.
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({"grid": {"dims": [7]}, "splits": [2], "solver": "async", "k_max": 1,
+                               "delay": {"kind": "fixed", "fixed": 2**63 - 1}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}.delay: must keep the step cap")
+
+
 @pytest.mark.parametrize("via", ["--out", "output.dir"])
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
 def test_output_path_that_is_a_file_exits_2_before_any_solver(tmp_path, capsys, monkeypatch, via, nested):
@@ -318,7 +328,7 @@ def test_each_key_lands_in_the_field_that_owns_it():
     for got, default in ((spec, RunSpec(grid=GridSpec(dims=(7,)), splits=(2,))), (spec.grid, GridSpec(dims=(7,))),
                          (spec.output, OutputOptions()), (spec.runtime, RuntimeConfig()),
                          (spec.runtime.delay, DelayModel())):
-        for name in (f.name for f in dataclasses.fields(got) if f.name != "step_limit"):
+        for name in (f.name for f in dataclasses.fields(got)):
             assert getattr(got, name) != getattr(default, name), name
     assert all(type(v) is float for v in (spec.alpha, spec.grid.source, spec.runtime.tol))
 
@@ -485,9 +495,10 @@ def _mostly(draw, good, bad):
 
 def _delay(draw):
     delay = {"kind": _mostly(draw, st.sampled_from(["zero", "fixed", "uniform", "table"]), st.just("gauss"))}
-    for key, hi in (("fixed", 5), ("low", 3)):
-        if draw(st.booleans()):
-            delay[key] = _mostly(draw, st.integers(0, hi), st.integers(-5, -1))
+    # A fixed delay of 2^62 or more puts the step budget past int64 at every k_max: the config is rejected.
+    for key, good in (("fixed", st.sampled_from([0, 3, 2**62, 2**63 - 1])), ("low", st.integers(0, 3))):
+        if delay["kind"] == key or draw(st.booleans()):
+            delay[key] = _mostly(draw, good, st.integers(-5, -1))
     if draw(st.booleans()):
         delay["high"] = delay.get("low", 0) + _mostly(draw, st.integers(0, 10), st.integers(-5, -1))
     if draw(st.booleans()):

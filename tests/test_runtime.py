@@ -62,7 +62,7 @@ def test_delay_model_validation():
 def test_simulator_rejects_table_links_outside_the_workers(tiny_1d, link):
     # p = 2, so every link joins workers 0 and 1.  A link the sampler could not
     # use would still set the delay bound, and with it the default step cap.
-    delay = DelayModel(kind="table", table={(0, 1): 2, link: 10**18})
+    delay = DelayModel(kind="table", table={(0, 1): 2, link: 10**9})
     with pytest.raises(ValueError, match="does not join two of the 2 workers"):
         AsyncSimulator(tiny_1d.system, tiny_1d.split, RuntimeConfig(delay=delay))
 
@@ -100,7 +100,8 @@ def test_runtime_config_validation():
         RuntimeConfig(k_max=0)
     with pytest.raises(ValueError):
         RuntimeConfig(activation=1.5)
-    for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1}, {"step_limit": 0}, {"step_limit": -5}):
+    for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1},
+                {"delay": DelayModel(kind="fixed", fixed=2**62)}, {"delay": DelayModel(), "k_max": 2**62}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             RuntimeConfig(**bad)
 
@@ -225,18 +226,28 @@ def test_uniform_delays_are_one_scalar_draw_per_message(suite, seed, delay):
     assert [rec["deliver"] - rec["inject"] - 1 for rec in sends] == expected
 
 
-def test_huge_delays_saturate_instead_of_wrapping(tiny_1d):
-    # t + 1 + delay would pass the int64 range: deliveries saturate at its top
-    # and never arrive, so no detection round completes.
-    for delay in (DelayModel(kind="fixed", fixed=2**63 - 1), DelayModel(kind="uniform", low=2**62, high=2**63 - 1)):
-        cfg = RuntimeConfig(tol=1e-300, k_max=10, step_limit=5, delay=delay, trace=True)
-        sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
-        x, report = sim.run()
-        delivers = [rec["deliver"] for rec in sim.trace if rec["type"] == "envelope"]
-        assert delivers and all(2**62 < d <= 2**63 - 1 for d in delivers)
-        if delay.kind == "fixed":
-            assert set(delivers) == {2**63 - 1}
-        assert report.status == "step-cap" and report.sim_steps == 5 and report.iterations_k == 0
+def test_step_budgets_past_int64_are_rejected():
+    # A run ends within step_cap = 1000 + 50 k_max (1 + bound) steps, and its
+    # last delivery, t + 1 + delay, must stay below the int64 top (NEVER).
+    for delay in (DelayModel(kind="fixed", fixed=2**63 - 1), DelayModel(kind="uniform", high=2**62)):
+        with pytest.raises(ValueError, match="^delay must keep the step cap"):
+            RuntimeConfig(k_max=1, delay=delay)
+    cfg = RuntimeConfig(k_max=1, delay=DelayModel(kind="fixed", fixed=10**6))
+    assert cfg.step_cap == 50_001_050
+    edge = (2**63 - 1052) // 51  # the largest B with 1000 + 50 (1 + B) + B < 2^63 - 1
+    RuntimeConfig(k_max=1, delay=DelayModel(kind="fixed", fixed=edge))
+    with pytest.raises(ValueError, match="^delay must"):
+        RuntimeConfig(k_max=1, delay=DelayModel(kind="fixed", fixed=edge + 1))
+
+
+@pytest.mark.parametrize("fixed,steps", [(0, 1050), (7, 1400)])
+def test_a_run_whose_rounds_never_complete_ends_at_the_step_cap(tiny_1d, monkeypatch, fixed, steps):
+    # With no detection move, no round completes and no worker is done.
+    monkeypatch.setattr(AsyncSimulator, "_detect", lambda self, *args: ([], []))
+    cfg = RuntimeConfig(tol=1e-300, k_max=1, delay=DelayModel(kind="fixed", fixed=fixed))
+    x, report = async_solve(tiny_1d.system, tiny_1d.split, cfg)
+    assert report.status == "step-cap" and report.sim_steps == steps == cfg.step_cap
+    assert report.iterations_k == 0 and np.isfinite(x).all()
 
 
 def _link(sim, src, dst):
@@ -389,10 +400,10 @@ def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
 
 def test_fairness_window_holds_on_trace(suite):
     case = suite["2d-7x7-p4"]
-    cfg = RuntimeConfig(tol=1e-300, k_max=10**6, step_limit=300, seed=1,
-                        activation=0.05, trace=True)
+    cfg = RuntimeConfig(tol=1e-300, k_max=10**6, seed=1, activation=0.05, trace=True)
     sim = AsyncSimulator(case.system, case.split, cfg)
-    sim.run()
+    for _ in range(300):
+        sim.step()
     window = 16 * case.system.p
     last_run = {i: -1 for i in range(case.system.p)}
     for rec in sim.trace:
@@ -405,9 +416,10 @@ def test_fairness_window_holds_on_trace(suite):
 
 def test_zero_activation_still_schedules_everyone(suite):
     case = suite["1d-15-p4"]
-    cfg = RuntimeConfig(tol=1e-300, k_max=10**6, step_limit=200, activation=0.0)
+    cfg = RuntimeConfig(tol=1e-300, k_max=10**6, activation=0.0)
     sim = AsyncSimulator(case.system, case.split, cfg)
-    sim.run()
+    for _ in range(200):
+        sim.step()
     assert np.all(sim.k_local > 0)
 
 
@@ -599,19 +611,18 @@ def test_fault_after_detection_initiated_invalidates_round(suite):
 
 
 def test_fault_preserves_factorization_and_counts(tiny_1d):
-    cfg = RuntimeConfig(tol=1e-300, k_max=10_000, step_limit=10)
+    cfg = RuntimeConfig(tol=1e-300, k_max=10_000)
     sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, cfg)
     for _ in range(5):
         sim.step()
     lu_before = sim.system.blocks.lu
     k_before = sim.k_local.copy()
+    off = sim.space.offsets
+    assert sim.y[off[0]:off[1]].any()
     sim.inject_fault([0])
     assert sim._lu is sim.system.blocks.lu is lu_before
     np.testing.assert_array_equal(sim.k_local, k_before)
-    space, off = sim.space, sim.space.offsets
-    np.testing.assert_array_equal(
-        sim.y[off[0]:off[1]], (space.weights * sim.x0[space.positions])[off[0]:off[1]]
-    )
+    np.testing.assert_array_equal(sim.y[off[0]:off[1]], 0.0)
 
 
 def test_iteration_fault_takes_effect_at_the_end_of_its_step(suite):
@@ -620,14 +631,11 @@ def test_iteration_fault_takes_effect_at_the_end_of_its_step(suite):
     case = suite["2d-7x7-p2"]
     cfg = RuntimeConfig(tol=1e-300, k_max=10_000,
                         faults=FaultPlan(events=(FaultEvent(victims=(0, 1), at_local_iteration=3),)))
-    x0 = np.random.default_rng(1).normal(size=case.system.n_interface)
-    sim = AsyncSimulator(case.system, case.split, cfg, x0=x0)
+    sim = AsyncSimulator(case.system, case.split, cfg)
     while not sim.faults_injected:
         sim.step()
     assert sim.t == 3 and sim.k_local[0] == 3
-    x0_l, off = sim.x0[sim.space.positions], sim.space.offsets
-    assert all(np.any(x0_l[off[i]:off[i + 1]] != 0) for i in range(case.system.p))
-    np.testing.assert_array_equal(sim.y, sim.space.weights * x0_l)
+    np.testing.assert_array_equal(sim.y, 0.0)
 
 
 # -- cg with restart -----------------------------------------------------------------

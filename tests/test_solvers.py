@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,34 +86,45 @@ def test_sync_relaxation_over_relaxed_ends_diverged(tiny_1d):
     assert report.iterations_k < 1000 and np.isfinite(x).all()
 
 
-def test_cg_from_overflowing_start_ends_diverged(tiny_1d):
-    x, report = cg_schur(tiny_1d.system, tol=1e-8, k_max=50, x0=np.array([1e200]))
+def test_cg_from_overflowing_start_ends_diverged(tiny_1d, monkeypatch):
+    from aschur import solvers
+
+    # CG's first residual is the exact one; an overflowing one ends the run before any step.
+    monkeypatch.setattr(solvers, "global_residual", lambda *args: math.inf)
+    x, report = cg_schur(tiny_1d.system, tol=1e-8, k_max=50)
     assert report.status == "diverged" and report.iterations_k == 0
     assert report.residual_history == [(0, math.inf)]
-    np.testing.assert_array_equal(x, [1e200])
+    np.testing.assert_array_equal(x, [0.0])
 
 
-def test_cg_restarts_when_its_recurrence_residual_underflows():
+def test_cg_restarts_when_its_recurrence_residual_underflows(monkeypatch):
+    from aschur import solvers
+
     # At source 1e10 the exact residual stalls near 1e-4 while the recurrence
-    # residual keeps falling until it rounds to zero, first at iteration 95.
+    # residual keeps falling below tol.  Each unconfirmed stop restarts CG from
+    # the true residual, so the 200 iterations compute the exact residual 41
+    # times, not once per iteration after the first unconfirmed stop.
+    calls = []
+    monkeypatch.setattr(solvers, "global_residual", lambda *args: calls.append(1) or global_residual(*args))
     problem = assemble(GridSpec(dims=(7, 7), source=1e10))
     x, report = cg_schur(SchurSystem.build(problem, partition(problem, (2, 2))), tol=1e-6, k_max=200)
     assert report.status == "k-max" and report.iterations_k == 200
-    assert (95, 0.0) in report.residual_history and report.residual_history[96][1] > 0
+    assert len(calls) == 41
     assert np.isfinite(x).all() and 1e-6 < report.final_residual < 1e-3
 
 
-@pytest.mark.parametrize("dims,spacing,source,iterations", [
+@pytest.mark.parametrize("dims,spacing,source,tol,iterations", [
     # One step solves the single interface unknown exactly, but the full
     # residual of b ~ source cannot reach tol: a restart could not move.
-    ((9,), 1.0, 1e12, 1), ((31,), 1.0, 1e8, 1),
+    ((9,), 1.0, 1e12, 1e-6, 1), ((31,), 1.0, 1e8, 1e-6, 1),
     # Each step shrinks the interface residual by about 1e-15 until p @ S p,
-    # with S entries near 1e-20, underflows to zero.
-    ((24,), 1e10, 1e10, 11),
+    # with S entries near 1e-20, underflows to zero.  No recurrence residual
+    # falls to tol 1e-300 before, so no unconfirmed stop restarts CG.
+    ((24,), 1e10, 1e10, 1e-300, 11),
 ], ids=["9-at-1e12", "31-at-1e8", "24-at-h-1e10"])
-def test_cg_ends_stalled_where_no_step_can_move(dims, spacing, source, iterations):
+def test_cg_ends_stalled_where_no_step_can_move(dims, spacing, source, tol, iterations):
     problem = assemble(GridSpec(dims=dims, spacing=spacing, source=source))
-    x, report = cg_schur(SchurSystem.build(problem, partition(problem, (2,))), tol=1e-6, k_max=50)
+    x, report = cg_schur(SchurSystem.build(problem, partition(problem, (2,))), tol=tol, k_max=50)
     assert report.status == "stalled" and not report.converged and report.iterations_k == iterations
     assert np.isfinite(x).all() and report.final_residual > 1e-6
 
@@ -135,17 +147,27 @@ def test_cg_ends_stalled_where_its_step_overflows(dims, splits, spacing, source,
                 apply_interface_operator(system, system.d)
         else:
             assert system.d @ apply_interface_operator(system, system.d) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # CG handles the overflow: it prints no RuntimeWarning
         runs = [cg_schur(system, tol=1e-6, k_max=50), cg_with_restart(system, RuntimeConfig(tol=1e-6, k_max=50))]
     for x, report in runs:
         assert report.status == "stalled" and not report.converged and report.iterations_k == 0
         assert np.isfinite(x).all() and math.isfinite(report.final_residual)
 
 
-def test_sync_relaxation_zero_iterations_at_exact_start(tiny_1d):
-    x, report = sync_relaxation(tiny_1d.system, tiny_1d.split, tol=1e-6, k_max=50, x0=np.array([2.0]))
+def _sourceless_tiny_1d():
+    """tiny_1d's grid and partition at source 0, whose solution is the zero start, and its splitting."""
+    problem = assemble(GridSpec(dims=(3,), source=0.0))
+    decomp = partition(problem, (2,))
+    return SchurSystem.build(problem, decomp), build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+
+
+def test_sync_relaxation_zero_iterations_at_exact_start():
+    system, split = _sourceless_tiny_1d()
+    x, report = sync_relaxation(system, split, tol=1e-6, k_max=50)
     assert report.iterations_k == 0
     assert report.converged
-    np.testing.assert_array_equal(x, [2.0])
+    np.testing.assert_array_equal(x, [0.0])
 
 
 def test_sync_relaxation_single_subdomain_immediate():
@@ -193,8 +215,8 @@ def test_cg_1d_single_iteration(tiny_1d):
     np.testing.assert_allclose(x, [2.0], atol=1e-10)
 
 
-def test_cg_zero_iterations_at_exact_start(tiny_1d):
-    x, report = cg_schur(tiny_1d.system, tol=1e-6, k_max=50, x0=np.array([2.0]))
+def test_cg_zero_iterations_at_exact_start():
+    x, report = cg_schur(_sourceless_tiny_1d()[0], tol=1e-6, k_max=50)
     assert report.iterations_k == 0
     assert report.converged
 
