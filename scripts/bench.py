@@ -42,7 +42,11 @@ three runs repeat one solve.  Each rung records, per metric, the median,
 quartiles and per-seed values of ``setup_s`` (assembly to a ready
 system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
 (CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
-converge to tol 1e-6.
+converge to tol 1e-6.  The delay rung, 15²/4×2 under fixed delays of 10,
+1,000 and 20,000 (``--rung delay-15x15-p8 --delay D`` runs one), records
+per delay ``us_per_step`` over 300 steps after the first D + 50, the
+ring's row count and ``peak_rss_mb``, one process per delay and seed: a
+step's cost should not grow with the delay bound.
 
 A perf change quotes two such files, one per commit, run on the same
 machine.  About 9 minutes on 2 cores, 2 of them the tier-1 run, half a
@@ -81,8 +85,11 @@ RUNGS = {  # name: grid, splits, solver
     "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
     "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),
     "async-63x63-p64": ((63, 63), (8, 8), "async"),
+    "delay-15x15-p8": ((15, 15), (4, 2), "delay"),
 }
 RUNG_TOL = 1e-6
+RUNG_DELAYS = (10, 1000, 20_000)  # the delay rung's fixed delays
+RUNG_DELAY_STEPS = 300
 
 
 def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
@@ -133,26 +140,37 @@ def run_tier1(env: dict) -> tuple[float, dict, float | None]:
     return seconds, {"exit": out.returncode, **counts}, float(fixture.group(1)) if fixture else None
 
 
-def rung_once(name: str, seed: int) -> dict:
-    """One rung in this process: set-up to a ready system, one solve, and the process's peak RSS."""
+def rung_once(name: str, seed: int, delay: int) -> dict:
+    """One rung in this process: set-up to a ready system, one solve (or, on the delay rung, the timed
+    steps at a fixed ``delay``), and the process's peak RSS."""
     from aschur import (GridSpec, SchurSystem, assemble, async_solve, build_splitting, cg_schur, interface_diagonal,
                         partition)
-    from aschur.runtime import DelayModel, RuntimeConfig
+    from aschur.runtime import AsyncSimulator, DelayModel, RuntimeConfig
 
     dims, splits, solver = RUNGS[name]
     t0 = time.perf_counter()
     problem = assemble(GridSpec(dims=dims))
     decomp = partition(problem, splits)
     system = SchurSystem.build(problem, decomp)
-    if solver == "async":
+    if solver != "cg":
         split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
         system.local_space, system.links  # built once per system, before its first run
     t1 = time.perf_counter()
+    if solver == "delay":  # steps at a fixed delay, never converging
+        cfg = RuntimeConfig(tol=1e-300, k_max=100_000, seed=seed, delay=DelayModel(kind="fixed", fixed=delay))
+        sim = AsyncSimulator(system, split, cfg)
+        for _ in range(delay + 50):
+            sim.step()
+        t2 = time.perf_counter()
+        for _ in range(RUNG_DELAY_STEPS):
+            sim.step()
+        return {"setup_s": t1 - t0, "us_per_step": 1e6 * (time.perf_counter() - t2) / RUNG_DELAY_STEPS,
+                "ring_rows": len(sim._inj), "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if solver == "cg":
         _, report = cg_schur(system, tol=RUNG_TOL, k_max=100_000)
     else:
-        delay = DelayModel(kind="uniform", low=0, high=2, reorder=True)
-        _, report = async_solve(system, split, RuntimeConfig(tol=RUNG_TOL, k_max=100_000, seed=seed, delay=delay))
+        uniform = DelayModel(kind="uniform", low=0, high=2, reorder=True)
+        _, report = async_solve(system, split, RuntimeConfig(tol=RUNG_TOL, k_max=100_000, seed=seed, delay=uniform))
     solve_s = time.perf_counter() - t1
     if not (report.converged and report.final_residual <= RUNG_TOL):
         sys.exit(f"bench: rung {name} seed {seed} ended {report.status} at {report.final_residual:.3e}")
@@ -163,8 +181,8 @@ def rung_once(name: str, seed: int) -> dict:
     return {**run, "sim_steps": report.sim_steps, "us_per_step": 1e6 * solve_s / report.sim_steps}
 
 
-def run_rung(name: str, seed: int, env: dict) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--rung", name, "--seed", str(seed)]
+def run_rung(name: str, seed: int, env: dict, delay: int = 0) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--rung", name, "--seed", str(seed), "--delay", str(delay)]
     out = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, check=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -185,9 +203,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rung", choices=RUNGS, help="run one rung in this process and print it as JSON")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--delay", type=int, default=0, help="the fixed delay of a delay-rung run")
     args = parser.parse_args()
     if args.rung:
-        print(json.dumps(rung_once(args.rung, args.seed)))
+        print(json.dumps(rung_once(args.rung, args.seed, args.delay)))
         return 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}  # what perfbench/run.py pins as well
@@ -208,8 +227,14 @@ def main() -> int:
         sys.exit(f"bench: no workload calls {', '.join(stale)}; update LAYERS")
     rungs = {}
     for name in RUNGS:
-        runs = [run_rung(name, seed, env) for seed in SEEDS]
-        rungs[name] = {metric: summary([r[metric] for r in runs]) for metric in runs[0]}
+        if RUNGS[name][2] == "delay":
+            rungs[name] = {}
+            for delay in RUNG_DELAYS:
+                runs = [run_rung(name, seed, env, delay) for seed in SEEDS]
+                rungs[name][f"fixed-{delay}"] = {metric: summary([r[metric] for r in runs]) for metric in runs[0]}
+        else:
+            runs = [run_rung(name, seed, env) for seed in SEEDS]
+            rungs[name] = {metric: summary([r[metric] for r in runs]) for metric in runs[0]}
         print(f"bench: rung {name} done", file=sys.stderr)
     tier1_s, tier1_counts, chaos_fixture_s = run_tier1(env)
     print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)

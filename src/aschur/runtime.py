@@ -16,15 +16,23 @@ per directed link, and a delivery time per detection slot (a residual
 piece per link, a reduction per round parity and pair; worker rounds never
 differ by more than one).  A link adopts the greatest inject step among
 its delivered shares; the merge is one gather from the ring at the stamps.
-The link, merge-entry, detection-slot and message tables depend only on
-the system and are built once for it (``SchurSystem.links``); the ring,
-sized from the delay bound, is per run.  In a step the active workers
-ingest and merge; one batched update over the stacked local space
-(``SchurSystem.local_space``) solves every interior with the one interior
-solver and forms each new share (identity share plus the scaled local
-interface defect) and, for workers starting a detection round, the
-residual pieces at it; then they commit and publish in activation order,
-each advancing its three-phase detection machine:
+A delivery wheel (Varghese & Lauck, "Hashed and hierarchical timing
+wheels", SOSP 1987), with as many rows W as the ring, holds per delivery
+step modulo W and per link the greatest inject step delivered then, so a
+step adopts one wheel row at a cost independent of the delay bound; the
+entries of a receiver inactive at their step move on to the next row.  The
+wheel covers the deliveries in [t, t + W).  A later one waits in its
+delivery row until a sweep moves it in: one runs whenever fewer than W/2
+steps ahead are covered and after each resize, an amortized O(links) per
+step.  The link, merge-entry, detection-slot and message tables depend
+only on the system and are built once for it (``SchurSystem.links``); the
+ring and the wheel, sized from the delay bound, are per run.  In a step
+the active workers ingest and merge; one batched update over the stacked
+local space (``SchurSystem.local_space``) solves every interior with the
+one interior solver and forms each new share (identity share plus the
+scaled local interface defect) and, for workers starting a detection
+round, the residual pieces at it; then they commit and publish in
+activation order, each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -206,7 +214,8 @@ class RuntimeConfig:
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
         if self.step_cap + self.delay.bound >= DELAY_MAX:  # a delivery t + 1 + delay stays below NEVER
-            raise ValueError("delay must keep the step cap 1000 + 50 k_max (1 + bound) plus bound below 2**63 - 1")
+            key = "k_max" if 1000 + 50 * self.k_max >= DELAY_MAX else "delay"  # k_max alone breaks it
+            raise ValueError(f"{key} must keep the step cap 1000 + 50 k_max (1 + bound) plus bound below 2**63 - 1")
         if not 0.0 <= self.activation <= 1.0:
             raise ValueError(f"activation must lie in [0, 1], got {self.activation}")
         if self.seed < 0:
@@ -223,7 +232,7 @@ class LinkTables:
     shared, read-only, by every run on it: directed links (by sender, then its neighbour
     order), merge entries (by receiver, its neighbour order, shared position), detection
     slots (a residual piece per link, a reduction per (round parity, dst, src)) and every
-    message, in send order."""
+    message, in send order, with its delivery wheel column (its link for data, else a spare)."""
 
     def __init__(self, imap, offsets):
         p = len(imap.neighbors)
@@ -253,6 +262,7 @@ class LinkTables:
         msgs = np.array(msgs, dtype=np.intp).reshape(-1, 6).T
         self.msg_src, self.msg_kind, _, self.msg_dst, self.msg_link, self.msg_target = msgs
         self.msg_key = self.msg_kind * p + self.msg_src
+        self.msg_col = np.where(self.msg_kind == 0, self.msg_link, n_links)
         self.data_ids = np.flatnonzero(self.msg_kind == 0)  # one per link, in link order
         for table in [*vars(self).values(), *self.link_slots]:
             if isinstance(table, np.ndarray):
@@ -297,13 +307,14 @@ class AsyncSimulator:
         self._check = np.ones(p, dtype=bool)  # workers whose readiness may have changed
         self._stamp = np.full(self._lk.n_links, -1, dtype=np.int64)  # inject step of the adopted share
         self._floor = -1  # no greater than any stamp
-        self._inj, self._ring, self._dl = np.zeros(0, dtype=np.int64), None, None
+        self.t = self.faults_injected = self.stale_discarded = 0
+        self._inj, self._ring, self._dl, self._wheel = np.zeros(0, dtype=np.int64), None, None, None
         self._when = np.full(self._lk.n_det, NEVER, dtype=np.int64)
+        self._far, self._horizon = True, 0  # a delivery may pass the wheel; it holds every one before the horizon
         self._resize(2 * min(cfg.delay.bound, 62) + 4)
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
         self._stale = np.zeros((3, 0), dtype=np.int64)  # src, dst, delivery of stale detection messages
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
-        self.t = self.faults_injected = self.stale_discarded = 0
         self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
         self.detected = self.diverged = False
         self._round_seen = set()
@@ -317,37 +328,58 @@ class AsyncSimulator:
     # -- transport -----------------------------------------------------
 
     def _resize(self, rows: int) -> None:
-        """Lay the ring and the data delivery rows out for ``rows`` inject steps,
-        keeping what they hold; the ring's last row, all zero, holds the initial shares."""
-        lk, used = self._lk, np.flatnonzero(self._inj >= 0)
+        """Lay the ring, the data delivery rows and the wheel out for ``rows`` steps,
+        keeping what they hold; the ring's last row, all zero, holds the initial shares.
+        Wheel row r holds deliveries at the step in [t, t + rows) that is r modulo rows."""
+        lk, used, t = self._lk, np.flatnonzero(self._inj >= 0), self.t
         new = self._inj[used] % rows
         ring = np.zeros((rows + 1, len(self.y)))
         inj = np.full(rows, -1, dtype=np.int64)
         when = np.full(lk.n_det + rows * lk.n_links, NEVER, dtype=np.int64)
         dl = when[lk.n_det:].reshape(rows, lk.n_links)  # per ring row, per link
+        wheel = np.full((rows, lk.n_links + 1), -1, dtype=np.int64)  # per delivery step, per column
         if len(used):
             ring[new], inj[new], dl[new] = self._ring[used], self._inj[used], self._dl[used]
+        if self._wheel is not None:
+            old = len(self._wheel)  # old row r holds the step in [t, t + old) that is r modulo old
+            wheel[(t + (np.arange(old) - t) % old) % rows] = self._wheel
         when[:lk.n_det] = self._when[:lk.n_det]
-        self._ring, self._inj, self._when, self._dl = ring, inj, when, dl
-        self._targets = lk.msg_target + np.outer(np.arange(rows) * lk.n_links, lk.msg_kind == 0)
+        self._ring, self._inj, self._when, self._dl, self._wheel = ring, inj, when, dl, wheel
+        self._targets = np.outer(np.arange(rows) * lk.n_links, lk.msg_kind == 0)
+        self._targets += lk.msg_target  # in place: no second table-sized temporary
+        far, self._far = self._far, self.cfg.delay.bound + 2 > rows  # a delivery t + 1 + delay may pass t + rows
+        if far:
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Move the deliveries in [horizon, t + W) into the wheel, W its row count."""
+        t, rows = self.t, len(self._inj)
+        r, link = ((self._dl >= self._horizon) & (self._dl < t + rows)).nonzero()
+        np.maximum.at(self._wheel, (self._dl[r, link] % rows, link), self._inj[r])
+        self._horizon = t + rows
 
     def _ingest(self, on, full: bool) -> np.ndarray | None:
         """Deliver the active workers' due messages and merge; returns the stale
         detection messages each dropped, if any are in flight.  A link adopts the
-        greatest inject step delivered (consumed shares are never newer than its
-        stamp, so need no clearing).  bincount adds in input order and the entries
-        run in each receiver's neighbour order: each slot sums its neighbours in
-        list order from 0.0."""
-        t, n_det = self.t, self._lk.n_det
-        due = self._when <= t
-        data = due[n_det:].reshape(self._dl.shape)
+        greatest inject step in the wheel's row of step t, which is then cleared; an
+        inactive receiver's entries move to the row of t + 1.  bincount adds in input
+        order and the entries run in each receiver's neighbour order: each slot sums
+        its neighbours in list order from 0.0."""
+        t, lk, rows = self.t, self._lk, len(self._inj)
+        if self._far and self._horizon <= t + rows // 2:
+            self._sweep()
+        row = self._wheel[t % rows]
+        got, due = row[:lk.n_links], self._when[:lk.n_det] <= t
         if not full:
-            data &= on[self._lk.link_dst]
-            due[:n_det] &= on[self._lk.det_dst]
-        np.maximum(self._stamp, np.maximum.reduce(np.where(data, self._inj[:, None], -1), axis=0), out=self._stamp)
-        rows = np.fmod(self._stamp, len(self._inj))  # stamp -1 reads the initial row
-        self.nbr = np.bincount(self._lk.e_dst, self._ring[rows[self._lk.e_link], self._lk.e_src], len(self.y))
-        due = due[:n_det].nonzero()[0]
+            link_on, nxt = on[lk.link_dst], self._wheel[(t + 1) % rows, :lk.n_links]
+            np.maximum(nxt, np.where(link_on, -1, got), out=nxt)
+            got = np.where(link_on, got, -1)
+            due &= on[lk.det_dst]
+        np.maximum(self._stamp, got, out=self._stamp)
+        row.fill(-1)
+        ring_rows = np.fmod(self._stamp, rows)  # stamp -1 reads the initial row
+        self.nbr = np.bincount(lk.e_dst, self._ring[ring_rows[lk.e_link], lk.e_src], len(self.y))
+        due = due.nonzero()[0]
         if len(due):
             self._when[due] = NEVER
             self._got += np.bincount(self._lk.det_group[due], minlength=3 * self.p)
@@ -363,8 +395,8 @@ class AsyncSimulator:
         """Publish the committed workers' messages, ``red`` the reduction senders as
         (worker, round parity), or with ``data_only`` the data messages alone; returns
         them (indices into the message table) and their delivery steps, in send order.
-        The ring doubles while this step's row holds shares that are adopted, or in
-        flight to a live worker and newer than what it holds."""
+        The ring and the wheel double while this step's row holds shares that are
+        adopted, or in flight to a live worker and newer than what it holds."""
         t, lk, p = self.t, self._lk, self.p
         if data_only:
             ids, src, dst = lk.data_ids, lk.link_src, lk.link_dst
@@ -394,6 +426,10 @@ class AsyncSimulator:
         self._ring[row], self._inj[row], self._dl[row] = y_new, t, deliver if data_only else NEVER
         if not data_only:
             self._when[self._targets[row, ids]] = deliver
+        rows, col = len(self._inj), lk.msg_col[ids]
+        if self._far:  # a later delivery waits for the sweep
+            col = np.where(deliver < t + rows, col, lk.n_links)
+        self._wheel[deliver % rows, col] = t  # newer than anything pending: the maximum
         return ids, deliver
 
     # -- the batched update ----------------------------------------------
@@ -479,7 +515,9 @@ class AsyncSimulator:
         _check_victims(victims, self.p)
         hit = np.zeros(self.p, dtype=bool)
         hit[victims] = True
-        self._dl[:, hit[self._lk.link_src] | hit[self._lk.link_dst]] = NEVER
+        cut = hit[self._lk.link_src] | hit[self._lk.link_dst]
+        self._dl[:, cut] = NEVER
+        self._wheel[:, :self._lk.n_links][:, cut] = -1
         self._stamp[hit[self._lk.link_dst]] = self._floor = -1
         slots = hit[self._owner_G]
         self.y[slots] = 0.0

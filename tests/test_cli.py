@@ -275,6 +275,14 @@ def test_a_step_budget_past_int64_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {cfg}.delay: must keep the step cap")
 
 
+def test_a_k_max_that_alone_breaks_the_step_budget_is_named(tmp_path, capsys):
+    # 1000 + 50 k_max passes 2**63 - 1 with no delay set.
+    cfg = tmp_path / "kmax.json"
+    cfg.write_text(json.dumps({"grid": {"dims": [7]}, "splits": [2], "solver": "async", "k_max": 2**62}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}.k_max: must keep the step cap")
+
+
 @pytest.mark.parametrize("via", ["--out", "output.dir"])
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
 def test_output_path_that_is_a_file_exits_2_before_any_solver(tmp_path, capsys, monkeypatch, via, nested):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,9 @@ def test_runtime_config_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(activation=1.5)
     for bad in ({"tol": float("inf")}, {"tol": float("nan")}, {"seed": -1},
-                {"delay": DelayModel(kind="fixed", fixed=2**62)}, {"delay": DelayModel(), "k_max": 2**62}):
+                {"delay": DelayModel(kind="fixed", fixed=2**62)}, {"k_max": 2**62},
+                {"k_max": 2**62, "delay": DelayModel(kind="fixed", fixed=2**62)},
+                {"delay": DelayModel(kind="fixed", fixed=2**10), "k_max": 2**50}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             RuntimeConfig(**bad)
 
@@ -256,10 +259,10 @@ def _link(sim, src, dst):
 
 
 def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
-    # Shares injected at steps 5, 9 and 7 on the link 1 -> 0 are all delivered
-    # by step 10, in every order: worker 0 adopts the one from step 9.  A newer
-    # share still in flight is not adopted, and an older one delivered later
-    # does not replace it.
+    # Shares injected at steps 5, 9 and 7 on the link 1 -> 0 are delivered at
+    # steps 8, 9 and 10, in every order: from step 10 worker 0 holds the one
+    # from step 9.  A newer share still in flight is not adopted, and an older
+    # one delivered later does not replace it.
     cfg = RuntimeConfig(tol=1e-300, k_max=10_000, delay=DelayModel(kind="uniform", high=10))
     shares = {5: 1.0, 9: 2.0, 7: 3.0, 10: 4.0, 3: 5.0}
     for order in itertools.permutations((5, 9, 7)):
@@ -269,14 +272,59 @@ def test_latest_wins_merge_keeps_greatest_inject_step(tiny_1d):
         for inject, deliver in [*zip(order, (8, 9, 10)), (10, 12), (3, 11)]:
             sim._inj[inject % rows] = inject
             sim._ring[inject % rows, sim._lk.e_src[sim._lk.e_link == link]] = shares[inject]
-            sim._dl[inject % rows, link] = deliver
-        sim.t = 10
-        sim._ingest(sim._everyone, True)  # delivers, adopts and merges
+            sim._wheel[deliver % rows, link] = inject
+        for sim.t in range(8, 12):
+            sim._ingest(sim._everyone, True)  # delivers, adopts and merges
+            if sim.t == 10:
+                assert sim._stamp[link] == 9
+                np.testing.assert_array_equal(sim.nbr[sim._lk.e_dst[sim._lk.e_link == link]], [2.0])
         assert sim._stamp[link] == 9
-        np.testing.assert_array_equal(sim.nbr[sim._lk.e_dst[sim._lk.e_link == link]], [2.0])
-        sim.t = 11
-        sim._ingest(sim._everyone, True)
-        assert sim._stamp[link] == 9
+
+
+def test_share_delivered_to_an_inactive_receiver_waits_for_its_next_active_step(tiny_1d):
+    # Both workers send at step 5 under a fixed delay of 2, so their shares
+    # arrive at step 8.  Worker 0 is off at steps 8 and 9, and the wheel grows
+    # in between: worker 0 adopts its share at step 10, its next active step.
+    sim = AsyncSimulator(tiny_1d.system, tiny_1d.split, RuntimeConfig(delay=DelayModel(kind="fixed", fixed=2)))
+    link, off, y_new = _link(sim, 1, 0), np.array([False, True]), np.arange(1.0, len(sim.y) + 1)
+    sim.t = 5
+    sim._send(sim._everyone, np.zeros(2, dtype=bool), [], y_new, True)
+    for sim.t in (8, 9):
+        sim._ingest(off, False)
+        assert sim._stamp[link] == -1 and sim._stamp[_link(sim, 0, 1)] == 5  # worker 1 is on
+        sim._resize(2 * len(sim._inj))
+    sim.t = 10
+    sim._ingest(sim._everyone, True)
+    assert sim._stamp[link] == 5
+    entries = sim._lk.e_link == link
+    np.testing.assert_array_equal(sim.nbr[sim._lk.e_dst[entries]], y_new[sim._lk.e_src[entries]])
+
+
+def test_a_fixed_delay_of_a_thousand_steps_converges(suite):
+    case = suite["1d-7-p2"]
+    cfg = RuntimeConfig(tol=1e-6, k_max=10_000, delay=DelayModel(kind="fixed", fixed=1000))
+    _, report = async_solve(case.system, case.split, cfg)
+    assert report.converged and report.final_residual <= 1e-6
+    assert report.sim_steps == 32_048
+
+
+def test_no_transport_array_grows_with_the_delay_bound(suite):
+    # Deliveries up to 10**6 steps ahead: the ring settles at 4,096 rows, the
+    # wheel has as many, and a later delivery waits in its delivery row.  The
+    # steps allocate about 14 MB at their peak; a wheel row per step of the
+    # bound would take 264 MB (10**6 rows of 33 int64 columns).
+    case = suite["2d-15x15-p8"]
+    delay = DelayModel(kind="uniform", high=10**6, reorder=True)
+    sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, delay=delay))
+    tracemalloc.start()
+    try:
+        for _ in range(3000):
+            sim.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sim._inj) == len(sim._wheel) == 4096
+    assert peak < 32 * 2**20, peak
 
 
 @pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8"])
