@@ -44,7 +44,7 @@ system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
 (CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
 converge to tol 1e-6.  The delay rung, 15²/4×2 under fixed delays of 10,
 1,000 and 20,000 (``--rung delay-15x15-p8 --delay D`` runs one), records
-per delay ``us_per_step`` over 300 steps after the first D + 50, the
+per delay ``us_per_step`` over 3,000 steps after the first D + 50, the
 ring's row count and ``peak_rss_mb``, one process per delay and seed: a
 step's cost should not grow with the delay bound.
 
@@ -89,7 +89,7 @@ RUNGS = {  # name: grid, splits, solver
 }
 RUNG_TOL = 1e-6
 RUNG_DELAYS = (10, 1000, 20_000)  # the delay rung's fixed delays
-RUNG_DELAY_STEPS = 300
+RUNG_DELAY_STEPS = 3000
 
 
 def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:

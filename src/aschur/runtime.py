@@ -10,23 +10,23 @@ seeded generators, so equal seeds reproduce runs bit for bit; a step's
 delays are one block of the stream, in send order (per active worker: its
 data shares, residual pieces, then reductions).
 
-The transport holds arrays, not messages: a ring of the last steps'
-stacked shares by inject step, a delivery-time row and an adopted stamp
-per directed link, and a delivery time per detection slot (a residual
-piece per link, a reduction per round parity and pair; worker rounds never
-differ by more than one).  A link adopts the greatest inject step among
-its delivered shares; the merge is one gather from the ring at the stamps.
-A delivery wheel (Varghese & Lauck, "Hashed and hierarchical timing
-wheels", SOSP 1987), with as many rows W as the ring, holds per delivery
-step modulo W and per link the greatest inject step delivered then, so a
-step adopts one wheel row at a cost independent of the delay bound; the
-entries of a receiver inactive at their step move on to the next row.  The
-wheel covers the deliveries in [t, t + W).  A later one waits in its
-delivery row until a sweep moves it in: one runs whenever fewer than W/2
-steps ahead are covered and after each resize, an amortized O(links) per
-step.  The link, merge-entry, detection-slot and message tables depend
-only on the system and are built once for it (``SchurSystem.links``); the
-ring and the wheel, sized from the delay bound, are per run.  In a step
+The transport holds arrays, not messages, and each delivery step once.  A
+ring of the last steps' stacked shares holds per row its inject step and a
+delivery step per wheel column (a directed link, or a spare that takes the
+detection messages); each detection slot (a residual piece per link, a
+reduction per round parity and pair; worker rounds never differ by more
+than one) holds a delivery step, and a spare slot takes the data messages.
+A link adopts the greatest inject step among its delivered shares as its
+stamp; the merge is one gather from the ring at the stamps.  A delivery
+wheel (Varghese & Lauck, "Hashed and hierarchical timing wheels", SOSP
+1987), with as many rows W as the ring, holds per delivery step modulo W
+and per link the greatest inject step delivered then, so a step adopts one
+wheel row at a cost independent of the delay bound; the entries of a
+receiver inactive at their step move on to the next row.  The wheel covers
+the deliveries in [t, t + W); a later one waits in its delivery row until a
+sweep moves it in, whenever fewer than W/2 steps ahead are covered and
+after each resize (amortized O(links) per step).  The fixed tables are built
+once per system (``SchurSystem.links``); the rest is per run.  In a step
 the active workers ingest and merge; one batched update over the stacked
 local space (``SchurSystem.local_space``) solves every interior with the
 one interior solver and forms each new share (identity share plus the
@@ -228,11 +228,11 @@ class RuntimeConfig:
 
 
 class LinkTables:
-    """The transport's fixed tables, built once per system (``SchurSystem.links``) and
-    shared, read-only, by every run on it: directed links (by sender, then its neighbour
-    order), merge entries (by receiver, its neighbour order, shared position), detection
-    slots (a residual piece per link, a reduction per (round parity, dst, src)) and every
-    message, in send order, with its delivery wheel column (its link for data, else a spare)."""
+    """The transport's fixed tables, built once per system (``SchurSystem.links``), shared
+    read-only by its runs: directed links (by sender, then its neighbour order), merge entries
+    (by receiver, its neighbour order, shared position), detection slots (a residual piece per
+    link, a reduction per (round parity, dst, src)) and every message in send order, with its
+    column of the delivery rows and wheel (its link; detection: a spare) and slot (data: a spare)."""
 
     def __init__(self, imap, offsets):
         p = len(imap.neighbors)
@@ -254,8 +254,8 @@ class LinkTables:
         self.det_group = np.concatenate([self.link_dst, p + np.repeat(np.arange(2 * p), p)])  # index into _got
         # Per message (src, kind, order, dst, link, target), kind 0 data, 1 residual piece,
         # 2 + round parity reduction; the target is the detection slot or, for data, the
-        # link's delivery time in ring row 0.
-        msgs = sorted([(i, 0, k, j, k, self.n_det + k) for k, (i, j) in enumerate(links)]
+        # spare slot n_det.
+        msgs = sorted([(i, 0, k, j, k, self.n_det) for k, (i, j) in enumerate(links)]
                       + [(i, 1, k, j, k, k) for k, (i, j) in enumerate(links)]
                       + [(i, 2 + par, j, j, 0, n_links + (par * p + j) * p + i)
                          for par in (0, 1) for i in range(p) for j in range(p) if i != j])
@@ -309,7 +309,7 @@ class AsyncSimulator:
         self._floor = -1  # no greater than any stamp
         self.t = self.faults_injected = self.stale_discarded = 0
         self._inj, self._ring, self._dl, self._wheel = np.zeros(0, dtype=np.int64), None, None, None
-        self._when = np.full(self._lk.n_det, NEVER, dtype=np.int64)
+        self._when = np.full(self._lk.n_det + 1, NEVER, dtype=np.int64)  # per detection slot, then a spare
         self._far, self._horizon = True, 0  # a delivery may pass the wheel; it holds every one before the horizon
         self._resize(2 * min(cfg.delay.bound, 62) + 4)
         self._last = np.zeros((p, p), dtype=np.int64)  # FIFO links: latest delivery per pair
@@ -328,25 +328,21 @@ class AsyncSimulator:
     # -- transport -----------------------------------------------------
 
     def _resize(self, rows: int) -> None:
-        """Lay the ring, the data delivery rows and the wheel out for ``rows`` steps,
-        keeping what they hold; the ring's last row, all zero, holds the initial shares.
-        Wheel row r holds deliveries at the step in [t, t + rows) that is r modulo rows."""
+        """Lay out for ``rows`` steps what is indexed by ring row (ring, inject steps, delivery
+        rows) or by delivery step (wheel), keeping what it holds; the ring's last row, all zero,
+        holds the initial shares.  Wheel row r holds the step in [t, t + rows) that is r mod rows."""
         lk, used, t = self._lk, np.flatnonzero(self._inj >= 0), self.t
         new = self._inj[used] % rows
         ring = np.zeros((rows + 1, len(self.y)))
         inj = np.full(rows, -1, dtype=np.int64)
-        when = np.full(lk.n_det + rows * lk.n_links, NEVER, dtype=np.int64)
-        dl = when[lk.n_det:].reshape(rows, lk.n_links)  # per ring row, per link
+        dl = np.full((rows, lk.n_links + 1), NEVER, dtype=np.int64)  # per ring row, per wheel column
         wheel = np.full((rows, lk.n_links + 1), -1, dtype=np.int64)  # per delivery step, per column
         if len(used):
             ring[new], inj[new], dl[new] = self._ring[used], self._inj[used], self._dl[used]
         if self._wheel is not None:
             old = len(self._wheel)  # old row r holds the step in [t, t + old) that is r modulo old
             wheel[(t + (np.arange(old) - t) % old) % rows] = self._wheel
-        when[:lk.n_det] = self._when[:lk.n_det]
-        self._ring, self._inj, self._when, self._dl, self._wheel = ring, inj, when, dl, wheel
-        self._targets = np.outer(np.arange(rows) * lk.n_links, lk.msg_kind == 0)
-        self._targets += lk.msg_target  # in place: no second table-sized temporary
+        self._ring, self._inj, self._dl, self._wheel = ring, inj, dl, wheel
         far, self._far = self._far, self.cfg.delay.bound + 2 > rows  # a delivery t + 1 + delay may pass t + rows
         if far:
             self._sweep()
@@ -419,14 +415,15 @@ class AsyncSimulator:
             if old < 0 or old < self._floor:  # unused, or older than every adopted share
                 break
             self._floor = self._stamp.min() if self._lk.n_links else NEVER  # stamps only grow between faults
-            wanted = ((self._dl[row] < NEVER) & (old > self._stamp)) | (old == self._stamp)
+            wanted = ((self._dl[row, :-1] < NEVER) & (old > self._stamp)) | (old == self._stamp)
             if old < self._floor or not (wanted & ~self.done[self._lk.link_dst]).any():
                 break
             self._resize(2 * len(self._inj))
-        self._ring[row], self._inj[row], self._dl[row] = y_new, t, deliver if data_only else NEVER
-        if not data_only:
-            self._when[self._targets[row, ids]] = deliver
+        self._ring[row], self._inj[row], self._dl[row, :-1] = y_new, t, deliver if data_only else NEVER
         rows, col = len(self._inj), lk.msg_col[ids]
+        if not data_only:
+            self._dl[row, col] = deliver
+            self._when[lk.msg_target[ids]] = deliver
         if self._far:  # a later delivery waits for the sweep
             col = np.where(deliver < t + rows, col, lk.n_links)
         self._wheel[deliver % rows, col] = t  # newer than anything pending: the maximum
@@ -515,9 +512,9 @@ class AsyncSimulator:
         _check_victims(victims, self.p)
         hit = np.zeros(self.p, dtype=bool)
         hit[victims] = True
-        cut = hit[self._lk.link_src] | hit[self._lk.link_dst]
+        cut = np.append(hit[self._lk.link_src] | hit[self._lk.link_dst], False)  # the spare column stays
         self._dl[:, cut] = NEVER
-        self._wheel[:, :self._lk.n_links][:, cut] = -1
+        self._wheel[:, cut] = -1
         self._stamp[hit[self._lk.link_dst]] = self._floor = -1
         slots = hit[self._owner_G]
         self.y[slots] = 0.0

@@ -310,9 +310,12 @@ def test_a_fixed_delay_of_a_thousand_steps_converges(suite):
 
 def test_no_transport_array_grows_with_the_delay_bound(suite):
     # Deliveries up to 10**6 steps ahead: the ring settles at 4,096 rows, the
-    # wheel has as many, and a later delivery waits in its delivery row.  The
-    # steps allocate about 14 MB at their peak; a wheel row per step of the
-    # bound would take 264 MB (10**6 rows of 33 int64 columns).
+    # wheel and the delivery rows have as many, and a later delivery waits in
+    # its delivery row.  The steps allocate about 11 MB at their peak; a wheel
+    # row per step of the bound would take 264 MB (10**6 rows of 33 int64
+    # columns).  They keep about 6 MB (2**20 bytes): the ring (3.8 MB), the
+    # delivery rows and the wheel (1.0 MB each).  8 MB leaves no room for a
+    # table of ring rows by messages (5.5 MB here).
     case = suite["2d-15x15-p8"]
     delay = DelayModel(kind="uniform", high=10**6, reorder=True)
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, delay=delay))
@@ -320,11 +323,12 @@ def test_no_transport_array_grows_with_the_delay_bound(suite):
     try:
         for _ in range(3000):
             sim.step()
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(sim._inj) == len(sim._wheel) == 4096
+    assert len(sim._inj) == len(sim._wheel) == len(sim._dl) == 4096
     assert peak < 32 * 2**20, peak
+    assert kept < 8 * 2**20, kept
 
 
 @pytest.mark.parametrize("name", ["2d-15x15-p8", "3d-5x5x5-p8"])
