@@ -41,12 +41,9 @@ activation order, each advancing its three-phase detection machine:
 * phase 2: once the sum is complete, compare its square root to the
   tolerance and open the next round.
 
-Readiness is checked only where an input may have changed: at the
-receivers of the step's detection messages (counted in one bincount), the
-workers that completed a round the step before or were ready but inactive
-or cut off by a confirmed firing, and everywhere at the start and after a
-fault.  A step in which every worker commits and none sends a piece or a
-reduction writes the fixed data messages, one per link, into its row.
+Each step reads every active worker's readiness from its phase, round and
+delivered counts.  A step in which every worker commits and none sends a
+piece or reduction writes the fixed data messages, one per link, into its row.
 
 A firing counts as convergence only once the exact residual of the shares
 committed so far confirms it; later workers do not commit in that step.  A
@@ -103,9 +100,9 @@ TAGS = ("data", "residual-sync", "reduction")
 class DelayModel:
     """Message delay distribution in whole scheduler steps.
 
-    ``zero`` and ``fixed`` are deterministic; ``uniform`` draws from the
-    closed range [low, high]; ``table`` reads a fixed per-link value.  With
-    ``reorder`` unset, deliveries on each directed link keep send order.
+    ``zero`` and ``fixed`` are deterministic, ``uniform`` draws from [low, high]
+    and ``table`` reads a per-link value; only the kind's own keys may be set.
+    With ``reorder`` unset, deliveries on each directed link keep send order.
     """
 
     kind: str = "zero"
@@ -118,6 +115,9 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "fixed", "uniform", "table"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        for key, owner in (("fixed", "fixed"), ("low", "uniform"), ("high", "uniform"), ("table", "table")):
+            if getattr(self, key) not in (0, None) and self.kind != owner:
+                raise ValueError(f"{key} must be unset unless the kind is {owner!r}, not {self.kind!r}")
         if not 0 <= self.fixed <= DELAY_MAX or self.low < 0 or not self.low <= self.high <= DELAY_MAX:
             raise ValueError(f"delays must satisfy 0 <= fixed <= {DELAY_MAX} and 0 <= low <= high <= {DELAY_MAX}")
         if self.kind == "table":
@@ -161,8 +161,7 @@ class DelayModel:
                     raise ValueError(f"table link {src}->{dst} does not join two of the {p} workers")
                 table[src, dst] = value
             return lambda src, dst: table[src, dst]
-        delay = self.fixed if self.kind == "fixed" else 0
-        return lambda src, dst: np.full(len(src), delay, dtype=np.int64)
+        return lambda src, dst: np.full(len(src), self.fixed, dtype=np.int64)  # 0 unless the kind is fixed
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,7 @@ class AsyncSimulator:
     ``k_local``, ``phase``, ``round``, ``rounds_done`` and ``done``, and its
     committed shares ``y[offsets[i]:offsets[i + 1]]`` of the local space.
     ``step`` and ``inject_fault`` let protocol-level tests drive and perturb
-    a run manually; ``run`` loops to completion.  ``_check`` marks the workers
-    whose detection readiness is checked next (the rule in the module docstring)."""
+    a run manually; ``run`` loops to completion."""
 
     def __init__(self, system: SchurSystem, split, cfg: RuntimeConfig):
         self.system, self.cfg, self.p = system, cfg, system.p
@@ -304,7 +302,6 @@ class AsyncSimulator:
         # per dst, then reductions per (round parity, dst).
         self._got = np.zeros(3 * p, dtype=np.int64)
         self._rs_cnt, self._red_cnt = self._got[:p], self._got[p:].reshape(2, p)
-        self._check = np.ones(p, dtype=bool)  # workers whose readiness may have changed
         self._stamp = np.full(self._lk.n_links, -1, dtype=np.int64)  # inject step of the adopted share
         self._floor = -1  # no greater than any stamp
         self.t = self.faults_injected = self.stale_discarded = 0
@@ -379,7 +376,6 @@ class AsyncSimulator:
         if len(due):
             self._when[due] = NEVER
             self._got += np.bincount(self._lk.det_group[due], minlength=3 * self.p)
-            self._check[self._lk.det_dst[due]] = True
         if not self._stale.size:
             return None
         due = (self._stale[2] <= t) & on[self._stale[1]]
@@ -451,28 +447,22 @@ class AsyncSimulator:
     def _detect(self, on, res, r_I_sq, r_G):
         """Advance the active workers' detection machines from what they ingested;
         ``res`` marks the workers in phase 0.  Captures their pieces and reduction
-        values; returns the checked workers that pass phase 1 and that complete a
-        round, as (worker, round parity) in index order, keeping the ready inactive
-        ones checked.  The caller commits the moves."""
+        values; returns the active workers that pass phase 1 and that complete a
+        round, as (worker, round parity) in index order.  The caller commits the moves."""
         if r_G is not None:  # phase 0: capture the pieces at the new shares
             self._r_own_I_sq[res] = r_I_sq[res]
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
-        cand, p, red, fin = self._check.nonzero()[0].tolist(), self.p, [], []
-        if not cand:
-            return red, fin
-        self._check[:] = False
+        p, red, fin = self.p, [], []
         phase, rnd, got = self.phase.tolist(), self.round.tolist(), self._got.tolist()
         on_l, n_nbr = self._all_on if on is self._everyone else on.tolist(), self._n_nbr
-        for i in cand:
+        for i in self._all:
+            if not on_l[i]:
+                continue
             par = rnd[i] & 1
             sends = phase[i] < 2 and got[i] == n_nbr[i]  # phase 1: every neighbour's piece is in
-            ends = got[(1 + par) * p + i] + sends == p  # phase 2: all in, own one from phase 1
-            if not on_l[i]:
-                self._check[i] = sends or ends
-                continue
             if sends:
                 red.append((i, par))
-            if ends:
+            if got[(1 + par) * p + i] + sends == p:  # phase 2: all in, own one from phase 1
                 fin.append((i, par))
         if red:
             off, w = self._off, self.space.weights
@@ -526,7 +516,6 @@ class AsyncSimulator:
         self._stale = np.concatenate([self._stale[:, keep], fresh], axis=1)
         self._when[:n_det] = NEVER
         self._got[:] = self.phase[:] = self.round[:] = 0
-        self._check[:] = True
         self.faults_injected += 1
         if self._trace:
             self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.faults_injected})
@@ -595,8 +584,7 @@ class AsyncSimulator:
             if self.detected or self.diverged:
                 cut = i + 1
                 break
-        if cut < p:
-            self._check[[i for i, _ in red + fin if i >= cut]] = True  # ready but not committed
+        if cut < p:  # the ready workers from cut on commit nothing
             on, red, fin = on & (self._workers < cut), [m for m in red if m[0] < cut], [m for m in fin if m[0] < cut]
             full, res = False, res & on
         self.y = y_new if full else np.where(on[self._owner_G], y_new, self.y)
@@ -612,7 +600,6 @@ class AsyncSimulator:
         for i, par in fin:
             self.phase[i] = self._red_cnt[par, i] = 0
             self.round[i] += 1
-            self._check[i] = True  # the next round may be ready at once
         if self._trace:
             self._trace_step(on, ids, deliver, noted, y_new, r_G, sent_round)
         if self._pending_iter_faults and not (self.detected or self.diverged):

@@ -284,7 +284,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver:
     """The conjugate-gradient loop behind ``cg_schur`` and ``cg_with_restart``.
 
     ``restarts`` lists (trigger, victims) pairs in trigger order.  Once the
-    cumulative iteration count reaches the next trigger, the victims'
+    cumulative iteration count reaches one or more triggers, all their victims'
     interface entries return to zero, where every run starts, and CG
     restarts from the true residual, as it does when the exact residual
     does not confirm a recurrence residual at or below tol; the count
@@ -332,9 +332,10 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver:
                 status = "diverged"
                 break
             if faults < len(restarts) and k >= restarts[faults][0]:
-                for v in restarts[faults][1]:
-                    x[system.imap.gamma_positions[v]] = 0.0
-                faults += 1
+                while faults < len(restarts) and k >= restarts[faults][0]:  # every trigger k has reached
+                    for v in restarts[faults][1]:
+                        x[system.imap.gamma_positions[v]] = 0.0
+                    faults += 1
                 break
             if resid <= tol:  # a stop the exact residual did not confirm: restart from the true residual
                 break

@@ -218,6 +218,17 @@ def test_invalid_configs_rejected():
     for delay in ({"kind": "fixed", "fixed": 10**30}, {"kind": "table", "table": {"0->1": 2**63}}):
         with pytest.raises(ConfigError, match=r"config\.delay"):
             parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": delay})
+    # A key its kind never reads would be dropped without a word: {"fixed": 1000}
+    # ran zero delays on 7/2, 57 steps against 32,048 with "kind": "fixed".
+    for delay, key in (({"fixed": 1000}, "fixed"), ({"kind": "uniform", "high": 3, "fixed": 2}, "fixed"),
+                       ({"kind": "fixed", "fixed": 3, "low": 1}, "low"), ({"kind": "zero", "high": 4}, "high"),
+                       ({"kind": "table", "table": {"0->1": 1}, "high": 4}, "high"),
+                       ({"kind": "uniform", "high": 3, "table": {}}, "table"), ({"table": {"0->1": 1}}, "table")):
+        with pytest.raises(ConfigError, match=rf"config\.delay\.{key}: must be unset unless the kind is"):
+            parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": delay})
+    for delay in ({"kind": "fixed", "fixed": 0, "low": 0, "high": 0, "reorder": True}, {"kind": "uniform", "fixed": 0},
+                  {"kind": "zero", "low": 0, "reorder": True}):  # an explicit 0 reads as unset
+        parse_run_spec({"grid": {"dims": [7]}, "splits": [2], "delay": delay})
 
 
 @pytest.mark.parametrize("overrides", [
@@ -239,6 +250,8 @@ def test_invalid_configs_rejected():
     {"deterministic": True},
     {"delay": {"kind": "table", "table": {"5->9": 3}}},
     {"delay": {"kind": "fixed", "fixed": 10**30}},
+    {"delay": {"fixed": 1000}},
+    {"delay": {"kind": "uniform", "high": 2, "table": {"0->1": 1}}},
     {"grid": {"dims": [7, 7], "spacing": 1e-160}, "splits": [2, 2]},
     {"grid": {"dims": [7, 7], "spacing": 1e-154}, "splits": [2, 2]},
     {"grid": {"dims": [7, 7], "spacing": 1e160}, "splits": [2, 2]},
@@ -321,23 +334,30 @@ def test_each_key_lands_in_the_field_that_owns_it():
         "output": {"dir": "runs", "residual_csv": False, "trace": True, "export_matrix_market": True,
                    "decomposition_json": True},
         "tol": 1, "k_max": 7, "seed": 3, "activation": 0.5,
-        "delay": {"kind": "table", "fixed": 2, "low": 1, "high": 4, "table": {"0->1": 5}, "reorder": True},
         "faults": {"events": [{"victims": [1], "at_step": 4}, {"victims": [0, 2], "at_local_iteration": 9}]},
     }
-    spec = parse_run_spec(raw)
-    delay = DelayModel(kind="table", fixed=2, low=1, high=4, table={(0, 1): 5}, reorder=True)
+    # One delay section per kind, each setting only the keys its kind reads.
+    delays = [({"kind": "fixed", "fixed": 2}, DelayModel(kind="fixed", fixed=2)),
+              ({"kind": "uniform", "low": 1, "high": 4, "reorder": True},
+               DelayModel(kind="uniform", low=1, high=4, reorder=True)),
+              ({"kind": "table", "table": {"0->1": 5}, "reorder": True},
+               DelayModel(kind="table", table={(0, 1): 5}, reorder=True))]
     faults = FaultPlan(events=(FaultEvent(victims=(1,), at_step=4), FaultEvent(victims=(0, 2), at_local_iteration=9)))
-    assert spec == RunSpec(
-        grid=GridSpec(dims=(7, 7), spacing=0.5, source=-3.0), splits=(2, 2), alpha=2.0, solver="cg", certify=True,
-        output=OutputOptions(dir="runs", residual_csv=False, export_matrix_market=True, decomposition_json=True),
-        runtime=RuntimeConfig(tol=1.0, k_max=7, seed=3, activation=0.5, trace=True, delay=delay, faults=faults),
-    )
-    # No field kept its default, and every number is a float.
+    for section, delay in delays:
+        spec = parse_run_spec({**raw, "delay": section})
+        assert spec == RunSpec(
+            grid=GridSpec(dims=(7, 7), spacing=0.5, source=-3.0), splits=(2, 2), alpha=2.0, solver="cg", certify=True,
+            output=OutputOptions(dir="runs", residual_csv=False, export_matrix_market=True, decomposition_json=True),
+            runtime=RuntimeConfig(tol=1.0, k_max=7, seed=3, activation=0.5, trace=True, delay=delay, faults=faults),
+        )
+    # No field kept its default (a delay field in at least one of the three
+    # sections), and every number is a float.
     for got, default in ((spec, RunSpec(grid=GridSpec(dims=(7,)), splits=(2,))), (spec.grid, GridSpec(dims=(7,))),
-                         (spec.output, OutputOptions()), (spec.runtime, RuntimeConfig()),
-                         (spec.runtime.delay, DelayModel())):
+                         (spec.output, OutputOptions()), (spec.runtime, RuntimeConfig())):
         for name in (f.name for f in dataclasses.fields(got)):
             assert getattr(got, name) != getattr(default, name), name
+    for name in (f.name for f in dataclasses.fields(DelayModel)):
+        assert any(getattr(delay, name) != getattr(DelayModel(), name) for _, delay in delays), name
     assert all(type(v) is float for v in (spec.alpha, spec.grid.source, spec.runtime.tol))
 
 
@@ -502,16 +522,21 @@ def _mostly(draw, good, bad):
 
 
 def _delay(draw):
-    delay = {"kind": _mostly(draw, st.sampled_from(["zero", "fixed", "uniform", "table"]), st.just("gauss"))}
+    kind = _mostly(draw, st.sampled_from(["zero", "fixed", "uniform", "table"]), st.just("gauss"))
+    delay = {"kind": kind}
+    # A key of another kind comes only through the bad branch: its kind never reads it.
+    owns = {key: _mostly(draw, st.just(kind == owner), st.just(True))
+            for key, owner in (("fixed", "fixed"), ("low", "uniform"), ("high", "uniform"), ("table", "table"))}
     # A fixed delay of 2^62 or more puts the step budget past int64 at every k_max: the config is rejected.
-    for key, good in (("fixed", st.sampled_from([0, 3, 2**62, 2**63 - 1])), ("low", st.integers(0, 3))):
-        if delay["kind"] == key or draw(st.booleans()):
-            delay[key] = _mostly(draw, good, st.integers(-5, -1))
-    if draw(st.booleans()):
+    if owns["fixed"] and (kind == "fixed" or draw(st.booleans())):
+        delay["fixed"] = _mostly(draw, st.sampled_from([0, 3, 2**62, 2**63 - 1]), st.integers(-5, -1))
+    if owns["low"] and draw(st.booleans()):
+        delay["low"] = _mostly(draw, st.integers(0, 3), st.integers(-5, -1))
+    if owns["high"] and draw(st.booleans()):
         delay["high"] = delay.get("low", 0) + _mostly(draw, st.integers(0, 10), st.integers(-5, -1))
     if draw(st.booleans()):
         delay["reorder"] = draw(st.booleans())
-    if delay["kind"] == "table" or draw(st.booleans()):
+    if owns["table"] and (kind == "table" or draw(st.booleans())):
         links = _mostly(draw, st.sampled_from(["0->1", "1->0", "2->9"]), st.just("0-1"))
         delay["table"] = {links: _mostly(draw, st.integers(0, 5), st.integers(-2, -1) | st.floats())}
     return delay

@@ -54,6 +54,12 @@ def test_delay_model_validation():
         DelayModel(kind="fixed", fixed=10**30)
     with pytest.raises(ValueError):
         DelayModel(kind="table", table={(0, 1): 2**63})
+    for key, value, kinds in (("fixed", 3, ("zero", "uniform", "table")), ("low", 1, ("zero", "fixed", "table")),
+                              ("high", 2, ("zero", "fixed", "table")), ("table", {}, ("zero", "fixed", "uniform"))):
+        for kind in kinds:  # a key its kind never reads
+            extra = {"table": {(0, 1): 1}} if kind == "table" else {}
+            with pytest.raises(ValueError, match=f"^{key} must be unset unless the kind is"):
+                DelayModel(kind=kind, **{key: value, **extra})
     assert DelayModel(kind="uniform", high=2**63 - 1).bound == 2**63 - 1
     assert DelayModel(kind="fixed", fixed=2**63 - 1).bound == 2**63 - 1
     assert DelayModel(kind="uniform", low=0, high=10).bound == 10
@@ -511,9 +517,9 @@ ORACLE_RUNS = {
 
 @pytest.mark.parametrize("name", ORACLE_RUNS)
 def test_detection_checks_match_the_whole_array_formulas(suite, name):
-    # Detection checks only the workers whose inputs changed; at every step the
-    # workers that pass phase 1 and complete a round must be exactly those the
-    # whole-array formulas pick from the same state.
+    # Detection reads each active worker's readiness in a loop over Python ints;
+    # at every step the workers that pass phase 1 and complete a round must be
+    # exactly those the whole-array formulas pick from the same state.
     problem, kwargs = ORACLE_RUNS[name]
     if problem == "1d-6-p1":
         prob = assemble(GridSpec(dims=(6,)))
@@ -544,7 +550,7 @@ def test_detection_checks_match_the_whole_array_formulas(suite, name):
     red, fin = moves[-1]
     if name == "fires mid-step":  # the first worker's round fires; later ready workers do not commit
         assert len(fin) > 1 and fin[0][0] == 0
-    for _ in range(5):  # the workers the firing cut off are checked again
+    for _ in range(5):  # the workers the firing cut off are read again
         sim.step()
     assert any(red for red, _ in moves) and any(fin for _, fin in moves)
     assert mid_round == [True] * len(cfg.faults.events)
@@ -726,6 +732,21 @@ def test_cg_restart_single_fault_costs_iterations(suite):
     assert rep.converged
     assert rep.faults_injected == 1
     assert rep.iterations_k > ref.iterations_k
+
+
+def test_cg_restart_applies_coincident_faults_together(suite):
+    # Two events with one trigger reset both victims at once, as one event with
+    # both victims does (and as the simulator applies every due event).
+    system = suite["2d-15x15-p8"].system
+    runs = []
+    for events in ((FaultEvent(victims=(1,), at_step=5), FaultEvent(victims=(2,), at_step=5)),
+                   (FaultEvent(victims=(1, 2), at_step=5),)):
+        runs.append(cg_with_restart(system, RuntimeConfig(tol=1e-6, k_max=1000, faults=FaultPlan(events=events))))
+    (x_two, two), (x_one, one) = runs
+    assert two.converged and two.faults_injected == 2
+    assert x_two.tobytes() == x_one.tobytes()
+    assert two.residual_history == one.residual_history
+    assert two.iterations_k == one.iterations_k
 
 
 # -- chaos mini run -------------------------------------------------------------------
