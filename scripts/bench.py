@@ -35,10 +35,12 @@ stale, and the script fails before writing the file.
 Under ``rungs`` it records the large rungs, each seed in a process of
 its own (``python3 scripts/bench.py --rung NAME --seed S`` prints one such
 run): CG on 511²/8×8 and 47³/2×2×2, whose interior blocks stay on
-SuperLU, and one asynchronous run on 63²/8×8 (p = 64, uniform(0, 2) delays
-with reordering, the seed its ``RuntimeConfig.seed``), the only run that
-reaches the 2p² detection slots at that size.  CG takes no seed, so its
-three runs repeat one solve.  Each rung records, per metric, the median,
+SuperLU, and asynchronous runs on 63²/8×8 and 127²/8×8 (p = 64, 7² and
+15² interior blocks, uniform(0, 2) delays with reordering, the seed its
+``RuntimeConfig.seed``), the only runs that reach the 2p² detection slots
+at that size; the larger blocks are where solving only the coupled
+interior rows saves most.  CG takes no seed, so its three runs repeat one
+solve.  Each rung records, per metric, the median,
 quartiles and per-seed values of ``setup_s`` (assembly to a ready
 system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
 (CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
@@ -85,6 +87,7 @@ RUNGS = {  # name: grid, splits, solver
     "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
     "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),
     "async-63x63-p64": ((63, 63), (8, 8), "async"),
+    "async-127x127-p64": ((127, 127), (8, 8), "async"),
     "delay-15x15-p8": ((15, 15), (4, 2), "delay"),
 }
 RUNG_TOL = 1e-6
@@ -154,7 +157,7 @@ def rung_once(name: str, seed: int, delay: int) -> dict:
     system = SchurSystem.build(problem, decomp)
     if solver != "cg":
         split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
-        system.local_space, system.links  # built once per system, before its first run
+        system.local_space, system.links, system.update_blocks  # built once per system, before its first run
     t1 = time.perf_counter()
     if solver == "delay":  # steps at a fixed delay, never converging
         cfg = RuntimeConfig(tol=1e-300, k_max=100_000, seed=seed, delay=DelayModel(kind="fixed", fixed=delay))

@@ -26,11 +26,12 @@ receiver inactive at their step move on to the next row.  The wheel covers
 the deliveries in [t, t + W); a later one waits in its delivery row until a
 sweep moves it in, whenever fewer than W/2 steps ahead are covered and
 after each resize (amortized O(links) per step).  The fixed tables are built
-once per system (``SchurSystem.links``); the rest is per run.  In a step
-the active workers ingest and merge; one batched update over the stacked
-local space (``SchurSystem.local_space``) solves every interior with the
-one interior solver and forms each new share (identity share plus the
-scaled local interface defect) and, for workers starting a detection
+once per system (``SchurSystem.links``, and the update's blocks
+``SchurSystem.update_blocks``); the rest is per run.  In a step the active
+workers ingest and merge; one batched update over the stacked local space
+(``SchurSystem.local_space``) shares the operator's solve on the interior
+rows coupled to the interface and forms each new share (identity share plus
+the scaled local interface defect) and, for workers starting a detection
 round, the residual pieces at it; then they commit and publish in
 activation order, each advancing its three-phase detection machine:
 
@@ -284,10 +285,9 @@ class AsyncSimulator:
         self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
         self.space = space = system.local_space
         self._lk = system.links  # read-only, shared by every run on the system
-        self._lu, self._n_I, self._minv = system.blocks.lu, space.K_I.shape[1], 1.0 / split.m_diag[space.positions]
-        n_I = self._n_I  # K_I's two row blocks and b's two pieces: a CSR row sum reads no other row
-        self._K_II, self._K_GI, self._b_I, self._b_G = space.K_I[:n_I], space.K_I[n_I:], space.b[:n_I], space.b[n_I:]
-        self._owner_I = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])
+        self._ub, self._lu, self._n_c = system.update_blocks, system.blocks.lu, len(system.blocks.coupled)
+        self._minv = 1.0 / split.m_diag[space.positions]
+        self._owner_c = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])[system.blocks.coupled]
         self._owner_G = np.repeat(np.arange(p), np.diff(space.offsets))
         self._off, self._workers = space.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
@@ -429,26 +429,29 @@ class AsyncSimulator:
 
     def _update(self, residual: bool):
         """Every worker's update from its merged local view, in one pass over the
-        stack: the new stacked shares and, if ``residual``, the phase-0 pieces at
-        them (interior residual square per worker, interface residual per slot),
-        the only values that need ``A_II x_I``.  Only the active workers' entries are used."""
-        n_I, space = self._n_I, self.space
+        stack: the interior on the coupled rows, ``x_c = c - inv(A_II)[coupled, coupled]
+        A_IG x_l`` (the operator's solve), the local defect ``D = b_G - A_GI x_c -
+        A_GG x_l`` and the new shares ``w x_l + inv(M) D``; if ``residual``, the
+        phase-0 pieces at them (interior residual square per worker, interface
+        residual per slot).  As ``b_I - A_II x_I = A_IG x_l``, the pieces are
+        ``[A_IG; A_GG] (y - y_new)`` plus ``[0; D]``: one more product.  Only the
+        active workers' entries are used."""
+        (K_G, A_GI, b_G, c), n_c = self._ub, self._n_c
         x_l = self.y + self.nbr
-        g = matvec(space.K_G, x_l)  # [A_IG x_l; A_GG x_l]
-        x_I = self._lu.solve(self._b_I - g[:n_I])
-        f_G = self._b_G - matvec(self._K_GI, x_I)  # b_G - A_GI x_I
-        y_new = space.weights * x_l + self._minv * (f_G - g[n_I:])
+        g = matvec(K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
+        defect = b_G - matvec(A_GI, c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
+        y_new = self.space.weights * x_l + self._minv * defect
         if not residual:
             return y_new, None, None
-        k = matvec(space.K_G, y_new + self.nbr)
-        r_I = self._b_I - matvec(self._K_II, x_I) - k[:n_I]
-        return y_new, np.bincount(self._owner_I, r_I * r_I, self.p), f_G - k[n_I:]
+        q = matvec(K_G, self.y - y_new)
+        return y_new, np.bincount(self._owner_c, q[:n_c] * q[:n_c], self.p), defect + q[n_c:]
 
     def _detect(self, on, res, r_I_sq, r_G):
         """Advance the active workers' detection machines from what they ingested;
         ``res`` marks the workers in phase 0.  Captures their pieces and reduction
-        values; returns the active workers that pass phase 1 and that complete a
-        round, as (worker, round parity) in index order.  The caller commits the moves."""
+        values (from one pass over every slot, which sums each worker's own slots in
+        order from 0.0); returns the active workers that pass phase 1 and that complete
+        a round, as (worker, round parity) in index order.  The caller commits the moves."""
         if r_G is not None:  # phase 0: capture the pieces at the new shares
             self._r_own_I_sq[res] = r_I_sq[res]
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
@@ -465,11 +468,10 @@ class AsyncSimulator:
             if got[(1 + par) * p + i] + sends == p:  # phase 2: all in, own one from phase 1
                 fin.append((i, par))
         if red:
-            off, w = self._off, self.space.weights
             r_sync = np.bincount(self._lk.sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._lk.e_src])))
-            for i, par in red:  # per worker, as each would sum its own
-                r = r_sync[off[i]:off[i + 1]]
-                self._red_val[par, i] = self._r_own_I_sq[i] + float((w[off[i]:off[i + 1]] * r) @ r)
+            value = self._r_own_I_sq + np.bincount(self._owner_G, self.space.weights * r_sync * r_sync, p)
+            for i, par in red:
+                self._red_val[par, i] = value[i]
         return red, fin
 
     def _note_round(self, rnd: int, value: float) -> bool:

@@ -97,10 +97,11 @@ class SchurSystem:
     """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.
 
     Built on first use: the ``local_space``, gathered straight from A for the
-    async workers, with the transport's ``links`` tables, and the per-subdomain
-    blocks (``subdomains``), its slices, for the desk-scale certificates and
-    oracles.  ``blocks.lu`` is the one interior solver, one factor per distinct
-    subdomain block; sync and CG build none of the rest.
+    async workers, with the transport's ``links`` tables and the update's
+    ``update_blocks``, and the per-subdomain blocks (``subdomains``), its
+    slices, for the desk-scale certificates and oracles.  ``blocks.lu`` is
+    the one interior solver, one factor per distinct subdomain block; sync
+    and CG build none of the rest.
     """
 
     problem: AssembledProblem
@@ -124,6 +125,15 @@ class SchurSystem:
         from .runtime import LinkTables  # the transport's own tables; runtime imports this module
 
         return LinkTables(self.imap, self.local_space.offsets)
+
+    @cached_property
+    def update_blocks(self) -> tuple:
+        """The async update's fixed blocks on the interior rows ``blocks.coupled`` (the local space
+        orders its interiors as the stacked blocks do): ``[A_IG; A_GG]`` (``K_G``'s coupled and slot
+        rows), ``A_GI`` (``K_I``'s slot rows at the coupled columns), ``b_G`` and ``c = inv(A_II) b_I``."""
+        space, coupled, n_I = self.local_space, self.blocks.coupled, self.local_space.K_I.shape[1]
+        K_G = space.K_G[np.concatenate((coupled, np.arange(n_I, space.K_G.shape[0])))]
+        return K_G, space.K_I[n_I:][:, coupled], space.b[n_I:], self.blocks.lu.solve(space.b[:n_I])[coupled]
 
     @cached_property
     def subdomains(self) -> tuple[LocalSubdomain, ...]:

@@ -5,8 +5,9 @@ transport replaced; the array transport must reproduce every one.  A
 skeleton is the step count, the per-worker update counts, the completed
 detection rounds, the stale detection messages dropped and a SHA-256 of
 the envelope timing tuples (from, to, tag, inject, deliver, round, epoch).
-Payload digests stay out of the hash: they hold BLAS dot-product bits,
-which can differ between CPUs.
+Payload digests stay out of the hash: the reductions sum in a fixed
+order, but the shares and pieces hold the bits of the dense interior
+solve's BLAS GEMM, which can differ between CPUs.
 """
 
 import hashlib

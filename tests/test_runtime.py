@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aschur import GridSpec, SchurSystem, assemble, partition, runtime
+from aschur.decomp import InteriorFactors
 from aschur.linalg import matvec
 from aschur.runtime import (
     DELAY_BLOCK,
@@ -434,23 +435,69 @@ def test_batched_step_matches_subdomain_loop(suite):
 
 
 def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
-    # The update forms A_II x_I only for the phase-0 pieces, from K_I's interior
-    # row block: on random states, the shares match bit for bit with and without
-    # the pieces, and the pieces match the residual over the whole stacked K_I.
+    # The phase-0 pieces cost one more product: on random states, the shares match
+    # bit for bit with and without them.  The update takes b_I - A_II x_I as A_IG x_l
+    # and solves only the coupled interior rows, so the pieces match the residual of
+    # the whole stacked K at the fully solved interior to rounding.  Every worker then
+    # sends its reduction: its interior square plus its slots' w r^2, r its
+    # synchronized piece, summed in slot order from 0.0, bit for bit.
     rng = np.random.default_rng(17)
     for name, case in suite.items():
         sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300))
-        space, n_I = sim.space, sim._n_I
+        space, p, off = sim.space, sim.p, sim.space.offsets
+        n_I = space.K_I.shape[1]
+        owner_I = np.repeat(np.arange(p), [len(part) for part in case.decomp.parts])
         for _ in range(3):
             sim.y, sim.nbr = rng.normal(size=len(sim.y)), rng.normal(size=len(sim.y))
             y_new, none_I, none_G = sim._update(False)
             y_res, r_I_sq, r_G = sim._update(True)
             assert none_I is None and none_G is None
             assert y_new.tobytes() == y_res.tobytes(), name
-            x_I = sim._lu.solve(space.b[:n_I] - matvec(space.K_G, sim.y + sim.nbr)[:n_I])
+            x_I = case.system.blocks.lu.solve(space.b[:n_I] - matvec(space.K_G, sim.y + sim.nbr)[:n_I])
             r = space.b - matvec(space.K_I, x_I) - matvec(space.K_G, y_new + sim.nbr)
-            assert r_G.tobytes() == r[n_I:].tobytes(), name
-            assert r_I_sq.tobytes() == np.bincount(sim._owner_I, r[:n_I] * r[:n_I], sim.p).tobytes(), name
+            assert _close(r_G, r[n_I:]), name
+            assert _close(r_I_sq, np.bincount(owner_I, r[:n_I] * r[:n_I], p)), name
+            sim._got[:p] = sim._lk.n_nbr  # every neighbour piece in: every worker sends
+            red, _ = sim._detect(sim._everyone, np.ones(p, dtype=bool), r_I_sq, r_G)
+            assert red == [(i, 0) for i in range(p)], name
+            r_sync = np.zeros(len(r_G)) + r_G
+            for dst, src in zip(sim._lk.e_dst.tolist(), sim._lk.e_src.tolist()):
+                r_sync[dst] += r_G[src]
+            for i in range(p):
+                value = 0.0
+                for k in range(off[i], off[i + 1]):
+                    value += space.weights[k] * r_sync[k] * r_sync[k]
+                assert sim._red_val[0, i].tobytes() == np.float64(r_I_sq[i] + value).tobytes(), (name, i)
+
+
+def test_steps_solve_only_the_coupled_interior_rows(suite, monkeypatch):
+    # After construction a step never solves the whole interior: the update goes
+    # through the operator's coupled-row solve, and the constant inv(A_II) b_I is
+    # formed once per system.  2d-15x15-p8 has interior rows off the interface layer.
+    case = suite["2d-15x15-p8"]
+    assert len(case.system.blocks.coupled) < case.system.local_space.K_I.shape[1]
+    sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, delay=DelayModel(kind="uniform", high=3)))
+
+    def whole_interior_solve(self, b):
+        raise AssertionError("a step solved the whole interior")
+
+    monkeypatch.setattr(InteriorFactors, "solve", whole_interior_solve)
+    for _ in range(300):
+        sim.step()
+    assert len(sim.history) > 5  # phase-0 pieces and reductions were formed
+
+
+def test_async_converges_with_superlu_interior_blocks():
+    # 401/2 has two interior blocks of 200, above the dense-inverse fill test, so the
+    # coupled-row update solves whole blocks with SuperLU.
+    problem = assemble(GridSpec(dims=(401,)))
+    decomp = partition(problem, (2,))
+    system = SchurSystem.build(problem, decomp)
+    assert system.blocks.lu.inverses == [None]
+    split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+    cfg = RuntimeConfig(tol=1e-8, k_max=100_000, delay=DelayModel(kind="uniform", high=2, reorder=True))
+    _, report = async_solve(system, split, cfg)
+    assert report.converged and report.final_residual <= 1e-8, (report.status, report.final_residual)
 
 
 # -- fairness -------------------------------------------------------------------
