@@ -23,10 +23,12 @@ Per workload it also makes one profile pass: ``perfbench/workloads.py
 --seed 0 --seconds 0 --trace 0`` (set-up and the two minimum rounds) under
 cProfile, in a process of its own, and records under ``layers`` the call
 count and the self and cumulative seconds of each function in ``LAYERS``,
-from assembly and partition through the interior solves, the operator
-apply and the stopping residual to the asynchronous worker's ingest,
-update, detection and send.  Profiling inflates these times, so they are
-for comparing layers and commits, not for the end-to-end figures.  The
+from the set-up (assembly, partition, interface map, the stacked blocks with
+their permutation and interior factors, the interface diagonal) through the
+interior solves, the operator apply and the stopping residual to the
+asynchronous worker's ingest, update, detection and send.  Profiling
+inflates these times, so they are for comparing layers and commits, not
+for the end-to-end figures.  The
 two interior solves run their products in one shared helper, so read
 their cumulative time.  A workload may leave a layer at zero calls (the ladder runs no
 asynchronous solve), but a listed function that no workload calls is
@@ -50,9 +52,22 @@ per delay ``us_per_step`` over 3,000 steps after the first D + 50, the
 ring's row count and ``peak_rss_mb``, one process per delay and seed: a
 step's cost should not grow with the delay bound.
 
-A perf change quotes two such files, one per commit, run on the same
-machine.  About 9 minutes on 2 cores, 2 of them the tier-1 run, half a
-minute the profile passes and about a minute the rungs.
+About 9 minutes on 2 cores, 2 of them the tier-1 run, half a minute the
+profile passes and about a minute the rungs.
+
+    python3 scripts/bench.py --against REV
+
+measures a change against REV instead, and a perf change quotes its claim
+from this file.  It checks REV out into a temporary ``git worktree``
+(removed afterwards; no network), then per workload alternates
+``perfbench/run.py --trace 0`` runs of REV and of the working tree, each
+with its own ``perfbench/``, in ``PAIRS`` (10) pairs: seed i on pair i, REV
+first on even i.  The BENCH file's ``pairs`` key holds REV's commit and, per
+workload, both sides' attempted and failed operations and, per end-to-end
+metric, both sides' median, quartiles and per-pair values and the pairs the
+change wins (ties count for neither), and ``sim_steps_equal``, whether the
+step counts matched in every pair.  It makes no rung, profile or tier-1 run.
+Ten pairs take about 16 minutes.
 """
 
 from __future__ import annotations
@@ -79,10 +94,13 @@ sys.path.insert(0, str(ROOT / "src"))  # LAYERS resolve to the functions the wor
 CHAOS_FIXTURE = "tests/test_acceptance.py::test_criterion_4_async_convergence_under_chaos"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1, 2)
-LAYERS = ("poisson.assemble", "decomp.partition", "decomp.stack_blocks", "decomp.gather_local_space",
-          "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled", "linalg.matvec",
-          "solvers.apply_interface_operator", "solvers.global_residual", "runtime.AsyncSimulator._ingest",
-          "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
+PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
+LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
+          "decomp.permute", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
+          "decomp.gather_local_space", "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled",
+          "linalg.matvec", "solvers.apply_interface_operator", "solvers.global_residual",
+          "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect",
+          "runtime.AsyncSimulator._send")
 RUNGS = {  # name: grid, splits, solver
     "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
     "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),
@@ -95,10 +113,10 @@ RUNG_DELAYS = (10, 1000, 20_000)  # the delay rung's fixed delays
 RUNG_DELAY_STEPS = 3000
 
 
-def run_once(workload: str, seed: int, seconds: int, env: dict) -> dict:
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
+def run_once(workload: str, seed: int, seconds: int, env: dict, root: Path = ROOT) -> dict:
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    out = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          check=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -190,6 +208,45 @@ def run_rung(name: str, seed: int, env: dict, delay: int = 0) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def run_pairs(rev: str, bench: dict, env: dict) -> dict:
+    """Per workload, ``PAIRS`` alternating runs of ``rev`` (checked out into a temporary worktree) and of
+    the working tree: seed i on pair i, ``rev`` first on even i."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, stdout=subprocess.PIPE,
+                         check=True, text=True).stdout.strip()
+    workloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "against"
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), sha], cwd=ROOT, check=True,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            for workload in (w["name"] for w in bench["workloads"]):
+                runs = {"against": [], "change": []}
+                for i in range(PAIRS):
+                    sides = [("against", tree), ("change", ROOT)]
+                    for side, root in sides if i % 2 == 0 else sides[::-1]:
+                        runs[side].append(run_once(workload, i, bench["run_seconds"], env, root))
+                workloads[workload] = compare(runs, bench)
+                print(f"bench: {workload} pairs done", file=sys.stderr)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
+    return {"against": sha, "pairs": PAIRS, "workloads": workloads}
+
+
+def compare(runs: dict, bench: dict) -> dict:
+    """Both sides' failures and, per end-to-end metric, summaries and the pairs the change wins."""
+    out = {side: {"attempted": sum(r["attempted"] for r in rs), "failed": sum(r["failed"] for r in rs),
+                  "correct": all(r["correct"] for r in rs)} for side, rs in runs.items()}
+    out["metrics"] = {}
+    for metric in bench["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        before, after = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("against", "change"))
+        out["metrics"][name] = {"unit": metric["unit"], "against": summary(before), "change": summary(after),
+                                "wins": sum(sign * (old - new) > 0 for old, new in zip(before, after))}
+    steps = out["metrics"]["sim_steps"]
+    out["sim_steps_equal"] = steps["against"]["values"] == steps["change"]["values"]
+    return out
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
@@ -207,12 +264,27 @@ def main() -> int:
     parser.add_argument("--rung", choices=RUNGS, help="run one rung in this process and print it as JSON")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--delay", type=int, default=0, help="the fixed delay of a delay-rung run")
+    parser.add_argument("--against", metavar="REV", help="pair every workload's runs with those of REV instead")
     args = parser.parse_args()
     if args.rung:
         print(json.dumps(rung_once(args.rung, args.seed, args.delay)))
         return 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}}  # what perfbench/run.py pins as well
+    revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
+                              stdout=subprocess.PIPE, text=True).stdout.strip()  # "-dirty": uncommitted changes
+    result = {
+        "revision": revision,
+        "src_lines": sum(len(path.read_text().splitlines()) for path in sorted((ROOT / "src").rglob("*.py"))),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+        "blas_threads": {var: env[var] for var in BLAS_VARS},
+        "run_seconds": bench["run_seconds"],
+    }
+    if args.against:
+        result["pairs"] = run_pairs(args.against, bench, env)
+        return write(result)
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = [run_once(workload, seed, bench["run_seconds"], env) for seed in SEEDS]
@@ -241,23 +313,12 @@ def main() -> int:
         print(f"bench: rung {name} done", file=sys.stderr)
     tier1_s, tier1_counts, chaos_fixture_s = run_tier1(env)
     print(f"bench: tier-1 done, {tier1_counts}", file=sys.stderr)
-    revision = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
-                              stdout=subprocess.PIPE, text=True).stdout.strip()  # "-dirty": uncommitted changes
-    result = {
-        "revision": revision,
-        "src_lines": sum(len(path.read_text().splitlines()) for path in sorted((ROOT / "src").rglob("*.py"))),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "nproc": os.cpu_count(),
-        "blas_threads": {var: env[var] for var in BLAS_VARS},
-        "seeds": list(SEEDS),
-        "run_seconds": bench["run_seconds"],
-        "workloads": workloads,
-        "rungs": rungs,
-        "tier1_s": tier1_s,
-        "tier1_counts": tier1_counts,
-        "chaos_fixture_s": chaos_fixture_s,
-    }
+    result.update(seeds=list(SEEDS), workloads=workloads, rungs=rungs, tier1_s=tier1_s, tier1_counts=tier1_counts,
+                  chaos_fixture_s=chaos_fixture_s)
+    return write(result)
+
+
+def write(result: dict) -> int:
     path = next_path()
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"bench: wrote {path}", file=sys.stderr)

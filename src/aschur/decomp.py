@@ -138,19 +138,22 @@ class InteriorFactors:
 
     Each distinct block is factored once: blocks are keyed by their exact CSR
     content (size, ``indptr``, ``indices``, ``data``), so bitwise-equal blocks
-    share a SuperLU factor (``factors``; it raises on a singular block and gives
-    the fill) and any other block gets its own.  ``solve`` makes one product per
-    factor over its copies' pieces of b: SuperLU's multi-column solve or, for a
-    block of size m small against its fill (``m * m <= DENSE_INVERSE_FILL *
+    share a SuperLU factor (``factors``; it raises on a singular block and
+    gives the fill; ``copies`` holds each factor's copies' first stacked rows)
+    and any other block gets its own.  ``solve`` makes one product per factor
+    over its copies' pieces of b: SuperLU's multi-column solve or, for a block
+    of size m small against its fill (``m * m <= DENSE_INVERSE_FILL *
     lu.nnz``), one GEMM with its inverse, formed once as ``lu.solve(eye(m))``
     and kept transposed in ``inverses`` (else None); the paths differ in the
     last bits.  Crossover, as SuperLU time over GEMM time at 8, 16, 64 and 256
-    columns (one BLAS thread, 2 cores), m * m / lu.nnz in brackets: 15**2 [14.4]
-    1.6-2.6, 17**2 [17.3] 1.1-1.9, 19**2 [20.2] 0.7-1.5, 25**2 [30.9] 0.5-1.0;
-    7**3 [9.5] 1.7-2.4, 8**3 [10.9] 1.1-2.1, 9**3 [14.2] 0.6-1.7; 1-D 200 [50.1]
-    1.0-1.2.  So the ladder's and suite's blocks (at most 15**2 and 7**3) take
-    the GEMM; the 511**2/8x8 and 47**3/2x2x2 rungs' 63**2 [128.5] and 23**3
-    [44.4] blocks take SuperLU.
+    columns (one BLAS thread, 2 cores), m * m / lu.nnz in brackets: 15**2
+    [14.4] 1.6-2.6, 17**2 [17.3] 1.1-1.9, 19**2 [20.2] 0.7-1.5, 25**2 [30.9]
+    0.5-1.0; 7**3 [9.5] 1.7-2.4, 8**3 [10.9] 1.1-2.1, 9**3 [14.2] 0.6-1.7; 1-D
+    200 [50.1] 1.0-1.2.  So the ladder's and suite's blocks (at most 15**2 and
+    7**3) take the GEMM; the 511**2/8x8 and 47**3/2x2x2 rungs' 63**2 [128.5]
+    and 23**3 [44.4] blocks take SuperLU.  The ratio alone misplaces some
+    blocks: 9**3 takes the GEMM, slower there at 8 and 16 copies (0.6-0.7; 1.1
+    at 64), and 8**3 read 0.77 at 8 copies in one of two passes.
 
     The interface operator reads the interior only on the rows that couple to
     the interface (``touched``: an entry in A_IG or in a column of A_GI).  Per
@@ -192,6 +195,7 @@ class InteriorFactors:
                           slice(None) if one else np.searchsorted(self.coupled, rows[:, B].ravel()))
                          for lu, inv_t, _, rows, B in blocks if len(B)]
         self.factors, self.inverses = [c[0] for c in self._copies], [c[1] for c in self._copies]
+        self.copies = [rows[:, 0] for *_, rows, _ in blocks]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``inv(A_II) b``: per factor, its copies' pieces of b as the rows of one (copies, m) array."""
@@ -242,20 +246,10 @@ def _axis_layout(extent: int, split: int) -> tuple[np.ndarray, np.ndarray]:
     get (k, k); a separator between slabs k and k+1 gets (k, k+1).  The
     first slabs take the remainder of the interior width.
     """
-    klo = np.empty(extent, dtype=np.int64)
-    khi = np.empty(extent, dtype=np.int64)
     base, rem = divmod(extent - (split - 1), split)
-    c = 0
-    for k in range(split):
-        size = base + (1 if k < rem else 0)
-        klo[c : c + size] = k
-        khi[c : c + size] = k
-        c += size
-        if k < split - 1:
-            klo[c] = k
-            khi[c] = k + 1
-            c += 1
-    return klo, khi
+    seps = np.cumsum(base + 1 + (np.arange(split - 1) < rem)) - 1  # each slab's width plus its separator
+    coords = np.arange(extent)
+    return np.searchsorted(seps, coords), np.searchsorted(seps, coords, side="right")  # separators below, at or below
 
 
 def check_splits(dims, splits) -> None:
@@ -269,10 +263,14 @@ def check_splits(dims, splits) -> None:
             raise ValueError(f"axis of extent {ext} cannot host {s} subdomains plus separators")
 
 
+def _cut(values: np.ndarray, ends: list[int]) -> list[np.ndarray]:
+    """``values`` cut into consecutive views ending at the ascending ``ends``."""
+    return [values[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
 def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
     """``values`` grouped by integer key 0..n-1, in their order within a group."""
-    order = np.argsort(keys, kind="stable")
-    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
+    return _cut(values[np.argsort(keys, kind="stable")], np.cumsum(np.bincount(keys, minlength=n)).tolist())
 
 
 def partition(problem: AssembledProblem, splits) -> Decomposition:
@@ -283,27 +281,26 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
 
     d = len(dims)
     p = int(np.prod(splits))
-    coords = problem.node_coords
-    layouts = [_axis_layout(dims[a], splits[a]) for a in range(d)]
-    node_klo = np.stack([layouts[a][0][coords[:, a]] for a in range(d)], axis=1)
-    node_khi = np.stack([layouts[a][1][coords[:, a]] for a in range(d)], axis=1)
-    is_interface = (node_khi > node_klo).any(axis=1)
-    interface = np.flatnonzero(is_interface).astype(np.int64)
     strides = np.cumprod((1,) + splits[:-1])
+    # Per node, on the grid's array axes (x last): the slab id of its cover box's
+    # low corner, first axis fastest, and one bit per axis on which it is a separator.
+    low = sep = 0
+    for a in range(d):
+        klo, khi = _axis_layout(dims[a], splits[a])
+        low = low + (klo * strides[a]).reshape((-1,) + (1,) * a)
+        sep = sep | ((khi - klo) << a).reshape((-1,) + (1,) * a)
+    low, sep = low.ravel(), sep.ravel()
+    interface = np.flatnonzero(sep)
+    interior = np.flatnonzero(sep == 0)
+    parts = tuple(_split_by(low[interior], interior, p))
 
-    # Interior assignment: flatten the slab multi-index, first axis fastest.
-    interior = np.flatnonzero(~is_interface).astype(np.int64)
-    parts = tuple(_split_by(node_klo[interior] @ strides, interior, p))
-
-    # Owners: one subdomain per corner of each entry's cover box.
-    corners = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # (2**d, d)
-    slabs = node_klo[is_interface][:, None, :] + corners
-    inside = (slabs <= node_khi[is_interface][:, None, :]).all(axis=2)
-    owners = np.where(inside, slabs @ strides, -1)
+    # Owners: one subdomain per corner of each entry's cover box; corner c
+    # lies in the box when each of its bits is a separator axis of the entry.
+    corners = np.arange(2**d)
+    inside = (corners & ~sep[interface, None]) == 0
+    owners = np.where(inside, low[interface, None] + (((corners[:, None] >> np.arange(d)) & 1) * strides).sum(1), -1)
     owner_count = np.count_nonzero(inside, axis=1).astype(np.int64)
-
-    t, c = np.nonzero(inside)
-    local_interfaces = tuple(_split_by(owners[t, c], interface[t], p))
+    local_interfaces = tuple(_split_by(owners[inside], np.repeat(interface, owner_count), p))
 
     return Decomposition(
         p=p,
@@ -317,19 +314,20 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
 
 
 def build_interface_map(decomp: Decomposition) -> InterfaceMap:
-    gamma_positions = tuple(
-        np.searchsorted(decomp.interface, ids).astype(np.int64) for ids in decomp.local_interfaces
-    )
+    offsets = np.cumsum([len(ids) for ids in decomp.local_interfaces]).tolist()
+    gamma_positions = tuple(_cut(np.searchsorted(decomp.interface, np.concatenate(decomp.local_interfaces)), offsets))
     # Two owners of one entry share it.  Valid ids ascend along a row, so a
-    # corner pair a < b yields a subdomain pair i < j.
+    # corner pair a < b yields a subdomain pair i < j; the entries t ascend,
+    # and a stable sort by pair keeps them ascending within each pair.
     p, owners = decomp.p, decomp.owners
     a, b = np.triu_indices(owners.shape[1], k=1)
     t, q = np.nonzero((owners[:, a] >= 0) & (owners[:, b] >= 0))
     key = owners[t, a[q]] * p + owners[t, b[q]]
-    order = np.lexsort((t, key))
-    pairs, starts = np.unique(key[order], return_index=True)
-    i, j = np.divmod(pairs, p)
-    shared = dict(zip(zip(i.tolist(), j.tolist()), np.split(t[order], starts[1:])))
+    order = np.argsort(key, kind="stable")
+    key, t = key[order], t[order]
+    ends = np.flatnonzero(np.diff(key, append=p * p)) + 1  # where the pair changes; no key reaches p * p
+    i, j = np.divmod(key[ends - 1], p)
+    shared = dict(zip(zip(i.tolist(), j.tolist()), _cut(t, ends.tolist())))
     # Lower neighbours first, then higher ones, so each list ascends.
     neighbors = _split_by(np.concatenate([j, i]), np.concatenate([i, j]), p)
     return InterfaceMap(
@@ -388,7 +386,9 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
     interior = np.concatenate(decomp.parts)
     n_i = len(interior)
     P = permute(problem.A.csr, np.concatenate([interior, decomp.interface]))  # one permuted slice, cut four ways
-    top, bottom = P[:n_i], P[n_i:]
+    n, cut = P.shape[0], P.indptr[n_i]  # its interior and interface rows as views over its arrays
+    top = scipy.sparse.csr_matrix((P.data[:cut], P.indices[:cut], P.indptr[:n_i + 1]), shape=(n_i, n))
+    bottom = scipy.sparse.csr_matrix((P.data[cut:], P.indices[cut:], P.indptr[n_i:] - cut), shape=(n - n_i, n))
     A_IG = top[:, n_i:]
     touched = np.diff(A_IG.indptr) > 0
     touched[bottom.indices[bottom.indices < n_i]] = True  # the columns of A_GI

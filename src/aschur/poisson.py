@@ -70,25 +70,25 @@ class AssembledProblem:
 
 def assemble(grid: GridSpec) -> AssembledProblem:
     """Build the scaled 3/5/7-point Laplacian system for ``grid``."""
-    dims = grid.dims
-    n = grid.n
-
-    idx = np.arange(n, dtype=np.int64)
+    dims, n, d = grid.dims, grid.n, len(grid.dims)
+    coords = np.indices(dims[::-1]).reshape(d, n)[::-1].T  # x fastest, as the rows run
     strides = np.cumprod((1,) + dims[:-1], dtype=np.int64)
-    coords = idx[:, None] // strides % dims
 
     # A row's stencil columns node - s_{d-1}, ..., node, ..., node + s_{d-1}
     # ascend (an axis of extent 1 repeats a stride, but its neighbours always
     # lie outside the box), so masking out-of-box neighbours leaves each row
-    # in canonical CSR order.
+    # in canonical CSR order.  The mask is full but on the box's faces.
     steps = np.concatenate((-strides[::-1], [0], strides))
-    inside = np.hstack((coords[:, ::-1] > 0, np.ones((n, 1), dtype=bool), coords < np.array(dims) - 1))
-    cols = (idx[:, None] + steps)[inside]
+    inside = np.ones(dims[::-1] + (2 * d + 1,), dtype=bool)
+    for a in range(d):  # grid axis a is array axis d - 1 - a
+        face = np.moveaxis(inside, d - 1 - a, 0)
+        face[0, ..., d - 1 - a] = face[-1, ..., d + 1 + a] = False
+    inside = inside.reshape(n, 2 * d + 1)
+    cols = np.add.outer(np.arange(n), steps)[inside]
     diag, off = grid.stencil
-    vals = np.where(steps == 0, diag, -off)
-    vals = np.broadcast_to(vals, inside.shape)[inside]
+    vals = np.where(np.broadcast_to(steps == 0, inside.shape)[inside], diag, -off)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(inside.sum(axis=1), out=offsets[1:])
+    np.cumsum(np.count_nonzero(inside, axis=1), out=offsets[1:])
 
     A = SparseMatrix(n, n, offsets, cols, vals)
     b = np.full(n, float(grid.source))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aschur.decomp import (
     InteriorFactors,
@@ -567,3 +570,110 @@ def test_a_single_product_returns_the_bits_the_scatter_path_writes(interior_path
         ref = _per_block([(f, mat, m, np.arange(n)) for f, mat, m, _ in products], b)
         assert x.shape == (n,) and x.flags.c_contiguous and not np.shares_memory(x, b)
         assert x.tobytes() == ref.tobytes()
+
+
+@st.composite
+def grids(draw):
+    """A box of 1 to 3 axes with extents up to 17 and at most 700 nodes, and valid split counts."""
+    dims, splits = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        dims.append(draw(st.integers(1, min(17, 700 // math.prod(dims)))))
+        splits.append(draw(st.integers(1, (dims[-1] + 1) // 2)))
+    return tuple(dims), tuple(splits)
+
+
+def _reference_setup(problem, splits):
+    """Partition, interface map and interior-block grouping, one subdomain, entry and block at a time."""
+    dims, d = problem.grid.dims, len(problem.grid.dims)
+    coords = np.stack(np.unravel_index(np.arange(problem.A.nrows), dims[::-1])[::-1], axis=1)
+    slab = []  # per axis and coordinate: (lowest, highest) slab whose closure holds it
+    for ext, s in zip(dims, splits):
+        base, rem = divmod(ext - (s - 1), s)
+        ranges = []
+        for k in range(s):
+            ranges += [(k, k)] * (base + (k < rem)) + ([(k, k + 1)] if k < s - 1 else [])
+        slab.append(ranges)
+    strides = [math.prod(splits[:a]) for a in range(d)]
+    p = math.prod(splits)
+    on_separator = [any(slab[a][c[a]][0] != slab[a][c[a]][1] for a in range(d)) for c in coords]
+    interface = np.flatnonzero(on_separator).astype(np.int64)
+    parts, on_interface = [[] for _ in range(p)], set(interface.tolist())
+    for n, c in enumerate(coords):
+        if n not in on_interface:
+            parts[sum(slab[a][c[a]][0] * strides[a] for a in range(d))].append(n)
+    owners = np.full((len(interface), 2**d), -1, dtype=np.int64)
+    for t, n in enumerate(interface):
+        for corner in range(2**d):
+            ks = [slab[a][coords[n][a]][0] + (corner >> a & 1) for a in range(d)]
+            if all(k <= slab[a][coords[n][a]][1] for a, k in enumerate(ks)):
+                owners[t, corner] = sum(k * stride for k, stride in zip(ks, strides))
+    local = [interface[(owners == i).any(axis=1)] for i in range(p)]
+    shared = {}
+    for t, row in enumerate(owners):
+        for i, j in itertools.combinations(row[row >= 0].tolist(), 2):
+            shared.setdefault((i, j), []).append(t)
+    return dict(
+        parts=[np.array(part, dtype=np.int64) for part in parts], interface=interface, owners=owners,
+        owner_count=(owners >= 0).sum(axis=1).astype(np.int64), local_interfaces=local,
+        gamma_positions=[np.array([interface.tolist().index(n) for n in ids], dtype=np.int64) for ids in local],
+        shared={key: np.array(ts, dtype=np.int64) for key, ts in sorted(shared.items())},
+        neighbors=tuple(tuple(sorted({j for key in shared if i in key for j in key} - {i})) for i in range(p)),
+    )
+
+
+def _reference_groups(A_II, sizes):
+    """Each distinct interior block's size and copies' first rows, keyed by its CSR bytes, in first-occurrence order."""
+    ptr, copies = A_II.indptr, {}
+    for lo, hi in itertools.pairwise(np.cumsum([0, *sizes]).tolist()):
+        p0, p1 = ptr[lo], ptr[hi]
+        key = (hi - lo, (ptr[lo:hi + 1] - p0).tobytes(), (A_II.indices[p0:p1] - lo).tobytes(),
+               A_II.data[p0:p1].tobytes())
+        copies.setdefault(key, []).append(lo)
+    return [(key[0], los) for key, los in copies.items()]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(grids(), st.integers(0, 2))
+def test_setup_matches_plain_per_subdomain_reference(grid, perturb):
+    # The whole-array set-up against loops over subdomains, interface entries
+    # and blocks: every array equal with its dtype and order.  A perturbed
+    # interior entry gives its block a factor of its own.
+    dims, splits = grid
+    problem = assemble(GridSpec(dims=dims))
+    ref = _reference_setup(problem, splits)
+    if perturb and any(len(part) for part in ref["parts"]):
+        part = next(part for part in reversed(ref["parts"]) if len(part))
+        problem = _scaled(problem, int(part[-1]), 1.0 + perturb * 1e-9, col=int(part[-1]))
+    dec = partition(problem, splits)
+    for field in ("parts", "local_interfaces"):
+        assert len(getattr(dec, field)) == dec.p
+        assert all(_same(got, want) for got, want in zip(getattr(dec, field), ref[field])), field
+    for field in ("interface", "owners", "owner_count"):
+        assert _same(getattr(dec, field), ref[field]), field
+    imap = build_interface_map(dec)
+    assert all(_same(got, want) for got, want in zip(imap.gamma_positions, ref["gamma_positions"], strict=True))
+    assert list(imap.shared) == list(ref["shared"]) and imap.neighbors == ref["neighbors"]
+    assert all(_same(imap.shared[key], want) for key, want in ref["shared"].items())
+
+    blocks = stack_blocks(problem, dec)
+    A, interior, interface = problem.A.csr, np.concatenate(ref["parts"]), ref["interface"]
+    assert _same(blocks.interior, interior)
+    A_II = A[interior][:, interior]
+    A_II.sort_indices()
+    groups = _reference_groups(A_II, [len(part) for part in ref["parts"]])
+    lu = blocks.lu
+    assert [factor.shape[0] for factor in lu.factors] == [m for m, _ in groups]
+    assert all(_same(rows, np.array(los, dtype=np.int64)) for rows, (_, los) in zip(lu.copies, groups, strict=True))
+    # coupled: per distinct block on the GEMM, the union of its copies' rows that touch the interface.
+    touched = (A[interior][:, interface].getnnz(axis=1) > 0) | (A[interface][:, interior].getnnz(axis=0) > 0)
+    coupled = []
+    for (m, los), inv in zip(groups, lu.inverses, strict=True):
+        B = np.arange(m) if inv is None else np.flatnonzero(np.any([touched[lo:lo + m] for lo in los], axis=0))
+        coupled += [lo + b for lo in los for b in B.tolist()]
+    assert _same(blocks.coupled, np.array(sorted(coupled), dtype=np.int64))
+    for got, want in ((blocks.A_IG, A[interior[blocks.coupled]][:, interface]),
+                      (blocks.A_GI, A[interface][:, interior[blocks.coupled]]),
+                      (blocks.A_GG, A[interface][:, interface])):
+        want.sort_indices()
+        assert got.has_canonical_format and _same(got, want)
+    assert _same(blocks.b_I, problem.b[interior]) and _same(blocks.b_G, problem.b[interface])
