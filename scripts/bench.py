@@ -24,7 +24,8 @@ Per workload it also makes one profile pass: ``perfbench/workloads.py
 cProfile, in a process of its own, and records under ``layers`` the call
 count and the self and cumulative seconds of each function in ``LAYERS``,
 from the set-up (assembly, partition, interface map, the stacked blocks with
-their permutation and interior factors, the interface diagonal) through the
+their permutation and interior factors, the interface diagonal, the
+asynchronous certificate) through the
 interior solves, the operator apply and the stopping residual to the
 asynchronous worker's ingest, update, detection and send.  Profiling
 inflates these times, so they are for comparing layers and commits, not
@@ -97,10 +98,10 @@ SEEDS = (0, 1, 2)
 PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
 LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
           "decomp.permute", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
-          "decomp.gather_local_space", "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled",
-          "linalg.matvec", "solvers.apply_interface_operator", "solvers.global_residual",
-          "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect",
-          "runtime.AsyncSimulator._send")
+          "splitting.certify_async", "decomp.gather_local_space", "decomp.InteriorFactors.solve",
+          "decomp.InteriorFactors.solve_coupled", "linalg.matvec", "solvers.apply_interface_operator",
+          "solvers.global_residual", "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update",
+          "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
 RUNGS = {  # name: grid, splits, solver
     "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
     "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),

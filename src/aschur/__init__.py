@@ -5,7 +5,6 @@ from .decomp import (
     Decomposition,
     InterfaceMap,
     LocalSubdomain,
-    assemble_schur_explicit,
     build_interface_map,
     partition,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import DENSE_OP_LIMIT, SingularMatrixError
+from .linalg import SingularMatrixError
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "gather_local_space",
     "permute",
     "stack_blocks",
-    "assemble_schur_explicit",
     "decomposition_to_json",
 ]
 
@@ -91,26 +90,14 @@ class InterfaceMap:
 
 @dataclass(frozen=True)
 class LocalSubdomain:
-    """One subdomain's blocks and right-hand side pieces; the sparse blocks are canonical CSR."""
+    """One subdomain's dense local interface complement ``S = A_GG - A_GI inv(A_II) A_IG`` and its
+    right-hand side ``d = b_G - A_GI inv(A_II) b_I``, with A_GG and b_G multiplicity-weighted; the
+    diagonal of its identity share (1/m per entry) and its slots' positions in the interface vector."""
 
-    A_II: scipy.sparse.csr_matrix
-    A_IG: scipy.sparse.csr_matrix
-    A_GI: scipy.sparse.csr_matrix
-    A_GG: np.ndarray  # multiplicity-weighted dense interface block
-    b_I: np.ndarray
-    b_G: np.ndarray  # multiplicity-weighted
-    weights: np.ndarray  # diagonal of the local identity share, 1/m per entry
-    interior_rows: np.ndarray
-    gamma_rows: np.ndarray
+    S: np.ndarray
+    d: np.ndarray
+    weights: np.ndarray
     gamma_positions: np.ndarray
-
-    @property
-    def n_interior(self) -> int:
-        return len(self.interior_rows)
-
-    @property
-    def n_gamma(self) -> int:
-        return len(self.gamma_rows)
 
 
 @dataclass(frozen=True)
@@ -168,10 +155,11 @@ class InteriorFactors:
     def __init__(self, A_II: scipy.sparse.csr_matrix, sizes, touched: np.ndarray):
         A_II = A_II.tocsr()
         A_II.sort_indices()
-        owner = np.repeat(np.arange(len(sizes)), sizes)  # per row and, the matrix being square, per column
-        if (owner[A_II.indices] != np.repeat(owner, np.diff(A_II.indptr))).any():
-            raise ValueError("interiors of different subdomains are coupled")
         ptr, starts, copies = A_II.indptr, np.cumsum([0, *sizes]), {}
+        rows = np.flatnonzero(np.diff(ptr))  # the columns being sorted, each row's first and last settle it
+        owner = np.repeat(np.arange(len(sizes)), sizes)[rows]
+        if ((A_II.indices[ptr[rows]] < starts[owner]) | (A_II.indices[ptr[rows + 1] - 1] >= starts[owner + 1])).any():
+            raise ValueError("interiors of different subdomains are coupled")
         for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
             p0, p1 = ptr[lo], ptr[hi]
             key = (hi - lo, (ptr[lo:hi + 1] - p0).tobytes(), (A_II.indices[p0:p1] - lo).tobytes(),
@@ -205,6 +193,12 @@ class InteriorFactors:
         """``inv(A_II)[coupled, coupled] c`` for c on the ``coupled`` rows: per block, its copies' pieces
         of c as the rows of one (copies, |B|) array."""
         return _per_block(self._coupled, c)
+
+    def solve_coupled_rows(self, C: np.ndarray) -> np.ndarray:
+        """``solve_coupled`` of each row of C, in one product per block: each block's pieces of every row."""
+        rows = np.arange(len(C))[:, None] * C.shape[1]  # where each row of C starts in its ravel
+        products = [(*f, at if isinstance(at, slice) else (rows + at).ravel()) for *f, at in self._coupled]
+        return _per_block(products, C.ravel()).reshape(C.shape)
 
 
 def _per_block(products, b: np.ndarray) -> np.ndarray:
@@ -401,19 +395,6 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
                                    shape=(len(coupled), A_IG.shape[1]))
     return StackedBlocks(interior, coupled, A_IG, bottom[:, coupled], bottom[:, n_i:], problem.b[interior],
                          problem.b[decomp.interface], lu)
-
-
-def assemble_schur_explicit(local: LocalSubdomain) -> tuple[np.ndarray, np.ndarray]:
-    """Dense local interface complement and its right-hand side.
-
-    Eliminates the interior block with one dense solve (desk scale):
-    S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I.
-    """
-    if max(local.n_interior, local.n_gamma) > DENSE_OP_LIMIT:
-        raise ValueError(f"local blocks of {local.n_interior} + {local.n_gamma} rows exceed the explicit cap")
-    a_gi = local.A_GI.toarray()
-    X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
-    return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]
 
 
 def decomposition_to_json(decomp: Decomposition) -> str:

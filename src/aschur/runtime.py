@@ -639,7 +639,8 @@ class AsyncSimulator:
         report = SolveReport(
             solver="async", converged=self.detected, iterations_k=len(self.history),
             per_worker_k=per_worker, k_max=max(per_worker) if per_worker else 0, residual_history=self.history,
-            final_residual=global_residual(self.system, x), wall_time=time.perf_counter() - t0,
+            final_residual=self.detection_events[-1][1] if self.detected else global_residual(self.system, x),
+            wall_time=time.perf_counter() - t0,
             status=status, faults_injected=self.faults_injected, sim_steps=self.t,
             detection_residual=self.detection_events[-1][0] if self.detected else None,
             detection_events=self.detection_events,

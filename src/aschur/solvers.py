@@ -29,12 +29,11 @@ from .decomp import (
     LocalSpace,
     LocalSubdomain,
     StackedBlocks,
-    assemble_schur_explicit,
     build_interface_map,
     gather_local_space,
     stack_blocks,
 )
-from .linalg import matvec
+from .linalg import DENSE_OP_LIMIT, matvec
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -65,7 +64,9 @@ class SolveReport:
     asynchronous solver); ``per_worker_k`` the per-subdomain update counts,
     with ``k_max`` their maximum.  Sync and CG stop on, and record, a cheap
     residual (the interface defect, the recurrence residual) confirmed by
-    the exact one; ``final_residual`` is always recomputed from scratch.
+    the exact one; ``final_residual`` is the exact residual of the returned
+    iterate: the confirming value on a converged run (the iterate has not
+    moved since), else recomputed from scratch.
     ``stale_discarded`` counts the detection messages the asynchronous run
     dropped as stale after faults; the other solvers send none.
     """
@@ -98,10 +99,10 @@ class SchurSystem:
 
     Built on first use: the ``local_space``, gathered straight from A for the
     async workers, with the transport's ``links`` tables and the update's
-    ``update_blocks``, and the per-subdomain blocks (``subdomains``), its
-    slices, for the desk-scale certificates and oracles.  ``blocks.lu`` is
-    the one interior solver, one factor per distinct subdomain block; sync
-    and CG build none of the rest.
+    ``update_blocks``, and ``subdomains``, every local complement formed
+    once from them for the desk-scale certificates and oracles.
+    ``blocks.lu`` is the one interior solver, one factor per distinct
+    subdomain block; sync and CG build none of the rest.
     """
 
     problem: AssembledProblem
@@ -137,21 +138,25 @@ class SchurSystem:
 
     @cached_property
     def subdomains(self) -> tuple[LocalSubdomain, ...]:
-        space, dec = self.local_space, self.decomp
-        n_I = space.K_I.shape[1]
-        ends_I = np.cumsum([0] + [len(part) for part in dec.parts])
-        subs = []
-        for i in range(self.p):
-            rows_I = slice(ends_I[i], ends_I[i + 1])
-            own = slice(space.offsets[i], space.offsets[i + 1])
-            rows_G = slice(n_I + own.start, n_I + own.stop)
-            subs.append(LocalSubdomain(
-                A_II=space.K_I[rows_I, rows_I], A_IG=space.K_G[rows_I, own], A_GI=space.K_I[rows_G, rows_I],
-                A_GG=space.K_G[rows_G, own].toarray(),
-                b_I=space.b[rows_I], b_G=space.b[rows_G], weights=space.weights[own],
-                interior_rows=dec.parts[i], gamma_rows=dec.local_interfaces[i], gamma_positions=space.positions[own],
-            ))
-        return tuple(subs)
+        """Each subdomain's complement record, every ``S_i`` from one scatter and two products on the
+        coupled interior rows.  Row s of Z holds, per subdomain, the ``A_IG`` column of its s-th slot,
+        for s below G, its largest local interface; one ``solve_coupled_rows`` of Z and one product with
+        ``A_GI`` give every ``S_i``'s rows, padded to G columns.  ``d_i`` takes ``update_blocks``' c.
+        Refused when an interior or a local interface exceeds ``DENSE_OP_LIMIT`` rows (desk scale)."""
+        m, G = (max(map(len, ids)) for ids in (self.decomp.parts, self.decomp.local_interfaces))
+        if max(m, G) > DENSE_OP_LIMIT:
+            raise ValueError(f"local blocks of {m} + {G} rows exceed the explicit cap")
+        space, (K_G, A_GI, b_G, c) = self.local_space, self.update_blocks
+        counts, n_c = np.diff(space.offsets), len(c)
+        slot = (np.arange(len(b_G)) - np.repeat(space.offsets[:-1], counts))[K_G.indices]  # place in its subdomain
+        rows, cut = np.repeat(np.arange(K_G.shape[0]), np.diff(K_G.indptr)), K_G.indptr[n_c]
+        Z, S = np.zeros((G, n_c)), np.zeros((len(b_G), G))
+        Z[slot[:cut], rows[:cut]] = K_G.data[:cut]  # the coupled rows of A_IG, one row per slot place
+        S[rows[cut:] - n_c, slot[cut:]] = K_G.data[cut:]  # A_GG
+        S -= A_GI @ self.blocks.lu.solve_coupled_rows(Z).T
+        cuts = space.offsets[1:-1]
+        return tuple(LocalSubdomain(S_i[:, :len(S_i)], d_i, w, pos) for S_i, d_i, w, pos in zip(*(
+            np.split(a, cuts) for a in (S, b_G - matvec(A_GI, c), space.weights, space.positions))))
 
     @property
     def p(self) -> int:
@@ -200,18 +205,19 @@ def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.nda
     S = np.zeros((n, n))
     d = np.zeros(n)
     for local in system.subdomains:
-        S_l, d_l = assemble_schur_explicit(local)
         pos = local.gamma_positions
-        S[np.ix_(pos, pos)] += S_l
-        d[pos] += d_l
+        S[np.ix_(pos, pos)] += local.S
+        d[pos] += local.d
     return S, d
 
 
-def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, faults: int = 0):
-    """Report of a bulk-synchronous solver; the final residual is recomputed from x."""
+def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, exact,
+                 faults: int = 0):
+    """Report of a bulk-synchronous solver; ``exact`` is x's confirmed residual on a converged run."""
     return SolveReport(
         solver=solver, converged=status == "converged", iterations_k=k, per_worker_k=[k] * system.p, k_max=k,
-        residual_history=history, final_residual=global_residual(system, x), wall_time=time.perf_counter() - t0,
+        residual_history=history, final_residual=exact if status == "converged" else global_residual(system, x),
+        wall_time=time.perf_counter() - t0,
         status=status, faults_injected=faults, sim_steps=k,
     )
 
@@ -238,10 +244,10 @@ def sync_relaxation(
     g = system.d - apply_interface_operator(system, x)
     history = [(0, math.sqrt(float(g @ g)))]  # np.linalg.norm's sum for a real vector
     k = 0
-    status = "k-max"
+    status, exact = "k-max", None
     while True:
         r = history[-1][1]
-        if r <= tol and global_residual(system, x) <= tol:
+        if r <= tol and (exact := global_residual(system, x)) <= tol:
             status = "converged"
             break
         if _diverged(history, tol):
@@ -253,7 +259,7 @@ def sync_relaxation(
         k += 1
         g = system.d - apply_interface_operator(system, x)
         history.append((k, math.sqrt(float(g @ g))))
-    return x, _sync_report(system, x, "sync", status, k, history, t0)
+    return x, _sync_report(system, x, "sync", status, k, history, t0, exact)
 
 
 def cg_schur(
@@ -308,7 +314,8 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver:
     _check_victims([v for _, victims in restarts for v in victims], system.p)
     t0 = time.perf_counter()
     x = np.zeros(system.n_interface)
-    history = [(0, global_residual(system, x))]
+    exact = global_residual(system, x)
+    history = [(0, exact)]
     k = 0
     faults = 0
     status = "converged" if history[0][1] <= tol else "diverged" if _diverged(history, tol) else "k-max"
@@ -335,7 +342,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver:
             rs_new = float(r @ r)
             resid = math.sqrt(rs_new)
             history.append((k, resid))
-            if resid <= tol and global_residual(system, x) <= tol:
+            if resid <= tol and (exact := global_residual(system, x)) <= tol:
                 status = "converged"
                 break
             if _diverged(history, tol):
@@ -352,7 +359,7 @@ def _restarted_cg(system: SchurSystem, tol: float, k_max: int, restarts, solver:
             p_dir *= rs_new / rs
             p_dir += r  # IEEE addition commutes: the bits of r + beta * p_dir
             rs = rs_new
-    return x, _sync_report(system, x, solver, status, k, history, t0, faults)
+    return x, _sync_report(system, x, solver, status, k, history, t0, exact, faults)
 
 
 def write_residual_history(report: SolveReport, path) -> None:

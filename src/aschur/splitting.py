@@ -4,8 +4,10 @@ The interface operator is split against M = alpha * diag(A_GG) with
 alpha >= 1.  Certificates are desk-scale spectral-radius checks:
 
 * ``certify_async``: radius of the sum of entrywise absolute values of the
-  per-subdomain update blocks.  Below one, the relaxation converges under
-  arbitrary bounded delays and arbitrary update orders.
+  per-subdomain update blocks ``diag(w_i) - inv(M_i) S_i``, with each local
+  complement ``S_i`` read from ``SchurSystem.subdomains`` (formed there from
+  the stored interior inverses, no dense solve).  Below one, the relaxation
+  converges under arbitrary bounded delays and arbitrary update orders.
 * ``certify_global``: radius of |I - inv(M) A| for the block-diagonal M
   holding the interior blocks and the interface diagonal.  Below one it
   implies the asynchronous condition whenever the per-subdomain blocks
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import Decomposition, InterfaceMap, LocalSubdomain, assemble_schur_explicit
+from .decomp import Decomposition, InterfaceMap, LocalSubdomain
 from .linalg import DENSE_OP_LIMIT, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
 from .solvers import SchurSystem
@@ -80,13 +82,13 @@ def certify_async(
     imap: InterfaceMap,
     split: InterfaceSplitting,
 ) -> float:
-    """Spectral radius of the summed |diag(w) - inv(M) S| over the per-subdomain update blocks."""
+    """Spectral radius of the summed |diag(w_i) - inv(M_i) S_i| over the subdomains' complement
+    records (``SchurSystem.subdomains``), each block scattered at its interface positions."""
     T = np.zeros((imap.n_interface, imap.n_interface))
     for local in subdomains:
-        S, _ = assemble_schur_explicit(local)
         pos = local.gamma_positions
         minv = 1.0 / split.m_diag[pos]
-        T[np.ix_(pos, pos)] += np.abs(np.diag(local.weights) - minv[:, None] * S)
+        T[np.ix_(pos, pos)] += np.abs(np.diag(local.weights) - minv[:, None] * local.S)
     return spectral_radius_nonneg(T)
 
 

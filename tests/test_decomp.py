@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aschur.decomp import (
     InteriorFactors,
     _per_block,
-    assemble_schur_explicit,
     build_interface_map,
     decomposition_to_json,
     partition,
@@ -23,6 +22,7 @@ from aschur.decomp import (
 from aschur.linalg import SingularMatrixError, SparseMatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, apply_interface_operator, assemble_interface_operator
+from conftest import dense_complement, sliced_subdomains
 
 
 def test_partition_1d_3_nodes():
@@ -93,13 +93,13 @@ def test_sparse_blocks_are_canonical_csr(suite):
     # Sorted indices without duplicates fix the order in which every row of every product sums.
     for case in suite.values():
         blocks = [getattr(case.system.blocks, f) for f in ("A_IG", "A_GI", "A_GG")]
-        blocks += [getattr(loc, f) for loc in case.system.subdomains for f in ("A_II", "A_IG", "A_GI")]
+        blocks += [getattr(loc, f) for loc in sliced_subdomains(case.system) for f in ("A_II", "A_IG", "A_GI")]
         for m in blocks:
             assert isinstance(m, scipy.sparse.csr_matrix) and m.has_canonical_format, case.name
 
 
 def test_extract_local_1d_hand_values(tiny_1d):
-    loc = tiny_1d.system.subdomains[0]
+    loc = sliced_subdomains(tiny_1d.system)[0]
     np.testing.assert_array_equal(loc.A_II.toarray(), [[2.0]])
     np.testing.assert_array_equal(loc.A_IG.toarray(), [[-1.0]])
     np.testing.assert_array_equal(loc.A_GG, [[1.0]])
@@ -111,10 +111,13 @@ def test_extract_local_single_subdomain_degenerate():
     prob = assemble(GridSpec(dims=(5,)))
     dec = partition(prob, (1,))
     assert dec.n_interface == 0
-    (loc,) = SchurSystem.build(prob, dec).subdomains
+    system = SchurSystem.build(prob, dec)
+    (loc,) = sliced_subdomains(system)
     np.testing.assert_array_equal(loc.A_II.toarray(), prob.A.csr.toarray())
     assert loc.n_gamma == 0
     assert loc.A_GG.shape == (0, 0)
+    (record,) = system.subdomains
+    assert record.S.shape == (0, 0) and record.d.shape == record.weights.shape == record.gamma_positions.shape == (0,)
 
 
 def test_reassembly_is_exact(suite):
@@ -124,7 +127,7 @@ def test_reassembly_is_exact(suite):
         n = dec.n_interface
         acc = np.zeros((n, n))
         wacc = np.zeros(n)
-        for loc in case.system.subdomains:
+        for loc in sliced_subdomains(case.system):
             pos = loc.gamma_positions
             acc[np.ix_(pos, pos)] += loc.A_GG
             wacc[pos] += loc.weights
@@ -137,7 +140,7 @@ def test_sign_compatibility_of_weighted_blocks(suite):
     for case in suite.values():
         dec = case.decomp
         target = case.problem.A.csr.toarray()[np.ix_(dec.interface, dec.interface)]
-        for loc in case.system.subdomains:
+        for loc in sliced_subdomains(case.system):
             block = target[np.ix_(loc.gamma_positions, loc.gamma_positions)]
             prod = loc.A_GG * block
             assert np.all(prod >= 0.0)
@@ -188,7 +191,7 @@ def _cases(suite, extra):
 @pytest.mark.parametrize("extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))], ids=["suite", "3d-p27", "2d-p16"])
 def test_interface_map_matches_all_pairs_reference(suite, extra):
     for problem, dec in _cases(suite, extra):
-        subdomains = SchurSystem.build(problem, dec).subdomains
+        subdomains = sliced_subdomains(SchurSystem.build(problem, dec))
         imap = build_interface_map(dec)
         shared, neighbors = _all_pairs_reference(imap.gamma_positions)
         assert imap.neighbors == neighbors
@@ -243,7 +246,7 @@ def test_local_space_matches_per_subdomain_reference(suite, extra):
     for problem, dec in _cases(suite, extra):
         system = SchurSystem.build(problem, dec)
         ref = _reference_subdomains(problem, dec)
-        for loc, expected in zip(system.subdomains, ref, strict=True):
+        for loc, expected in zip(sliced_subdomains(system), ref, strict=True):
             for field, value in expected.items():
                 assert _same(getattr(loc, field), value), (dec.splits, field)
         diag = lambda blocks: scipy.sparse.block_diag(blocks, format="csr")  # noqa: E731
@@ -268,9 +271,10 @@ def test_local_space_matches_per_subdomain_reference(suite, extra):
 
 def test_schur_explicit_1d_hand_values(tiny_1d):
     for loc in tiny_1d.system.subdomains:
-        S, d = assemble_schur_explicit(loc)
-        np.testing.assert_allclose(S, [[0.5]], atol=1e-14)
-        np.testing.assert_allclose(d, [1.0], atol=1e-14)
+        np.testing.assert_allclose(loc.S, [[0.5]], atol=1e-14)
+        np.testing.assert_allclose(loc.d, [1.0], atol=1e-14)
+        np.testing.assert_array_equal(loc.weights, [0.5])
+        np.testing.assert_array_equal(loc.gamma_positions, [0])
 
 
 def test_schur_explicit_consistency_with_direct_solve(tiny_1d):
@@ -278,32 +282,39 @@ def test_schur_explicit_consistency_with_direct_solve(tiny_1d):
     np.testing.assert_allclose(S @ np.array([2.0]), d, atol=1e-12)
 
 
-def test_schur_explicit_rejects_oversized_interface(tiny_1d):
-    from dataclasses import replace
-
-    loc = replace(tiny_1d.system.subdomains[0], gamma_rows=np.arange(2001))
-    with pytest.raises(ValueError):
-        assemble_schur_explicit(loc)
+def test_schur_explicit_rejects_oversized_interface(monkeypatch):
+    # 5^2/2x2: 4 interior rows and 5 interface slots per subdomain, so a cap of 4
+    # leaves the interface, not the interior, over it.
+    prob = assemble(GridSpec(dims=(5, 5)))
+    dec = partition(prob, (2, 2))
+    assert {len(part) for part in dec.parts} == {4} and {len(ids) for ids in dec.local_interfaces} == {5}
+    monkeypatch.setattr("aschur.solvers.DENSE_OP_LIMIT", 4)
+    with pytest.raises(ValueError, match="exceed the explicit cap"):
+        SchurSystem.build(prob, dec).subdomains
+    monkeypatch.setattr("aschur.solvers.DENSE_OP_LIMIT", 5)
+    assert len(SchurSystem.build(prob, dec).subdomains) == 4
 
 
 def test_schur_explicit_rejects_oversized_interior():
     # 4003/2: 2,001 interior rows and one interface row per subdomain, so the
     # dense interior block, not the interface, is over the cap.
     prob = assemble(GridSpec(dims=(4003,)))
-    system = SchurSystem.build(prob, partition(prob, (2,)))
-    for loc in system.subdomains:
-        assert (loc.n_interior, loc.n_gamma) == (2001, 1)
-        with pytest.raises(ValueError):
-            assemble_schur_explicit(loc)
+    dec = partition(prob, (2,))
+    assert [len(part) for part in dec.parts] == [2001, 2001] and [len(ids) for ids in dec.local_interfaces] == [1, 1]
+    with pytest.raises(ValueError, match="exceed the explicit cap"):
+        SchurSystem.build(prob, dec).subdomains
 
 
 def test_schur_equals_interface_block_when_decoupled(tiny_1d):
-    loc = tiny_1d.system.subdomains[0]
-    from dataclasses import replace
-
-    decoupled = replace(loc, A_IG=scipy.sparse.csr_matrix((loc.n_interior, loc.n_gamma)))
-    S, d = assemble_schur_explicit(decoupled)
-    np.testing.assert_array_equal(S, decoupled.A_GG)
+    # Without the interior-to-interface entries (A_IG = 0), each complement is its weighted A_GG exactly.
+    dense = tiny_1d.problem.A.csr.toarray()
+    dense[np.ix_([0, 2], [1])] = 0.0
+    m = scipy.sparse.csr_matrix(dense)
+    problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
+    system = SchurSystem.build(problem, tiny_1d.decomp)
+    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
+        assert sliced.A_IG.nnz == 0
+        np.testing.assert_array_equal(loc.S, sliced.A_GG)
 
 
 def test_interface_solution_matches_direct_solve(suite):
@@ -677,3 +688,28 @@ def test_setup_matches_plain_per_subdomain_reference(grid, perturb):
         want.sort_indices()
         assert got.has_canonical_format and _same(got, want)
     assert _same(blocks.b_I, problem.b[interior]) and _same(blocks.b_G, problem.b[interface])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grids(), st.integers(0, 2))
+@example(((401,), (2,)), 1)  # 200-row interior blocks on SuperLU, one of them perturbed
+@example(((6,), (1,)), 0)  # p = 1: no interface
+@example(((7, 5), (1, 1)), 1)
+def test_complement_records_match_dense_solves(grid, perturb):
+    # Every record formed at once on the coupled rows against one dense solve
+    # per subdomain on blocks sliced from the local space.  A perturbed interior
+    # diagonal gives its block a factor of its own.
+    dims, splits = grid
+    problem = assemble(GridSpec(dims=dims))
+    dec = partition(problem, splits)
+    if perturb:
+        row = int(dec.parts[-1][-1])
+        problem = _scaled(problem, row, 1.0 + perturb * 1e-9, col=row)
+    system = SchurSystem.build(problem, dec)
+    assert len(system.blocks.lu.factors) >= (2 if perturb and dec.p > 1 else 1)
+    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
+        S, d = dense_complement(sliced)
+        assert loc.S.shape == S.shape and loc.d.shape == d.shape
+        assert np.abs(loc.S - S).max(initial=0.0) <= 1e-12 * np.abs(S).max(initial=1e-300)
+        assert np.abs(loc.d - d).max(initial=0.0) <= 1e-12 * np.abs(d).max(initial=1e-300)
+        assert _same(loc.weights, sliced.weights) and _same(loc.gamma_positions, sliced.gamma_positions)

@@ -20,7 +20,7 @@ from aschur.runtime import (
 )
 from aschur.solvers import cg_schur
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import sync_iterates
+from conftest import sliced_subdomains, sync_iterates
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -409,7 +409,8 @@ def test_batched_step_matches_subdomain_loop(suite):
             sim._ring[:rows] = rng.normal(size=(rows, sim._ring.shape[1]))
             sim._stamp[:] = rng.integers(0, rows, size=len(sim._stamp))  # adopted; nothing in flight
             nbr_sums = []
-            for i, loc in enumerate(system.subdomains):
+            subdomains = sliced_subdomains(system)
+            for i, loc in enumerate(subdomains):
                 nbr_sum = np.zeros(loc.n_gamma)
                 for j in imap.neighbors[i]:
                     shared = imap.shared_positions(i, j)
@@ -420,7 +421,7 @@ def test_batched_step_matches_subdomain_loop(suite):
             before = sim.y.copy()
             sim._choose_active = lambda: active
             sim.step()
-            for i, (loc, nbr_sum) in enumerate(zip(system.subdomains, nbr_sums)):
+            for i, (loc, nbr_sum) in enumerate(zip(subdomains, nbr_sums)):
                 s = slice(off[i], off[i + 1])
                 if i not in active:
                     assert sim.k_local[i] == 0 and np.array_equal(sim.y[s], before[s]), (name, i)

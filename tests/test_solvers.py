@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from aschur.decomp import assemble_schur_explicit, partition
-from aschur.linalg import matvec
+from aschur.decomp import partition
+from aschur.linalg import SparseMatrix, matvec
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import (
     SchurSystem,
@@ -21,7 +21,7 @@ from aschur.solvers import (
     write_residual_history,
 )
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import sync_iterates
+from conftest import dense_complement, sliced_subdomains, sync_iterates
 
 
 def fit_rate(history, tail=10):
@@ -33,23 +33,27 @@ def fit_rate(history, tail=10):
 
 def test_compute_d_1d(tiny_1d):
     for loc in tiny_1d.system.subdomains:
-        np.testing.assert_allclose(assemble_schur_explicit(loc)[1], [1.0], atol=1e-14)
+        np.testing.assert_allclose(loc.d, [1.0], atol=1e-14)
 
 
 def test_compute_d_zero_rhs(tiny_1d):
-    from dataclasses import replace
-
-    loc = tiny_1d.system.subdomains[0]
-    zeroed = replace(loc, b_I=np.zeros_like(loc.b_I), b_G=np.zeros_like(loc.b_G))
-    np.testing.assert_array_equal(assemble_schur_explicit(zeroed)[1], [0.0])
+    problem = assemble(GridSpec(dims=(3,), source=0.0))
+    for loc in SchurSystem.build(problem, tiny_1d.decomp).subdomains:
+        np.testing.assert_array_equal(loc.d, [0.0])
 
 
 def test_compute_d_decoupled(tiny_1d):
+    # Without the interface-to-interior entries (A_GI = 0), each d is its weighted b_G exactly.
     from dataclasses import replace
 
-    loc = tiny_1d.system.subdomains[0]
-    decoupled = replace(loc, A_GI=scipy.sparse.csr_matrix((loc.n_gamma, loc.n_interior)))
-    np.testing.assert_array_equal(assemble_schur_explicit(decoupled)[1], loc.b_G)
+    dense = tiny_1d.problem.A.csr.toarray()
+    dense[np.ix_([1], [0, 2])] = 0.0
+    m = scipy.sparse.csr_matrix(dense)
+    problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
+    system = SchurSystem.build(problem, tiny_1d.decomp)
+    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
+        assert sliced.A_GI.nnz == 0
+        np.testing.assert_array_equal(loc.d, sliced.b_G)
 
 
 def test_schur_apply_1d(tiny_1d):
@@ -319,7 +323,7 @@ def test_residual_history_csv(tmp_path, tiny_1d):
 
 def _loop_operator(system, v):
     out = np.zeros(system.n_interface)
-    for loc in system.subdomains:
+    for loc in sliced_subdomains(system):
         x_l = v[loc.gamma_positions]
         y = loc.A_GG @ x_l - loc.A_GI @ np.linalg.solve(loc.A_II.toarray(), loc.A_IG @ x_l)
         out[loc.gamma_positions] += y
@@ -328,15 +332,15 @@ def _loop_operator(system, v):
 
 def _loop_rhs(system):
     d = np.zeros(system.n_interface)
-    for loc in system.subdomains:
-        d[loc.gamma_positions] += assemble_schur_explicit(loc)[1]
+    for loc in sliced_subdomains(system):
+        d[loc.gamma_positions] += dense_complement(loc)[1]
     return d
 
 
 def _loop_full_solution(system, x_g):
     x = np.zeros(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
-    for loc in system.subdomains:
+    for loc in sliced_subdomains(system):
         x[loc.interior_rows] = np.linalg.solve(loc.A_II.toarray(), loc.b_I - loc.A_IG @ x_g[loc.gamma_positions])
     return x
 
@@ -403,6 +407,36 @@ def test_stop_needs_the_exact_residual_below_tol(suite, monkeypatch, solver):
     # the cheap residual fell below tol, but no stop was confirmed
     assert min(r for _, r in report.residual_history) <= 1e-2
     assert report.status == "k-max" and report.iterations_k == report.k_max
+
+
+@pytest.mark.parametrize("solver, k_max", [("sync", 100_000), ("sync", 50), ("cg", 1000), ("cg", 5),
+                                           ("async", 100_000), ("async", 3)])
+def test_the_confirming_residual_is_the_reported_one(suite, monkeypatch, solver, k_max):
+    # A converged run reports the exact residual that confirmed its stop, without
+    # computing it again; any other end computes it once more, for the iterate it returns.
+    from aschur import runtime, solvers
+
+    case, calls, exact = suite["2d-15x15-p8"], [], solvers.global_residual
+
+    def spy(system, x_g):
+        calls.append(exact(system, x_g))
+        return calls[-1]
+
+    monkeypatch.setattr(solvers, "global_residual", spy)
+    monkeypatch.setattr(runtime, "global_residual", spy)
+    if solver == "sync":
+        x, report = sync_relaxation(case.system, case.split, tol=1e-6, k_max=k_max)
+        confirmations = sum(r <= 1e-6 for _, r in report.residual_history)
+    elif solver == "cg":
+        x, report = cg_schur(case.system, tol=1e-6, k_max=k_max)
+        confirmations = 1 + sum(r <= 1e-6 for _, r in report.residual_history[1:])  # and the start's
+    else:
+        cfg = runtime.RuntimeConfig(tol=1e-6, k_max=k_max, delay=runtime.DelayModel(kind="uniform", high=2))
+        x, report = runtime.async_solve(case.system, case.split, cfg)
+        confirmations = len(report.detection_events)
+    assert report.converged == (k_max > 50), report.status
+    assert len(calls) == confirmations + (not report.converged)
+    assert report.final_residual == calls[-1] == exact(case.system, x)
 
 
 # -- the restricted stacked blocks against the unrestricted formulas --

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from aschur.decomp import assemble_schur_explicit, partition
+from aschur.decomp import partition
 from aschur.linalg import SparseMatrix, spectral_radius_nonneg
 from aschur.poisson import GridSpec, assemble
 from aschur.solvers import SchurSystem
@@ -16,6 +16,7 @@ from aschur.splitting import (
     interface_diagonal,
     problem_hash,
 )
+from conftest import dense_complement, sliced_subdomains
 
 
 def test_build_splitting_alpha_one(tiny_1d):
@@ -143,8 +144,8 @@ def test_sign_compatibility_makes_summed_blocks_exact(suite):
         n = case.system.n_interface
         sum_abs = np.zeros((n, n))
         sum_q = np.zeros((n, n))
-        for loc in case.system.subdomains:
-            S, _ = assemble_schur_explicit(loc)
+        for loc in sliced_subdomains(case.system):
+            S, _ = dense_complement(loc)
             pos = loc.gamma_positions
             Q = np.diag(loc.weights) - (1.0 / case.split.m_diag[pos])[:, None] * S
             sum_abs[np.ix_(pos, pos)] += np.abs(Q)
