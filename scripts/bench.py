@@ -98,7 +98,7 @@ SEEDS = (0, 1, 2)
 PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
 LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
           "decomp.permute", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
-          "splitting.certify_async", "decomp.gather_local_space", "decomp.InteriorFactors.solve",
+          "splitting.certify_async", "decomp.cut_local_space", "decomp.InteriorFactors.solve",
           "decomp.InteriorFactors.solve_coupled", "linalg.matvec", "solvers.apply_interface_operator",
           "solvers.global_residual", "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update",
           "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
@@ -176,7 +176,7 @@ def rung_once(name: str, seed: int, delay: int) -> dict:
     system = SchurSystem.build(problem, decomp)
     if solver != "cg":
         split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
-        system.local_space, system.links, system.update_blocks  # built once per system, before its first run
+        system.local_space, system.links  # built once per system, before its first run
     t1 = time.perf_counter()
     if solver == "delay":  # steps at a fixed delay, never converging
         cfg = RuntimeConfig(tol=1e-300, k_max=100_000, seed=seed, delay=DelayModel(kind="fixed", fixed=delay))

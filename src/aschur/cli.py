@@ -218,7 +218,7 @@ def _report_payload(report: SolveReport, x_g: np.ndarray, spec: RunSpec, system,
     }
 
 
-def _summary_row(report: SolveReport, spec: RunSpec, system) -> list[str]:
+def _summary_row(report: SolveReport, system) -> list[str]:
     sizes = [len(rows_I) + len(rows_G) for rows_I, rows_G in zip(system.decomp.parts, system.decomp.local_interfaces)]
     n_i_avg = sum(sizes) / len(sizes)
     return [
@@ -272,7 +272,7 @@ def run_from_spec(spec: RunSpec, out_dir: Path) -> int:
         (out_dir / f"report_{name}.json").write_text(json.dumps(payload, indent=2))
         if spec.output.residual_csv:
             write_residual_history(report, out_dir / f"residuals_{name}.csv")
-        rows.append(_summary_row(report, spec, system))
+        rows.append(_summary_row(report, system))
         log.info("solver %s: status=%s final_residual=%.3e", name, report.status, report.final_residual)
         all_ok = all_ok and report.converged
 

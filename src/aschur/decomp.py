@@ -34,7 +34,7 @@ __all__ = [
     "check_splits",
     "partition",
     "build_interface_map",
-    "gather_local_space",
+    "cut_local_space",
     "permute",
     "stack_blocks",
     "decomposition_to_json",
@@ -73,13 +73,17 @@ class Decomposition:
 class InterfaceMap:
     """Local-to-global interface position maps plus neighbor exchange lists.
 
-    ``gamma_positions[i]`` maps subdomain i's local interface slots to
-    positions in the global interface vector.  ``shared[(i, j)]`` (i < j)
-    lists the global positions both subdomains carry; ``neighbors[i]`` the
-    subdomains it shares at least one entry with.
+    ``positions`` maps every subdomain's local interface slots, stacked in
+    subdomain order, to positions in the global interface vector; subdomain
+    i owns the slots ``offsets[i]:offsets[i + 1]``, and ``gamma_positions[i]``
+    is their view.  ``shared[(i, j)]`` (i < j) lists the global positions
+    both subdomains carry; ``neighbors[i]`` the subdomains it shares at
+    least one entry with.
     """
 
     n_interface: int
+    positions: np.ndarray
+    offsets: np.ndarray
     gamma_positions: tuple[np.ndarray, ...]
     shared: dict
     neighbors: tuple[tuple[int, ...], ...]
@@ -102,19 +106,17 @@ class LocalSubdomain:
 
 @dataclass(frozen=True)
 class LocalSpace:
-    """The asynchronous workers' stacked local space: every interior in ``decomp.parts`` order,
-    then every subdomain's local interface slots.  Its matrix K is block diagonal by subdomain,
-    each block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``, and is kept as its interior columns
-    ``K_I = [A_II; A_GI]`` and its slot columns ``K_G = [A_IG; A_GG]``; ``b`` is its weighted
-    right-hand side.  Per slot: the identity-share weight and the interface position; subdomain
-    i owns the slots ``offsets[i]:offsets[i + 1]``."""
+    """The asynchronous workers' blocks over every subdomain's local interface slots, stacked as in
+    ``InterfaceMap.positions``, and the interior rows ``StackedBlocks.coupled``.  Its matrix is
+    block diagonal by subdomain, each block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``; the update
+    reads its slot columns on the coupled and slot rows, ``K_G = [A_IG; A_GG]``, and its slot rows
+    at the coupled columns, ``A_GI``; ``b_G`` is the weighted interface right-hand side and
+    ``weights`` each slot's identity-share weight."""
 
-    K_I: scipy.sparse.csr_matrix
     K_G: scipy.sparse.csr_matrix
-    b: np.ndarray
+    A_GI: scipy.sparse.csr_matrix
+    b_G: np.ndarray
     weights: np.ndarray
-    positions: np.ndarray
-    offsets: np.ndarray
 
 
 DENSE_INVERSE_FILL = 16  # InteriorFactors' dense-path test: m * m <= DENSE_INVERSE_FILL * lu.nnz
@@ -308,8 +310,8 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
 
 
 def build_interface_map(decomp: Decomposition) -> InterfaceMap:
-    offsets = np.cumsum([len(ids) for ids in decomp.local_interfaces]).tolist()
-    gamma_positions = tuple(_cut(np.searchsorted(decomp.interface, np.concatenate(decomp.local_interfaces)), offsets))
+    offsets = np.cumsum([0] + [len(ids) for ids in decomp.local_interfaces])
+    positions = np.searchsorted(decomp.interface, np.concatenate(decomp.local_interfaces))
     # Two owners of one entry share it.  Valid ids ascend along a row, so a
     # corner pair a < b yields a subdomain pair i < j; the entries t ascend,
     # and a stable sort by pair keeps them ascending within each pair.
@@ -326,41 +328,12 @@ def build_interface_map(decomp: Decomposition) -> InterfaceMap:
     neighbors = _split_by(np.concatenate([j, i]), np.concatenate([i, j]), p)
     return InterfaceMap(
         n_interface=decomp.n_interface,
-        gamma_positions=gamma_positions,
+        positions=positions,
+        offsets=offsets,
+        gamma_positions=tuple(_cut(positions, offsets[1:].tolist())),
         shared=shared,
         neighbors=tuple(tuple(ns.tolist()) for ns in neighbors),
     )
-
-
-def gather_local_space(problem: AssembledProblem, decomp: Decomposition) -> LocalSpace:
-    """One gather of A over [interiors | every subdomain's slots], keeping the entries whose row
-    and column belong to one subdomain, each slot-slot entry over its pair multiplicity."""
-    slots = np.concatenate(decomp.local_interfaces)
-    positions = np.searchsorted(decomp.interface, slots)
-    order = np.concatenate([*decomp.parts, slots])
-    n_I = len(order) - len(slots)
-    owner = np.repeat(np.tile(np.arange(decomp.p), 2), [len(ids) for ids in decomp.parts + decomp.local_interfaces])
-    P = problem.A.csr[order][:, order].tocoo()
-    keep = owner[P.row] == owner[P.col]
-    r, c, v = P.row[keep], P.col[keep], P.data[keep]
-
-    # Pair multiplicity at the slot-slot entries: subdomains owning both.
-    gg = np.flatnonzero((r >= n_I) & (c >= n_I))
-    o_r = decomp.owners[positions[r[gg] - n_I]][:, :, None]
-    o_c = decomp.owners[positions[c[gg] - n_I]][:, None, :]
-    pair_count = ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
-    if pair_count.size and pair_count.min() < 1:
-        raise AssertionError("interface pair without a covering subdomain")
-    v[gg] /= pair_count
-
-    weights = 1.0 / decomp.owner_count[positions]
-    b = problem.b[order]
-    b[n_I:] *= weights
-    n, cols_I = len(order), c < n_I
-    K_I = scipy.sparse.csr_matrix((v[cols_I], (r[cols_I], c[cols_I])), shape=(n, n_I))
-    K_G = scipy.sparse.csr_matrix((v[~cols_I], (r[~cols_I], c[~cols_I] - n_I)), shape=(n, len(slots)))
-    offsets = np.cumsum([0] + [len(ids) for ids in decomp.local_interfaces])
-    return LocalSpace(K_I, K_G, b, weights, positions, offsets)
 
 
 def permute(A: scipy.sparse.csr_matrix, order: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -395,6 +368,34 @@ def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlo
                                    shape=(len(coupled), A_IG.shape[1]))
     return StackedBlocks(interior, coupled, A_IG, bottom[:, coupled], bottom[:, n_i:], problem.b[interior],
                          problem.b[decomp.interface], lu)
+
+
+def cut_local_space(blocks: StackedBlocks, decomp: Decomposition, imap: InterfaceMap) -> LocalSpace:
+    """The workers' blocks cut from the stacked ones: each subdomain's coupled rows of A_IG, and its
+    slots' rows of A_GG (each entry over its pair multiplicity, the subdomains owning both) and of
+    A_GI, keeping the entries whose column is a slot or an interior row of the same subdomain."""
+    positions, n_c, p = imap.positions, len(blocks.coupled), decomp.p
+    owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
+    owner_c = np.repeat(np.arange(p), [len(part) for part in decomp.parts])[blocks.coupled]
+    rows = scipy.sparse.vstack([blocks.A_IG, blocks.A_GG[positions]], format="csr")
+    K_G = _own(rows, np.concatenate([owner_c, owner_G]), owner_G * imap.n_interface + positions, imap.n_interface)
+    cut = K_G.indptr[n_c]
+    o_r = decomp.owners[np.repeat(positions, np.diff(K_G.indptr[n_c:]))][:, :, None]
+    o_c = decomp.owners[positions[K_G.indices[cut:]]][:, None, :]
+    K_G.data[cut:] /= ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
+    A_GI = _own(blocks.A_GI[positions], owner_G, owner_c * n_c + np.arange(n_c), n_c)
+    weights = 1.0 / decomp.owner_count[positions]
+    return LocalSpace(K_G, A_GI, blocks.b_G[positions] * weights, weights)
+
+
+def _own(M: scipy.sparse.csr_matrix, owner: np.ndarray, keys: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
+    """The entries of M whose key ``owner[row] * n + column`` is in the ascending ``keys``, each in the
+    column of its key's index: per row, the columns keep their order."""
+    key = np.repeat(owner, np.diff(M.indptr)) * n + M.indices
+    at = np.searchsorted(keys, key)
+    keep = keys.take(at, mode="clip") == key
+    indptr = np.append(0, np.cumsum(keep))[M.indptr]
+    return scipy.sparse.csr_matrix((M.data[keep], at[keep], indptr), shape=(M.shape[0], len(keys)))
 
 
 def decomposition_to_json(decomp: Decomposition) -> str:

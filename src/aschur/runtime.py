@@ -26,11 +26,11 @@ receiver inactive at their step move on to the next row.  The wheel covers
 the deliveries in [t, t + W); a later one waits in its delivery row until a
 sweep moves it in, whenever fewer than W/2 steps ahead are covered and
 after each resize (amortized O(links) per step).  The fixed tables are built
-once per system (``SchurSystem.links``, and the update's blocks
-``SchurSystem.update_blocks``); the rest is per run.  In a step the active
-workers ingest and merge; one batched update over the stacked local space
-(``SchurSystem.local_space``) shares the operator's solve on the interior
-rows coupled to the interface and forms each new share (identity share plus
+once per system (``SchurSystem.links``, and the update's blocks, cut from
+the stacked ones, ``SchurSystem.local_space``); the rest is per run.  In a
+step the active workers ingest and merge; one batched update over the
+stacked local space shares the operator's solve on the interior rows
+coupled to the interface and forms each new share (identity share plus
 the scaled local interface defect) and, for workers starting a detection
 round, the residual pieces at it; then they commit and publish in
 activation order, each advancing its three-phase detection machine:
@@ -234,8 +234,8 @@ class LinkTables:
     link, a reduction per (round parity, dst, src)) and every message in send order, with its
     column of the delivery rows and wheel (its link; detection: a spare) and slot (data: a spare)."""
 
-    def __init__(self, imap, offsets):
-        p = len(imap.neighbors)
+    def __init__(self, imap):
+        p, offsets = len(imap.neighbors), imap.offsets
         links = [(i, j) for i in range(p) for j in imap.neighbors[i]]
         index = {link: k for k, link in enumerate(links)}
         reverse = [index[(j, i)] for i, j in links]
@@ -272,7 +272,7 @@ class LinkTables:
 class AsyncSimulator:
     """Virtual-time scheduler over the stacked worker state: per worker
     ``k_local``, ``phase``, ``round``, ``rounds_done`` and ``done``, and its
-    committed shares ``y[offsets[i]:offsets[i + 1]]`` of the local space.
+    committed shares ``y[offsets[i]:offsets[i + 1]]`` (``InterfaceMap.offsets``).
     ``step`` and ``inject_fault`` let protocol-level tests drive and perturb
     a run manually; ``run`` loops to completion."""
 
@@ -283,16 +283,16 @@ class AsyncSimulator:
         self.rng_sched = np.random.default_rng(cfg.seed)
         self.rng_delay = np.random.default_rng(cfg.seed + 1)
         self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
-        self.space = space = system.local_space
+        self.space, imap = system.local_space, system.imap
         self._lk = system.links  # read-only, shared by every run on the system
-        self._ub, self._lu, self._n_c = system.update_blocks, system.blocks.lu, len(system.blocks.coupled)
-        self._minv = 1.0 / split.m_diag[space.positions]
+        self._lu, self._n_c = system.blocks.lu, len(system.blocks.coupled)
+        self._minv = 1.0 / split.m_diag[imap.positions]
         self._owner_c = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])[system.blocks.coupled]
-        self._owner_G = np.repeat(np.arange(p), np.diff(space.offsets))
-        self._off, self._workers = space.offsets.tolist(), np.arange(p)
+        self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
+        self._off, self._workers = imap.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
         self._n_nbr = self._lk.n_nbr.tolist()
-        self.y = np.zeros(len(space.positions))  # every worker's committed share, stacked; runs start at zero
+        self.y = np.zeros(len(imap.positions))  # every worker's committed share, stacked; runs start at zero
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
         self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
         self.done, self._n_done = np.zeros(p, dtype=bool), 0
@@ -436,14 +436,14 @@ class AsyncSimulator:
         residual per slot).  As ``b_I - A_II x_I = A_IG x_l``, the pieces are
         ``[A_IG; A_GG] (y - y_new)`` plus ``[0; D]``: one more product.  Only the
         active workers' entries are used."""
-        (K_G, A_GI, b_G, c), n_c = self._ub, self._n_c
+        space, n_c = self.space, self._n_c
         x_l = self.y + self.nbr
-        g = matvec(K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
-        defect = b_G - matvec(A_GI, c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
-        y_new = self.space.weights * x_l + self._minv * defect
+        g = matvec(space.K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
+        defect = space.b_G - matvec(space.A_GI, self.system.c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
+        y_new = space.weights * x_l + self._minv * defect
         if not residual:
             return y_new, None, None
-        q = matvec(K_G, self.y - y_new)
+        q = matvec(space.K_G, self.y - y_new)
         return y_new, np.bincount(self._owner_c, q[:n_c] * q[:n_c], self.p), defect + q[n_c:]
 
     def _detect(self, on, res, r_I_sq, r_G):
@@ -550,7 +550,7 @@ class AsyncSimulator:
     def assembled_interface(self) -> np.ndarray:
         """Interface vector as the sum of the workers' prolonged shares."""
         # bincount adds in slot order, so each entry sums the workers in order from 0.0.
-        return np.bincount(self.space.positions, self.y, self.system.n_interface)
+        return np.bincount(self.system.imap.positions, self.y, self.system.n_interface)
 
     # -- driving ---------------------------------------------------------
 

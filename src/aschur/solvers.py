@@ -30,7 +30,7 @@ from .decomp import (
     LocalSubdomain,
     StackedBlocks,
     build_interface_map,
-    gather_local_space,
+    cut_local_space,
     stack_blocks,
 )
 from .linalg import DENSE_OP_LIMIT, matvec
@@ -95,68 +95,60 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SchurSystem:
-    """Problem, partition, stacked blocks and ``d = b_G - A_GI inv(A_II) b_I``.
+    """Problem, partition, stacked blocks, ``c = inv(A_II) b_I`` on the coupled interior rows
+    and ``d = b_G - A_GI c``.
 
-    Built on first use: the ``local_space``, gathered straight from A for the
-    async workers, with the transport's ``links`` tables and the update's
-    ``update_blocks``, and ``subdomains``, every local complement formed
-    once from them for the desk-scale certificates and oracles.
-    ``blocks.lu`` is the one interior solver, one factor per distinct
-    subdomain block; sync and CG build none of the rest.
+    Built on first use: the ``local_space``, the async workers' blocks cut from
+    the stacked ones, with the transport's ``links`` tables, and ``subdomains``,
+    every local complement formed once from them for the desk-scale certificates
+    and oracles.  ``blocks.lu`` is the one interior solver, one factor per
+    distinct subdomain block; sync and CG build none of the rest.
     """
 
     problem: AssembledProblem
     decomp: Decomposition
     imap: InterfaceMap
     blocks: StackedBlocks
+    c: np.ndarray
     d: np.ndarray
 
     @classmethod
     def build(cls, problem: AssembledProblem, decomp: Decomposition) -> "SchurSystem":
         blocks = stack_blocks(problem, decomp)
-        d = blocks.b_G - matvec(blocks.A_GI, blocks.lu.solve(blocks.b_I)[blocks.coupled])
-        return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, d=d)
+        c = blocks.lu.solve(blocks.b_I)[blocks.coupled]
+        return cls(problem=problem, decomp=decomp, imap=build_interface_map(decomp), blocks=blocks, c=c,
+                   d=blocks.b_G - matvec(blocks.A_GI, c))
 
     @cached_property
     def local_space(self) -> LocalSpace:
-        return gather_local_space(self.problem, self.decomp)
+        return cut_local_space(self.blocks, self.decomp, self.imap)
 
     @cached_property
     def links(self):
         from .runtime import LinkTables  # the transport's own tables; runtime imports this module
 
-        return LinkTables(self.imap, self.local_space.offsets)
-
-    @cached_property
-    def update_blocks(self) -> tuple:
-        """The async update's fixed blocks on the interior rows ``blocks.coupled`` (the local space
-        orders its interiors as the stacked blocks do): ``[A_IG; A_GG]`` (``K_G``'s coupled and slot
-        rows), ``A_GI`` (``K_I``'s slot rows at the coupled columns), ``b_G`` and ``c = inv(A_II) b_I``."""
-        space, coupled, n_I = self.local_space, self.blocks.coupled, self.local_space.K_I.shape[1]
-        K_G = space.K_G[np.concatenate((coupled, np.arange(n_I, space.K_G.shape[0])))]
-        return K_G, space.K_I[n_I:][:, coupled], space.b[n_I:], self.blocks.lu.solve(space.b[:n_I])[coupled]
+        return LinkTables(self.imap)
 
     @cached_property
     def subdomains(self) -> tuple[LocalSubdomain, ...]:
         """Each subdomain's complement record, every ``S_i`` from one scatter and two products on the
         coupled interior rows.  Row s of Z holds, per subdomain, the ``A_IG`` column of its s-th slot,
         for s below G, its largest local interface; one ``solve_coupled_rows`` of Z and one product with
-        ``A_GI`` give every ``S_i``'s rows, padded to G columns.  ``d_i`` takes ``update_blocks``' c.
+        ``A_GI`` give every ``S_i``'s rows, padded to G columns; ``d_i`` is ``b_G - A_GI c``.
         Refused when an interior or a local interface exceeds ``DENSE_OP_LIMIT`` rows (desk scale)."""
         m, G = (max(map(len, ids)) for ids in (self.decomp.parts, self.decomp.local_interfaces))
         if max(m, G) > DENSE_OP_LIMIT:
             raise ValueError(f"local blocks of {m} + {G} rows exceed the explicit cap")
-        space, (K_G, A_GI, b_G, c) = self.local_space, self.update_blocks
-        counts, n_c = np.diff(space.offsets), len(c)
-        slot = (np.arange(len(b_G)) - np.repeat(space.offsets[:-1], counts))[K_G.indices]  # place in its subdomain
+        space, offsets = self.local_space, self.imap.offsets
+        K_G, A_GI, b_G, n_c = space.K_G, space.A_GI, space.b_G, len(self.c)
+        slot = (np.arange(len(b_G)) - np.repeat(offsets[:-1], np.diff(offsets)))[K_G.indices]  # place in its subdomain
         rows, cut = np.repeat(np.arange(K_G.shape[0]), np.diff(K_G.indptr)), K_G.indptr[n_c]
         Z, S = np.zeros((G, n_c)), np.zeros((len(b_G), G))
         Z[slot[:cut], rows[:cut]] = K_G.data[:cut]  # the coupled rows of A_IG, one row per slot place
         S[rows[cut:] - n_c, slot[cut:]] = K_G.data[cut:]  # A_GG
         S -= A_GI @ self.blocks.lu.solve_coupled_rows(Z).T
-        cuts = space.offsets[1:-1]
         return tuple(LocalSubdomain(S_i[:, :len(S_i)], d_i, w, pos) for S_i, d_i, w, pos in zip(*(
-            np.split(a, cuts) for a in (S, b_G - matvec(A_GI, c), space.weights, space.positions))))
+            np.split(a, offsets[1:-1]) for a in (S, b_G - matvec(A_GI, self.c), space.weights, self.imap.positions))))
 
     @property
     def p(self) -> int:

@@ -66,9 +66,10 @@ def sync_iterates(system: SchurSystem, split: InterfaceSplitting, sweeps: int) -
 
 
 @dataclass(frozen=True)
-class SlicedSubdomain:
-    """One subdomain's blocks and right-hand side pieces, sliced from the local space (canonical CSR;
-    A_GG dense, and it and b_G multiplicity-weighted): the inputs of the dense-solve oracles."""
+class ReferenceSubdomain:
+    """One subdomain's blocks and right-hand side pieces, each gathered from A and b on its own
+    (canonical CSR; A_GG dense, and it and b_G multiplicity-weighted): the inputs of the
+    dense-solve oracles, built without the stacked blocks or the local space."""
 
     A_II: scipy.sparse.csr_matrix
     A_IG: scipy.sparse.csr_matrix
@@ -90,26 +91,28 @@ class SlicedSubdomain:
         return len(self.gamma_rows)
 
 
-def sliced_subdomains(system: SchurSystem) -> list[SlicedSubdomain]:
-    """Per subdomain, its blocks sliced from ``system.local_space`` with scipy's indexing."""
-    space, dec = system.local_space, system.decomp
-    n_I = space.K_I.shape[1]
-    ends_I = np.cumsum([0] + [len(part) for part in dec.parts])
+def reference_subdomains(system: SchurSystem, owned: np.ndarray | None = None) -> list[ReferenceSubdomain]:
+    """Per subdomain, its blocks from four gathers of A.  ``owned`` is the (p, n_interface) mask of
+    the interface entries each subdomain owns, read from ``decomp.owners`` by default; the owner
+    and pair counts that weight b_G and A_GG are its column sums and products."""
+    dec, A, b = system.decomp, system.problem.A.csr, system.problem.b
+    if owned is None:
+        owned = (dec.owners == np.arange(dec.p)[:, None, None]).any(axis=2)
     subs = []
     for i in range(dec.p):
-        rows_I = slice(ends_I[i], ends_I[i + 1])
-        own = slice(space.offsets[i], space.offsets[i + 1])
-        rows_G = slice(n_I + own.start, n_I + own.stop)
-        subs.append(SlicedSubdomain(
-            A_II=space.K_I[rows_I, rows_I], A_IG=space.K_G[rows_I, own], A_GI=space.K_I[rows_G, rows_I],
-            A_GG=space.K_G[rows_G, own].toarray(), b_I=space.b[rows_I], b_G=space.b[rows_G],
-            weights=space.weights[own], interior_rows=dec.parts[i], gamma_rows=dec.local_interfaces[i],
-            gamma_positions=space.positions[own],
+        rows_I, gpos = dec.parts[i], np.flatnonzero(owned[i])
+        rows_G = dec.interface[gpos]
+        inside = owned[:, gpos].astype(float)
+        weights = 1.0 / inside.sum(axis=0)
+        subs.append(ReferenceSubdomain(
+            A_II=A[rows_I][:, rows_I], A_IG=A[rows_I][:, rows_G], A_GI=A[rows_G][:, rows_I],
+            A_GG=A[rows_G][:, rows_G].toarray() / (inside.T @ inside), b_I=b[rows_I], b_G=b[rows_G] * weights,
+            weights=weights, interior_rows=rows_I, gamma_rows=rows_G, gamma_positions=gpos,
         ))
     return subs
 
 
-def dense_complement(local: SlicedSubdomain) -> tuple[np.ndarray, np.ndarray]:
+def dense_complement(local: ReferenceSubdomain) -> tuple[np.ndarray, np.ndarray]:
     """S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I by one dense solve: the oracle
     of the complement records ``SchurSystem.subdomains``, independent of the interior factors."""
     a_gi = local.A_GI.toarray()

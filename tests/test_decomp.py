@@ -22,7 +22,7 @@ from aschur.decomp import (
 from aschur.linalg import SingularMatrixError, SparseMatrix
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, apply_interface_operator, assemble_interface_operator
-from conftest import dense_complement, sliced_subdomains
+from conftest import dense_complement, reference_subdomains
 
 
 def test_partition_1d_3_nodes():
@@ -93,13 +93,13 @@ def test_sparse_blocks_are_canonical_csr(suite):
     # Sorted indices without duplicates fix the order in which every row of every product sums.
     for case in suite.values():
         blocks = [getattr(case.system.blocks, f) for f in ("A_IG", "A_GI", "A_GG")]
-        blocks += [getattr(loc, f) for loc in sliced_subdomains(case.system) for f in ("A_II", "A_IG", "A_GI")]
+        blocks += [case.system.local_space.K_G, case.system.local_space.A_GI]
         for m in blocks:
             assert isinstance(m, scipy.sparse.csr_matrix) and m.has_canonical_format, case.name
 
 
 def test_extract_local_1d_hand_values(tiny_1d):
-    loc = sliced_subdomains(tiny_1d.system)[0]
+    loc = reference_subdomains(tiny_1d.system)[0]
     np.testing.assert_array_equal(loc.A_II.toarray(), [[2.0]])
     np.testing.assert_array_equal(loc.A_IG.toarray(), [[-1.0]])
     np.testing.assert_array_equal(loc.A_GG, [[1.0]])
@@ -112,7 +112,7 @@ def test_extract_local_single_subdomain_degenerate():
     dec = partition(prob, (1,))
     assert dec.n_interface == 0
     system = SchurSystem.build(prob, dec)
-    (loc,) = sliced_subdomains(system)
+    (loc,) = reference_subdomains(system)
     np.testing.assert_array_equal(loc.A_II.toarray(), prob.A.csr.toarray())
     assert loc.n_gamma == 0
     assert loc.A_GG.shape == (0, 0)
@@ -127,7 +127,7 @@ def test_reassembly_is_exact(suite):
         n = dec.n_interface
         acc = np.zeros((n, n))
         wacc = np.zeros(n)
-        for loc in sliced_subdomains(case.system):
+        for loc in reference_subdomains(case.system):
             pos = loc.gamma_positions
             acc[np.ix_(pos, pos)] += loc.A_GG
             wacc[pos] += loc.weights
@@ -140,7 +140,7 @@ def test_sign_compatibility_of_weighted_blocks(suite):
     for case in suite.values():
         dec = case.decomp
         target = case.problem.A.csr.toarray()[np.ix_(dec.interface, dec.interface)]
-        for loc in sliced_subdomains(case.system):
+        for loc in reference_subdomains(case.system):
             block = target[np.ix_(loc.gamma_positions, loc.gamma_positions)]
             prod = loc.A_GG * block
             assert np.all(prod >= 0.0)
@@ -191,7 +191,7 @@ def _cases(suite, extra):
 @pytest.mark.parametrize("extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))], ids=["suite", "3d-p27", "2d-p16"])
 def test_interface_map_matches_all_pairs_reference(suite, extra):
     for problem, dec in _cases(suite, extra):
-        subdomains = sliced_subdomains(SchurSystem.build(problem, dec))
+        subdomains = reference_subdomains(SchurSystem.build(problem, dec))
         imap = build_interface_map(dec)
         shared, neighbors = _all_pairs_reference(imap.gamma_positions)
         assert imap.neighbors == neighbors
@@ -210,26 +210,6 @@ def test_interface_map_matches_all_pairs_reference(suite, extra):
             np.testing.assert_array_equal(subdomains[i].A_GG, expected)
 
 
-def _reference_subdomains(problem, dec):
-    """Per-subdomain fields from four gathers of A each, pair counts and owner counts from
-    the closed boxes."""
-    owned = _in_closed_boxes(problem, dec)
-    A, b = problem.A.csr, problem.b
-    subs = []
-    for i in range(dec.p):
-        rows_I, gpos = dec.parts[i], np.flatnonzero(owned[i])
-        rows_G = dec.interface[gpos]
-        inside = owned[:, gpos].astype(float)
-        weights = 1.0 / inside.sum(axis=0)
-        subs.append(dict(
-            A_II=A[rows_I][:, rows_I], A_IG=A[rows_I][:, rows_G],
-            A_GI=A[rows_G][:, rows_I], A_GG=A[rows_G][:, rows_G].toarray() / (inside.T @ inside),
-            b_I=b[rows_I], b_G=b[rows_G] * weights, weights=weights,
-            interior_rows=rows_I, gamma_rows=rows_G, gamma_positions=gpos,
-        ))
-    return subs
-
-
 def _same(a, b):
     if scipy.sparse.issparse(a):
         return a.shape == b.shape and all(_same(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
@@ -241,32 +221,28 @@ def _same(a, b):
     ids=["suite", "3d-p27", "2d-p16", "2d-p1"],
 )
 def test_local_space_matches_per_subdomain_reference(suite, extra):
-    # The one gather of A, and the subdomains sliced from it, equal bit for
-    # bit the per-subdomain gathers assembled block by block.
+    # The update's blocks, cut from the stacked ones, equal bit for bit the
+    # per-subdomain gathers of A assembled block by block on the coupled interior
+    # rows, with the pair and owner counts from the closed boxes; c is the
+    # interior solve of the gathered b_I on those rows.
     for problem, dec in _cases(suite, extra):
         system = SchurSystem.build(problem, dec)
-        ref = _reference_subdomains(problem, dec)
-        for loc, expected in zip(sliced_subdomains(system), ref, strict=True):
-            for field, value in expected.items():
-                assert _same(getattr(loc, field), value), (dec.splits, field)
+        ref = reference_subdomains(system, _in_closed_boxes(problem, dec))
         diag = lambda blocks: scipy.sparse.block_diag(blocks, format="csr")  # noqa: E731
-        K = scipy.sparse.bmat([
-            [diag([s["A_II"] for s in ref]), diag([s["A_IG"] for s in ref])],
-            [diag([s["A_GI"] for s in ref]), diag([scipy.sparse.csr_matrix(s["A_GG"]) for s in ref])],
-        ], format="csr")
-        space = system.local_space
-        n_I = sum(len(s["b_I"]) for s in ref)
-        for got, want in ((space.K_I, K[:, :n_I]), (space.K_G, K[:, n_I:])):
-            assert got.shape == want.shape
-            assert all(_same(getattr(got, f), getattr(want, f)) for f in ("indptr", "indices", "data"))
+        coupled = system.blocks.coupled
         expected = {
-            "b": np.concatenate([s["b_I"] for s in ref] + [s["b_G"] for s in ref]),
-            "weights": np.concatenate([s["weights"] for s in ref]),
-            "positions": np.concatenate([s["gamma_positions"] for s in ref]),
-            "offsets": np.cumsum([0] + [len(s["gamma_rows"]) for s in ref]),
+            "K_G": scipy.sparse.vstack([diag([s.A_IG for s in ref])[coupled],
+                                        diag([scipy.sparse.csr_matrix(s.A_GG) for s in ref])], format="csr"),
+            "A_GI": diag([s.A_GI for s in ref])[:, coupled],
+            "b_G": np.concatenate([s.b_G for s in ref]),
+            "weights": np.concatenate([s.weights for s in ref]),
+            "positions": np.concatenate([s.gamma_positions for s in ref]),
+            "offsets": np.cumsum([0] + [s.n_gamma for s in ref]),
         }
         for field, value in expected.items():
-            assert _same(getattr(space, field), value), (dec.splits, field)
+            owner = system.imap if field in ("positions", "offsets") else system.local_space
+            assert _same(getattr(owner, field), value), (dec.splits, field)
+        assert _same(system.c, system.blocks.lu.solve(np.concatenate([s.b_I for s in ref]))[coupled]), dec.splits
 
 
 def test_schur_explicit_1d_hand_values(tiny_1d):
@@ -312,9 +288,9 @@ def test_schur_equals_interface_block_when_decoupled(tiny_1d):
     m = scipy.sparse.csr_matrix(dense)
     problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     system = SchurSystem.build(problem, tiny_1d.decomp)
-    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
-        assert sliced.A_IG.nnz == 0
-        np.testing.assert_array_equal(loc.S, sliced.A_GG)
+    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+        assert ref.A_IG.nnz == 0
+        np.testing.assert_array_equal(loc.S, ref.A_GG)
 
 
 def test_interface_solution_matches_direct_solve(suite):
@@ -697,7 +673,7 @@ def test_setup_matches_plain_per_subdomain_reference(grid, perturb):
 @example(((7, 5), (1, 1)), 1)
 def test_complement_records_match_dense_solves(grid, perturb):
     # Every record formed at once on the coupled rows against one dense solve
-    # per subdomain on blocks sliced from the local space.  A perturbed interior
+    # per subdomain on blocks gathered from A.  A perturbed interior
     # diagonal gives its block a factor of its own.
     dims, splits = grid
     problem = assemble(GridSpec(dims=dims))
@@ -707,9 +683,9 @@ def test_complement_records_match_dense_solves(grid, perturb):
         problem = _scaled(problem, row, 1.0 + perturb * 1e-9, col=row)
     system = SchurSystem.build(problem, dec)
     assert len(system.blocks.lu.factors) >= (2 if perturb and dec.p > 1 else 1)
-    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
-        S, d = dense_complement(sliced)
+    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+        S, d = dense_complement(ref)
         assert loc.S.shape == S.shape and loc.d.shape == d.shape
         assert np.abs(loc.S - S).max(initial=0.0) <= 1e-12 * np.abs(S).max(initial=1e-300)
         assert np.abs(loc.d - d).max(initial=0.0) <= 1e-12 * np.abs(d).max(initial=1e-300)
-        assert _same(loc.weights, sliced.weights) and _same(loc.gamma_positions, sliced.gamma_positions)
+        assert _same(loc.weights, ref.weights) and _same(loc.gamma_positions, ref.gamma_positions)

@@ -7,7 +7,6 @@ import pytest
 
 from aschur import GridSpec, SchurSystem, assemble, partition, runtime
 from aschur.decomp import InteriorFactors
-from aschur.linalg import matvec
 from aschur.runtime import (
     DELAY_BLOCK,
     AsyncSimulator,
@@ -20,7 +19,7 @@ from aschur.runtime import (
 )
 from aschur.solvers import cg_schur
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import sliced_subdomains, sync_iterates
+from conftest import reference_subdomains, sync_iterates
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -351,7 +350,7 @@ def test_neighbor_merge_matches_loop_reference(suite, name):
     sim._ring[:rows] = rng.normal(size=(rows, sim._ring.shape[1]))
     sim._stamp[:] = rng.integers(-1, 3 * rows, size=len(sim._stamp))  # -1: the initial share
     sim._ingest(sim._everyone, True)  # nothing in flight: merges alone
-    off = sim.space.offsets
+    off = imap.offsets
     for i in range(case.system.p):
         gpos = imap.gamma_positions[i]
         expected = np.zeros(len(gpos))
@@ -400,8 +399,8 @@ def test_batched_step_matches_subdomain_loop(suite):
     cases = [(name, c.system, c.split) for name, c in suite.items()] + list(_extra_cases())
     for name, system, split in cases:
         space, imap = system.local_space, system.imap
-        assert np.all(space.K_I.data != 0) and np.all(space.K_G.data != 0), name  # no stored zeros
-        off = space.offsets
+        assert np.all(space.K_G.data != 0) and np.all(space.A_GI.data != 0), name  # no stored zeros
+        off = imap.offsets
         for trial in range(3):
             sim = AsyncSimulator(system, split, RuntimeConfig(tol=1e-300))
             sim.y[:] = rng.normal(size=len(sim.y))
@@ -409,7 +408,7 @@ def test_batched_step_matches_subdomain_loop(suite):
             sim._ring[:rows] = rng.normal(size=(rows, sim._ring.shape[1]))
             sim._stamp[:] = rng.integers(0, rows, size=len(sim._stamp))  # adopted; nothing in flight
             nbr_sums = []
-            subdomains = sliced_subdomains(system)
+            subdomains = reference_subdomains(system)
             for i, loc in enumerate(subdomains):
                 nbr_sum = np.zeros(loc.n_gamma)
                 for j in imap.neighbors[i]:
@@ -438,26 +437,29 @@ def test_batched_step_matches_subdomain_loop(suite):
 def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
     # The phase-0 pieces cost one more product: on random states, the shares match
     # bit for bit with and without them.  The update takes b_I - A_II x_I as A_IG x_l
-    # and solves only the coupled interior rows, so the pieces match the residual of
-    # the whole stacked K at the fully solved interior to rounding.  Every worker then
-    # sends its reduction: its interior square plus its slots' w r^2, r its
-    # synchronized piece, summed in slot order from 0.0, bit for bit.
+    # and solves only the coupled interior rows, so the pieces match, to rounding,
+    # each subdomain's residual at its interior solved densely over all its rows.
+    # Every worker then sends its reduction: its interior square plus its slots'
+    # w r^2, r its synchronized piece, summed in slot order from 0.0, bit for bit.
     rng = np.random.default_rng(17)
     for name, case in suite.items():
         sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300))
-        space, p, off = sim.space, sim.p, sim.space.offsets
-        n_I = space.K_I.shape[1]
-        owner_I = np.repeat(np.arange(p), [len(part) for part in case.decomp.parts])
+        space, p, off = sim.space, sim.p, sim.system.imap.offsets
+        subdomains = reference_subdomains(case.system)
         for _ in range(3):
             sim.y, sim.nbr = rng.normal(size=len(sim.y)), rng.normal(size=len(sim.y))
             y_new, none_I, none_G = sim._update(False)
             y_res, r_I_sq, r_G = sim._update(True)
             assert none_I is None and none_G is None
             assert y_new.tobytes() == y_res.tobytes(), name
-            x_I = case.system.blocks.lu.solve(space.b[:n_I] - matvec(space.K_G, sim.y + sim.nbr)[:n_I])
-            r = space.b - matvec(space.K_I, x_I) - matvec(space.K_G, y_new + sim.nbr)
-            assert _close(r_G, r[n_I:]), name
-            assert _close(r_I_sq, np.bincount(owner_I, r[:n_I] * r[:n_I], p)), name
+            for i, loc in enumerate(subdomains):
+                s = slice(off[i], off[i + 1])
+                A_II, A_IG, A_GI = (m.toarray() for m in (loc.A_II, loc.A_IG, loc.A_GI))
+                x_I = np.linalg.solve(A_II, loc.b_I - A_IG @ (sim.y[s] + sim.nbr[s]))
+                x_merged = y_new[s] + sim.nbr[s]
+                r_I = loc.b_I - A_II @ x_I - A_IG @ x_merged
+                assert _close(r_G[s], loc.b_G - A_GI @ x_I - loc.A_GG @ x_merged), (name, i)
+                assert abs(r_I_sq[i] - r_I @ r_I) <= 1e-12 * max(r_I @ r_I, 1.0), (name, i)
             sim._got[:p] = sim._lk.n_nbr  # every neighbour piece in: every worker sends
             red, _ = sim._detect(sim._everyone, np.ones(p, dtype=bool), r_I_sq, r_G)
             assert red == [(i, 0) for i in range(p)], name
@@ -476,7 +478,7 @@ def test_steps_solve_only_the_coupled_interior_rows(suite, monkeypatch):
     # through the operator's coupled-row solve, and the constant inv(A_II) b_I is
     # formed once per system.  2d-15x15-p8 has interior rows off the interface layer.
     case = suite["2d-15x15-p8"]
-    assert len(case.system.blocks.coupled) < case.system.local_space.K_I.shape[1]
+    assert len(case.system.blocks.coupled) < len(case.system.blocks.interior)
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300, delay=DelayModel(kind="uniform", high=3)))
 
     def whole_interior_solve(self, b):
@@ -723,7 +725,7 @@ def test_fault_preserves_factorization_and_counts(tiny_1d):
         sim.step()
     lu_before = sim.system.blocks.lu
     k_before = sim.k_local.copy()
-    off = sim.space.offsets
+    off = sim.system.imap.offsets
     assert sim.y[off[0]:off[1]].any()
     sim.inject_fault([0])
     assert sim._lu is sim.system.blocks.lu is lu_before

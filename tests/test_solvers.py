@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from aschur.solvers import (
     write_residual_history,
 )
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import dense_complement, sliced_subdomains, sync_iterates
+from conftest import dense_complement, reference_subdomains, sync_iterates
 
 
 def fit_rate(history, tail=10):
@@ -51,9 +52,9 @@ def test_compute_d_decoupled(tiny_1d):
     m = scipy.sparse.csr_matrix(dense)
     problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     system = SchurSystem.build(problem, tiny_1d.decomp)
-    for loc, sliced in zip(system.subdomains, sliced_subdomains(system), strict=True):
-        assert sliced.A_GI.nnz == 0
-        np.testing.assert_array_equal(loc.d, sliced.b_G)
+    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+        assert ref.A_GI.nnz == 0
+        np.testing.assert_array_equal(loc.d, ref.b_G)
 
 
 def test_schur_apply_1d(tiny_1d):
@@ -323,7 +324,7 @@ def test_residual_history_csv(tmp_path, tiny_1d):
 
 def _loop_operator(system, v):
     out = np.zeros(system.n_interface)
-    for loc in sliced_subdomains(system):
+    for loc in reference_subdomains(system):
         x_l = v[loc.gamma_positions]
         y = loc.A_GG @ x_l - loc.A_GI @ np.linalg.solve(loc.A_II.toarray(), loc.A_IG @ x_l)
         out[loc.gamma_positions] += y
@@ -332,7 +333,7 @@ def _loop_operator(system, v):
 
 def _loop_rhs(system):
     d = np.zeros(system.n_interface)
-    for loc in sliced_subdomains(system):
+    for loc in reference_subdomains(system):
         d[loc.gamma_positions] += dense_complement(loc)[1]
     return d
 
@@ -340,7 +341,7 @@ def _loop_rhs(system):
 def _loop_full_solution(system, x_g):
     x = np.zeros(system.problem.A.nrows)
     x[system.decomp.interface] = x_g
-    for loc in sliced_subdomains(system):
+    for loc in reference_subdomains(system):
         x[loc.interior_rows] = np.linalg.solve(loc.A_II.toarray(), loc.b_I - loc.A_IG @ x_g[loc.gamma_positions])
     return x
 
@@ -351,12 +352,14 @@ def _close(stacked, ref):
 
 def test_stacked_functions_match_subdomain_loops(suite):
     rng = np.random.default_rng(5)
+    lazy = {name for name, value in vars(SchurSystem).items() if isinstance(value, cached_property)}
+    assert lazy == {"subdomains", "local_space", "links"}
     for case in suite.values():
-        # A fresh system: the synchronous solvers must never build the subdomains or the local space.
+        # A fresh system: the synchronous solvers must never build the subdomains, the local space or the links.
         system = SchurSystem.build(case.problem, case.decomp)
         cg_schur(system, tol=1e-8, k_max=500)
         sync_relaxation(system, case.split, tol=1e-8, k_max=20)
-        assert not {"subdomains", "local_space"} & vars(system).keys(), case.name
+        assert not lazy & vars(system).keys(), case.name
 
         v = rng.normal(size=system.n_interface)
         assert _close(apply_interface_operator(system, v), _loop_operator(system, v)), case.name

@@ -16,7 +16,7 @@ from aschur.splitting import (
     interface_diagonal,
     problem_hash,
 )
-from conftest import dense_complement, sliced_subdomains
+from conftest import dense_complement, reference_subdomains
 
 
 def test_build_splitting_alpha_one(tiny_1d):
@@ -144,7 +144,7 @@ def test_sign_compatibility_makes_summed_blocks_exact(suite):
         n = case.system.n_interface
         sum_abs = np.zeros((n, n))
         sum_q = np.zeros((n, n))
-        for loc in sliced_subdomains(case.system):
+        for loc in reference_subdomains(case.system):
             S, _ = dense_complement(loc)
             pos = loc.gamma_positions
             Q = np.diag(loc.weights) - (1.0 / case.split.m_diag[pos])[:, None] * S
