@@ -24,7 +24,7 @@ Per workload it also makes one profile pass: ``perfbench/workloads.py
 cProfile, in a process of its own, and records under ``layers`` the call
 count and the self and cumulative seconds of each function in ``LAYERS``,
 from the set-up (assembly, partition, interface map, the stacked blocks with
-their permutation and interior factors, the interface diagonal, the
+their row gather and interior factors, the interface diagonal, the
 asynchronous certificate) through the
 interior solves, the operator apply and the stopping residual to the
 asynchronous worker's ingest, update, detection and send.  Profiling
@@ -97,7 +97,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1, 2)
 PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
 LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
-          "decomp.permute", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
+          "linalg.gather_rows", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
           "splitting.certify_async", "decomp.cut_local_space", "decomp.InteriorFactors.solve",
           "decomp.InteriorFactors.solve_coupled", "linalg.matvec", "solvers.apply_interface_operator",
           "solvers.global_residual", "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update",

@@ -5,12 +5,12 @@ nodes form the global interface; the remaining nodes fall into box-shaped
 subdomain interiors, which gives the block-arrow structure directly: an
 interior node only couples to its own interior and to the interface.
 
-Each interface entry is shared by the subdomains whose closed boxes touch
-it (2 on a plane, 4 on a 2-D cross point, 8 on a 3-D one), recorded once in
-``Decomposition.owners``.  Local interface blocks are scaled by one over
-the pair multiplicity (the number of subdomains owning both entries), so
-the per-subdomain pieces sum back to the assembled blocks exactly and keep
-the signs of the assembled entries.
+Each interface entry is shared by the subdomains whose closed boxes touch it (2 on a plane, 4 on a
+2-D cross point, 8 on a 3-D one), recorded once in ``Decomposition.owners``.  Local interface blocks
+are scaled by one over the pair multiplicity (the subdomains owning both entries: the product over
+axes of their slab ranges' overlaps), so the per-subdomain pieces sum back to the assembled blocks
+exactly and keep the signs of the assembled entries.  A is permuted once, and every block is cut from
+its raw CSR arrays by scipy's compiled kernels (``linalg``): only the stored blocks become matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .linalg import SingularMatrixError
+from .linalg import SingularMatrixError, gather_rows, submatrix
 from .poisson import AssembledProblem
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "partition",
     "build_interface_map",
     "cut_local_space",
-    "permute",
     "stack_blocks",
     "decomposition_to_json",
 ]
@@ -336,66 +335,67 @@ def build_interface_map(decomp: Decomposition) -> InterfaceMap:
     )
 
 
-def permute(A: scipy.sparse.csr_matrix, order: np.ndarray) -> scipy.sparse.csr_matrix:
-    """``A[order][:, order]`` for a permutation ``order``, canonical: the gathered rows' column indices
-    are remapped through the inverse permutation and sorted, the same arrays bit for bit as scipy's
-    column indexing and sort in about half the time."""
-    rows = A[order]
-    inverse = np.empty(len(order), dtype=rows.indices.dtype)
-    inverse[order] = np.arange(len(order), dtype=rows.indices.dtype)
-    P = scipy.sparse.csr_matrix((rows.data, inverse[rows.indices], rows.indptr), shape=rows.shape)
-    P.sort_indices()  # every cut of a sorted P is canonical
-    return P
-
-
 def stack_blocks(problem: AssembledProblem, decomp: Decomposition) -> StackedBlocks:
-    """Gather the stacked interior and interface blocks and factor each distinct interior block once."""
+    """Gather the stacked interior and interface blocks and factor each distinct interior block once.
+    A is permuted once, interiors first, into raw CSR arrays, and only the stored blocks cut from them."""
     interior = np.concatenate(decomp.parts)
-    n_i = len(interior)
-    P = permute(problem.A.csr, np.concatenate([interior, decomp.interface]))  # one permuted slice, cut four ways
-    n, cut = P.shape[0], P.indptr[n_i]  # its interior and interface rows as views over its arrays
-    top = scipy.sparse.csr_matrix((P.data[:cut], P.indices[:cut], P.indptr[:n_i + 1]), shape=(n_i, n))
-    bottom = scipy.sparse.csr_matrix((P.data[cut:], P.indices[cut:], P.indptr[n_i:] - cut), shape=(n - n_i, n))
-    A_IG = top[:, n_i:]
-    touched = np.diff(A_IG.indptr) > 0
-    touched[bottom.indices[bottom.indices < n_i]] = True  # the columns of A_GI
+    A, n, n_i = problem.A.csr, problem.A.nrows, len(interior)
+    order = np.concatenate([interior, decomp.interface])
+    inverse = np.empty(n, dtype=A.indices.dtype)
+    inverse[order] = np.arange(n)
+    P = gather_rows(A, order, inverse)  # canonical A[order][:, order]
+    IG, GI = submatrix(P, n, 0, n_i, n_i, n), submatrix(P, n, n_i, n, 0, n_i)
+    touched = np.diff(IG[2]) > 0
+    touched[GI[1]] = True  # the columns of A_GI
     try:
-        lu = InteriorFactors(top[:, :n_i], [len(part) for part in decomp.parts], touched)
+        A_II = scipy.sparse.csr_matrix(submatrix(P, n, 0, n_i, 0, n_i), shape=(n_i, n_i))
+        lu = InteriorFactors(A_II, [len(part) for part in decomp.parts], touched)
     except RuntimeError as exc:
         raise SingularMatrixError(f"stacked interior factorization failed ({exc})") from exc
-    coupled = lu.coupled  # A_IG's other rows are empty, so its row pointers at ``coupled`` cut it
-    A_IG = scipy.sparse.csr_matrix((A_IG.data, A_IG.indices, A_IG.indptr[np.append(coupled, n_i)]),
-                                   shape=(len(coupled), A_IG.shape[1]))
-    return StackedBlocks(interior, coupled, A_IG, bottom[:, coupled], bottom[:, n_i:], problem.b[interior],
-                         problem.b[decomp.interface], lu)
+    coupled, n_g = lu.coupled, n - n_i  # A_IG's other rows are empty; ``coupled`` ascends and holds A_GI's columns
+    A_IG = scipy.sparse.csr_matrix((*IG[:2], IG[2][np.append(coupled, n_i)]), shape=(len(coupled), n_g))
+    column = np.empty(n_i, dtype=GI[1].dtype)
+    column[coupled] = np.arange(len(coupled))
+    A_GI = scipy.sparse.csr_matrix((GI[0], column[GI[1]], GI[2]), shape=(n_g, len(coupled)))
+    A_GG = scipy.sparse.csr_matrix(submatrix(P, n, n_i, n, n_i, n), shape=(n_g, n_g))
+    return StackedBlocks(interior, coupled, A_IG, A_GI, A_GG, problem.b[interior], problem.b[decomp.interface], lu)
 
 
 def cut_local_space(blocks: StackedBlocks, decomp: Decomposition, imap: InterfaceMap) -> LocalSpace:
-    """The workers' blocks cut from the stacked ones: each subdomain's coupled rows of A_IG, and its
-    slots' rows of A_GG (each entry over its pair multiplicity, the subdomains owning both) and of
-    A_GI, keeping the entries whose column is a slot or an interior row of the same subdomain."""
-    positions, n_c, p = imap.positions, len(blocks.coupled), decomp.p
+    """The workers' blocks cut from the stacked ones: each subdomain's coupled rows of A_IG, and its slots'
+    rows of A_GG (each entry over its pair multiplicity, the subdomains owning both) and of A_GI, keeping the
+    entries whose column is a slot or an interior row of the same subdomain.  The multiplicity is the product
+    over axes of the two entries' slab-range overlaps, each range read from ``decomp.owners``."""
+    positions, n_c, p, owners = imap.positions, len(blocks.coupled), decomp.p, decomp.owners
     owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
     owner_c = np.repeat(np.arange(p), [len(part) for part in decomp.parts])[blocks.coupled]
-    rows = scipy.sparse.vstack([blocks.A_IG, blocks.A_GG[positions]], format="csr")
-    K_G = _own(rows, np.concatenate([owner_c, owner_G]), owner_G * imap.n_interface + positions, imap.n_interface)
-    cut = K_G.indptr[n_c]
-    o_r = decomp.owners[np.repeat(positions, np.diff(K_G.indptr[n_c:]))][:, :, None]
-    o_c = decomp.owners[positions[K_G.indices[cut:]]][:, None, :]
-    K_G.data[cut:] /= ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
-    A_GI = _own(blocks.A_GI[positions], owner_G, owner_c * n_c + np.arange(n_c), n_c)
+    IG, GG = blocks.A_IG, gather_rows(blocks.A_GG, positions)
+    rows = (np.concatenate([IG.data, GG[0]]), np.concatenate([IG.indices, GG[1]]),
+            np.concatenate([IG.indptr, GG[2][1:] + IG.nnz]))
+    data, cols, ptr = _own(rows, np.concatenate([owner_c, owner_G]), owner_G * imap.n_interface + positions,
+                           imap.n_interface)
+    cut = ptr[n_c]
+    r, c, count = np.repeat(positions, np.diff(ptr[n_c:])), positions[cols[cut:]], 1
+    for a, (stride, split) in enumerate(zip(np.cumprod((1,) + decomp.splits[:-1]), decomp.splits)):
+        lo = owners[:, 0] // stride % split  # column 0 is the low corner
+        hi = lo + (owners[:, 1 << a] >= 0)  # column 1 << a is valid when the range spans two slabs on axis a
+        count = count * (np.minimum(hi[r], hi[c]) - np.maximum(lo[r], lo[c]) + 1)
+    data[cut:] /= count
+    K_G = scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(positions)))
+    GI = _own(gather_rows(blocks.A_GI, positions), owner_G, owner_c * n_c + np.arange(n_c), n_c)
+    A_GI = scipy.sparse.csr_matrix(GI, shape=(len(positions), n_c))
     weights = 1.0 / decomp.owner_count[positions]
     return LocalSpace(K_G, A_GI, blocks.b_G[positions] * weights, weights)
 
 
-def _own(M: scipy.sparse.csr_matrix, owner: np.ndarray, keys: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
-    """The entries of M whose key ``owner[row] * n + column`` is in the ascending ``keys``, each in the
-    column of its key's index: per row, the columns keep their order."""
-    key = np.repeat(owner, np.diff(M.indptr)) * n + M.indices
+def _own(M: tuple, owner: np.ndarray, keys: np.ndarray, n: int) -> tuple:
+    """The entries of the CSR arrays ``M = (data, indices, indptr)`` whose key ``owner[row] * n + column`` is
+    in the ascending ``keys``, each in the column of its key's index (per row, the columns keep their order)."""
+    data, indices, indptr = M
+    key = np.repeat(owner, np.diff(indptr)) * n + indices
     at = np.searchsorted(keys, key)
     keep = keys.take(at, mode="clip") == key
-    indptr = np.append(0, np.cumsum(keep))[M.indptr]
-    return scipy.sparse.csr_matrix((M.data[keep], at[keep], indptr), shape=(M.shape[0], len(keys)))
+    return data[keep], at[keep], np.append(0, np.cumsum(keep))[indptr]
 
 
 def decomposition_to_json(decomp: Decomposition) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index, csr_sort_indices, get_csr_submatrix
 
 __all__ = [
     "SparseMatrix",
@@ -104,6 +104,26 @@ def matvec(K: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
     y = np.zeros(m)
     csr_matvec(m, n, K.indptr, K.indices, K.data, x, y)
     return y
+
+
+def gather_rows(M: scipy.sparse.csr_matrix, rows: np.ndarray, columns: np.ndarray | None = None) -> tuple:
+    """Rows ``rows`` of M as CSR arrays ``(data, indices, indptr)``; with ``columns``, column j renamed
+    ``columns[j]`` and each row sorted, so a permutation's inverse gives canonical ``M[order][:, order]``:
+    scipy's row-index and sort kernels, bit for bit its fancy indexing and sort, without the matrices."""
+    rows = rows.astype(M.indptr.dtype, copy=False)  # the kernel takes its index type from ``rows``
+    ptr = np.append(0, np.cumsum(M.indptr[rows + 1] - M.indptr[rows])).astype(M.indptr.dtype)
+    idx, val = np.empty(ptr[-1], dtype=M.indices.dtype), np.empty(ptr[-1], dtype=M.data.dtype)
+    csr_row_index(len(rows), rows, M.indptr, M.indices, M.data, idx, val)
+    if columns is not None:
+        idx = columns[idx]
+        csr_sort_indices(len(rows), ptr, idx, val)
+    return val, idx, ptr
+
+
+def submatrix(M: tuple, n_col: int, r0: int, r1: int, c0: int, c1: int) -> tuple:
+    """Rows ``r0:r1`` and columns ``c0:c1`` of the CSR arrays ``M = (data, indices, indptr)`` with ``n_col``
+    columns, as CSR arrays: scipy's slicing kernel (its arrays run the other way), without the matrix."""
+    return get_csr_submatrix(len(M[2]) - 1, n_col, *M[::-1], r0, r1, c0, c1)[::-1]
 
 
 def weighted_max_norm(a, w) -> float:

@@ -16,10 +16,9 @@ from aschur.decomp import (
     build_interface_map,
     decomposition_to_json,
     partition,
-    permute,
     stack_blocks,
 )
-from aschur.linalg import SingularMatrixError, SparseMatrix
+from aschur.linalg import SingularMatrixError, SparseMatrix, gather_rows
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, apply_interface_operator, assemble_interface_operator
 from conftest import dense_complement, reference_subdomains
@@ -245,6 +244,24 @@ def test_local_space_matches_per_subdomain_reference(suite, extra):
         assert _same(system.c, system.blocks.lu.solve(np.concatenate([s.b_I for s in ref]))[coupled]), dec.splits
 
 
+@pytest.mark.parametrize("dims, splits", [((31,), (8,)), ((9, 1, 7), (3, 1, 2)), ((1, 9), (1, 3)), ((7, 7, 5), (2, 2, 1)),
+                                          ((17, 5, 9), (3, 2, 4)), ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))])
+def test_pair_multiplicity_matches_the_owner_broadcast(dims, splits):
+    # The oracle compares every owner of an A_GG entry's row with every owner of its column:
+    # an (entries, 2^d, 2^d) broadcast over ``decomp.owners``.
+    problem = assemble(GridSpec(dims=dims))
+    dec = partition(problem, splits)
+    system = SchurSystem.build(problem, dec)
+    K_G, positions, n_c = system.local_space.K_G, system.imap.positions, len(system.blocks.coupled)
+    cut = K_G.indptr[n_c]
+    r, c = np.repeat(positions, np.diff(K_G.indptr[n_c:])), positions[K_G.indices[cut:]]
+    o_r, o_c = dec.owners[r][:, :, None], dec.owners[c][:, None, :]
+    count = ((o_r == o_c) & (o_r >= 0)).sum(axis=(1, 2))
+    assert count.min(initial=1) >= 1 and count.max(initial=1) == 2 ** sum(s > 1 for s in splits)
+    expected = np.asarray(system.blocks.A_GG[r, c]).ravel() / count
+    assert np.array_equal(K_G.data[cut:], expected), (dims, splits)
+
+
 def test_schur_explicit_1d_hand_values(tiny_1d):
     for loc in tiny_1d.system.subdomains:
         np.testing.assert_allclose(loc.S, [[0.5]], atol=1e-14)
@@ -368,7 +385,9 @@ def test_permute_matches_fancy_indexing_bit_for_bit(dims, splits):
     for order in (np.concatenate([*decomp.parts, decomp.interface]), rng.permutation(A.shape[0])):
         expected = A[order][:, order]
         expected.sort_indices()
-        got = permute(A, order)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        got = scipy.sparse.csr_matrix(gather_rows(A, order, inverse), shape=A.shape)
         assert got.has_canonical_format and got.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).dtype == getattr(expected, name).dtype

@@ -73,6 +73,21 @@ def test_certify_async_alpha_sweep_monotone_beyond_minimizer(tiny_1d):
     assert all(v < 1.0 for v in values)
 
 
+def test_certify_async_matches_the_per_subdomain_scatter_bit_for_bit(suite, monkeypatch):
+    # The oracle adds each subdomain's block into T through ``np.ix_``, in subdomain order.
+    seen = []
+    monkeypatch.setattr("aschur.splitting.spectral_radius_nonneg", lambda T: seen.append(T) or spectral_radius_nonneg(T))
+    for case in suite.values():
+        rho = certify_async(case.system.subdomains, case.system.imap, case.split)
+        T = np.zeros((case.system.n_interface, case.system.n_interface))
+        for local in case.system.subdomains:
+            pos = local.gamma_positions
+            minv = 1.0 / case.split.m_diag[pos]
+            T[np.ix_(pos, pos)] += np.abs(np.diag(local.weights) - minv[:, None] * local.S)
+        assert seen[-1].dtype == T.dtype and np.array_equal(seen[-1], T), case.name
+        assert rho == spectral_radius_nonneg(T), case.name
+
+
 def test_certify_global_1d_value(tiny_1d):
     rho = certify_global(tiny_1d.problem, tiny_1d.decomp, tiny_1d.split)
     assert rho == pytest.approx(np.sqrt(0.5), abs=1e-9)
