@@ -25,7 +25,8 @@ cProfile, in a process of its own, and records under ``layers`` the call
 count and the self and cumulative seconds of each function in ``LAYERS``,
 from the set-up (assembly, partition, interface map, the stacked blocks with
 their row gather and interior factors, the interface diagonal, the
-asynchronous certificate) through the
+asynchronous certificate with the update blocks it shares with the
+explicit asynchronous update) through the
 interior solves, the operator apply and the stopping residual to the
 asynchronous worker's ingest, update, detection and send.  Profiling
 inflates these times, so they are for comparing layers and commits, not
@@ -42,8 +43,9 @@ SuperLU, and asynchronous runs on 63²/8×8 and 127²/8×8 (p = 64, 7² and
 15² interior blocks, uniform(0, 2) delays with reordering, the seed its
 ``RuntimeConfig.seed``), the only runs that reach the 2p² detection slots
 at that size; the larger blocks are where solving only the coupled
-interior rows saves most.  CG takes no seed, so its three runs repeat one
-solve.  Each rung records, per metric, the median,
+interior rows saves most.  Both p = 64 rungs take the factored update
+(``runtime.EXPLICIT_UPDATE_LIMIT``).  CG takes no seed, so its three runs
+repeat one solve.  Each rung records, per metric, the median,
 quartiles and per-seed values of ``setup_s`` (assembly to a ready
 system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
 (CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
@@ -51,7 +53,8 @@ converge to tol 1e-6.  The delay rung, 15²/4×2 under fixed delays of 10,
 1,000 and 20,000 (``--rung delay-15x15-p8 --delay D`` runs one), records
 per delay ``us_per_step`` over 3,000 steps after the first D + 50, the
 ring's row count and ``peak_rss_mb``, one process per delay and seed: a
-step's cost should not grow with the delay bound.
+step's cost should not grow with the delay bound.  It takes the explicit
+update.
 
 About 9 minutes on 2 cores, 2 of them the tier-1 run, half a minute the
 profile passes and about a minute the rungs.
@@ -98,10 +101,10 @@ SEEDS = (0, 1, 2)
 PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
 LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
           "linalg.gather_rows", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
-          "splitting.certify_async", "decomp.cut_local_space", "decomp.InteriorFactors.solve",
-          "decomp.InteriorFactors.solve_coupled", "linalg.matvec", "solvers.apply_interface_operator",
-          "solvers.global_residual", "runtime.AsyncSimulator._ingest", "runtime.AsyncSimulator._update",
-          "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
+          "splitting.certify_async", "decomp.LocalSubdomain.update_block", "decomp.cut_local_space",
+          "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled", "linalg.matvec",
+          "solvers.apply_interface_operator", "solvers.global_residual", "runtime.AsyncSimulator._ingest",
+          "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")
 RUNGS = {  # name: grid, splits, solver
     "cg-511x511-p64": ((511, 511), (8, 8), "cg"),
     "cg-47x47x47-p8": ((47, 47, 47), (2, 2, 2), "cg"),

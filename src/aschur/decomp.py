@@ -102,6 +102,10 @@ class LocalSubdomain:
     weights: np.ndarray
     gamma_positions: np.ndarray
 
+    def update_block(self, m_diag: np.ndarray) -> np.ndarray:
+        """The relaxation's update block ``Q_i = diag(w_i) - inv(M_i) S_i``, M the splitting ``m_diag``."""
+        return np.diag(self.weights) - (1.0 / m_diag[self.gamma_positions])[:, None] * self.S
+
 
 @dataclass(frozen=True)
 class LocalSpace:

@@ -96,12 +96,13 @@ class SparseMatrix:
         return m
 
 
-def matvec(K: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``K @ x`` through scipy's CSR kernel alone: the same sums, without the operator dispatch (~4 us a call)."""
+def matvec(K: scipy.sparse.csr_matrix, x: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """``K @ x`` through scipy's CSR kernel alone: the same sums, without the operator dispatch (~4 us a call).
+    With ``start``, ``start + K @ x``: each row's sum starts at its entry of ``start`` instead of 0.0."""
     m, n = K.shape
-    if x.shape != (n,):  # the kernel reads x unchecked
-        raise ValueError(f"vector of shape {x.shape} for a matrix of shape {(m, n)}")
-    y = np.zeros(m)
+    if x.shape != (n,) or start is not None and start.shape != (m,):  # the kernel reads x and y unchecked
+        raise ValueError(f"vector of shape {x.shape}, start {getattr(start, 'shape', None)}, for a {(m, n)} matrix")
+    y = np.zeros(m) if start is None else start.copy()
     csr_matvec(m, n, K.indptr, K.indices, K.data, x, y)
     return y
 

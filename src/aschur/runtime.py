@@ -29,10 +29,11 @@ after each resize (amortized O(links) per step).  The fixed tables are built
 once per system (``SchurSystem.links``, and the update's blocks, cut from
 the stacked ones, ``SchurSystem.local_space``); the rest is per run.  In a
 step the active workers ingest and merge; one batched update over the
-stacked local space shares the operator's solve on the interior rows
-coupled to the interface and forms each new share (identity share plus
-the scaled local interface defect) and, for workers starting a detection
-round, the residual pieces at it; then they commit and publish in
+stacked slots forms each new share (identity share plus the scaled local
+interface defect) and, for workers starting a detection round, the
+residual pieces at it: at desk scale one product with the update blocks
+(``EXPLICIT_UPDATE_LIMIT``), else factored through the operator's solve on
+the coupled interior rows.  Then the workers commit and publish in
 activation order, each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
@@ -65,8 +66,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from .linalg import matvec
+from .linalg import DENSE_OP_LIMIT, matvec
 from .solvers import (
     SchurSystem,
     SolveReport,
@@ -91,6 +93,13 @@ DETECTION_SLACK = 2.0
 DELAY_BLOCK = 1024
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
 NEVER = DELAY_MAX  # delivery time of an empty slot; RuntimeConfig keeps every delivery below it
+EXPLICIT_UPDATE_LIMIT = 4096
+"""Most cells, sum_i |Gamma_i|**2, of the explicit update (whose records also cap each interior at DENSE_OP_LIMIT).
+Microseconds a step, factored / explicit, at 26 cells (31/8) 34-38 / 28-29, 1,928 (15^2/4x2) 38 / 31, 2,888
+(5^3/2x2x2) 40-42 / 34-35, 4,900 (7x7x5/2x2x1) 35-42 / 29-31, 9,228 (31^2/4x4) 49-56 / 44-46, 50,460 (63^2/8x8)
+147-167 / 158-166 and 204,316 (127^2/8x8) 204-217 / 305-327: three passes of 300 steps, one BLAS thread on 2 cores,
+uniform(0, 10) delays with reordering (uniform(0, 2) at p = 64).  The limit sits below the crossover, near 50,460,
+so both forms run in the tests and the benchmark, and the fault and p = 64 step counts keep their bits."""
 
 log = logging.getLogger("aschur.runtime")
 
@@ -286,7 +295,12 @@ class AsyncSimulator:
         self.space, imap = system.local_space, system.imap
         self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_c = system.blocks.lu, len(system.blocks.coupled)
-        self._minv = 1.0 / split.m_diag[imap.positions]
+        self._m = split.m_diag[imap.positions]
+        self._minv, self._Q, sizes = 1.0 / self._m, None, np.diff(imap.offsets)
+        if sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT:
+            subdomains = system.subdomains
+            self._Q = scipy.sparse.block_diag([local.update_block(split.m_diag) for local in subdomains], "csr")
+            self._f = self._minv * np.concatenate([local.d for local in subdomains])
         self._owner_c = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])[system.blocks.coupled]
         self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
@@ -429,18 +443,23 @@ class AsyncSimulator:
 
     def _update(self, residual: bool):
         """Every worker's update from its merged local view, in one pass over the
-        stack: the interior on the coupled rows, ``x_c = c - inv(A_II)[coupled, coupled]
-        A_IG x_l`` (the operator's solve), the local defect ``D = b_G - A_GI x_c -
-        A_GG x_l`` and the new shares ``w x_l + inv(M) D``; if ``residual``, the
-        phase-0 pieces at them (interior residual square per worker, interface
-        residual per slot).  As ``b_I - A_II x_I = A_IG x_l``, the pieces are
-        ``[A_IG; A_GG] (y - y_new)`` plus ``[0; D]``: one more product.  Only the
+        stack.  Explicit: ``Q x_l + inv(M) d``, one product with the block-diagonal Q of
+        ``LocalSubdomain.update_block``, its row sums starting at ``inv(M) d``.  Factored:
+        the interior on the coupled rows, ``x_c = c - inv(A_II)[coupled, coupled] A_IG x_l``
+        (the operator's solve), the local defect ``D = b_G - A_GI x_c - A_GG x_l`` and the
+        new shares ``w x_l + inv(M) D``.  If ``residual``, the phase-0 pieces at them
+        (interior residual square per worker, interface residual per slot): as ``b_I -
+        A_II x_I = A_IG x_l``, they are ``[A_IG; A_GG] (y - y_new)`` plus ``[0; D]``, one
+        more product, the explicit form taking D as ``M (y_new - w x_l)``.  Only the
         active workers' entries are used."""
-        space, n_c = self.space, self._n_c
-        x_l = self.y + self.nbr
-        g = matvec(space.K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
-        defect = space.b_G - matvec(space.A_GI, self.system.c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
-        y_new = space.weights * x_l + self._minv * defect
+        space, n_c, x_l = self.space, self._n_c, self.y + self.nbr
+        if self._Q is not None:
+            y_new = matvec(self._Q, x_l, self._f)
+            defect = self._m * (y_new - space.weights * x_l) if residual else None
+        else:
+            g = matvec(space.K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
+            defect = space.b_G - matvec(space.A_GI, self.system.c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
+            y_new = space.weights * x_l + self._minv * defect
         if not residual:
             return y_new, None, None
         q = matvec(space.K_G, self.y - y_new)

@@ -82,13 +82,13 @@ def certify_async(
     imap: InterfaceMap,
     split: InterfaceSplitting,
 ) -> float:
-    """Spectral radius of the summed |diag(w_i) - inv(M_i) S_i| over the subdomains' complement records
+    """Spectral radius of the summed |Q_i| (``LocalSubdomain.update_block``) over the complement records
     (``SchurSystem.subdomains``), scattered at their interface positions by one ``bincount`` in subdomain order."""
     n, at, cells = imap.n_interface, [], []
     for local in subdomains:
         pos = local.gamma_positions
         at.append((pos[:, None] * n + pos).ravel())
-        cells.append(np.abs(np.diag(local.weights) - (1.0 / split.m_diag[pos])[:, None] * local.S).ravel())
+        cells.append(np.abs(local.update_block(split.m_diag)).ravel())
     return spectral_radius_nonneg(np.bincount(np.concatenate(at), np.concatenate(cells), n * n).reshape(n, n))
 
 

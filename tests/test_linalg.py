@@ -38,6 +38,17 @@ def test_matvec_is_the_csr_product_bit_for_bit():
     for bad in (np.ones(19), np.ones(21), np.ones((20, 1))):
         with pytest.raises(ValueError, match="vector of shape"):
             matvec(K, bad)
+    # With a start vector, each row's sum starts at its entry, then adds the row's products in order.
+    start = np.random.default_rng(1).standard_normal(30)
+    expected = start.copy()
+    for i in range(30):
+        for k in range(K.indptr[i], K.indptr[i + 1]):
+            expected[i] += K.data[k] * x[K.indices[k]]
+    got = matvec(K, x, start)
+    assert got.tobytes() == expected.tobytes() and got is not start
+    for bad in (np.ones(29), np.ones(31), np.ones((30, 1))):
+        with pytest.raises(ValueError, match="vector of shape"):
+            matvec(K, x, bad)
 
 
 def test_sparse_rejects_bad_offsets():

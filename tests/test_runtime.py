@@ -19,7 +19,7 @@ from aschur.runtime import (
 )
 from aschur.solvers import cg_schur
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import reference_subdomains, sync_iterates
+from conftest import SUITE_NAMES, reference_subdomains, sync_iterates
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -501,6 +501,50 @@ def test_async_converges_with_superlu_interior_blocks():
     cfg = RuntimeConfig(tol=1e-8, k_max=100_000, delay=DelayModel(kind="uniform", high=2, reorder=True))
     _, report = async_solve(system, split, cfg)
     assert report.converged and report.final_residual <= 1e-8, (report.status, report.final_residual)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_explicit_and_factored_updates_agree(suite, monkeypatch, name):
+    # The explicit update Q x_l + f and the factored chain through the interior
+    # solve are one map, rounded differently.  Under uniform(0, 10) delays with
+    # reordering they take the same steps, per-worker updates, rounds and stale
+    # drops, and end at the same interface vector to 1e-10 relative.  The explicit
+    # run forces its form, so 3d-7x7x5-p4, factored by default, is compared too.
+    case = suite[name]
+    delay = DelayModel(kind="uniform", low=0, high=10, reorder=True)
+    for seed in range(3):
+        cfg = RuntimeConfig(tol=1e-6, k_max=100_000, seed=seed, delay=delay)
+        runs = []
+        for limit in (2**62, 0):
+            monkeypatch.setattr(runtime, "EXPLICIT_UPDATE_LIMIT", limit)
+            sim = AsyncSimulator(case.system, case.split, cfg)
+            assert (sim._Q is not None) == (limit > 0), (name, limit)
+            runs.append(sim.run())
+        (x, report), (x_f, report_f) = runs
+        assert report.converged and report_f.converged, (name, seed)
+        for key in ("sim_steps", "per_worker_k", "iterations_k", "stale_discarded"):
+            assert getattr(report, key) == getattr(report_f, key), (name, seed, key)
+        assert np.linalg.norm(x - x_f) <= 1e-10 * np.linalg.norm(x_f), (name, seed)
+
+
+def test_each_problem_takes_the_update_form_its_size_selects(suite, monkeypatch):
+    # The explicit form stores sum_i |Gamma_i|**2 cells, at most EXPLICIT_UPDATE_LIMIT
+    # (inclusive), and reads every complement record.  3d-7x7x5-p4 stores 4 * 35**2 =
+    # 4,900; 4003/2 stores 2 but has interiors of 2,001 rows, over the records' cap:
+    # both take the factored form, and 4003/2 forms no record.
+    for name, case in suite.items():
+        sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
+        assert (sim._Q is not None) == (name != "3d-7x7x5-p4"), name
+    problem = assemble(GridSpec(dims=(4003,)))
+    decomp = partition(problem, (2,))
+    system = SchurSystem.build(problem, decomp)
+    split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+    assert AsyncSimulator(system, split, RuntimeConfig())._Q is None
+    assert "subdomains" not in vars(system)
+    case = suite["2d-15x15-p8"]  # 1,928 cells
+    for limit, explicit in ((1928, True), (1927, False)):
+        monkeypatch.setattr(runtime, "EXPLICIT_UPDATE_LIMIT", limit)
+        assert (AsyncSimulator(case.system, case.split, RuntimeConfig())._Q is not None) == explicit, limit
 
 
 # -- fairness -------------------------------------------------------------------
