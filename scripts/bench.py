@@ -44,9 +44,10 @@ SuperLU, and asynchronous runs on 63²/8×8 and 127²/8×8 (p = 64, 7² and
 ``RuntimeConfig.seed``), the only runs that reach the 2p² detection slots
 at that size; the larger blocks are where solving only the coupled
 interior rows saves most.  Both p = 64 rungs take the factored update
-(``runtime.EXPLICIT_UPDATE_LIMIT``).  CG takes no seed, so its three runs
-repeat one solve.  Each rung records, per metric, the median,
-quartiles and per-seed values of ``setup_s`` (assembly to a ready
+(``runtime.EXPLICIT_UPDATE_LIMIT``), the only runs here that do; every
+workload's asynchronous solve takes the explicit one.  CG takes no seed,
+so its three runs repeat one solve.  Each rung records, per metric, the
+median, quartiles and per-seed values of ``setup_s`` (assembly to a ready
 system), ``solve_s``, ``peak_rss_mb`` of its process and the iterations
 (CG) or ``sim_steps`` and ``us_per_step`` (async); every solve must
 converge to tol 1e-6.  The delay rung, 15²/4×2 under fixed delays of 10,

@@ -31,9 +31,10 @@ the stacked ones, ``SchurSystem.local_space``); the rest is per run.  In a
 step the active workers ingest and merge; one batched update over the
 stacked slots forms each new share (identity share plus the scaled local
 interface defect) and, for workers starting a detection round, the
-residual pieces at it: at desk scale one product with the update blocks
-(``EXPLICIT_UPDATE_LIMIT``), else factored through the operator's solve on
-the coupled interior rows.  Then the workers commit and publish in
+residual pieces at it: up to the measured crossover, which the desk problems
+and the benchmark's fault problem fall under, one product with the update
+blocks (``EXPLICIT_UPDATE_LIMIT``), else factored through the operator's
+solve on the coupled interior rows.  Then the workers commit and publish in
 activation order, each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
@@ -93,13 +94,13 @@ DETECTION_SLACK = 2.0
 DELAY_BLOCK = 1024
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
 NEVER = DELAY_MAX  # delivery time of an empty slot; RuntimeConfig keeps every delivery below it
-EXPLICIT_UPDATE_LIMIT = 4096
-"""Most cells, sum_i |Gamma_i|**2, of the explicit update (whose records also cap each interior at DENSE_OP_LIMIT).
-Microseconds a step, factored / explicit, at 26 cells (31/8) 34-38 / 28-29, 1,928 (15^2/4x2) 38 / 31, 2,888
-(5^3/2x2x2) 40-42 / 34-35, 4,900 (7x7x5/2x2x1) 35-42 / 29-31, 9,228 (31^2/4x4) 49-56 / 44-46, 50,460 (63^2/8x8)
-147-167 / 158-166 and 204,316 (127^2/8x8) 204-217 / 305-327: three passes of 300 steps, one BLAS thread on 2 cores,
-uniform(0, 10) delays with reordering (uniform(0, 2) at p = 64).  The limit sits below the crossover, near 50,460,
-so both forms run in the tests and the benchmark, and the fault and p = 64 step counts keep their bits."""
+EXPLICIT_UPDATE_LIMIT = 16384
+"""Most cells, sum_i |Gamma_i|**2, of the explicit update (whose records also cap each interior at DENSE_OP_LIMIT):
+the largest power of two below 28,908, the first size where it lost a step.  Per step, factored / explicit, at p = 16:
+9,228 cells (31^2/4x4) 1.11-1.14x, 14,572 1.05-1.08x, 21,132 1.04-1.12x, 28,908 0.98-1.05x, 37,900 0.93-0.94x;
+p = 32: 12,628 1.04-1.17x, 28,916 0.97-1.03x; p = 64: 50,460 (63^2/8x8) 0.92-0.96x.  Medians of seven alternating
+passes of 300 steps after the first 50, uniform(0, 2) delays with reordering, one BLAS thread on 2 cores, the
+ranges over up to three runs of the measurement."""
 
 log = logging.getLogger("aschur.runtime")
 
@@ -298,8 +299,11 @@ class AsyncSimulator:
         self._m = split.m_diag[imap.positions]
         self._minv, self._Q, sizes = 1.0 / self._m, None, np.diff(imap.offsets)
         if sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT:
-            subdomains = system.subdomains
-            self._Q = scipy.sparse.block_diag([local.update_block(split.m_diag) for local in subdomains], "csr")
+            subdomains, n = system.subdomains, len(imap.positions)  # Q block diagonal, each block dense
+            cols = [np.tile(np.arange(a, b), b - a) for a, b in zip(imap.offsets[:-1], imap.offsets[1:])]
+            data = np.concatenate([local.update_block(split.m_diag).ravel() for local in subdomains])
+            ptr = np.append(0, np.cumsum(np.repeat(sizes, sizes)))
+            self._Q = scipy.sparse.csr_matrix((data, np.concatenate(cols), ptr), shape=(n, n))
             self._f = self._minv * np.concatenate([local.d for local in subdomains])
         self._owner_c = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])[system.blocks.coupled]
         self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))

@@ -259,6 +259,18 @@ def test_a_run_whose_rounds_never_complete_ends_at_the_step_cap(tiny_1d, monkeyp
     assert report.iterations_k == 0 and np.isfinite(x).all()
 
 
+@pytest.mark.parametrize("fixed", [100, 1000])
+def test_a_fixed_delay_run_ends_k_max_after_its_first_round(suite, fixed):
+    # Under a fixed delay d, the residual pieces sent at step 0 arrive at d + 1
+    # and the reductions sent then at 2d + 2, where the first round completes: at
+    # k_max 1 both workers of 7/2 are done after 2d + 3 steps, far inside the
+    # step cap 1000 + 50 (1 + d).
+    case = suite["1d-7-p2"]
+    _, report = async_solve(case.system, case.split, RuntimeConfig(k_max=1, delay=DelayModel(kind="fixed", fixed=fixed)))
+    assert report.status == "k-max" and report.sim_steps == 2 * fixed + 3, (report.status, report.sim_steps)
+    assert report.per_worker_k == [2 * fixed + 3] * 2 and report.iterations_k == 1
+
+
 def _link(sim, src, dst):
     """Index of the directed link src -> dst in the simulator's per-link arrays."""
     return list(zip(sim._lk.link_src.tolist(), sim._lk.link_dst.tolist())).index((src, dst))
@@ -503,48 +515,69 @@ def test_async_converges_with_superlu_interior_blocks():
     assert report.converged and report.final_residual <= 1e-8, (report.status, report.final_residual)
 
 
+def _built(dims, splits):
+    problem = assemble(GridSpec(dims=dims))
+    decomp = partition(problem, splits)
+    return SchurSystem.build(problem, decomp), build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
+
+
+def _forms_agree(system, split, cfg, label):
+    """Run ``cfg`` with the explicit update forced (limit 2**62) and with the factored
+    one (limit 0): the two are one map, rounded differently, so they take the same
+    steps, per-worker updates, rounds and stale drops, and end at the same interface
+    vector to 1e-10 relative."""
+    runs = []
+    for limit in (2**62, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runtime, "EXPLICIT_UPDATE_LIMIT", limit)
+            sim = AsyncSimulator(system, split, cfg)
+        assert (sim._Q is not None) == (limit > 0), (label, limit)
+        runs.append(sim.run())
+    (x, report), (x_f, report_f) = runs
+    assert report.converged and report_f.converged, label
+    for key in ("sim_steps", "per_worker_k", "iterations_k", "stale_discarded"):
+        assert getattr(report, key) == getattr(report_f, key), (label, key)
+    assert np.linalg.norm(x - x_f) <= 1e-10 * np.linalg.norm(x_f), label
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_explicit_and_factored_updates_agree(suite, monkeypatch, name):
-    # The explicit update Q x_l + f and the factored chain through the interior
-    # solve are one map, rounded differently.  Under uniform(0, 10) delays with
-    # reordering they take the same steps, per-worker updates, rounds and stale
-    # drops, and end at the same interface vector to 1e-10 relative.  The explicit
-    # run forces its form, so 3d-7x7x5-p4, factored by default, is compared too.
+def test_explicit_and_factored_updates_agree(suite, name):
+    # Every suite problem, under uniform(0, 10) delays with reordering.
     case = suite[name]
     delay = DelayModel(kind="uniform", low=0, high=10, reorder=True)
     for seed in range(3):
-        cfg = RuntimeConfig(tol=1e-6, k_max=100_000, seed=seed, delay=delay)
-        runs = []
-        for limit in (2**62, 0):
-            monkeypatch.setattr(runtime, "EXPLICIT_UPDATE_LIMIT", limit)
-            sim = AsyncSimulator(case.system, case.split, cfg)
-            assert (sim._Q is not None) == (limit > 0), (name, limit)
-            runs.append(sim.run())
-        (x, report), (x_f, report_f) = runs
-        assert report.converged and report_f.converged, (name, seed)
-        for key in ("sim_steps", "per_worker_k", "iterations_k", "stale_discarded"):
-            assert getattr(report, key) == getattr(report_f, key), (name, seed, key)
-        assert np.linalg.norm(x - x_f) <= 1e-10 * np.linalg.norm(x_f), (name, seed)
+        _forms_agree(case.system, case.split, RuntimeConfig(tol=1e-6, k_max=100_000, seed=seed, delay=delay), (name, seed))
+
+
+def test_explicit_and_factored_updates_agree_under_faults():
+    # The benchmark's fault problem, 31^2/4x4 under uniform(0, 2) delays with
+    # reordering, clean and with its five single-worker resets (workers 0 to 4 at
+    # steps 23, 47, 70, 94 and 117): a reset share enters both forms the same way.
+    system, split = _built((31, 31), (4, 4))
+    delay = DelayModel(kind="uniform", low=0, high=2, reorder=True)
+    faults = FaultPlan(events=tuple(FaultEvent(victims=(j,), at_step=t) for j, t in enumerate((23, 47, 70, 94, 117))))
+    for seed, plan in itertools.product(range(3), (FaultPlan(), faults)):
+        cfg = RuntimeConfig(tol=1e-6, k_max=100_000, seed=seed, delay=delay, faults=plan)
+        _forms_agree(system, split, cfg, (seed, len(plan.events)))
 
 
 def test_each_problem_takes_the_update_form_its_size_selects(suite, monkeypatch):
     # The explicit form stores sum_i |Gamma_i|**2 cells, at most EXPLICIT_UPDATE_LIMIT
-    # (inclusive), and reads every complement record.  3d-7x7x5-p4 stores 4 * 35**2 =
-    # 4,900; 4003/2 stores 2 but has interiors of 2,001 rows, over the records' cap:
-    # both take the factored form, and 4003/2 forms no record.
+    # (inclusive), and reads every complement record.  Every suite problem (3d-7x7x5-p4
+    # stores 4 * 35**2 = 4,900 cells) and the fault problem 31^2/4x4 (9,228) take it;
+    # 63^2/8x8 (50,460) takes the factored form, as does 4003/2, which stores 2 cells
+    # but has interiors of 2,001 rows, over the records' cap.  Neither forms a record.
     for name, case in suite.items():
-        sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
-        assert (sim._Q is not None) == (name != "3d-7x7x5-p4"), name
-    problem = assemble(GridSpec(dims=(4003,)))
-    decomp = partition(problem, (2,))
-    system = SchurSystem.build(problem, decomp)
-    split = build_splitting(interface_diagonal(problem, decomp), alpha=1.0)
-    assert AsyncSimulator(system, split, RuntimeConfig())._Q is None
-    assert "subdomains" not in vars(system)
-    case = suite["2d-15x15-p8"]  # 1,928 cells
-    for limit, explicit in ((1928, True), (1927, False)):
+        assert AsyncSimulator(case.system, case.split, RuntimeConfig())._Q is not None, name
+    fault_problem = _built((31, 31), (4, 4))
+    assert AsyncSimulator(*fault_problem, RuntimeConfig())._Q is not None
+    for dims, splits in (((63, 63), (8, 8)), ((4003,), (2,))):
+        system, split = _built(dims, splits)
+        assert AsyncSimulator(system, split, RuntimeConfig())._Q is None, dims
+        assert "subdomains" not in vars(system), dims
+    for limit, explicit in ((9228, True), (9227, False)):
         monkeypatch.setattr(runtime, "EXPLICIT_UPDATE_LIMIT", limit)
-        assert (AsyncSimulator(case.system, case.split, RuntimeConfig())._Q is not None) == explicit, limit
+        assert (AsyncSimulator(*fault_problem, RuntimeConfig())._Q is not None) == explicit, limit
 
 
 # -- fairness -------------------------------------------------------------------
