@@ -7,8 +7,8 @@ are deliverable from step t + 1 + delay, the bounded-delay model of
 asynchronous iterations with arbitrary reordering (worker i's update reads
 neighbour j's share from a step s_ij(t) <= t - 1).  Every draw comes from
 seeded generators, so equal seeds reproduce runs bit for bit; a step's
-delays are one block of the stream, in send order (per active worker: its
-data shares, residual pieces, then reductions).
+delays are the next values of the stream (drawn ``DELAY_BLOCK`` at a time),
+in send order (per active worker: data shares, residual pieces, reductions).
 
 The transport holds arrays, not messages, and each delivery step once.  A
 ring of the last steps' stacked shares holds per row its inject step and a
@@ -22,8 +22,11 @@ wheel (Varghese & Lauck, "Hashed and hierarchical timing wheels", SOSP
 1987), with as many rows W as the ring, holds per delivery step modulo W
 and per link the greatest inject step delivered then, so a step adopts one
 wheel row at a cost independent of the delay bound; the entries of a
-receiver inactive at their step move on to the next row.  The wheel covers
-the deliveries in [t, t + W); a later one waits in its delivery row until a
+receiver inactive at their step move on to the next row.  A row stays
+after its step: read again W steps later, its entries are at most the stamp
+or the entry carried on for an inactive receiver, so the maximum keeps the
+stamp (a fault clears the columns it cuts).  The wheel covers the
+deliveries in [t, t + W); a later one waits in its delivery row until a
 sweep moves it in, whenever fewer than W/2 steps ahead are covered and
 after each resize (amortized O(links) per step).  The fixed tables are built
 once per system (``SchurSystem.links``, and the update's blocks, cut from
@@ -63,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -91,7 +95,10 @@ __all__ = [
 ]
 
 DETECTION_SLACK = 2.0
-DELAY_BLOCK = 1024
+DELAY_BLOCK = 16384
+"""Uniform delays per generator call.  numpy 2.4.6 draws a value in 7.5-7.8 ns at 1,024, 4.4-4.5 at 4,096, 3.6-3.7 at
+16,384 and 3.5 at 65,536; the sampler takes the fault problem's 130 delays a step (31^2/4x4, uniform(0, 2) with
+reordering) in 1.6-1.8, 1.0-1.1, 0.9-1.0 and 1.1-1.2 us (medians of 15 passes over its seed-0 sends, three runs)."""
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
 NEVER = DELAY_MAX  # delivery time of an empty slot; RuntimeConfig keeps every delivery below it
 EXPLICIT_UPDATE_LIMIT = 16384
@@ -147,21 +154,21 @@ class DelayModel:
             return max(self.table.values())
         return 0
 
-    def sampler(self, rng: np.random.Generator, p: int):
-        """Delay function ``(src, dst) -> steps`` over arrays of messages in send
-        order.  Uniform delays are drawn ``DELAY_BLOCK`` at a time: the same
-        stream as one scalar ``rng.integers(low, high, endpoint=True)`` per
-        message.  A table link must join two of the p workers, so ``bound``
-        is a delay some message can take."""
+    def sampler(self, rng: np.random.Generator, p: int, msg_src, msg_dst):
+        """Delay function ``ids -> steps`` over messages in send order, indexing the
+        message table ``msg_src``, ``msg_dst``, whose endpoints only the table kind
+        reads.  Uniform delays are drawn ``DELAY_BLOCK`` at a time: the same stream as
+        one scalar ``rng.integers(low, high, endpoint=True)`` per message.  A table link
+        must join two of the p workers, so ``bound`` is a delay some message can take."""
         if self.kind == "uniform":
             drawn = np.zeros(0, dtype=np.int64)
 
-            def draw(src, dst):
+            def draw(ids):
                 nonlocal drawn
-                if len(drawn) < len(src):
-                    block = rng.integers(self.low, self.high, endpoint=True, size=max(DELAY_BLOCK, len(src)))
+                if len(drawn) < len(ids):
+                    block = rng.integers(self.low, self.high, endpoint=True, size=max(DELAY_BLOCK, len(ids)))
                     drawn = np.concatenate((drawn, block))
-                out, drawn = drawn[:len(src)], drawn[len(src):]
+                out, drawn = drawn[:len(ids)], drawn[len(ids):]
                 return out
 
             return draw
@@ -171,8 +178,8 @@ class DelayModel:
                 if not (0 <= src < p and 0 <= dst < p and src != dst):
                     raise ValueError(f"table link {src}->{dst} does not join two of the {p} workers")
                 table[src, dst] = value
-            return lambda src, dst: table[src, dst]
-        return lambda src, dst: np.full(len(src), self.fixed, dtype=np.int64)  # 0 unless the kind is fixed
+            return table[msg_src, msg_dst].__getitem__  # per message
+        return lambda ids: np.full(len(ids), self.fixed, dtype=np.int64)  # 0 unless the kind is fixed
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,7 @@ class LinkTables:
         self.msg_src, self.msg_kind, _, self.msg_dst, self.msg_link, self.msg_target = msgs
         self.msg_key = self.msg_kind * p + self.msg_src
         self.msg_col = np.where(self.msg_kind == 0, self.msg_link, n_links)
-        self.data_ids = np.flatnonzero(self.msg_kind == 0)  # one per link, in link order
+        self.data_ids, self.data_col = np.flatnonzero(self.msg_kind == 0), np.arange(n_links)  # one per link, in order
         for table in [*vars(self).values(), *self.link_slots]:
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
@@ -292,9 +299,9 @@ class AsyncSimulator:
         _check_victims([v for e in cfg.faults.events for v in e.victims], p)
         self.rng_sched = np.random.default_rng(cfg.seed)
         self.rng_delay = np.random.default_rng(cfg.seed + 1)
-        self._delay = cfg.delay.sampler(self.rng_delay, p)  # checks the table links; holds no reference back
+        self._lk = lk = system.links  # read-only, shared by every run on the system
+        self._delay = cfg.delay.sampler(self.rng_delay, p, lk.msg_src, lk.msg_dst)  # checks the table links
         self.space, imap = system.local_space, system.imap
-        self._lk = system.links  # read-only, shared by every run on the system
         self._lu, self._n_c = system.blocks.lu, len(system.blocks.coupled)
         self._m = split.m_diag[imap.positions]
         self._minv, self._Q, sizes = 1.0 / self._m, None, np.diff(imap.offsets)
@@ -309,7 +316,7 @@ class AsyncSimulator:
         self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
-        self._n_nbr = self._lk.n_nbr.tolist()
+        self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: a send's, per msg_key
         self.y = np.zeros(len(imap.positions))  # every worker's committed share, stacked; runs start at zero
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
         self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
@@ -372,8 +379,9 @@ class AsyncSimulator:
     def _ingest(self, on, full: bool) -> np.ndarray | None:
         """Deliver the active workers' due messages and merge; returns the stale
         detection messages each dropped, if any are in flight.  A link adopts the
-        greatest inject step in the wheel's row of step t, which is then cleared; an
-        inactive receiver's entries move to the row of t + 1.  bincount adds in input
+        greatest inject step in the wheel's row of step t, which stays as it is (read
+        again at t + W, an entry is at most its link's stamp or the entry carried on);
+        an inactive receiver's entries move to the row of t + 1.  bincount adds in input
         order and the entries run in each receiver's neighbour order: each slot sums
         its neighbours in list order from 0.0."""
         t, lk, rows = self.t, self._lk, len(self._inj)
@@ -387,7 +395,6 @@ class AsyncSimulator:
             got = np.where(link_on, got, -1)
             due &= on[lk.det_dst]
         np.maximum(self._stamp, got, out=self._stamp)
-        row.fill(-1)
         ring_rows = np.fmod(self._stamp, rows)  # stamp -1 reads the initial row
         self.nbr = np.bincount(lk.e_dst, self._ring[ring_rows[lk.e_link], lk.e_src], len(self.y))
         due = due.nonzero()[0]
@@ -407,18 +414,17 @@ class AsyncSimulator:
         them (indices into the message table) and their delivery steps, in send order.
         The ring and the wheel double while this step's row holds shares that are
         adopted, or in flight to a live worker and newer than what it holds."""
-        t, lk, p = self.t, self._lk, self.p
+        t, lk, p, flags = self.t, self._lk, self.p, self._flags
         if data_only:
-            ids, src, dst = lk.data_ids, lk.link_src, lk.link_dst
+            ids = lk.data_ids
         else:
-            flags = np.concatenate((com, res, np.zeros(2 * p, dtype=bool)))
+            flags[:p], flags[p:2 * p], flags[2 * p:] = com, res, False
             for i, par in red:
                 flags[(2 + par) * p + i] = True
             ids = flags[lk.msg_key].nonzero()[0]
-            src, dst = lk.msg_src[ids], lk.msg_dst[ids]
-        deliver = self._delay(src, dst) + (t + 1)
+        deliver = self._delay(ids) + (t + 1)
         if not self._reorder:  # FIFO: a pair carries at most one message per kind per step
-            kind = lk.msg_kind[ids]
+            src, dst, kind = lk.msg_src[ids], lk.msg_dst[ids], lk.msg_kind[ids]
             for k in range(4):
                 sel = (kind == k).nonzero()[0]
                 s, d = src[sel], dst[sel]
@@ -434,7 +440,7 @@ class AsyncSimulator:
                 break
             self._resize(2 * len(self._inj))
         self._ring[row], self._inj[row], self._dl[row, :-1] = y_new, t, deliver if data_only else NEVER
-        rows, col = len(self._inj), lk.msg_col[ids]
+        rows, col = len(self._inj), lk.data_col if data_only else lk.msg_col[ids]
         if not data_only:
             self._dl[row, col] = deliver
             self._when[lk.msg_target[ids]] = deliver
@@ -476,7 +482,7 @@ class AsyncSimulator:
         order from 0.0); returns the active workers that pass phase 1 and that complete
         a round, as (worker, round parity) in index order.  The caller commits the moves."""
         if r_G is not None:  # phase 0: capture the pieces at the new shares
-            self._r_own_I_sq[res] = r_I_sq[res]
+            np.copyto(self._r_own_I_sq, r_I_sq, where=res)
             np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
         p, red, fin = self.p, [], []
         phase, rnd, got = self.phase.tolist(), self.round.tolist(), self._got.tolist()
@@ -592,9 +598,8 @@ class AsyncSimulator:
         pieces = bool(np.count_nonzero(res))
         y_new, r_I_sq, r_G = self._update(pieces)
         red, fin = self._detect(on, res, r_I_sq, r_G)
-        sent_round = self.round.copy() if self._trace else None
-        cut, noted = p, {}
-        values = fin and [float(np.sqrt(max(sum(v), 0.0))) for v in self._red_val.tolist()]  # per round parity
+        cut, noted, sent_round = p, {}, self.round.copy() if self._trace else None
+        values = fin and [math.sqrt(max(sum(v), 0.0)) for v in self._red_val.tolist()]  # per round parity
         for i, par in fin:
             value = values[par]
             self.rounds_done[i] += 1

@@ -43,7 +43,6 @@ __all__ = [
     "assemble_full_solution",
     "global_residual",
     "apply_interface_operator",
-    "assemble_interface_operator",
     "sync_relaxation",
     "cg_schur",
     "write_residual_history",
@@ -188,19 +187,6 @@ def apply_interface_operator(system: SchurSystem, v: np.ndarray) -> np.ndarray:
     out = matvec(blk.A_GG, v)
     out -= matvec(blk.A_GI, blk.lu.solve_coupled(matvec(blk.A_IG, v)))
     return _require_finite(out, "interface operator result")
-
-
-def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense assembled interface operator and right-hand side (desk scale),
-    summed from the per-subdomain complements, apart from the stacked form."""
-    n = system.n_interface
-    S = np.zeros((n, n))
-    d = np.zeros(n)
-    for local in system.subdomains:
-        pos = local.gamma_positions
-        S[np.ix_(pos, pos)] += local.S
-        d[pos] += local.d
-    return S, d
 
 
 def _sync_report(system: SchurSystem, x, solver: str, status: str, k: int, history, t0: float, exact,

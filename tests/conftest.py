@@ -118,3 +118,16 @@ def dense_complement(local: ReferenceSubdomain) -> tuple[np.ndarray, np.ndarray]
     a_gi = local.A_GI.toarray()
     X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
     return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]
+
+
+def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Dense assembled interface operator and right-hand side (desk scale),
+    summed from the per-subdomain complements, apart from the stacked form."""
+    n = system.n_interface
+    S = np.zeros((n, n))
+    d = np.zeros(n)
+    for local in system.subdomains:
+        pos = local.gamma_positions
+        S[np.ix_(pos, pos)] += local.S
+        d[pos] += local.d
+    return S, d

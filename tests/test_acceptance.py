@@ -13,10 +13,10 @@ import pytest
 
 from aschur.poisson import exact_solution
 from aschur.runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig, async_solve, cg_with_restart
-from aschur.solvers import assemble_interface_operator, cg_schur
+from aschur.solvers import cg_schur
 from aschur.splitting import build_splitting, certify_async, certify_global, certify_h_conditions, interface_diagonal
 from aschur.linalg import weighted_max_norm
-from conftest import sync_iterates
+from conftest import assemble_interface_operator, sync_iterates
 
 CHAOS_SEEDS = 100
 CHAOS_DELAY = DelayModel(kind="uniform", low=0, high=10, reorder=True)

@@ -20,8 +20,8 @@ from aschur.decomp import (
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix, gather_rows
 from aschur.poisson import GridSpec, assemble, exact_solution
-from aschur.solvers import SchurSystem, apply_interface_operator, assemble_interface_operator
-from conftest import dense_complement, reference_subdomains
+from aschur.solvers import SchurSystem, apply_interface_operator
+from conftest import assemble_interface_operator, dense_complement, reference_subdomains
 
 
 def test_partition_1d_3_nodes():

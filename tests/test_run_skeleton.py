@@ -1,7 +1,10 @@
 """Golden run skeletons of the asynchronous runtime.
 
-Each entry was recorded from the envelope-heap transport that the array
-transport replaced; the array transport must reproduce every one.  A
+The first ten entries were recorded from the envelope-heap transport that
+the array transport replaced; the array transport must reproduce every one.
+The three far entries, whose delay bounds of 127 and more pass the first
+ring and so run the sweep, ring doubling and the deliveries it carries,
+were recorded from the array transport at 873ecf8.  A
 skeleton is the step count, the per-worker update counts, the completed
 detection rounds, the stale detection messages dropped and a SHA-256 of
 the envelope timing tuples (from, to, tag, inject, deliver, round, epoch).
@@ -38,6 +41,10 @@ CONFIGS = {
     "1d-15-p4 iteration fault": ("1d-15-p4", dict(seed=2, delay=uniform(5, False), faults=FaultPlan(events=(
         FaultEvent(victims=(3,), at_local_iteration=20),)))),
     "1d-6-p1": ("1d-6-p1", dict(seed=0, delay=uniform(3, True))),
+    "1d-7-p2 far fixed": ("1d-7-p2", dict(delay=DelayModel(kind="fixed", fixed=200))),
+    "2d-7x7-p4 far uniform faults": ("2d-7x7-p4", dict(seed=4, activation=0.6, delay=uniform(300, True), faults=FaultPlan(
+        events=(FaultEvent(victims=(1,), at_step=150), FaultEvent(victims=(0, 2), at_step=400))))),
+    "1d-7-p2 far uniform fifo": ("1d-7-p2", dict(seed=2, delay=uniform(200, False))),
 }
 
 # (sim_steps, per_worker_k, iterations_k, stale_discarded, envelope timing hash)
@@ -52,6 +59,9 @@ GOLDEN = {
     '2d-7x7-p4 step faults': (241, [241, 241, 241, 240], 23, 3, '4eb336333c21a440b67a1502ca690ca7253f20db87c82dd9b25f4f18bf3203d0'),
     '1d-15-p4 iteration fault': (588, [588, 588, 588, 588], 48, 5, '43219621bfcba8679d610d143c7b37ce52b0aaba4f2c65663072abf475f18b3c'),
     '1d-6-p1': (1, [1], 1, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'),
+    '1d-7-p2 far fixed': (6448, [6448, 6447], 16, 0, 'c39cca7bdf9e1b6ec088a2cc4e8635dd675bda81c822588644e74e22da5f31fb'),
+    '2d-7x7-p4 far uniform faults': (2900, [1771, 1733, 1752, 1762], 5, 6, '98c2f191586ea0a82e0eb21faec8efb33c523a9cd89b7fa74ba98a642a44f89b'),
+    '1d-7-p2 far uniform fifo': (5888, [5888, 5888], 16, 0, '1e392d32860308f5018d0ae06c6eaeb78208f5430d8e7320c1aa0b357b17d8fb'),
 }
 
 

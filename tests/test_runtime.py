@@ -8,7 +8,6 @@ import pytest
 from aschur import GridSpec, SchurSystem, assemble, partition, runtime
 from aschur.decomp import InteriorFactors
 from aschur.runtime import (
-    DELAY_BLOCK,
     AsyncSimulator,
     DelayModel,
     FaultEvent,
@@ -223,15 +222,17 @@ def test_reordering_actually_occurs_with_reorder_on(suite):
     (3, DelayModel(kind="uniform", low=0, high=6, reorder=True)),
     (0, DelayModel(kind="uniform", low=2, high=5, reorder=True)),
 ])
-def test_uniform_delays_are_one_scalar_draw_per_message(suite, seed, delay):
+def test_uniform_delays_are_one_scalar_draw_per_message(suite, monkeypatch, seed, delay):
     # Delays are drawn in blocks; the stream must equal one scalar draw per
     # message, in send order, from the delay generator, seeded with seed + 1.
+    # Small blocks make the run cross dozens of block boundaries.
+    monkeypatch.setattr(runtime, "DELAY_BLOCK", 64)
     case = suite["2d-7x7-p4"]
     cfg = RuntimeConfig(tol=1e-6, k_max=10_000, seed=seed, delay=delay)
     sends = [rec for rec in traced_run(case, cfg)[2] if rec["type"] == "envelope"]
     rng = np.random.default_rng(seed + 1)
     expected = [int(rng.integers(delay.low, delay.high, endpoint=True)) for _ in sends]
-    assert len(sends) > 2 * DELAY_BLOCK
+    assert len(sends) > 2 * runtime.DELAY_BLOCK
     assert [rec["deliver"] - rec["inject"] - 1 for rec in sends] == expected
 
 

@@ -15,14 +15,13 @@ from aschur.solvers import (
     SolveReport,
     apply_interface_operator,
     assemble_full_solution,
-    assemble_interface_operator,
     cg_schur,
     global_residual,
     sync_relaxation,
     write_residual_history,
 )
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import dense_complement, reference_subdomains, sync_iterates
+from conftest import assemble_interface_operator, dense_complement, reference_subdomains, sync_iterates
 
 
 def fit_rate(history, tail=10):
