@@ -316,7 +316,7 @@ class AsyncSimulator:
         self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
-        self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: a send's, per msg_key
+        self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: senders by msg_key
         self.y = np.zeros(len(imap.positions))  # every worker's committed share, stacked; runs start at zero
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
         self.k_local, self.phase, self.round, self.rounds_done = (np.zeros(p, dtype=np.int64) for _ in range(4))
