@@ -25,8 +25,8 @@ cProfile, in a process of its own, and records under ``layers`` the call
 count and the self and cumulative seconds of each function in ``LAYERS``,
 from the set-up (assembly, partition, interface map, the stacked blocks with
 their row gather and interior factors, the interface diagonal, the
-asynchronous certificate with the update blocks it shares with the
-explicit asynchronous update) through the
+asynchronous certificate with the update matrix (``decomp.update_matrix``)
+it shares with the explicit asynchronous update) through the
 interior solves, the operator apply and the stopping residual to the
 asynchronous worker's ingest, update, detection and send.  Profiling
 inflates these times, so they are for comparing layers and commits, not
@@ -102,7 +102,7 @@ SEEDS = (0, 1, 2)
 PAIRS = 10  # alternating runs of REV and of the working tree per workload, with --against
 LAYERS = ("poisson.assemble", "decomp.partition", "decomp.build_interface_map", "decomp.stack_blocks",
           "linalg.gather_rows", "decomp.InteriorFactors.__init__", "splitting.interface_diagonal",
-          "splitting.certify_async", "decomp.LocalSubdomain.update_block", "decomp.cut_local_space",
+          "splitting.certify_async", "decomp.update_matrix", "decomp.cut_local_space",
           "decomp.InteriorFactors.solve", "decomp.InteriorFactors.solve_coupled", "linalg.matvec",
           "solvers.apply_interface_operator", "solvers.global_residual", "runtime.AsyncSimulator._ingest",
           "runtime.AsyncSimulator._update", "runtime.AsyncSimulator._detect", "runtime.AsyncSimulator._send")

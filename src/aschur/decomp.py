@@ -36,6 +36,7 @@ __all__ = [
     "build_interface_map",
     "cut_local_space",
     "stack_blocks",
+    "update_matrix",
     "decomposition_to_json",
 ]
 
@@ -102,10 +103,6 @@ class LocalSubdomain:
     weights: np.ndarray
     gamma_positions: np.ndarray
 
-    def update_block(self, m_diag: np.ndarray) -> np.ndarray:
-        """The relaxation's update block ``Q_i = diag(w_i) - inv(M_i) S_i``, M the splitting ``m_diag``."""
-        return np.diag(self.weights) - (1.0 / m_diag[self.gamma_positions])[:, None] * self.S
-
 
 @dataclass(frozen=True)
 class LocalSpace:
@@ -113,13 +110,15 @@ class LocalSpace:
     ``InterfaceMap.positions``, and the interior rows ``StackedBlocks.coupled``.  Its matrix is
     block diagonal by subdomain, each block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``; the update
     reads its slot columns on the coupled and slot rows, ``K_G = [A_IG; A_GG]``, and its slot rows
-    at the coupled columns, ``A_GI``; ``b_G`` is the weighted interface right-hand side and
-    ``weights`` each slot's identity-share weight."""
+    at the coupled columns, ``A_GI``; ``b_G`` is the weighted interface right-hand side,
+    ``weights`` each slot's identity-share weight; ``owner_G``, ``owner_c`` the slots' and coupled rows' subdomains."""
 
     K_G: scipy.sparse.csr_matrix
     A_GI: scipy.sparse.csr_matrix
     b_G: np.ndarray
     weights: np.ndarray
+    owner_G: np.ndarray
+    owner_c: np.ndarray
 
 
 DENSE_INVERSE_FILL = 16  # InteriorFactors' dense-path test: m * m <= DENSE_INVERSE_FILL * lu.nnz
@@ -389,7 +388,20 @@ def cut_local_space(blocks: StackedBlocks, decomp: Decomposition, imap: Interfac
     GI = _own(gather_rows(blocks.A_GI, positions), owner_G, owner_c * n_c + np.arange(n_c), n_c)
     A_GI = scipy.sparse.csr_matrix(GI, shape=(len(positions), n_c))
     weights = 1.0 / decomp.owner_count[positions]
-    return LocalSpace(K_G, A_GI, blocks.b_G[positions] * weights, weights)
+    return LocalSpace(K_G, A_GI, blocks.b_G[positions] * weights, weights, owner_G, owner_c)
+
+
+def update_matrix(records, imap: InterfaceMap, m_diag: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """The update ``Q x + f`` over the stacked slots from the complement records (``SchurSystem.subdomains``):
+    Q block diagonal in CSR, block i ``diag(w_i) - inv(M_i) S_i`` dense and row-major at subdomain i's slot
+    columns, M the splitting ``m_diag``, and ``f = inv(M) d``; one pass over every block's cells."""
+    sizes, minv = np.diff(imap.offsets), 1.0 / m_diag[imap.positions]
+    ptr = np.append(0, np.cumsum(np.repeat(sizes, sizes)))
+    rows = np.repeat(np.arange(len(minv)), np.diff(ptr))
+    cols = np.arange(ptr[-1]) - ptr[rows] + np.repeat(imap.offsets[:-1], sizes)[rows]  # from its block's first slot
+    w, S, d = (np.concatenate([getattr(local, key).ravel() for local in records]) for key in ("weights", "S", "d"))
+    data = np.where(rows == cols, w[rows], 0.0) - minv[rows] * S
+    return scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(minv), len(minv))), minv * d
 
 
 def _own(M: tuple, owner: np.ndarray, keys: np.ndarray, n: int) -> tuple:

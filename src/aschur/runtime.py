@@ -33,12 +33,12 @@ once per system (``SchurSystem.links``, and the update's blocks, cut from
 the stacked ones, ``SchurSystem.local_space``); the rest is per run.  In a
 step the active workers ingest and merge; one batched update over the
 stacked slots forms each new share (identity share plus the scaled local
-interface defect) and, for workers starting a detection round, the
-residual pieces at it: up to the measured crossover, which the desk problems
-and the benchmark's fault problem fall under, one product with the update
-blocks (``EXPLICIT_UPDATE_LIMIT``), else factored through the operator's
-solve on the coupled interior rows.  Then the workers commit and publish in
-activation order, each advancing its three-phase detection machine:
+interface defect) and, for workers starting a detection round, the residual
+pieces at it: up to the measured crossover (``EXPLICIT_UPDATE_LIMIT``), which
+the desk problems and the benchmark's fault problem fall under, one product
+with the certificate's ``decomp.update_matrix``, else factored through the
+operator's solve on the coupled interior rows.  Then the workers commit and
+publish in activation order, each advancing its three-phase detection machine:
 
 * phase 0: capture the local residual, start a non-blocking interface
   residual exchange with the neighbors;
@@ -71,8 +71,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
+from .decomp import update_matrix
 from .linalg import DENSE_OP_LIMIT, matvec
 from .solvers import (
     SchurSystem,
@@ -304,16 +304,9 @@ class AsyncSimulator:
         self.space, imap = system.local_space, system.imap
         self._lu, self._n_c = system.blocks.lu, len(system.blocks.coupled)
         self._m = split.m_diag[imap.positions]
-        self._minv, self._Q, sizes = 1.0 / self._m, None, np.diff(imap.offsets)
-        if sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT:
-            subdomains, n = system.subdomains, len(imap.positions)  # Q block diagonal, each block dense
-            cols = [np.tile(np.arange(a, b), b - a) for a, b in zip(imap.offsets[:-1], imap.offsets[1:])]
-            data = np.concatenate([local.update_block(split.m_diag).ravel() for local in subdomains])
-            ptr = np.append(0, np.cumsum(np.repeat(sizes, sizes)))
-            self._Q = scipy.sparse.csr_matrix((data, np.concatenate(cols), ptr), shape=(n, n))
-            self._f = self._minv * np.concatenate([local.d for local in subdomains])
-        self._owner_c = np.repeat(np.arange(p), [len(part) for part in system.decomp.parts])[system.blocks.coupled]
-        self._owner_G = np.repeat(np.arange(p), np.diff(imap.offsets))
+        self._minv, sizes = 1.0 / self._m, np.diff(imap.offsets)
+        explicit = sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT
+        self._Q, self._f = update_matrix(system.subdomains, imap, split.m_diag) if explicit else (None, None)
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
         self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
         self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: senders by msg_key
@@ -339,7 +332,7 @@ class AsyncSimulator:
         self._reorder, self._trace = cfg.delay.reorder, cfg.trace
         self.idle, self.window = np.zeros(p, dtype=np.int64), 16 * p
         self.detected = self.diverged = False
-        self._round_seen = set()
+        self._next_round = 0  # the first round of the epoch not yet noted
         self.detection_events: list[tuple[float, float]] = []
         self.history: list[tuple[int, float]] = []
         self.trace: list[dict] = []
@@ -454,7 +447,7 @@ class AsyncSimulator:
     def _update(self, residual: bool):
         """Every worker's update from its merged local view, in one pass over the
         stack.  Explicit: ``Q x_l + inv(M) d``, one product with the block-diagonal Q of
-        ``LocalSubdomain.update_block``, its row sums starting at ``inv(M) d``.  Factored:
+        ``decomp.update_matrix``, its row sums starting at ``inv(M) d``.  Factored:
         the interior on the coupled rows, ``x_c = c - inv(A_II)[coupled, coupled] A_IG x_l``
         (the operator's solve), the local defect ``D = b_G - A_GI x_c - A_GG x_l`` and the
         new shares ``w x_l + inv(M) D``.  If ``residual``, the phase-0 pieces at them
@@ -473,7 +466,7 @@ class AsyncSimulator:
         if not residual:
             return y_new, None, None
         q = matvec(space.K_G, self.y - y_new)
-        return y_new, np.bincount(self._owner_c, q[:n_c] * q[:n_c], self.p), defect + q[n_c:]
+        return y_new, np.bincount(space.owner_c, q[:n_c] * q[:n_c], self.p), defect + q[n_c:]
 
     def _detect(self, on, res, r_I_sq, r_G):
         """Advance the active workers' detection machines from what they ingested;
@@ -483,7 +476,7 @@ class AsyncSimulator:
         a round, as (worker, round parity) in index order.  The caller commits the moves."""
         if r_G is not None:  # phase 0: capture the pieces at the new shares
             np.copyto(self._r_own_I_sq, r_I_sq, where=res)
-            np.copyto(self._r_own_G, r_G, where=res[self._owner_G])
+            np.copyto(self._r_own_G, r_G, where=res[self.space.owner_G])
         p, red, fin = self.p, [], []
         phase, rnd, got = self.phase.tolist(), self.round.tolist(), self._got.tolist()
         on_l, n_nbr = self._all_on if on is self._everyone else on.tolist(), self._n_nbr
@@ -498,17 +491,17 @@ class AsyncSimulator:
                 fin.append((i, par))
         if red:
             r_sync = np.bincount(self._lk.sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._lk.e_src])))
-            value = self._r_own_I_sq + np.bincount(self._owner_G, self.space.weights * r_sync * r_sync, p)
+            value = self._r_own_I_sq + np.bincount(self.space.owner_G, self.space.weights * r_sync * r_sync, p)
             for i, par in red:
                 self._red_val[par, i] = value[i]
         return red, fin
 
     def _note_round(self, rnd: int, value: float) -> bool:
-        """Record a completed round once per (epoch, round); True if it is new."""
-        key = (self.faults_injected, rnd)
-        if key in self._round_seen:
+        """Record a completed round the first time in its epoch; True if new.  A round first completes with every
+        worker's reduction for it, each sent after the round before, so rounds first complete in order."""
+        if rnd < self._next_round:
             return False
-        self._round_seen.add(key)
+        self._next_round = rnd + 1
         self.history.append((len(self.history) + 1, value))
         if value <= self.cfg.tol:
             # The protocol value mixes snapshots from different moments, so a
@@ -537,7 +530,7 @@ class AsyncSimulator:
         self._dl[:, cut] = NEVER
         self._wheel[:, cut] = -1
         self._stamp[hit[self._lk.link_dst]] = self._floor = -1
-        slots = hit[self._owner_G]
+        slots = hit[self.space.owner_G]
         self.y[slots] = 0.0
         # Detection messages in flight between survivors arrive stale.
         n_det, src, dst = self._lk.n_det, self._lk.det_src, self._lk.det_dst
@@ -546,7 +539,7 @@ class AsyncSimulator:
         fresh = np.stack([src[live], dst[live], self._when[:n_det][live]])
         self._stale = np.concatenate([self._stale[:, keep], fresh], axis=1)
         self._when[:n_det] = NEVER
-        self._got[:] = self.phase[:] = self.round[:] = 0
+        self._got[:] = self.phase[:] = self.round[:] = self._next_round = 0
         self.faults_injected += 1
         if self._trace:
             self.trace.append({"type": "fault", "t": self.t, "victims": victims, "epoch": self.faults_injected})
@@ -608,7 +601,7 @@ class AsyncSimulator:
                 self._n_done += 1
             hi = off[i + 1]
             if value <= self.cfg.tol:  # a firing: the exact residual sees the commits up to this worker
-                np.copyto(self.y[:hi], y_new[:hi], where=on[self._owner_G[:hi]])
+                np.copyto(self.y[:hi], y_new[:hi], where=on[self.space.owner_G[:hi]])
             if self._note_round(int(self.round[i]), value):
                 noted[i] = {"type": "round", "t": self.t, "k": len(self.history), "value": value}
             if self.detected or self.diverged:
@@ -617,7 +610,7 @@ class AsyncSimulator:
         if cut < p:  # the ready workers from cut on commit nothing
             on, red, fin = on & (self._workers < cut), [m for m in red if m[0] < cut], [m for m in fin if m[0] < cut]
             full, res = False, res & on
-        self.y = y_new if full else np.where(on[self._owner_G], y_new, self.y)
+        self.y = y_new if full else np.where(on[self.space.owner_G], y_new, self.y)
         self.k_local += 1 if full else on
         if stale is not None:
             self.stale_discarded += int(stale[on].sum())

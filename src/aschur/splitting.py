@@ -3,10 +3,9 @@
 The interface operator is split against M = alpha * diag(A_GG) with
 alpha >= 1.  Certificates are desk-scale spectral-radius checks:
 
-* ``certify_async``: radius of the sum of entrywise absolute values of the
-  per-subdomain update blocks ``diag(w_i) - inv(M_i) S_i``, with each local
-  complement ``S_i`` read from ``SchurSystem.subdomains`` (formed there from
-  the stored interior inverses, no dense solve).  Below one, the relaxation
+* ``certify_async``: radius of the summed entrywise absolute values of the
+  update blocks ``diag(w_i) - inv(M_i) S_i`` of ``decomp.update_matrix``, the
+  matrix the explicit asynchronous step multiplies.  Below one, the relaxation
   converges under arbitrary bounded delays and arbitrary update orders.
 * ``certify_global``: radius of |I - inv(M) A| for the block-diagonal M
   holding the interior blocks and the interface diagonal.  Below one it
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import Decomposition, InterfaceMap, LocalSubdomain
+from .decomp import Decomposition, InterfaceMap, LocalSubdomain, update_matrix
 from .linalg import DENSE_OP_LIMIT, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
 from .solvers import SchurSystem
@@ -82,14 +81,12 @@ def certify_async(
     imap: InterfaceMap,
     split: InterfaceSplitting,
 ) -> float:
-    """Spectral radius of the summed |Q_i| (``LocalSubdomain.update_block``) over the complement records
-    (``SchurSystem.subdomains``), scattered at their interface positions by one ``bincount`` in subdomain order."""
-    n, at, cells = imap.n_interface, [], []
-    for local in subdomains:
-        pos = local.gamma_positions
-        at.append((pos[:, None] * n + pos).ravel())
-        cells.append(np.abs(local.update_block(split.m_diag)).ravel())
-    return spectral_radius_nonneg(np.bincount(np.concatenate(at), np.concatenate(cells), n * n).reshape(n, n))
+    """Spectral radius of the summed |Q_i|, Q the update matrix (``decomp.update_matrix``) of the complement
+    records ``SchurSystem.subdomains``: one ``bincount`` of ``|Q.data|`` at its cells' interface positions."""
+    Q, _ = update_matrix(subdomains, imap, split.m_diag)
+    n, pos = imap.n_interface, imap.positions
+    at = np.repeat(pos, np.diff(Q.indptr)) * n + pos[Q.indices]
+    return spectral_radius_nonneg(np.bincount(at, np.abs(Q.data), n * n).reshape(n, n))
 
 
 def certify_global(problem: AssembledProblem, decomp: Decomposition, split: InterfaceSplitting) -> float:

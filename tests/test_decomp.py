@@ -17,10 +17,12 @@ from aschur.decomp import (
     decomposition_to_json,
     partition,
     stack_blocks,
+    update_matrix,
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix, gather_rows
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, apply_interface_operator
+from aschur.splitting import build_splitting, interface_diagonal
 from conftest import assemble_interface_operator, dense_complement, reference_subdomains
 
 
@@ -268,6 +270,25 @@ def test_schur_explicit_1d_hand_values(tiny_1d):
         np.testing.assert_allclose(loc.d, [1.0], atol=1e-14)
         np.testing.assert_array_equal(loc.weights, [0.5])
         np.testing.assert_array_equal(loc.gamma_positions, [0])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.4])
+def test_update_matrix_is_the_dense_update_blocks_bit_for_bit(suite, alpha):
+    # The oracle forms each block ``diag(w_i) - inv(M_i) S_i`` densely, one subdomain at a time.
+    for case in suite.values():
+        records, offsets = case.system.subdomains, case.system.imap.offsets
+        m = build_splitting(interface_diagonal(case.problem, case.decomp), alpha=alpha).m_diag
+        Q, f = update_matrix(records, case.system.imap, m)
+        dense, sizes = Q.toarray(), np.diff(offsets)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
+        assert Q.nnz == sizes @ sizes and np.array_equal(owner[rows], owner[Q.indices]), case.name
+        for local, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+            minv = 1.0 / m[local.gamma_positions]
+            assert _same(dense[lo:hi, lo:hi], np.diag(local.weights) - minv[:, None] * local.S), (case.name, lo)
+            assert _same(f[lo:hi], minv * local.d), (case.name, lo)
+            dense[lo:hi, lo:hi] = 0.0
+        assert not dense.any(), case.name
 
 
 def test_schur_explicit_consistency_with_direct_solve(tiny_1d):
