@@ -360,9 +360,7 @@ def cmd_compare(args) -> int:
 
 def _setup_logging() -> None:
     level_name = os.environ.get("ASCHUR_LOG", "info").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(level_name)
-    if level is None:
-        level = logging.INFO
+    level = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(level_name, logging.INFO)
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -132,7 +132,8 @@ class InteriorFactors:
     share a SuperLU factor (``factors``; it raises on a singular block and
     gives the fill; ``copies`` holds each factor's copies' first stacked rows)
     and any other block gets its own.  ``solve`` makes one product per factor
-    over its copies' pieces of b: SuperLU's multi-column solve or, for a block
+    over its copies' pieces of b, a vector or every row of a row stack (the
+    certificate's columns of A_IG): SuperLU's multi-column solve or, for a block
     of size m small against its fill (``m * m <= DENSE_INVERSE_FILL *
     lu.nnz``), one GEMM with its inverse, formed once as ``lu.solve(eye(m))``
     and kept transposed in ``inverses`` (else None); the paths differ in the
@@ -190,31 +191,27 @@ class InteriorFactors:
         self.copies = [rows[:, 0] for *_, rows, _ in blocks]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``inv(A_II) b``: per factor, its copies' pieces of b as the rows of one (copies, m) array."""
+        """``inv(A_II) b`` for a vector b, or for each row of a row stack b: per factor, its copies' pieces
+        of every row as the rows of one (rows * copies, m) array."""
         return _per_block(self._copies, b)
 
     def solve_coupled(self, c: np.ndarray) -> np.ndarray:
-        """``inv(A_II)[coupled, coupled] c`` for c on the ``coupled`` rows: per block, its copies' pieces
-        of c as the rows of one (copies, |B|) array."""
+        """``inv(A_II)[coupled, coupled] c`` for c on the ``coupled`` rows, a vector or a row stack: per
+        block, its copies' pieces of every row as the rows of one (rows * copies, |B|) array."""
         return _per_block(self._coupled, c)
-
-    def solve_coupled_rows(self, C: np.ndarray) -> np.ndarray:
-        """``solve_coupled`` of each row of C, in one product per block: each block's pieces of every row."""
-        rows = np.arange(len(C))[:, None] * C.shape[1]  # where each row of C starts in its ravel
-        products = [(*f, at if isinstance(at, slice) else (rows + at).ravel()) for *f, at in self._coupled]
-        return _per_block(products, C.ravel()).reshape(C.shape)
 
 
 def _per_block(products, b: np.ndarray) -> np.ndarray:
-    """One product per block over its copies' pieces of b: a GEMM with the matrix, or SuperLU's solve.
-    A product at ``slice(None)`` is the only one and tiles b, so its raveled result is the vector."""
-    x = None if products and isinstance(products[0][3], slice) else np.empty(len(b))
+    """One product per block over its copies' pieces of b along its last axis, row by row: a GEMM with the
+    matrix, or SuperLU's solve.  A product at ``slice(None)`` is the only one and tiles b, so it is the result."""
+    x = None if products and isinstance(products[0][3], slice) else np.empty(b.shape)
     for lu, mat, n, at in products:
-        pieces = b[at].reshape(-1, n)
-        out = (pieces @ mat if mat is not None else lu.solve(pieces.T).T).ravel()
+        pieces = b[..., at]
+        rows = pieces.reshape(-1, n)
+        out = (rows @ mat if mat is not None else lu.solve(rows.T).T).reshape(pieces.shape)
         if x is None:
             return out
-        x[at] = out
+        x[..., at] = out
     return x
 
 
@@ -396,9 +393,10 @@ def update_matrix(records, imap: InterfaceMap, m_diag: np.ndarray) -> tuple[scip
     Q block diagonal in CSR, block i ``diag(w_i) - inv(M_i) S_i`` dense and row-major at subdomain i's slot
     columns, M the splitting ``m_diag``, and ``f = inv(M) d``; one pass over every block's cells."""
     sizes, minv = np.diff(imap.offsets), 1.0 / m_diag[imap.positions]
-    ptr = np.append(0, np.cumsum(np.repeat(sizes, sizes)))
+    idx = np.int32 if sizes @ sizes < 2**31 else np.int64  # scipy's own index type: it neither scans nor copies
+    ptr = np.append(idx(0), np.cumsum(np.repeat(sizes, sizes), dtype=idx))
     rows = np.repeat(np.arange(len(minv)), np.diff(ptr))
-    cols = np.arange(ptr[-1]) - ptr[rows] + np.repeat(imap.offsets[:-1], sizes)[rows]  # from its block's first slot
+    cols = np.arange(ptr[-1], dtype=idx) + (np.repeat(imap.offsets[:-1], sizes) - ptr[:-1]).astype(idx)[rows]
     w, S, d = (np.concatenate([getattr(local, key).ravel() for local in records]) for key in ("weights", "S", "d"))
     data = np.where(rows == cols, w[rows], 0.0) - minv[rows] * S
     return scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(minv), len(minv))), minv * d

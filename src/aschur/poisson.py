@@ -65,13 +65,11 @@ class AssembledProblem:
     A: SparseMatrix
     b: np.ndarray
     grid: GridSpec
-    node_coords: np.ndarray  # (n, d) integer lattice coordinates per row
 
 
 def assemble(grid: GridSpec) -> AssembledProblem:
     """Build the scaled 3/5/7-point Laplacian system for ``grid``."""
     dims, n, d = grid.dims, grid.n, len(grid.dims)
-    coords = np.indices(dims[::-1]).reshape(d, n)[::-1].T  # x fastest, as the rows run
     strides = np.cumprod((1,) + dims[:-1], dtype=np.int64)
 
     # A row's stencil columns node - s_{d-1}, ..., node, ..., node + s_{d-1}
@@ -92,7 +90,7 @@ def assemble(grid: GridSpec) -> AssembledProblem:
 
     A = SparseMatrix(n, n, offsets, cols, vals)
     b = np.full(n, float(grid.source))
-    return AssembledProblem(A=A, b=b, grid=grid, node_coords=coords)
+    return AssembledProblem(A=A, b=b, grid=grid)
 
 
 def exact_solution(problem: AssembledProblem) -> np.ndarray:

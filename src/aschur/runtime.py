@@ -308,7 +308,7 @@ class AsyncSimulator:
         explicit = sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT
         self._Q, self._f = update_matrix(system.subdomains, imap, split.m_diag) if explicit else (None, None)
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
-        self._all, self._everyone, self._all_on = list(range(p)), np.ones(p, dtype=bool), [True] * p
+        self._all, self._everyone = list(range(p)), np.ones(p, dtype=bool)
         self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: senders by msg_key
         self.y = np.zeros(len(imap.positions))  # every worker's committed share, stacked; runs start at zero
         self.nbr = np.zeros(len(self.y))  # every worker's merged neighbour sum, stacked
@@ -479,7 +479,7 @@ class AsyncSimulator:
             np.copyto(self._r_own_G, r_G, where=res[self.space.owner_G])
         p, red, fin = self.p, [], []
         phase, rnd, got = self.phase.tolist(), self.round.tolist(), self._got.tolist()
-        on_l, n_nbr = self._all_on if on is self._everyone else on.tolist(), self._n_nbr
+        on_l, n_nbr = on.tolist(), self._n_nbr
         for i in self._all:
             if not on_l[i]:
                 continue

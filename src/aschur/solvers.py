@@ -101,7 +101,8 @@ class SchurSystem:
     the stacked ones, with the transport's ``links`` tables, and ``subdomains``,
     every local complement formed once from them for the desk-scale certificates
     and oracles.  ``blocks.lu`` is the one interior solver, one factor per
-    distinct subdomain block; sync and CG build none of the rest.
+    distinct subdomain block, that the complements and the global certificate
+    read too; sync and CG build none of the rest.
     """
 
     problem: AssembledProblem
@@ -132,7 +133,7 @@ class SchurSystem:
     def subdomains(self) -> tuple[LocalSubdomain, ...]:
         """Each subdomain's complement record, every ``S_i`` from one scatter and two products on the
         coupled interior rows.  Row s of Z holds, per subdomain, the ``A_IG`` column of its s-th slot,
-        for s below G, its largest local interface; one ``solve_coupled_rows`` of Z and one product with
+        for s below G, its largest local interface; one ``solve_coupled`` of Z's rows and one product with
         ``A_GI`` give every ``S_i``'s rows, padded to G columns; ``d_i`` is ``b_G - A_GI c``.
         Refused when an interior or a local interface exceeds ``DENSE_OP_LIMIT`` rows (desk scale)."""
         m, G = (max(map(len, ids)) for ids in (self.decomp.parts, self.decomp.local_interfaces))
@@ -145,7 +146,7 @@ class SchurSystem:
         Z, S = np.zeros((G, n_c)), np.zeros((len(b_G), G))
         Z[slot[:cut], rows[:cut]] = K_G.data[:cut]  # the coupled rows of A_IG, one row per slot place
         S[rows[cut:] - n_c, slot[cut:]] = K_G.data[cut:]  # A_GG
-        S -= A_GI @ self.blocks.lu.solve_coupled_rows(Z).T
+        S -= A_GI @ self.blocks.lu.solve_coupled(Z).T
         return tuple(LocalSubdomain(S_i[:, :len(S_i)], d_i, w, pos) for S_i, d_i, w, pos in zip(*(
             np.split(a, offsets[1:-1]) for a in (S, b_G - matvec(A_GI, self.c), space.weights, self.imap.positions))))
 

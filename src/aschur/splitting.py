@@ -8,7 +8,8 @@ alpha >= 1.  Certificates are desk-scale spectral-radius checks:
   matrix the explicit asynchronous step multiplies.  Below one, the relaxation
   converges under arbitrary bounded delays and arbitrary update orders.
 * ``certify_global``: radius of |I - inv(M) A| for the block-diagonal M
-  holding the interior blocks and the interface diagonal.  Below one it
+  holding the interior blocks and the interface diagonal, its interior
+  rows solved with the system's one interior factorization.  Below one it
   implies the asynchronous condition whenever the per-subdomain blocks
   carry compatible signs, which the multiplicity weighting guarantees.
 * ``certify_h_conditions``: H-matrix test for A together with the
@@ -89,22 +90,20 @@ def certify_async(
     return spectral_radius_nonneg(np.bincount(at, np.abs(Q.data), n * n).reshape(n, n))
 
 
-def certify_global(problem: AssembledProblem, decomp: Decomposition, split: InterfaceSplitting) -> float:
-    """Spectral radius of |I - inv(M) A| with block-diagonal M.
-
-    M carries every interior block unchanged and the scaled diagonal on the
-    interface rows; inv(M) A is formed densely, one interior block solve at
-    a time, so the problem must stay at desk scale.
+def certify_global(system: SchurSystem, split: InterfaceSplitting) -> float:
+    """Spectral radius of T = |I - inv(M) A| with block-diagonal M: every interior block unchanged and the
+    scaled diagonal on the interface rows.  T's interior rows are ``|inv(A_II) A_IG|`` on the interface
+    columns, from one ``blocks.lu.solve`` of A_IG's columns as a row stack, and zero on the interior ones,
+    where inv(M) A is the identity; its interface rows are ``|e_g - A[g, :] / m_g|``.  Dense: desk scale only.
     """
+    problem, interior, interface = system.problem, system.blocks.interior, system.decomp.interface
     n = problem.A.nrows
     if n > DENSE_OP_LIMIT:
         raise ValueError(f"certificates are limited to {DENSE_OP_LIMIT} unknowns")
     Ad = problem.A.csr.toarray()
-    X = np.zeros_like(Ad)
-    for rows in decomp.parts:
-        X[rows, :] = np.linalg.solve(Ad[np.ix_(rows, rows)], Ad[rows, :])
-    X[decomp.interface, :] = Ad[decomp.interface, :] / split.m_diag[:, None]
-    T = np.abs(np.eye(n) - X)
+    T = np.zeros_like(Ad)
+    T[np.ix_(interior, interface)] = np.abs(system.blocks.lu.solve(Ad[np.ix_(interior, interface)].T).T)
+    T[interface, :] = np.abs((interface[:, None] == np.arange(n)) - Ad[interface, :] / split.m_diag[:, None])
     return spectral_radius_nonneg(T)
 
 
@@ -123,7 +122,7 @@ def certify(system: SchurSystem, split: InterfaceSplitting) -> CertificateSet:
     a_is_h, h_split_ok = certify_h_conditions(system.problem, system.decomp, split)
     return CertificateSet(
         rho_async=certify_async(system.subdomains, system.imap, split),
-        rho_global=certify_global(system.problem, system.decomp, split),
+        rho_global=certify_global(system, split),
         a_is_h=a_is_h,
         h_split_ok=h_split_ok,
         input_hash=problem_hash(system.problem, system.decomp, split.alpha),

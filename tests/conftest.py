@@ -1,5 +1,6 @@
 """Shared desk-scale problem suite: 1/2/3-D grids, 2 to 8 subdomains."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,12 @@ def dense_complement(local: ReferenceSubdomain) -> tuple[np.ndarray, np.ndarray]
     a_gi = local.A_GI.toarray()
     X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
     return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]
+
+
+def lattice_coords(dims) -> np.ndarray:
+    """(n, d) int64 lattice coordinates of the rows of a grid of extents ``dims``, x fastest, as the
+    assembly numbers its nodes."""
+    return np.stack(np.unravel_index(np.arange(math.prod(dims)), dims[::-1])[::-1], axis=1)
 
 
 def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:

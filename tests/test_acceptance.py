@@ -71,7 +71,7 @@ def test_criterion_2_certificate_chain(suite):
             a_is_h, h_split_ok = certify_h_conditions(case.problem, case.decomp, split)
             assert a_is_h, (case.name, alpha)
             assert h_split_ok, (case.name, alpha)
-            rho_global = certify_global(case.problem, case.decomp, split)
+            rho_global = certify_global(case.system, split)
             assert rho_global < 1.0, (case.name, alpha, rho_global)
             rho_async = certify_async(case.system.subdomains, case.system.imap, split)
             assert rho_async < 1.0, (case.name, alpha, rho_async)

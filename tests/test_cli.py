@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aschur import AsyncSimulator, GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition
-from aschur.cli import SOLVER_CHOICES, ConfigError, OutputOptions, RunSpec, main, parse_run_spec
+from aschur.cli import SOLVER_CHOICES, ConfigError, OutputOptions, RunSpec, _setup_logging, main, parse_run_spec
 from aschur.runtime import DelayModel, FaultEvent, FaultPlan, RuntimeConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -508,6 +509,49 @@ def test_log_level_env(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, solver="sync", certify=False)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("value, level", [("error", logging.ERROR), ("TRACE", logging.DEBUG), ("info", logging.INFO),
+                                          ("verbose", logging.INFO), (None, logging.INFO)])
+def test_log_level_names_and_the_info_fallback(monkeypatch, value, level):
+    if value is None:
+        monkeypatch.delenv("ASCHUR_LOG", raising=False)
+    else:
+        monkeypatch.setenv("ASCHUR_LOG", value)
+    seen = {}
+    monkeypatch.setattr("logging.basicConfig", lambda **kwargs: seen.update(kwargs))
+    _setup_logging()
+    assert seen["level"] == level
+
+
+def test_certify_above_the_dense_cap_runs_uncertified(tmp_path, caplog):
+    cfg = write_config(tmp_path, grid={"dims": [45, 45]}, splits=[2, 2], solver="cg", certify=True)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="aschur"):
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert "running uncertified" in caplog.text and "2025 unknowns" in caplog.text
+    payload = json.loads((out / "report_cg.json").read_text())
+    assert payload["certificates"] is None and payload["report"]["converged"]
+
+
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
+
+
+def test_compare_names_a_report_without_its_problem_hash(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver="cg", certify=False)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "report_cg.json").read_text())
+    del payload["problem"]["hash"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(out / "report_cg.json"), str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: report lacks problem.hash\n"
 
 
 # -- property: the parser rejects a config or returns one the pipeline builds --

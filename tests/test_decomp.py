@@ -23,7 +23,7 @@ from aschur.linalg import SingularMatrixError, SparseMatrix, gather_rows
 from aschur.poisson import GridSpec, assemble, exact_solution
 from aschur.solvers import SchurSystem, apply_interface_operator
 from aschur.splitting import build_splitting, interface_diagonal
-from conftest import assemble_interface_operator, dense_complement, reference_subdomains
+from conftest import assemble_interface_operator, dense_complement, lattice_coords, reference_subdomains
 
 
 def test_partition_1d_3_nodes():
@@ -175,7 +175,7 @@ def _all_pairs_reference(gamma_positions):
 
 def _in_closed_boxes(problem, dec):
     """(p, n_interface) mask: entry in the subdomain's interior extent widened by one node each side."""
-    coords = problem.node_coords
+    coords = lattice_coords(problem.grid.dims)
     lo = np.array([coords[part].min(axis=0) - 1 for part in dec.parts])
     hi = np.array([coords[part].max(axis=0) + 1 for part in dec.parts])
     c = coords[dec.interface]
@@ -366,7 +366,7 @@ INTERIOR_GRIDS = [("1d-6-p1", (6,), (1,), 1), ("2d-13x13-p6", (13, 13), (3, 2), 
 
 def _box_shapes(problem, decomp) -> set:
     """The distinct extents of the subdomain boxes, read from the node coordinates."""
-    coords = problem.node_coords
+    coords = lattice_coords(problem.grid.dims)
     return {tuple(np.ptp(coords[part], axis=0) + 1) for part in decomp.parts}
 
 
@@ -485,6 +485,22 @@ def test_both_interior_paths_match_spsolve_on_a_nonsymmetric_block(interior_path
     col = next(c for c in problem.A.csr[row].indices if c != row and c in decomp.parts[5])
     perturbed = _scaled(problem, row, 1.5, col=col)  # A[row, col] only: subdomain 5's block is nonsymmetric
     assert len(_check_path_against_spsolve(perturbed, decomp, interior_path).lu.factors) == 2
+
+
+@pytest.mark.parametrize("name, dims, splits, distinct", PATH_GRIDS, ids=[g[0] for g in PATH_GRIDS])
+def test_a_row_stack_solves_as_its_rows_bit_for_bit(interior_path, name, dims, splits, distinct):
+    # Every block here has several copies, so a vector's pieces go to the same GEMM or SuperLU call as a
+    # stack's; numpy hands a single copy's one-row product to a GEMV instead.
+    problem = assemble(GridSpec(dims=dims))
+    blocks = stack_blocks(problem, partition(problem, splits))
+    lu, rng = blocks.lu, np.random.default_rng(12)
+    assert len(lu.factors) == distinct and min(map(len, lu.copies)) >= 2
+    for solve, n in ((lu.solve, len(blocks.interior)), (lu.solve_coupled, len(lu.coupled))):
+        B = rng.standard_normal((7, n))
+        X = solve(B)
+        assert X.shape == B.shape
+        assert [x.tobytes() for x in X] == [solve(b).tobytes() for b in B]
+        assert solve(B[:0]).shape == (0, n)
 
 
 # A grid's whole Laplacian has the pattern of a box interior of that size; 63**2 is the

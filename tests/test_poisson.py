@@ -6,6 +6,7 @@ import pytest
 
 from aschur.linalg import is_m_matrix
 from aschur.poisson import GridSpec, assemble, exact_solution
+from conftest import lattice_coords
 
 
 def test_grid_spec_validation():
@@ -67,8 +68,8 @@ def test_assemble_symmetry_is_exact():
     np.testing.assert_array_equal(dense, dense.T)
 
 
-# SHA-256 of row_offsets, col_indices, values and node_coords, recorded from
-# the sort-based COO assembly; the direct CSR writer must reproduce every bit.
+# SHA-256 of row_offsets, col_indices, values and the rows' lattice coordinates, recorded
+# from the sort-based COO assembly; the direct CSR writer must reproduce every bit.
 ASSEMBLY_GOLDENS = [
     (
         (9,),
@@ -147,7 +148,7 @@ def test_assemble_deterministic_bit_identical():
 )
 def test_assemble_matches_golden_bits(dims, spacing, digests):
     prob = assemble(GridSpec(dims=dims, spacing=spacing))
-    arrays = (prob.A.row_offsets, prob.A.col_indices, prob.A.values, prob.node_coords)
+    arrays = (prob.A.row_offsets, prob.A.col_indices, prob.A.values, lattice_coords(dims))
     assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.int64]
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
@@ -158,10 +159,11 @@ def test_assemble_rejects_oversized_grid():
 
 
 def test_node_coords_lexicographic_x_fastest():
-    prob = assemble(GridSpec(dims=(3, 2)))
-    np.testing.assert_array_equal(
-        prob.node_coords, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
-    )
+    # The rows run x fastest: two rows couple exactly when their lattice coordinates are neighbours.
+    coords = lattice_coords((3, 2))
+    np.testing.assert_array_equal(coords, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]])
+    dense = assemble(GridSpec(dims=(3, 2))).A.csr.toarray()
+    np.testing.assert_array_equal(dense < 0, np.abs(coords[:, None] - coords[None]).sum(axis=2) == 1)
 
 
 @pytest.mark.parametrize("dims", [(9,), (6, 5), (4, 3, 3), (22, 22)])
@@ -175,7 +177,7 @@ def test_row_sums_positive_exactly_at_boundary(dims):
     prob = assemble(GridSpec(dims=dims))
     row_sums = prob.A.csr.toarray().sum(axis=1)
     at_boundary = np.array(
-        [any(c == 0 or c == dims[a] - 1 for a, c in enumerate(coord)) for coord in prob.node_coords]
+        [any(c == 0 or c == dims[a] - 1 for a, c in enumerate(coord)) for coord in lattice_coords(dims)]
     )
     assert np.all(row_sums >= -1e-12)
     np.testing.assert_array_equal(row_sums > 1e-12, at_boundary)

@@ -89,7 +89,7 @@ def test_certify_async_matches_the_per_subdomain_scatter_bit_for_bit(suite, monk
 
 
 def test_certify_global_1d_value(tiny_1d):
-    rho = certify_global(tiny_1d.problem, tiny_1d.decomp, tiny_1d.split)
+    rho = certify_global(tiny_1d.system, tiny_1d.split)
     assert rho == pytest.approx(np.sqrt(0.5), abs=1e-9)
     assert rho < 1.0
 
@@ -100,12 +100,50 @@ def test_certify_global_diagonal_matrix_exact_splitting():
     m = scipy.sparse.csr_matrix(np.diag([2.0, 3.0, 4.0]))
     a = SparseMatrix(3, 3, m.indptr, m.indices, m.data)
     prob = assemble(grid)
-    prob = type(prob)(A=a, b=np.ones(3), grid=grid, node_coords=prob.node_coords)
+    prob = type(prob)(A=a, b=np.ones(3), grid=grid)
     dec = partition(prob, (1,))
     from aschur.splitting import InterfaceSplitting
 
     split = InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))
-    assert certify_global(prob, dec, split) == 0.0
+    assert certify_global(SchurSystem.build(prob, dec), split) == 0.0
+
+
+def _dense_global_radius(problem, decomp, split):
+    """The oracle of ``certify_global``: rho(|I - inv(M) A|) with M formed densely, every interior block
+    and the scaled interface diagonal, and inv(M) A from one dense solve."""
+    Ad = problem.A.csr.toarray()
+    M = np.zeros_like(Ad)
+    for rows in decomp.parts:
+        M[np.ix_(rows, rows)] = Ad[np.ix_(rows, rows)]
+    M[decomp.interface, decomp.interface] = split.m_diag
+    return spectral_radius_nonneg(np.abs(np.eye(len(Ad)) - np.linalg.solve(M, Ad)))
+
+
+@pytest.mark.parametrize("dims, splits", [((31,), (8,)), ((7, 7), (2, 2)), ((5, 5, 5), (2, 2, 2))])
+def test_certify_global_reads_the_columns_of_a_nonsymmetric_a_ig(dims, splits):
+    # Subdomain 0's entries of A_IG scaled by 1.5 and A_GI's left alone: A_IG != A_GI^T, so a T
+    # whose interior rows were read from A_GI's rows would give another radius.
+    base = assemble(GridSpec(dims=dims))
+    decomp = partition(base, splits)
+    A = base.A.csr.copy()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[np.isin(rows, decomp.parts[0]) & np.isin(A.indices, decomp.interface)] *= 1.5
+    problem = type(base)(A=SparseMatrix(*A.shape, base.A.row_offsets, base.A.col_indices, A.data), b=base.b,
+                         grid=base.grid)
+    assert (A != A.T).nnz
+    system = SchurSystem.build(problem, decomp)
+    for alpha in (1.0, 2.0):
+        split = build_splitting(interface_diagonal(problem, decomp), alpha=alpha)
+        assert certify_global(system, split) == pytest.approx(_dense_global_radius(problem, decomp, split), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 202])
+def test_certify_global_without_an_interface_is_exactly_zero(n):
+    # One subdomain: T's interior rows are zero by construction, not by the rounding of inv(A_II) A_II.
+    problem = assemble(GridSpec(dims=(n,)))
+    system = SchurSystem.build(problem, partition(problem, (1,)))
+    assert (system.blocks.lu.inverses[0] is not None) == (n == 5)  # the GEMM path, or SuperLU
+    assert certify_global(system, InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))) == 0.0
 
 
 def test_certificates_reject_oversized_problems():
@@ -115,7 +153,7 @@ def test_certificates_reject_oversized_problems():
 
     split = InterfaceSplitting(alpha=1.0, m_diag=np.zeros(0))
     with pytest.raises(ValueError):
-        certify_global(prob, dec, split)
+        certify_global(SchurSystem.build(prob, dec), split)
     with pytest.raises(ValueError):
         certify_h_conditions(prob, dec, split)
 
@@ -143,8 +181,7 @@ def test_certify_h_conditions_zero_diagonal_not_h():
     dense = base.A.csr.toarray()
     dense[0, 0] = 0.0
     m = scipy.sparse.csr_matrix(dense)
-    prob = type(base)(A=SparseMatrix(3, 3, m.indptr, m.indices, m.data), b=base.b, grid=grid,
-                      node_coords=base.node_coords)
+    prob = type(base)(A=SparseMatrix(3, 3, m.indptr, m.indices, m.data), b=base.b, grid=grid)
     dec = partition(prob, (2,))
     split = build_splitting(interface_diagonal(prob, dec), alpha=1.0)
     a_is_h, h_split_ok = certify_h_conditions(prob, dec, split)
@@ -178,7 +215,7 @@ def test_h_chain_implies_contractive_global_radius(suite):
             split = build_splitting(interface_diagonal(case.problem, case.decomp), alpha=alpha)
             a_is_h, h_split_ok = certify_h_conditions(case.problem, case.decomp, split)
             assert a_is_h and h_split_ok
-            assert certify_global(case.problem, case.decomp, split) < 1.0
+            assert certify_global(case.system, split) < 1.0
 
 
 def test_certify_returns_stamped_certificates(tiny_1d):
