@@ -4,7 +4,6 @@ cluster runtime, desk-scale convergence certificates and an experiment CLI."""
 from .decomp import (
     Decomposition,
     InterfaceMap,
-    LocalSubdomain,
     build_interface_map,
     partition,
 )

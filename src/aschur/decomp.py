@@ -27,7 +27,6 @@ from .poisson import AssembledProblem
 __all__ = [
     "Decomposition",
     "InterfaceMap",
-    "LocalSubdomain",
     "LocalSpace",
     "StackedBlocks",
     "InteriorFactors",
@@ -53,7 +52,7 @@ class Decomposition:
     where the corner lies outside the range.  Corner c takes slab
     ``lo + bit a of c`` on axis a, so the valid ids of a row ascend.
     ``owner_count`` (its per-row count), ``local_interfaces``, the
-    neighbour lists and the pair multiplicities are all read from it.
+    transport's links and the pair multiplicities are all read from it.
     """
 
     p: int
@@ -71,37 +70,21 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class InterfaceMap:
-    """Local-to-global interface position maps plus neighbor exchange lists.
+    """The stacked interface slots, the one layout of every per-subdomain interface datum.
 
     ``positions`` maps every subdomain's local interface slots, stacked in
     subdomain order, to positions in the global interface vector; subdomain
     i owns the slots ``offsets[i]:offsets[i + 1]``, and ``gamma_positions[i]``
-    is their view.  ``shared[(i, j)]`` (i < j) lists the global positions
-    both subdomains carry; ``neighbors[i]`` the subdomains it shares at
-    least one entry with.
+    is their view.  ``weights`` holds each slot's identity-share weight, one
+    over its entry's owner count, so the shares of an entry sum to one.  Who
+    shares an entry with whom is read from ``decomp.owners``.
     """
 
     n_interface: int
     positions: np.ndarray
     offsets: np.ndarray
-    gamma_positions: tuple[np.ndarray, ...]
-    shared: dict
-    neighbors: tuple[tuple[int, ...], ...]
-
-    def shared_positions(self, i: int, j: int) -> np.ndarray:
-        return self.shared[(i, j) if i < j else (j, i)]
-
-
-@dataclass(frozen=True)
-class LocalSubdomain:
-    """One subdomain's dense local interface complement ``S = A_GG - A_GI inv(A_II) A_IG`` and its
-    right-hand side ``d = b_G - A_GI inv(A_II) b_I``, with A_GG and b_G multiplicity-weighted; the
-    diagonal of its identity share (1/m per entry) and its slots' positions in the interface vector."""
-
-    S: np.ndarray
-    d: np.ndarray
     weights: np.ndarray
-    gamma_positions: np.ndarray
+    gamma_positions: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -110,13 +93,12 @@ class LocalSpace:
     ``InterfaceMap.positions``, and the interior rows ``StackedBlocks.coupled``.  Its matrix is
     block diagonal by subdomain, each block ``[[A_II, A_IG], [A_GI, weighted A_GG]]``; the update
     reads its slot columns on the coupled and slot rows, ``K_G = [A_IG; A_GG]``, and its slot rows
-    at the coupled columns, ``A_GI``; ``b_G`` is the weighted interface right-hand side,
-    ``weights`` each slot's identity-share weight; ``owner_G``, ``owner_c`` the slots' and coupled rows' subdomains."""
+    at the coupled columns, ``A_GI``; ``b_G`` is the interface right-hand side weighted by
+    ``InterfaceMap.weights``; ``owner_G``, ``owner_c`` the slots' and coupled rows' subdomains."""
 
     K_G: scipy.sparse.csr_matrix
     A_GI: scipy.sparse.csr_matrix
     b_G: np.ndarray
-    weights: np.ndarray
     owner_G: np.ndarray
     owner_c: np.ndarray
 
@@ -311,27 +293,12 @@ def partition(problem: AssembledProblem, splits) -> Decomposition:
 def build_interface_map(decomp: Decomposition) -> InterfaceMap:
     offsets = np.cumsum([0] + [len(ids) for ids in decomp.local_interfaces])
     positions = np.searchsorted(decomp.interface, np.concatenate(decomp.local_interfaces))
-    # Two owners of one entry share it.  Valid ids ascend along a row, so a
-    # corner pair a < b yields a subdomain pair i < j; the entries t ascend,
-    # and a stable sort by pair keeps them ascending within each pair.
-    p, owners = decomp.p, decomp.owners
-    a, b = np.triu_indices(owners.shape[1], k=1)
-    t, q = np.nonzero((owners[:, a] >= 0) & (owners[:, b] >= 0))
-    key = owners[t, a[q]] * p + owners[t, b[q]]
-    order = np.argsort(key, kind="stable")
-    key, t = key[order], t[order]
-    ends = np.flatnonzero(np.diff(key, append=p * p)) + 1  # where the pair changes; no key reaches p * p
-    i, j = np.divmod(key[ends - 1], p)
-    shared = dict(zip(zip(i.tolist(), j.tolist()), _cut(t, ends.tolist())))
-    # Lower neighbours first, then higher ones, so each list ascends.
-    neighbors = _split_by(np.concatenate([j, i]), np.concatenate([i, j]), p)
     return InterfaceMap(
         n_interface=decomp.n_interface,
         positions=positions,
         offsets=offsets,
+        weights=1.0 / decomp.owner_count[positions],
         gamma_positions=tuple(_cut(positions, offsets[1:].tolist())),
-        shared=shared,
-        neighbors=tuple(tuple(ns.tolist()) for ns in neighbors),
     )
 
 
@@ -384,22 +351,22 @@ def cut_local_space(blocks: StackedBlocks, decomp: Decomposition, imap: Interfac
     K_G = scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(positions)))
     GI = _own(gather_rows(blocks.A_GI, positions), owner_G, owner_c * n_c + np.arange(n_c), n_c)
     A_GI = scipy.sparse.csr_matrix(GI, shape=(len(positions), n_c))
-    weights = 1.0 / decomp.owner_count[positions]
-    return LocalSpace(K_G, A_GI, blocks.b_G[positions] * weights, weights, owner_G, owner_c)
+    return LocalSpace(K_G, A_GI, blocks.b_G[positions] * imap.weights, owner_G, owner_c)
 
 
-def update_matrix(records, imap: InterfaceMap, m_diag: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """The update ``Q x + f`` over the stacked slots from the complement records (``SchurSystem.subdomains``):
-    Q block diagonal in CSR, block i ``diag(w_i) - inv(M_i) S_i`` dense and row-major at subdomain i's slot
-    columns, M the splitting ``m_diag``, and ``f = inv(M) d``; one pass over every block's cells."""
+def update_matrix(S: np.ndarray, imap: InterfaceMap, m_diag: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The update matrix Q over the stacked slots from the stacked complement ``S`` (``SchurSystem.subdomains``):
+    block diagonal in CSR, block i ``diag(w_i) - inv(M_i) S_i`` dense and row-major at subdomain i's slot
+    columns, w the slot weights and M the splitting ``m_diag``.  Each row's cells are S's first columns, as
+    many as its subdomain has slots, read through one mask in one pass: S's padding is never read."""
     sizes, minv = np.diff(imap.offsets), 1.0 / m_diag[imap.positions]
     idx = np.int32 if sizes @ sizes < 2**31 else np.int64  # scipy's own index type: it neither scans nor copies
     ptr = np.append(idx(0), np.cumsum(np.repeat(sizes, sizes), dtype=idx))
     rows = np.repeat(np.arange(len(minv)), np.diff(ptr))
     cols = np.arange(ptr[-1], dtype=idx) + (np.repeat(imap.offsets[:-1], sizes) - ptr[:-1]).astype(idx)[rows]
-    w, S, d = (np.concatenate([getattr(local, key).ravel() for local in records]) for key in ("weights", "S", "d"))
-    data = np.where(rows == cols, w[rows], 0.0) - minv[rows] * S
-    return scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(minv), len(minv))), minv * d
+    cells = S[np.arange(S.shape[1]) < np.repeat(sizes, sizes)[:, None]]
+    data = np.where(rows == cols, imap.weights[rows], 0.0) - minv[rows] * cells
+    return scipy.sparse.csr_matrix((data, cols, ptr), shape=(len(minv), len(minv)))
 
 
 def _own(M: tuple, owner: np.ndarray, keys: np.ndarray, n: int) -> tuple:

@@ -29,8 +29,9 @@ stamp (a fault clears the columns it cuts).  The wheel covers the
 deliveries in [t, t + W); a later one waits in its delivery row until a
 sweep moves it in, whenever fewer than W/2 steps ahead are covered and
 after each resize (amortized O(links) per step).  The fixed tables are built
-once per system (``SchurSystem.links``, and the update's blocks, cut from
-the stacked ones, ``SchurSystem.local_space``); the rest is per run.  In a
+once per system (``SchurSystem.links``, from the owner table over the
+stacked slots, and the update's blocks, ``SchurSystem.local_space``); the
+rest is per run, the explicit update's ``inv(M) d`` included.  In a
 step the active workers ingest and merge; one batched update over the
 stacked slots forms each new share (identity share plus the scaled local
 interface defect) and, for workers starting a detection round, the residual
@@ -102,7 +103,7 @@ reordering) in 1.6-1.8, 1.0-1.1, 0.9-1.0 and 1.1-1.2 us (medians of 15 passes ov
 DELAY_MAX = 2**63 - 1  # the largest bound Generator.integers takes
 NEVER = DELAY_MAX  # delivery time of an empty slot; RuntimeConfig keeps every delivery below it
 EXPLICIT_UPDATE_LIMIT = 16384
-"""Most cells, sum_i |Gamma_i|**2, of the explicit update (whose records also cap each interior at DENSE_OP_LIMIT):
+"""Most cells, sum_i |Gamma_i|**2, of the explicit update (its complement caps each interior at DENSE_OP_LIMIT):
 the largest power of two below 28,908, the first size where it lost a step.  Per step, factored / explicit, at p = 16:
 9,228 cells (31^2/4x4) 1.11-1.14x, 14,572 1.05-1.08x, 21,132 1.04-1.12x, 28,908 0.98-1.05x, 37,900 0.93-0.94x;
 p = 32: 12,628 1.04-1.17x, 28,916 0.97-1.03x; p = 64: 50,460 (63^2/8x8) 0.92-0.96x.  Medians of seven alternating
@@ -246,24 +247,29 @@ class RuntimeConfig:
 
 class LinkTables:
     """The transport's fixed tables, built once per system (``SchurSystem.links``), shared
-    read-only by its runs: directed links (by sender, then its neighbour order), merge entries
-    (by receiver, its neighbour order, shared position), detection slots (a residual piece per
-    link, a reduction per (round parity, dst, src)) and every message in send order, with its
-    column of the delivery rows and wheel (its link; detection: a spare) and slot (data: a spare)."""
+    read-only by its runs: directed links (by sender, then receiver), merge entries (by receiver,
+    sender, position), detection slots (a residual piece per link, a reduction per (round parity,
+    dst, src)) and every message in send order, with its column of the delivery rows and wheel (its
+    link; detection: a spare) and slot (data: a spare).  Every ordered pair (i, j) of two owners of
+    an entry t (``decomp.owners``), sorted by i, j, then t, is a merge entry of i from j: the pairs
+    are the links, and ``link_slots[k]`` link k's entries at i's slots."""
 
-    def __init__(self, imap):
-        p, offsets = len(imap.neighbors), imap.offsets
-        links = [(i, j) for i in range(p) for j in imap.neighbors[i]]
-        index = {link: k for k, link in enumerate(links)}
-        reverse = [index[(j, i)] for i, j in links]
-        shared = [imap.shared_positions(i, j) for i, j in links]
-        self.link_slots = [offsets[i] + np.searchsorted(imap.gamma_positions[i], s) for (i, _), s in zip(links, shared)]
-        self.link_src, self.link_dst = np.array(links, dtype=np.intp).reshape(-1, 2).T
+    def __init__(self, decomp, imap):
+        p, n, owners, offsets = decomp.p, imap.n_interface, decomp.owners, imap.offsets
+        a, b = np.nonzero(~np.eye(owners.shape[1], dtype=bool))  # ordered corner pairs
+        t, q = np.nonzero((owners[:, a] >= 0) & (owners[:, b] >= 0))  # t ascends
+        pair = owners[t, a[q]] * p + owners[t, b[q]]
+        order = np.argsort(pair, kind="stable")
+        (i, j), t = np.divmod(pair[order], p), t[order]
+        key = np.repeat(np.arange(p), np.diff(offsets)) * n + imap.positions  # ascends over the slots
+        self.e_dst, self.e_src = np.searchsorted(key, i * n + t), np.searchsorted(key, j * n + t)
+        starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+        self.link_src, self.link_dst = i[starts], j[starts]
+        self.link_slots = np.split(self.e_dst, starts)[1:]
+        self.e_link = np.searchsorted(self.link_src * p + self.link_dst, j * p + i)  # link j -> i
+        links = list(zip(self.link_src.tolist(), self.link_dst.tolist()))
         self.n_links = n_links = len(links)
         self.n_nbr = np.bincount(self.link_dst, minlength=p)
-        self.e_link = np.repeat(np.array(reverse, dtype=np.intp), [len(s) for s in shared])  # link j -> i
-        self.e_src = np.concatenate([self.link_slots[k] for k in reverse] + [np.zeros(0, dtype=np.intp)])
-        self.e_dst = np.concatenate(self.link_slots + [np.zeros(0, dtype=np.intp)])
         self.sync_pos = np.concatenate([np.arange(offsets[-1]), self.e_dst])
         self.n_det = n_links + 2 * p * p
         self.det_src = np.concatenate([self.link_src, np.tile(np.arange(p), 2 * p)])
@@ -302,11 +308,12 @@ class AsyncSimulator:
         self._lk = lk = system.links  # read-only, shared by every run on the system
         self._delay = cfg.delay.sampler(self.rng_delay, p, lk.msg_src, lk.msg_dst)  # checks the table links
         self.space, imap = system.local_space, system.imap
-        self._lu, self._n_c = system.blocks.lu, len(system.blocks.coupled)
+        self._lu, self._n_c, self._w = system.blocks.lu, len(system.blocks.coupled), imap.weights
         self._m = split.m_diag[imap.positions]
         self._minv, sizes = 1.0 / self._m, np.diff(imap.offsets)
         explicit = sizes @ sizes <= EXPLICIT_UPDATE_LIMIT and max(map(len, system.decomp.parts)) <= DENSE_OP_LIMIT
-        self._Q, self._f = update_matrix(system.subdomains, imap, split.m_diag) if explicit else (None, None)
+        self._Q = update_matrix(system.subdomains, imap, split.m_diag) if explicit else None
+        self._f = self._minv * (self.space.b_G - matvec(self.space.A_GI, system.c)) if explicit else None
         self._off, self._workers = imap.offsets.tolist(), np.arange(p)
         self._all, self._everyone = list(range(p)), np.ones(p, dtype=bool)
         self._n_nbr, self._flags = lk.n_nbr.tolist(), np.zeros(4 * p, dtype=bool)  # flags: senders by msg_key
@@ -458,11 +465,11 @@ class AsyncSimulator:
         space, n_c, x_l = self.space, self._n_c, self.y + self.nbr
         if self._Q is not None:
             y_new = matvec(self._Q, x_l, self._f)
-            defect = self._m * (y_new - space.weights * x_l) if residual else None
+            defect = self._m * (y_new - self._w * x_l) if residual else None
         else:
             g = matvec(space.K_G, x_l)  # [A_IG x_l on the coupled rows; A_GG x_l]
             defect = space.b_G - matvec(space.A_GI, self.system.c - self._lu.solve_coupled(g[:n_c])) - g[n_c:]
-            y_new = space.weights * x_l + self._minv * defect
+            y_new = self._w * x_l + self._minv * defect
         if not residual:
             return y_new, None, None
         q = matvec(space.K_G, self.y - y_new)
@@ -491,7 +498,7 @@ class AsyncSimulator:
                 fin.append((i, par))
         if red:
             r_sync = np.bincount(self._lk.sync_pos, np.concatenate((self._r_own_G, self._r_own_G[self._lk.e_src])))
-            value = self._r_own_I_sq + np.bincount(self.space.owner_G, self.space.weights * r_sync * r_sync, p)
+            value = self._r_own_I_sq + np.bincount(self.space.owner_G, self._w * r_sync * r_sync, p)
             for i, par in red:
                 self._red_val[par, i] = value[i]
         return red, fin

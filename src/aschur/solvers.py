@@ -27,7 +27,6 @@ from .decomp import (
     Decomposition,
     InterfaceMap,
     LocalSpace,
-    LocalSubdomain,
     StackedBlocks,
     build_interface_map,
     cut_local_space,
@@ -99,10 +98,10 @@ class SchurSystem:
 
     Built on first use: the ``local_space``, the async workers' blocks cut from
     the stacked ones, with the transport's ``links`` tables, and ``subdomains``,
-    every local complement formed once from them for the desk-scale certificates
-    and oracles.  ``blocks.lu`` is the one interior solver, one factor per
-    distinct subdomain block, that the complements and the global certificate
-    read too; sync and CG build none of the rest.
+    every local complement formed once from them over the stacked slots for the
+    desk-scale update matrix, certificates and oracles.  ``blocks.lu`` is the one
+    interior solver, one factor per distinct subdomain block, that the complements
+    and the global certificate read too; sync and CG build none of the rest.
     """
 
     problem: AssembledProblem
@@ -127,28 +126,27 @@ class SchurSystem:
     def links(self):
         from .runtime import LinkTables  # the transport's own tables; runtime imports this module
 
-        return LinkTables(self.imap)
+        return LinkTables(self.decomp, self.imap)
 
     @cached_property
-    def subdomains(self) -> tuple[LocalSubdomain, ...]:
-        """Each subdomain's complement record, every ``S_i`` from one scatter and two products on the
-        coupled interior rows.  Row s of Z holds, per subdomain, the ``A_IG`` column of its s-th slot,
-        for s below G, its largest local interface; one ``solve_coupled`` of Z's rows and one product with
-        ``A_GI`` give every ``S_i``'s rows, padded to G columns; ``d_i`` is ``b_G - A_GI c``.
-        Refused when an interior or a local interface exceeds ``DENSE_OP_LIMIT`` rows (desk scale)."""
+    def subdomains(self) -> np.ndarray:
+        """The stacked local complements: slot rows and G columns, G the largest local interface, with
+        ``S_i = A_GG - A_GI inv(A_II) A_IG`` (A_GG weighted) in the first ``|Gamma_i|`` columns of subdomain
+        i's rows.  Row s of Z holds, per subdomain, the ``A_IG`` column of its s-th slot; one ``solve_coupled``
+        of Z's rows and one product with ``A_GI`` give every row.  Refused when an interior or a local
+        interface exceeds ``DENSE_OP_LIMIT`` rows (desk scale)."""
         m, G = (max(map(len, ids)) for ids in (self.decomp.parts, self.decomp.local_interfaces))
         if max(m, G) > DENSE_OP_LIMIT:
             raise ValueError(f"local blocks of {m} + {G} rows exceed the explicit cap")
         space, offsets = self.local_space, self.imap.offsets
-        K_G, A_GI, b_G, n_c = space.K_G, space.A_GI, space.b_G, len(self.c)
-        slot = (np.arange(len(b_G)) - np.repeat(offsets[:-1], np.diff(offsets)))[K_G.indices]  # place in its subdomain
+        K_G, A_GI, n_slots, n_c = space.K_G, space.A_GI, len(self.imap.positions), len(self.c)
+        slot = (np.arange(n_slots) - np.repeat(offsets[:-1], np.diff(offsets)))[K_G.indices]  # place in its subdomain
         rows, cut = np.repeat(np.arange(K_G.shape[0]), np.diff(K_G.indptr)), K_G.indptr[n_c]
-        Z, S = np.zeros((G, n_c)), np.zeros((len(b_G), G))
+        Z, S = np.zeros((G, n_c)), np.zeros((n_slots, G))
         Z[slot[:cut], rows[:cut]] = K_G.data[:cut]  # the coupled rows of A_IG, one row per slot place
         S[rows[cut:] - n_c, slot[cut:]] = K_G.data[cut:]  # A_GG
         S -= A_GI @ self.blocks.lu.solve_coupled(Z).T
-        return tuple(LocalSubdomain(S_i[:, :len(S_i)], d_i, w, pos) for S_i, d_i, w, pos in zip(*(
-            np.split(a, offsets[1:-1]) for a in (S, b_G - matvec(A_GI, self.c), space.weights, self.imap.positions))))
+        return S
 
     @property
     def p(self) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import Decomposition, InterfaceMap, LocalSubdomain, update_matrix
+from .decomp import Decomposition, InterfaceMap, update_matrix
 from .linalg import DENSE_OP_LIMIT, is_h_matrix, spectral_radius_nonneg
 from .poisson import AssembledProblem
 from .solvers import SchurSystem
@@ -77,14 +77,10 @@ def build_splitting(a_gg_diag, alpha: float = 1.0) -> InterfaceSplitting:
     return InterfaceSplitting(alpha=float(alpha), m_diag=alpha * a_gg_diag)
 
 
-def certify_async(
-    subdomains: list[LocalSubdomain] | tuple[LocalSubdomain, ...],
-    imap: InterfaceMap,
-    split: InterfaceSplitting,
-) -> float:
-    """Spectral radius of the summed |Q_i|, Q the update matrix (``decomp.update_matrix``) of the complement
-    records ``SchurSystem.subdomains``: one ``bincount`` of ``|Q.data|`` at its cells' interface positions."""
-    Q, _ = update_matrix(subdomains, imap, split.m_diag)
+def certify_async(S: np.ndarray, imap: InterfaceMap, split: InterfaceSplitting) -> float:
+    """Spectral radius of the summed |Q_i|, Q the update matrix (``decomp.update_matrix``) of the stacked
+    complement ``SchurSystem.subdomains``: one ``bincount`` of ``|Q.data|`` at its cells' interface positions."""
+    Q = update_matrix(S, imap, split.m_diag)
     n, pos = imap.n_interface, imap.positions
     at = np.repeat(pos, np.diff(Q.indptr)) * n + pos[Q.indices]
     return spectral_radius_nonneg(np.bincount(at, np.abs(Q.data), n * n).reshape(n, n))

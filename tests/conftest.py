@@ -1,5 +1,6 @@
 """Shared desk-scale problem suite: 1/2/3-D grids, 2 to 8 subdomains."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ import scipy.sparse
 
 from aschur import GridSpec, SchurSystem, assemble, build_splitting, interface_diagonal, partition, sync_relaxation
 from aschur.decomp import Decomposition
+from aschur.linalg import matvec
 from aschur.poisson import AssembledProblem
 from aschur.splitting import InterfaceSplitting
 
@@ -115,7 +117,7 @@ def reference_subdomains(system: SchurSystem, owned: np.ndarray | None = None) -
 
 def dense_complement(local: ReferenceSubdomain) -> tuple[np.ndarray, np.ndarray]:
     """S = A_GG - A_GI inv(A_II) A_IG and d = b_G - A_GI inv(A_II) b_I by one dense solve: the oracle
-    of the complement records ``SchurSystem.subdomains``, independent of the interior factors."""
+    of ``local_complements``, independent of the interior factors."""
     a_gi = local.A_GI.toarray()
     X = np.linalg.solve(local.A_II.toarray(), np.column_stack([local.A_IG.toarray(), local.b_I]))
     return local.A_GG - a_gi @ X[:, :-1], local.b_G - a_gi @ X[:, -1]
@@ -127,14 +129,35 @@ def lattice_coords(dims) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(math.prod(dims)), dims[::-1])[::-1], axis=1)
 
 
+def local_complements(system: SchurSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per subdomain i, (S_i, d_i): S_i is the stacked complement ``SchurSystem.subdomains`` at i's slot rows
+    and first |Gamma_i| columns, d_i = b_G - A_GI c on i's slots, read from the local space."""
+    S, space = system.subdomains, system.local_space
+    d = space.b_G - matvec(space.A_GI, system.c)
+    return [(S[lo:hi, :hi - lo], d[lo:hi]) for lo, hi in itertools.pairwise(system.imap.offsets.tolist())]
+
+
 def assemble_interface_operator(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:
     """Dense assembled interface operator and right-hand side (desk scale),
     summed from the per-subdomain complements, apart from the stacked form."""
     n = system.n_interface
     S = np.zeros((n, n))
     d = np.zeros(n)
-    for local in system.subdomains:
-        pos = local.gamma_positions
-        S[np.ix_(pos, pos)] += local.S
-        d[pos] += local.d
+    for (S_i, d_i), pos in zip(local_complements(system), system.imap.gamma_positions, strict=True):
+        S[np.ix_(pos, pos)] += S_i
+        d[pos] += d_i
     return S, d
+
+
+def all_pairs_reference(gamma_positions):
+    """Neighbour lists and shared positions from an intersect1d over every pair."""
+    p = len(gamma_positions)
+    shared, neighbors = {}, [[] for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            common = np.intersect1d(gamma_positions[i], gamma_positions[j])
+            if common.size:
+                shared[(i, j)] = common
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return shared, tuple(tuple(ns) for ns in neighbors)

@@ -21,9 +21,17 @@ from aschur.decomp import (
 )
 from aschur.linalg import SingularMatrixError, SparseMatrix, gather_rows
 from aschur.poisson import GridSpec, assemble, exact_solution
+from aschur.runtime import AsyncSimulator, LinkTables, RuntimeConfig
 from aschur.solvers import SchurSystem, apply_interface_operator
 from aschur.splitting import build_splitting, interface_diagonal
-from conftest import assemble_interface_operator, dense_complement, lattice_coords, reference_subdomains
+from conftest import (
+    all_pairs_reference,
+    assemble_interface_operator,
+    dense_complement,
+    lattice_coords,
+    local_complements,
+    reference_subdomains,
+)
 
 
 def test_partition_1d_3_nodes():
@@ -117,8 +125,9 @@ def test_extract_local_single_subdomain_degenerate():
     np.testing.assert_array_equal(loc.A_II.toarray(), prob.A.csr.toarray())
     assert loc.n_gamma == 0
     assert loc.A_GG.shape == (0, 0)
-    (record,) = system.subdomains
-    assert record.S.shape == (0, 0) and record.d.shape == record.weights.shape == record.gamma_positions.shape == (0,)
+    assert system.subdomains.shape == (0, 0) and system.imap.weights.shape == (0,)
+    ((S, d),) = local_complements(system)
+    assert S.shape == (0, 0) and d.shape == system.imap.gamma_positions[0].shape == (0,)
 
 
 def test_reassembly_is_exact(suite):
@@ -150,27 +159,30 @@ def test_sign_compatibility_of_weighted_blocks(suite):
 
 def test_neighbor_lists_symmetric(suite):
     for case in suite.values():
-        imap = case.system.imap
-        for (i, j), sharedpos in imap.shared.items():
-            assert i < j
-            assert j in imap.neighbors[i] and i in imap.neighbors[j]
-            assert len(np.unique(sharedpos)) == len(sharedpos)
+        lk, imap = case.system.links, case.system.imap
+        links = list(zip(lk.link_src.tolist(), lk.link_dst.tolist()))
+        assert len(set(links)) == len(links)
+        for (i, j), slots in zip(links, lk.link_slots, strict=True):
+            assert i != j and (j, i) in links
+            assert len(np.unique(imap.positions[slots])) == len(slots)
         for i, pos in enumerate(imap.gamma_positions):
             assert len(np.unique(pos)) == len(pos)
 
 
-def _all_pairs_reference(gamma_positions):
-    """Neighbour lists and shared positions from an intersect1d over every pair."""
-    p = len(gamma_positions)
-    shared, neighbors = {}, [[] for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            common = np.intersect1d(gamma_positions[i], gamma_positions[j])
-            if common.size:
-                shared[(i, j)] = common
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    return shared, tuple(tuple(ns) for ns in neighbors)
+def _assert_links_match(lk, imap, shared, neighbors):
+    """The link tables against per-pair shared positions (``shared[(i, j)]``, i < j) and neighbour lists: each
+    worker's neighbours in order, each link's slots at the pair's shared positions among its sender's slots,
+    and each merge entry at one position in its sender's and its receiver's slots."""
+    links = list(zip(lk.link_src.tolist(), lk.link_dst.tolist()))
+    assert links == [(i, j) for i, ns in enumerate(neighbors) for j in ns]
+    for (i, j), slots in zip(links, lk.link_slots, strict=True):
+        assert _same(imap.positions[slots], shared[(min(i, j), max(i, j))]), (i, j)
+        assert np.all((imap.offsets[i] <= slots) & (slots < imap.offsets[i + 1])), (i, j)
+    assert _same(lk.e_dst, np.concatenate([np.zeros(0, dtype=np.intp), *lk.link_slots]))
+    owner = np.repeat(np.arange(len(neighbors)), np.diff(imap.offsets))
+    assert np.array_equal(imap.positions[lk.e_src], imap.positions[lk.e_dst])
+    assert np.array_equal(owner[lk.e_src], lk.link_src[lk.e_link])  # link j -> i carries j's slot
+    assert np.array_equal(owner[lk.e_dst], lk.link_dst[lk.e_link])
 
 
 def _in_closed_boxes(problem, dec):
@@ -192,13 +204,9 @@ def _cases(suite, extra):
 @pytest.mark.parametrize("extra", [None, ((9, 9, 9), (3, 3, 3)), ((17, 17), (4, 4))], ids=["suite", "3d-p27", "2d-p16"])
 def test_interface_map_matches_all_pairs_reference(suite, extra):
     for problem, dec in _cases(suite, extra):
-        subdomains = reference_subdomains(SchurSystem.build(problem, dec))
-        imap = build_interface_map(dec)
-        shared, neighbors = _all_pairs_reference(imap.gamma_positions)
-        assert imap.neighbors == neighbors
-        assert list(imap.shared) == list(shared)
-        for key, pos in shared.items():
-            np.testing.assert_array_equal(imap.shared[key], pos)
+        system = SchurSystem.build(problem, dec)
+        subdomains, imap = reference_subdomains(system), system.imap
+        _assert_links_match(system.links, imap, *all_pairs_reference(imap.gamma_positions))
         owned = _in_closed_boxes(problem, dec)
         dense = problem.A.csr.toarray()
         for i in range(dec.p):
@@ -241,7 +249,7 @@ def test_local_space_matches_per_subdomain_reference(suite, extra):
             "offsets": np.cumsum([0] + [s.n_gamma for s in ref]),
         }
         for field, value in expected.items():
-            owner = system.imap if field in ("positions", "offsets") else system.local_space
+            owner = system.imap if field in ("positions", "offsets", "weights") else system.local_space
             assert _same(getattr(owner, field), value), (dec.splits, field)
         assert _same(system.c, system.blocks.lu.solve(np.concatenate([s.b_I for s in ref]))[coupled]), dec.splits
 
@@ -265,30 +273,49 @@ def test_pair_multiplicity_matches_the_owner_broadcast(dims, splits):
 
 
 def test_schur_explicit_1d_hand_values(tiny_1d):
-    for loc in tiny_1d.system.subdomains:
-        np.testing.assert_allclose(loc.S, [[0.5]], atol=1e-14)
-        np.testing.assert_allclose(loc.d, [1.0], atol=1e-14)
-        np.testing.assert_array_equal(loc.weights, [0.5])
-        np.testing.assert_array_equal(loc.gamma_positions, [0])
+    imap = tiny_1d.system.imap
+    for i, (S, d) in enumerate(local_complements(tiny_1d.system)):
+        np.testing.assert_allclose(S, [[0.5]], atol=1e-14)
+        np.testing.assert_allclose(d, [1.0], atol=1e-14)
+        np.testing.assert_array_equal(imap.weights[imap.offsets[i]:imap.offsets[i + 1]], [0.5])
+        np.testing.assert_array_equal(imap.gamma_positions[i], [0])
+    assert i == 1
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.4])
 def test_update_matrix_is_the_dense_update_blocks_bit_for_bit(suite, alpha):
-    # The oracle forms each block ``diag(w_i) - inv(M_i) S_i`` densely, one subdomain at a time.
+    # The oracle forms each block ``diag(w_i) - inv(M_i) S_i`` densely, one subdomain at a time, and the
+    # simulator's ``f`` as ``inv(M_i) d_i``.
     for case in suite.values():
-        records, offsets = case.system.subdomains, case.system.imap.offsets
-        m = build_splitting(interface_diagonal(case.problem, case.decomp), alpha=alpha).m_diag
-        Q, f = update_matrix(records, case.system.imap, m)
+        imap, offsets = case.system.imap, case.system.imap.offsets
+        split = build_splitting(interface_diagonal(case.problem, case.decomp), alpha=alpha)
+        m = split.m_diag
+        Q, f = update_matrix(case.system.subdomains, imap, m), AsyncSimulator(case.system, split, RuntimeConfig())._f
         dense, sizes = Q.toarray(), np.diff(offsets)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
         assert Q.nnz == sizes @ sizes and np.array_equal(owner[rows], owner[Q.indices]), case.name
-        for local, lo, hi in zip(records, offsets[:-1], offsets[1:]):
-            minv = 1.0 / m[local.gamma_positions]
-            assert _same(dense[lo:hi, lo:hi], np.diag(local.weights) - minv[:, None] * local.S), (case.name, lo)
-            assert _same(f[lo:hi], minv * local.d), (case.name, lo)
+        for (S, d), pos, lo, hi in zip(local_complements(case.system), imap.gamma_positions, offsets[:-1], offsets[1:]):
+            minv = 1.0 / m[pos]
+            assert _same(dense[lo:hi, lo:hi], np.diag(imap.weights[lo:hi]) - minv[:, None] * S), (case.name, lo)
+            assert _same(f[lo:hi], minv * d), (case.name, lo)
             dense[lo:hi, lo:hi] = 0.0
         assert not dense.any(), case.name
+
+
+def test_update_matrix_never_reads_the_padding(suite):
+    # The stacked complement pads each subdomain's rows to the largest local interface; with every
+    # padding cell NaN, Q keeps its bits.
+    padded = 0
+    for case in suite.values():
+        imap, S = case.system.imap, case.system.subdomains.copy()
+        sizes = np.diff(imap.offsets)
+        pad = np.arange(S.shape[1]) >= np.repeat(sizes, sizes)[:, None]
+        S[pad] = np.nan
+        padded += np.count_nonzero(pad)
+        Q = update_matrix(case.system.subdomains, imap, case.split.m_diag)
+        assert _same(update_matrix(S, imap, case.split.m_diag), Q), case.name
+    assert padded
 
 
 def test_schur_explicit_consistency_with_direct_solve(tiny_1d):
@@ -306,7 +333,7 @@ def test_schur_explicit_rejects_oversized_interface(monkeypatch):
     with pytest.raises(ValueError, match="exceed the explicit cap"):
         SchurSystem.build(prob, dec).subdomains
     monkeypatch.setattr("aschur.solvers.DENSE_OP_LIMIT", 5)
-    assert len(SchurSystem.build(prob, dec).subdomains) == 4
+    assert SchurSystem.build(prob, dec).subdomains.shape == (20, 5)
 
 
 def test_schur_explicit_rejects_oversized_interior():
@@ -326,9 +353,9 @@ def test_schur_equals_interface_block_when_decoupled(tiny_1d):
     m = scipy.sparse.csr_matrix(dense)
     problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     system = SchurSystem.build(problem, tiny_1d.decomp)
-    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+    for (S, _), ref in zip(local_complements(system), reference_subdomains(system), strict=True):
         assert ref.A_IG.nnz == 0
-        np.testing.assert_array_equal(loc.S, ref.A_GG)
+        np.testing.assert_array_equal(S, ref.A_GG)
 
 
 def test_interface_solution_matches_direct_solve(suite):
@@ -695,8 +722,7 @@ def test_setup_matches_plain_per_subdomain_reference(grid, perturb):
         assert _same(getattr(dec, field), ref[field]), field
     imap = build_interface_map(dec)
     assert all(_same(got, want) for got, want in zip(imap.gamma_positions, ref["gamma_positions"], strict=True))
-    assert list(imap.shared) == list(ref["shared"]) and imap.neighbors == ref["neighbors"]
-    assert all(_same(imap.shared[key], want) for key, want in ref["shared"].items())
+    _assert_links_match(LinkTables(dec, imap), imap, ref["shared"], ref["neighbors"])
 
     blocks = stack_blocks(problem, dec)
     A, interior, interface = problem.A.csr, np.concatenate(ref["parts"]), ref["interface"]
@@ -739,9 +765,11 @@ def test_complement_records_match_dense_solves(grid, perturb):
         problem = _scaled(problem, row, 1.0 + perturb * 1e-9, col=row)
     system = SchurSystem.build(problem, dec)
     assert len(system.blocks.lu.factors) >= (2 if perturb and dec.p > 1 else 1)
-    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+    imap = system.imap
+    for i, ((S_i, d_i), ref) in enumerate(zip(local_complements(system), reference_subdomains(system), strict=True)):
         S, d = dense_complement(ref)
-        assert loc.S.shape == S.shape and loc.d.shape == d.shape
-        assert np.abs(loc.S - S).max(initial=0.0) <= 1e-12 * np.abs(S).max(initial=1e-300)
-        assert np.abs(loc.d - d).max(initial=0.0) <= 1e-12 * np.abs(d).max(initial=1e-300)
-        assert _same(loc.weights, ref.weights) and _same(loc.gamma_positions, ref.gamma_positions)
+        assert S_i.shape == S.shape and d_i.shape == d.shape
+        assert np.abs(S_i - S).max(initial=0.0) <= 1e-12 * np.abs(S).max(initial=1e-300)
+        assert np.abs(d_i - d).max(initial=0.0) <= 1e-12 * np.abs(d).max(initial=1e-300)
+        weights = imap.weights[imap.offsets[i]:imap.offsets[i + 1]]
+        assert _same(weights, ref.weights) and _same(imap.gamma_positions[i], ref.gamma_positions)

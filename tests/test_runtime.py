@@ -18,7 +18,7 @@ from aschur.runtime import (
 )
 from aschur.solvers import cg_schur
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import SUITE_NAMES, reference_subdomains, sync_iterates
+from conftest import SUITE_NAMES, all_pairs_reference, reference_subdomains, sync_iterates
 
 
 def report_fields(report, skip=("wall_time",)):
@@ -354,9 +354,10 @@ def test_no_transport_array_grows_with_the_delay_bound(suite):
 def test_neighbor_merge_matches_loop_reference(suite, name):
     # The merge sums the neighbors' adopted shares in one bincount; at cross
     # points several neighbors overlap, and the sum must equal, bit for bit,
-    # adding the shares one neighbor at a time in the interface map's order.
+    # adding the shares one neighbor at a time in ascending order.
     case = suite[name]
     imap = case.system.imap
+    shared_positions, neighbors = all_pairs_reference(imap.gamma_positions)
     sim = AsyncSimulator(case.system, case.split, RuntimeConfig())
     rng = np.random.default_rng(0)
     rows = len(sim._inj)
@@ -367,8 +368,8 @@ def test_neighbor_merge_matches_loop_reference(suite, name):
     for i in range(case.system.p):
         gpos = imap.gamma_positions[i]
         expected = np.zeros(len(gpos))
-        for j in imap.neighbors[i]:
-            shared = imap.shared_positions(i, j)
+        for j in neighbors[i]:
+            shared = shared_positions[(min(i, j), max(i, j))]
             stamp = sim._stamp[_link(sim, j, i)]
             share = sim._ring[stamp % rows if stamp >= 0 else -1, off[j] + np.searchsorted(imap.gamma_positions[j], shared)]
             expected[np.searchsorted(gpos, shared)] += share
@@ -413,7 +414,7 @@ def test_batched_step_matches_subdomain_loop(suite):
     for name, system, split in cases:
         space, imap = system.local_space, system.imap
         assert np.all(space.K_G.data != 0) and np.all(space.A_GI.data != 0), name  # no stored zeros
-        off = imap.offsets
+        off, (shared_positions, neighbors) = imap.offsets, all_pairs_reference(imap.gamma_positions)
         for trial in range(3):
             sim = AsyncSimulator(system, split, RuntimeConfig(tol=1e-300))
             sim.y[:] = rng.normal(size=len(sim.y))
@@ -424,8 +425,8 @@ def test_batched_step_matches_subdomain_loop(suite):
             subdomains = reference_subdomains(system)
             for i, loc in enumerate(subdomains):
                 nbr_sum = np.zeros(loc.n_gamma)
-                for j in imap.neighbors[i]:
-                    shared = imap.shared_positions(i, j)
+                for j in neighbors[i]:
+                    shared = shared_positions[(min(i, j), max(i, j))]
                     src = off[j] + np.searchsorted(imap.gamma_positions[j], shared)
                     nbr_sum[np.searchsorted(loc.gamma_positions, shared)] += sim._ring[sim._stamp[_link(sim, j, i)], src]
                 nbr_sums.append(nbr_sum)
@@ -457,7 +458,7 @@ def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
     rng = np.random.default_rng(17)
     for name, case in suite.items():
         sim = AsyncSimulator(case.system, case.split, RuntimeConfig(tol=1e-300))
-        space, p, off = sim.space, sim.p, sim.system.imap.offsets
+        weights, p, off = case.system.imap.weights, sim.p, case.system.imap.offsets
         subdomains = reference_subdomains(case.system)
         for _ in range(3):
             sim.y, sim.nbr = rng.normal(size=len(sim.y)), rng.normal(size=len(sim.y))
@@ -482,7 +483,7 @@ def test_update_without_pieces_gives_the_shares_of_the_update_with_them(suite):
             for i in range(p):
                 value = 0.0
                 for k in range(off[i], off[i + 1]):
-                    value += space.weights[k] * r_sync[k] * r_sync[k]
+                    value += weights[k] * r_sync[k] * r_sync[k]
                 assert sim._red_val[0, i].tobytes() == np.float64(r_I_sq[i] + value).tobytes(), (name, i)
 
 
@@ -564,10 +565,10 @@ def test_explicit_and_factored_updates_agree_under_faults():
 
 def test_each_problem_takes_the_update_form_its_size_selects(suite, monkeypatch):
     # The explicit form stores sum_i |Gamma_i|**2 cells, at most EXPLICIT_UPDATE_LIMIT
-    # (inclusive), and reads every complement record.  Every suite problem (3d-7x7x5-p4
+    # (inclusive), and reads the stacked complement.  Every suite problem (3d-7x7x5-p4
     # stores 4 * 35**2 = 4,900 cells) and the fault problem 31^2/4x4 (9,228) take it;
     # 63^2/8x8 (50,460) takes the factored form, as does 4003/2, which stores 2 cells
-    # but has interiors of 2,001 rows, over the records' cap.  Neither forms a record.
+    # but has interiors of 2,001 rows, over the complement's cap.  Neither forms it.
     for name, case in suite.items():
         assert AsyncSimulator(case.system, case.split, RuntimeConfig())._Q is not None, name
     fault_problem = _built((31, 31), (4, 4))

@@ -21,7 +21,13 @@ from aschur.solvers import (
     write_residual_history,
 )
 from aschur.splitting import InterfaceSplitting, build_splitting, interface_diagonal
-from conftest import assemble_interface_operator, dense_complement, reference_subdomains, sync_iterates
+from conftest import (
+    assemble_interface_operator,
+    dense_complement,
+    local_complements,
+    reference_subdomains,
+    sync_iterates,
+)
 
 
 def fit_rate(history, tail=10):
@@ -32,14 +38,14 @@ def fit_rate(history, tail=10):
 
 
 def test_compute_d_1d(tiny_1d):
-    for loc in tiny_1d.system.subdomains:
-        np.testing.assert_allclose(loc.d, [1.0], atol=1e-14)
+    for _, d in local_complements(tiny_1d.system):
+        np.testing.assert_allclose(d, [1.0], atol=1e-14)
 
 
 def test_compute_d_zero_rhs(tiny_1d):
     problem = assemble(GridSpec(dims=(3,), source=0.0))
-    for loc in SchurSystem.build(problem, tiny_1d.decomp).subdomains:
-        np.testing.assert_array_equal(loc.d, [0.0])
+    for _, d in local_complements(SchurSystem.build(problem, tiny_1d.decomp)):
+        np.testing.assert_array_equal(d, [0.0])
 
 
 def test_compute_d_decoupled(tiny_1d):
@@ -51,9 +57,9 @@ def test_compute_d_decoupled(tiny_1d):
     m = scipy.sparse.csr_matrix(dense)
     problem = replace(tiny_1d.problem, A=SparseMatrix(3, 3, m.indptr, m.indices, m.data))
     system = SchurSystem.build(problem, tiny_1d.decomp)
-    for loc, ref in zip(system.subdomains, reference_subdomains(system), strict=True):
+    for (_, d), ref in zip(local_complements(system), reference_subdomains(system), strict=True):
         assert ref.A_GI.nnz == 0
-        np.testing.assert_array_equal(loc.d, ref.b_G)
+        np.testing.assert_array_equal(d, ref.b_G)
 
 
 def test_schur_apply_1d(tiny_1d):
